@@ -22,6 +22,7 @@ from .newton import (
     Counters,
     IterateState,
     LevelContext,
+    MethodNotApplicable,
     converged,
     initial_state,
     mehrotra_iteration,
@@ -288,7 +289,8 @@ def _level_form(ctx):
 
     The term's rank equals the rank of the stacked level and carried rows
     (the barrier weights are positive diagonals), so applicability is
-    structural and probed once. Returns (form, fell_back).
+    structural and probed once; a rank lost to rounding inside the Newton
+    loop is caught by ``_solve``. Returns (form, fell_back).
     """
     cfg = ctx.config
     if cfg.step_form != "classical":
@@ -478,7 +480,14 @@ def _solve(problem: HlspProblem, config: SolverConfig):
             ctx = build_level_context(state, level, config, counters)
             s = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
-            conv, norm = newton_loop(ctx, s, form=form)
+            try:
+                conv, norm = newton_loop(ctx, s, form=form)
+            except MethodNotApplicable:
+                # barrier weights can still make the quadratic term lose
+                # rank numerically; restart the level in the projected form
+                s = initial_state(ctx, x)
+                conv, norm = newton_loop(ctx, s, form="normal")
+                fell_back = True
             stage1 = ctx.stage1
         x = s.x
         sub = not conv

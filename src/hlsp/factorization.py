@@ -1,11 +1,14 @@
 """Rank-revealing QR kernels and null-space bases.
 
-Q factors are never formed explicitly; they are kept as sequences of
-elementary Householder reflections and Givens rotations that can be applied
-to vectors or matrices. The staged factorization reuses a constant bottom
-block that was factorized once and only refactorizes the rows stacked on
-top of it, eliminating sparse columns by Givens rotations when their
-density is below a threshold.
+Q factors are never formed explicitly. They are kept as a sequence of
+LAPACK compact-reflector blocks, the ``(v, tau)`` output of xGEQRF or
+xGEQP3 that one xORMQR call applies, and of Givens rotations. Plain RRQR is
+xGEQP3, the BLAS-3 column-pivoted QR of Quintana-Orti, Sun & Bischof
+(1998). The staged factorization reuses a constant bottom block that was
+factorized once and only refactorizes the rows stacked on top of it: a
+column whose density is below a threshold is eliminated by Givens
+rotations that touch only its nonzeros, and once the remaining columns are
+dense they go to LAPACK as one block.
 """
 
 from __future__ import annotations
@@ -14,77 +17,83 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_DENSITY_THRESHOLD = 0.4
+# LAPACK block size assumed when sizing work arrays
+_NB = 32
 
 
 class OrthoTransform:
-    """Product of elementary orthogonal row operations.
+    """Product of orthogonal row operations on m rows.
 
-    Operations are stored in application order for Q^T. Applying Q itself
-    runs them backwards (each elementary factor is its own inverse up to
-    the sign convention of the Givens rotation).
+    Operations are stored in application order for Q^T: reflector blocks
+    ``("h", rows, v, tau)`` acting on the rows that ``rows`` (a slice or
+    an index array) selects, and Givens rotations ``("g", i, k, c, s)``.
+    Applying Q runs them backwards, each one transposed.
     """
 
     def __init__(self, m):
         self.m = m
         self.ops = []
 
-    def add_householder(self, rows, v, tau):
+    def add_reflectors(self, rows, v, tau):
         self.ops.append(("h", rows, v, tau))
 
     def add_givens(self, i, k, c, s):
         self.ops.append(("g", i, k, c, s))
 
-    def _apply_householder(self, b, rows, v, tau):
-        sub = b[rows]
-        b[rows] = sub - np.outer(tau * v, v @ sub)
-
-    def _apply_givens(self, b, i, k, c, s):
-        bi = b[i].copy()
-        bk = b[k]
-        b[i] = c * bi - s * bk
-        b[k] = s * bi + c * bk
+    def _run(self, b, trans):
+        b = np.asarray(b, dtype=float)
+        out = np.array(b[:, None] if b.ndim == 1 else b, order="F")
+        ops, sign = (self.ops, 1.0) if trans == "T" else (reversed(self.ops), -1.0)
+        for op in ops:
+            if op[0] == "h":
+                _, rows, v, tau = op
+                out[rows] = _ormqr(trans, v, tau, out[rows])
+            else:
+                _, i, k, c, s = op
+                s = sign * s
+                bi = out[i].copy()
+                out[i] = c * bi - s * out[k]
+                out[k] = s * bi + c * out[k]
+        return out[:, 0] if b.ndim == 1 else out
 
     def apply_transpose(self, b):
         """Return Q^T b for a vector or matrix with m rows."""
-        out = np.atleast_2d(np.asarray(b, dtype=float).copy())
-        was_vec = np.asarray(b).ndim == 1
-        if was_vec:
-            out = out.T
-        for op in self.ops:
-            if op[0] == "h":
-                self._apply_householder(out, op[1], op[2], op[3])
-            else:
-                self._apply_givens(out, op[1], op[2], op[3], op[4])
-        return out[:, 0] if was_vec else out
+        return self._run(b, "T")
 
     def apply(self, b):
         """Return Q b for a vector or matrix with m rows."""
-        out = np.atleast_2d(np.asarray(b, dtype=float).copy())
-        was_vec = np.asarray(b).ndim == 1
-        if was_vec:
-            out = out.T
-        for op in reversed(self.ops):
-            if op[0] == "h":
-                self._apply_householder(out, op[1], op[2], op[3])
-            else:
-                # transpose of the rotation: flip the sign of s
-                self._apply_givens(out, op[1], op[2], op[3], -op[4])
-        return out[:, 0] if was_vec else out
+        return self._run(b, "N")
 
 
-def _householder_vector(x):
-    """Reflection (v, tau, beta) with (I - tau v v^T) x = beta e1, or None."""
-    normx = np.linalg.norm(x)
-    if normx == 0.0:
-        return None
-    beta = -np.copysign(normx, x[0]) if x[0] != 0.0 else -normx
-    v = x.astype(float).copy()
-    v[0] -= beta
-    tau = 2.0 / (v @ v)
-    return v, tau, beta
+def _ormqr(trans, v, tau, c):
+    """Q^T c (``trans`` "T") or Q c for the compact reflectors (v, tau)."""
+    lwork = _NB * max(1, c.shape[1])
+    return dormqr("L", trans, v, tau, c, lwork, overwrite_c=1)[0]
+
+
+def _geqp3(a, tol):
+    """Column-pivoted QR of a nonempty matrix with rank detection.
+
+    Returns (qr, 0-based perm, tau, scale, rank). ``scale`` is |R_00|, the
+    largest column norm, which LAPACK computes without the underflow of
+    squaring tiny entries; ``rank`` counts the leading |R_jj| above
+    ``tol * scale``.
+    """
+    k = a.shape[1]
+    qr, jpvt, tau, _, _ = dgeqp3(a, lwork=2 * k + (k + 1) * _NB)
+    scale = float(abs(qr[0, 0]))
+    above = np.abs(np.diagonal(qr)) > tol * scale
+    rank = int(above.size if above.all() else np.argmin(above))
+    return qr, (jpvt - 1).astype(int), tau, scale, rank
+
+
+def _all_dense(block, threshold):
+    """Every column's share of nonzero entries is at least ``threshold``."""
+    return bool(np.all(np.count_nonzero(block, axis=0) / block.shape[0] >= threshold))
 
 
 def _givens_pair(a, b):
@@ -97,7 +106,7 @@ def _givens_pair(a, b):
 
 @dataclass
 class Rrqr:
-    """Column-pivoted Householder QR with rank detection.
+    """Column-pivoted QR with rank detection.
 
     A @ P = Q @ [[R, T], [0, 0]]. ``perm`` holds the pivot order: column j
     of A @ P is A[:, perm[j]]. ``rank`` counts the diagonal entries of R
@@ -172,47 +181,26 @@ class Rrqr:
 
 
 def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None):
-    """Column-pivoted Householder QR with greedy max-norm pivoting.
+    """Column-pivoted QR (LAPACK xGEQP3) with rank detection.
 
-    Rank is the number of pivots whose remaining column norm exceeds
-    ``tol`` times the largest initial column norm. Empty inputs yield
-    rank 0.
+    Rank is the number of leading pivots |R_jj| above ``tol`` times the
+    largest initial column norm. Empty inputs yield rank 0.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     m, k = a.shape
-    work = a.copy()
-    perm = np.arange(k)
     q = OrthoTransform(m)
-    scale = 0.0
+    qr, perm, scale, rank = np.zeros((0, k)), np.arange(k), 0.0, 0
     if m > 0 and k > 0:
-        scale = float(np.max(np.linalg.norm(work, axis=0)))
-    rank = 0
-    for j in range(min(m, k)):
-        norms = np.linalg.norm(work[j:, j:], axis=0)
-        p = int(np.argmax(norms))
-        if norms[p] <= tol * scale:
-            break
-        if p != 0:
-            work[:, [j, j + p]] = work[:, [j + p, j]]
-            perm[[j, j + p]] = perm[[j + p, j]]
-        hh = _householder_vector(work[j:, j])
-        if hh is None:
-            break
-        v, tau, beta = hh
-        rows = np.arange(j, m)
-        q.add_householder(rows, v, tau)
-        work[j:, j:] -= np.outer(tau * v, v @ work[j:, j:])
-        work[j, j] = beta
-        work[j + 1 :, j] = 0.0
-        rank += 1
+        qr, perm, tau, scale, rank = _geqp3(a, tol)
+        q.add_reflectors(slice(0, m), qr[:, : tau.size], tau)
     if counter is not None:
         counter.count_factorization(m, k)
     return Rrqr(
         q=q,
-        r=work[:rank, :rank].copy(),
-        t=work[:rank, rank:].copy(),
+        r=np.triu(qr[:rank, :rank]),
+        t=qr[:rank, rank:].copy(),
         perm=perm,
         rank=rank,
         tol=tol,
@@ -238,50 +226,6 @@ def nullspace_basis(f: Rrqr):
     z = np.zeros((k, nr))
     z[f.perm] = bracket
     return z
-
-
-@dataclass
-class ColumnElimination:
-    """Transform choice for zeroing the subdiagonal of one column."""
-
-    kind: str  # "givens_sequence" | "householder"
-    transform: OrthoTransform
-    head: float
-
-    def apply_transpose(self, b):
-        return self.transform.apply_transpose(b)
-
-
-def sparse_column_elimination(column, density, threshold=DEFAULT_DENSITY_THRESHOLD):
-    """Pick and build the transform that zeros column[1:] against column[0].
-
-    Givens rotations touch only the nonzero entries and are selected iff
-    ``density`` is strictly below ``threshold``; otherwise a single
-    Householder reflection treats the column as dense. Both choices are
-    orthogonal and numerically equivalent.
-    """
-    col = np.asarray(column, dtype=float)
-    m = col.shape[0]
-    ops = OrthoTransform(m)
-    kind = "givens_sequence" if density < threshold else "householder"
-    work = col.copy()
-    if m > 1:
-        if kind == "givens_sequence":
-            for i in range(1, m):
-                if work[i] == 0.0:
-                    continue
-                c, s, r = _givens_pair(work[0], work[i])
-                ops.add_givens(0, i, c, s)
-                work[0] = r
-                work[i] = 0.0
-        else:
-            hh = _householder_vector(work)
-            if hh is not None:
-                v, tau, beta = hh
-                ops.add_householder(np.arange(m), v, tau)
-                work[0] = beta
-                work[1:] = 0.0
-    return ColumnElimination(kind=kind, transform=ops, head=float(work[0]))
 
 
 @dataclass
@@ -349,8 +293,10 @@ def staged_rrqr(
 
     ``b_block`` rows sit on top of the already factorized constant block.
     Per-column density (nonzeros over rows still to eliminate) picks the
-    Givens path below the threshold and a dense Householder reflection at
-    or above it.
+    Givens path below the threshold and a Householder reflection at or
+    above it. Fill-in only adds nonzeros, so once every remaining column
+    of a stage is dense they are eliminated together by one blocked LAPACK
+    QR: xGEQRF in stage 2, the pivoted xGEQP3 in stage 3.
     """
     b = np.asarray(b_block, dtype=float)
     if b.ndim != 2:
@@ -371,6 +317,13 @@ def staged_rrqr(
     ops = OrthoTransform(r1 + m_b)
     givens_cols = 0
     householder_cols = 0
+
+    def reflect(rows, lo, hi):
+        """QR of work[rows, lo:hi], applied to the trailing columns."""
+        qr, tau, _, _ = dgeqrf(work[rows, lo:hi])
+        ops.add_reflectors(rows, qr, tau)
+        work[rows, hi:] = _ormqr("T", qr, tau, work[rows, hi:])
+        work[rows, lo:hi] = np.triu(qr)
 
     def eliminate(pivot, col, lo):
         """Zero work[lo:, col] against work[pivot, col] in place."""
@@ -394,42 +347,42 @@ def staged_rrqr(
                 work[i, col] = 0.0
         else:
             householder_cols += 1
-            rows = np.concatenate([[pivot], np.arange(lo, r1 + m_b)])
-            x = work[rows, col]
-            hh = _householder_vector(x)
-            if hh is None:
-                return
-            v, tau, beta = hh
-            ops.add_householder(rows, v, tau)
-            block = work[np.ix_(rows, np.arange(col, k))]
-            block -= np.outer(tau * v, v @ block)
-            work[np.ix_(rows, np.arange(col, k))] = block
-            work[pivot, col] = beta
-            work[lo:, col] = 0.0
+            reflect(np.r_[pivot, lo : r1 + m_b], col, col + 1)
 
     # stage 2: per column, only the B rows below the triangular pivot carry
     # nonzeros, so the structural zeros of the stage-1 factor are skipped
     if m_b:
         for j in range(r1):
+            if _all_dense(work[r1:, j:r1], density_threshold):
+                householder_cols += r1 - j
+                reflect(slice(j, None), j, r1)
+                break
             eliminate(j, j, r1)
 
     # stage 3: column-pivoted elimination of the remaining bottom-right block
     pi = np.arange(k - r1)
     rank3 = 0
     if m_b and k > r1:
-        scale3 = float(np.max(np.linalg.norm(work[r1:, r1:], axis=0)))
-        for j in range(min(m_b, k - r1)):
-            col = r1 + j
-            row = r1 + j
-            norms = np.linalg.norm(work[row:, col:], axis=0)
-            p = int(np.argmax(norms))
-            if norms[p] <= tol * scale3 or scale3 == 0.0:
-                break
-            if p != 0:
-                work[:, [col, col + p]] = work[:, [col + p, col]]
-                pi[[j, j + p]] = pi[[j + p, j]]
-            eliminate(row, col, row + 1)
-            rank3 += 1
+        if _all_dense(work[r1:, r1:], density_threshold):
+            qr, pi, tau, _, rank3 = _geqp3(work[r1:, r1:], tol)
+            ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
+            work[:r1, r1:] = work[:r1, r1:][:, pi]
+            work[r1:, r1:] = np.triu(qr)
+            householder_cols += min(rank3, m_b - 1)
+        else:
+            scale3 = float(np.max(np.linalg.norm(work[r1:, r1:], axis=0)))
+            for j in range(min(m_b, k - r1)):
+                col = r1 + j
+                row = r1 + j
+                norms = np.linalg.norm(work[row:, col:], axis=0)
+                p = int(np.argmax(norms))
+                if norms[p] <= tol * scale3 or scale3 == 0.0:
+                    break
+                if p != 0:
+                    work[:, [col, col + p]] = work[:, [col + p, col]]
+                    pi[[j, j + p]] = pi[[j + p, j]]
+                eliminate(row, col, row + 1)
+                rank3 += 1
 
     rank = r1 + rank3
     col_order = np.concatenate([stage1.perm[:r1], stage1.perm[r1:][pi]]).astype(int)

@@ -322,6 +322,13 @@ class TestAsm:
         assert np.allclose(ls.x, hyb.x, atol=1e-10)
 
 
+# classical raises MethodNotApplicable inside the Newton loop on these
+NUMERICALLY_SINGULAR = (
+    random_hlsp(305473437, 4, [(2, 1, 0, "feasible"), (2, 2, 0, "mixed")]),
+    random_hlsp(3201959, 6, [(1, 3, 0, "feasible"), (2, 2, 0, "infeasible")]),
+)
+
+
 class TestClassicalMethod:
     def test_full_rank_hierarchy_matches_projected(self):
         rng = np.random.default_rng(23)
@@ -353,6 +360,16 @@ class TestClassicalMethod:
         assert all(lv.method_fallback for lv in rep.levels)
         nf = solve_hlsp(p, SolverConfig(method="nf-ipm"))
         assert np.allclose(rep.x, nf.x, atol=1e-9)
+
+    @pytest.mark.parametrize("problem", NUMERICALLY_SINGULAR, ids=["n4", "n6"])
+    def test_numerically_singular_quadratic_term_falls_back(self, problem):
+        # the structural probe passes on some level, but the weighted
+        # quadratic term loses rank during the Newton loop
+        rep = solve_hlsp(problem, SolverConfig(method="classical"))
+        assert any(lv.method_fallback for lv in rep.levels)
+        _, v_o = brute_force_cascade(problem)
+        gaps = np.abs(np.array(rep.objectives) - cascade_objectives(problem, v_o))
+        assert np.all(gaps < 1e-6)
 
 
 class TestInvariants:

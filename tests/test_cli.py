@@ -67,6 +67,21 @@ class TestSolveCommand:
         report = json.loads(out.read_text())
         assert any(lv["method_fallback"] for lv in report["levels"])
 
+    @pytest.mark.parametrize(
+        "seed,n,specs",
+        [
+            (305473437, 4, [(2, 1, 0, "feasible"), (2, 2, 0, "mixed")]),
+            (3201959, 6, [(1, 3, 0, "feasible"), (2, 2, 0, "infeasible")]),
+        ],
+    )
+    def test_classical_runtime_fallback_status(self, tmp_path, seed, n, specs):
+        # the quadratic term loses rank inside the Newton loop, not in the probe
+        path = tmp_path / "p.json"
+        save_problem(random_hlsp(seed, n, specs), path)
+        out = tmp_path / "r.json"
+        code = main(["solve", str(path), "--method", "classical", "--out", str(out)])
+        assert code == EXIT_METHOD
+
     def test_sub_converged_status(self, tmp_path):
         p = random_hlsp(11, 4, [(1, 3, 0, "mixed")])
         path = tmp_path / "p.json"

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hlsp.factorization import (
     ls_basic_solution,
     nullspace_basis,
     rrqr,
     rrqr_append_row,
-    sparse_column_elimination,
     staged_rrqr,
 )
 
@@ -55,6 +57,10 @@ class TestRrqr:
         assert rrqr(np.zeros((0, 3))).rank == 0
         assert rrqr(np.zeros((3, 0))).rank == 0
         assert rrqr(np.zeros((3, 3))).rank == 0
+
+    def test_tiny_scale_rank(self):
+        # squared entries underflow; the rank scale must not
+        assert rrqr(np.full((5, 6), 1e-200)).rank == 1
 
     def test_diagonal_dominance_of_pivots(self):
         rng = np.random.default_rng(11)
@@ -138,37 +144,52 @@ class TestBasicSolution:
         assert np.allclose(a.T @ lam, c, atol=1e-10)
 
 
+def eliminate_column(col, threshold):
+    """Zero col[1:] against col[0] as stage 2 of a staged factorization."""
+    col = np.asarray(col, dtype=float)
+    return staged_rrqr(col[1:, None], rrqr(col[:1, None]), density_threshold=threshold)
+
+
 class TestSparseColumnElimination:
     def test_choice_below_threshold(self):
         col = np.zeros(10)
         col[0], col[3] = 2.0, -1.0
-        assert sparse_column_elimination(col, 0.1, 0.4).kind == "givens_sequence"
+        staged = eliminate_column(col, 0.4)
+        assert (staged.givens_columns, staged.householder_columns) == (1, 0)
 
     def test_boundary_is_householder(self):
-        col = np.ones(5)
-        assert sparse_column_elimination(col, 0.4, 0.4).kind == "householder"
+        col = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        staged = eliminate_column(col, 0.4)
+        assert (staged.givens_columns, staged.householder_columns) == (0, 1)
 
     def test_fully_dense_is_householder(self):
-        col = np.ones(5)
-        assert sparse_column_elimination(col, 1.0, 0.4).kind == "householder"
+        staged = eliminate_column(np.ones(5), 0.4)
+        assert (staged.givens_columns, staged.householder_columns) == (0, 1)
 
     def test_both_paths_zero_the_column(self):
         rng = np.random.default_rng(19)
         col = rng.uniform(-1, 1, 6)
-        for density in (0.0, 1.0):
-            elim = sparse_column_elimination(col, density, 0.4)
-            out = elim.apply_transpose(col)
+        for threshold, path in ((2.0, "givens_columns"), (0.0, "householder_columns")):
+            staged = eliminate_column(col, threshold)
+            assert getattr(staged, path) == 1
+            out = staged.stage23.apply_transpose(
+                np.concatenate([staged.stage1.r[:, 0], col[1:]])
+            )
             assert np.linalg.norm(out[1:]) < 1e-12
             assert abs(abs(out[0]) - np.linalg.norm(col)) < 1e-12
 
     def test_paths_numerically_equivalent_on_matrix(self):
         rng = np.random.default_rng(21)
         mat = rng.uniform(-1, 1, (6, 4))
-        col = mat[:, 0]
-        giv = sparse_column_elimination(col, 0.0, 0.4).apply_transpose(mat)
-        hou = sparse_column_elimination(col, 1.0, 0.4).apply_transpose(mat)
+        grams = []
+        for threshold in (2.0, 0.0):
+            staged = staged_rrqr(mat[1:], rrqr(mat[:1]), density_threshold=threshold)
+            r = np.zeros((staged.rank, 4))
+            r[:, staged.col_order] = np.hstack([staged.triangular, staged.free_block])
+            grams.append(r.T @ r)
         # orthogonal equivalence: same column norms and same gram matrix
-        assert np.allclose(giv.T @ giv, hou.T @ hou, atol=1e-12)
+        assert np.allclose(grams[0], grams[1], atol=1e-12)
+        assert np.allclose(grams[0], mat.T @ mat, atol=1e-12)
 
 
 def dense_ls_residual(stack, rhs):
@@ -324,3 +345,121 @@ class TestAppendRow:
         assert np.linalg.norm(f.reconstruct() - stacked) < 1e-9 * np.linalg.norm(
             stacked
         )
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+def matrices(min_rows=0, min_cols=0):
+    shape = st.tuples(st.integers(min_rows, 9), st.integers(min_cols, 9))
+    return hnp.arrays(float, shape, elements=entries)
+
+
+def separated_rank_product(seed, m, k, rank):
+    """m x k product U @ V of exact rank with singular values in [1, 2]."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, rank)))[0]
+    return (u * rng.uniform(1.0, 2.0, rank)) @ v.T
+
+
+def bound_rows(rng, m, n):
+    """Rows with a single +-1 entry, as the bound rows of a level."""
+    b = np.zeros((m, n))
+    b[np.arange(m), rng.integers(0, n, m)] = rng.choice([-1.0, 1.0], m)
+    return b
+
+
+def assert_lstsq_residual(staged, b, a, rng):
+    rhs = rng.uniform(-1, 1, b.shape[0] + a.shape[0])
+    x = ls_basic_solution(staged, rhs)
+    stack = np.vstack([b, a])
+    res_ref = dense_ls_residual(stack, rhs)
+    assert abs(np.linalg.norm(stack @ x - rhs) - res_ref) < 1e-8 * max(1.0, res_ref)
+
+
+def safe_norm(x):
+    """Frobenius norm that does not underflow on tiny entries."""
+    s = float(np.max(np.abs(x), initial=0.0))
+    return s * float(np.linalg.norm(x / s)) if s else 0.0
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(matrices())
+    def test_rrqr_reconstructs(self, a):
+        f = rrqr(a)
+        assert safe_norm(f.reconstruct() - a) <= 1e-8 * safe_norm(a)
+
+    @PROPERTY
+    @given(seeds, st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_rank_of_separated_product(self, seed, m, k, data):
+        rank = data.draw(st.integers(0, min(m, k)))
+        assert rrqr(separated_rank_product(seed, m, k, rank)).rank == rank
+
+    @PROPERTY
+    @given(matrices())
+    def test_nullspace_basis_annihilates(self, a):
+        f = rrqr(a)
+        z = nullspace_basis(f)
+        assert z.shape[1] == a.shape[1] - f.rank
+        bound = 1e-8 * safe_norm(a) * max(1.0, safe_norm(z))
+        assert safe_norm(a @ z) <= bound
+
+    @PROPERTY
+    @given(matrices(), seeds)
+    def test_append_rows_to_lapack_factor_reconstructs(self, a, seed):
+        rng = np.random.default_rng(seed)
+        f = rrqr(a)
+        stacked = a
+        for _ in range(2):
+            row = rng.uniform(-1, 1, a.shape[1])
+            f = rrqr_append_row(f, row)
+            stacked = np.vstack([stacked, row])
+        assert safe_norm(f.reconstruct() - stacked) <= 1e-8 * safe_norm(stacked)
+
+    @PROPERTY
+    @given(matrices(min_rows=1), seeds, st.integers(0, 3))
+    def test_ortho_transform_round_trip(self, a, seed, ncols):
+        rng = np.random.default_rng(seed)
+        q = rrqr_append_row(rrqr(a), rng.uniform(-1, 1, a.shape[1])).q
+        for b in (rng.uniform(-1, 1, q.m), rng.uniform(-1, 1, (q.m, ncols))):
+            assert np.allclose(q.apply(q.apply_transpose(b)), b, atol=1e-12)
+            assert np.allclose(q.apply_transpose(q.apply(b)), b, atol=1e-12)
+
+    @PROPERTY
+    @given(seeds, st.integers(1, 10), st.integers(0, 8), st.integers(1, 8))
+    def test_staged_dense_stack_matches_lstsq(self, seed, n, m_a, m_b):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, (m_a, n))
+        b = rng.uniform(-1, 1, (m_b, n))
+        staged = staged_rrqr(b, rrqr(a))
+        assert staged.givens_columns == 0
+        assert_lstsq_residual(staged, b, a, rng)
+
+    @PROPERTY
+    @given(seeds, st.integers(1, 10), st.integers(0, 8), st.integers(3, 12))
+    def test_staged_bound_rows_match_lstsq(self, seed, n, m_a, m_b):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, (m_a, n))
+        b = bound_rows(rng, m_b, n)
+        staged = staged_rrqr(b, rrqr(a))
+        assert_lstsq_residual(staged, b, a, rng)
+
+    @PROPERTY
+    @given(seeds, st.integers(4, 8), st.integers(4, 12))
+    def test_staged_dense_then_sparse_columns_match_lstsq(self, seed, n, m_b):
+        rng = np.random.default_rng(seed)
+        # a diagonal A with falling norms keeps stage 2 in column order; with
+        # n >= 4 the bound entries cannot make every other column dense
+        a = np.diag(np.arange(n, 0, -1.0))
+        b = bound_rows(rng, m_b, n)
+        b[:, 0] = rng.uniform(0.5, 1.0, m_b)
+        staged = staged_rrqr(b, rrqr(a))
+        # the dense first column is reflected alone: the sparse ones behind
+        # it keep the block path out
+        first = staged.stage23.ops[0]
+        assert first[0] == "h" and first[3].size == 1
+        assert_lstsq_residual(staged, b, a, rng)
