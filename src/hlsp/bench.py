@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .cascade import hybrid_solve, solve_hlsp
+from .cascade import solve_hlsp
 from .config import SolverConfig
 from .newton import ls_form_recommended
 from .problem import ConstraintBlock, HlspProblem, Level, random_hlsp
@@ -38,11 +38,23 @@ TABLE_COLUMNS = [
 ]
 
 
+# the suite spec's top-level fields, by their type after json.load
+SPEC_FIELD_TYPES = {
+    "seeds": list,
+    "methods": list,
+    "repeats": int,
+    "instances": list,
+    "config": dict,
+    "equality_sweep": dict,
+}
+
+
+class BenchSpecError(ValueError):
+    """The suite spec is malformed."""
+
+
 def solve_with_method(problem, method, **overrides):
-    config = SolverConfig(method=method, **overrides)
-    if config.uses_asm:
-        return hybrid_solve(problem, config)
-    return solve_hlsp(problem, config)
+    return solve_hlsp(problem, SolverConfig(method=method, **overrides))
 
 
 def _fact_work(shapes):
@@ -55,16 +67,12 @@ def _row(instance_name, method, seed, problem, config, repeats):
     report = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        if config.uses_asm:
-            report = hybrid_solve(problem, config)
-        else:
-            report = solve_hlsp(problem, config)
+        report = solve_hlsp(problem, config)
         times.append(time.perf_counter() - t0)
     kkts = [lv.kkt_norm for lv in report.levels if lv.kkt_norm is not None]
     level1 = problem.levels[0]
-    n_r1 = report.levels[0].n_r_after if report.levels else problem.n
     recommended = ls_form_recommended(
-        0, level1.inequalities.m, level1.equalities.m, problem.n, config.ls_switch
+        0, level1.inequalities.m, level1.equalities.m, problem.n
     )
     # the classical form's second factorization per iteration is the
     # active-row product; informational for crossover inspection
@@ -109,6 +117,40 @@ def equality_sweep_problem(n, m1e, m2, seed=0):
     )
 
 
+def _spec_problems(spec):
+    """Yield (name, seed, problem) per instance and seed, then per sweep step.
+
+    Each problem is generated when the suite reaches it; an entry that
+    cannot generate one is a spec error.
+    """
+    for idx, inst in enumerate(spec.get("instances", [])):
+        if not isinstance(inst, dict) or not {"n", "levels"} <= set(inst):
+            raise BenchSpecError(f"instance {idx} needs the fields n and levels")
+        for seed in spec.get("seeds", [0]):
+            try:
+                specs = [tuple(lv) for lv in inst["levels"]]
+                problem = random_hlsp(seed, int(inst["n"]), specs)
+            except (TypeError, ValueError) as exc:
+                raise BenchSpecError(f"instance {idx}: {exc}") from exc
+            yield inst.get("name", f"inst{idx}"), seed, problem
+    sweep = spec.get("equality_sweep")
+    if not sweep:
+        return
+    seed = sweep.get("seed", 0)
+    try:
+        n = int(sweep.get("n", 60))
+        m2 = int(sweep.get("m2", n))
+        m1e_values = range(0, n + 1, int(sweep.get("step", 1)))
+    except (TypeError, ValueError) as exc:
+        raise BenchSpecError(f"equality_sweep: {exc}") from exc
+    for m1e in m1e_values:
+        try:
+            problem = equality_sweep_problem(n, m1e, m2, seed=seed)
+        except (TypeError, ValueError) as exc:
+            raise BenchSpecError(f"equality_sweep: {exc}") from exc
+        yield f"sweep_m1e={m1e}", seed, problem
+
+
 def run_benchmark(spec, out_path=None):
     """Run the suite described by the spec dict; returns (rows, summary).
 
@@ -117,33 +159,25 @@ def run_benchmark(spec, out_path=None):
     ``repeats`` (default 5), optional ``equality_sweep`` with ``n``,
     ``m2`` and ``step``.
     """
-    seeds = spec.get("seeds", [0])
+    if not isinstance(spec, dict):
+        raise BenchSpecError("spec must be a JSON object")
+    for key, kind in SPEC_FIELD_TYPES.items():
+        if key in spec and not isinstance(spec[key], kind):
+            raise BenchSpecError(
+                f"spec field {key!r} must be {kind.__name__}, "
+                f"got {type(spec[key]).__name__}"
+            )
     methods = spec.get("methods", ["nf-ipm"])
     repeats = int(spec.get("repeats", 5))
+    try:
+        configs = {m: SolverConfig(method=m, **spec.get("config", {})) for m in methods}
+    except TypeError as exc:
+        raise BenchSpecError(f"bad config in spec: {exc}") from exc
     rows = []
-    for inst_idx, inst in enumerate(spec.get("instances", [])):
-        for seed in seeds:
-            specs = [tuple(lv) for lv in inst["levels"]]
-            problem = random_hlsp(seed, int(inst["n"]), specs)
-            name = inst.get("name", f"inst{inst_idx}")
-            for method in methods:
-                config = SolverConfig(method=method, **spec.get("config", {}))
-                row, _ = _row(name, method, seed, problem, config, repeats)
-                rows.append(row)
-    sweep = spec.get("equality_sweep")
-    if sweep:
-        n = int(sweep.get("n", 60))
-        m2 = int(sweep.get("m2", n))
-        step = int(sweep.get("step", 1))
-        for m1e in range(0, n + 1, step):
-            problem = equality_sweep_problem(n, m1e, m2, seed=sweep.get("seed", 0))
-            for method in methods:
-                config = SolverConfig(method=method, **spec.get("config", {}))
-                row, _ = _row(
-                    f"sweep_m1e={m1e}", method, sweep.get("seed", 0), problem,
-                    config, repeats,
-                )
-                rows.append(row)
+    for name, seed, problem in _spec_problems(spec):
+        for method in methods:
+            row, _ = _row(name, method, seed, problem, configs[method], repeats)
+            rows.append(row)
     summary = time_ratio_summary(rows)
     if out_path is not None:
         write_table(rows, out_path)

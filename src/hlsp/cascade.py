@@ -12,7 +12,7 @@ through the barrier.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -205,30 +205,7 @@ class SolveReport:
             "converged": bool(self.converged),
             "x": [float(v) for v in self.x],
             "objectives": [float(o) for o in self.objectives],
-            "levels": [
-                {
-                    "level": lv.level,
-                    "m_eq": lv.m_eq,
-                    "m_ineq": lv.m_ineq,
-                    "m_inact": lv.m_inact,
-                    "n_r_before": lv.n_r_before,
-                    "n_r_after": lv.n_r_after,
-                    "rank_virtual": lv.rank_virtual,
-                    "rank_current": lv.rank_current,
-                    "iterations": lv.iterations,
-                    "factorizations": lv.factorizations,
-                    "dual_evaluations": lv.dual_evaluations,
-                    "asm_iterations": lv.asm_iterations,
-                    "kkt_norm": lv.kkt_norm,
-                    "sub_converged": bool(lv.sub_converged),
-                    "method_fallback": bool(lv.method_fallback),
-                    "v_star_norm": lv.v_star_norm,
-                    "objective": lv.objective,
-                    "fact_shapes": [list(sh) for sh in lv.fact_shapes],
-                    "wall_time_s": lv.wall_time_s,
-                }
-                for lv in self.levels
-            ],
+            "levels": [asdict(lv) for lv in self.levels],
             "last_duals": {
                 k: [float(v) for v in vals] for k, vals in self.last_duals.items()
             },
@@ -290,7 +267,7 @@ def _level_form(ctx):
     The term's rank equals the rank of the stacked level and carried rows
     (the barrier weights are positive diagonals), so applicability is
     structural and probed once; a rank lost to rounding inside the Newton
-    loop is caught by ``_solve``. Returns (form, fell_back).
+    loop is caught by ``solve_hlsp``. Returns (form, fell_back).
     """
     cfg = ctx.config
     if cfg.step_form != "classical":
@@ -442,7 +419,14 @@ def _trivial_report(level_index, level, x, n_r):
     )
 
 
-def _solve(problem: HlspProblem, config: SolverConfig):
+def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
+    """Resolve the hierarchy level by level with the configured method.
+
+    The single entry point for every method: the ``-asm`` methods run the
+    active-set search on levels with inequalities, the others the
+    interior point alone.
+    """
+    config = config if config is not None else SolverConfig()
     violations = validate_problem(problem)
     if violations:
         raise InvalidProblemError("; ".join(violations))
@@ -562,19 +546,13 @@ def _warm_set_for(config, level_index):
     return ()
 
 
-def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
-    """Resolve the hierarchy level by level with the configured method."""
-    config = config if config is not None else SolverConfig()
-    return _solve(problem, config)
-
-
 def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
-    """Hierarchy resolution with the active-set search per level."""
+    """``solve_hlsp`` restricted to the active-set (``-asm``) methods."""
     if config is None:
         config = SolverConfig(method="nf-ipm-asm")
     if not config.uses_asm:
         raise ValueError(f"hybrid_solve needs an -asm method, got {config.method!r}")
-    return _solve(problem, config)
+    return solve_hlsp(problem, config)
 
 
 def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
@@ -635,15 +613,7 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
         )
         # interior restart per solve: warm-starting the barrier variables
         # from a previous boundary point jams the line search
-        s = IterateState(
-            x=x,
-            v_eq=sub_eq @ x - sub_rhs,
-            v_ineq=np.zeros(0),
-            w_ineq=np.zeros(0),
-            w_inact=np.ones(carry.m),
-            lam_inact=np.ones(carry.m),
-            lam_act=np.zeros(ctx.m_act) if config.step_form == "classical" else None,
-        )
+        s = initial_state(ctx, x)
         conv, norm = newton_loop(ctx, s)
         x = s.x
 

@@ -2,7 +2,8 @@
 
 Exit codes for ``solve``: 0 full convergence, 1 sub-converged, 2
 parse/validation error, 3 I/O error, 4 requested method not applicable
-(fell back on some level).
+(fell back on some level). ``bench`` exits 0, 2 for a malformed spec or
+an invalid generated problem, and 3 for an I/O error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 import time
 
 from .bench import run_benchmark
-from .cascade import InvalidProblemError, hybrid_solve, solve_hlsp
-from .config import LS_SWITCH_VARIANTS, METHODS, SolverConfig
+from .cascade import InvalidProblemError, solve_hlsp
+from .config import METHODS, SolverConfig
 from .fileio import ProblemFormatError, load_problem, save_json, save_problem
 from .oracle import OracleBudgetExceeded, brute_force_cascade, cascade_objectives
 from .problem import random_hlsp, validate_problem
@@ -51,8 +52,6 @@ def _parser():
                        help="fraction-to-boundary factor (default 0.995)")
     solve.add_argument("--density-threshold", type=float, default=0.4,
                        help="Givens/Householder density crossover (default 0.4)")
-    solve.add_argument("--ls-switch", default="2nr", choices=LS_SWITCH_VARIANTS,
-                       help="form-crossover variant (default 2nr)")
     solve.add_argument("--out", default=None, help="report path (default stdout)")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
@@ -80,7 +79,6 @@ def _config_from_args(args):
         max_iter=args.max_iter,
         tau=args.tau,
         density_threshold=args.density_threshold,
-        ls_switch=args.ls_switch,
     )
 
 
@@ -103,18 +101,24 @@ def _oracle_report(problem):
     }
 
 
-def _emit(data, out):
-    if out is None:
-        json.dump(data, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        save_json(data, out)
+def _emit(data, out, code):
+    """Write the report and return ``code``, or the I/O code if ``out`` fails."""
+    try:
+        if out is None:
+            json.dump(data, sys.stdout, indent=1, sort_keys=True)
+            sys.stdout.write("\n")
+        else:
+            save_json(data, out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 def cmd_solve(args):
     try:
         problem = load_problem(args.file)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ProblemFormatError as exc:
@@ -132,39 +136,39 @@ def cmd_solve(args):
         except OracleBudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        _emit(report, args.out)
-        return EXIT_OK
+        return _emit(report, args.out, EXIT_OK)
 
     config = _config_from_args(args)
     try:
-        if config.uses_asm:
-            report = hybrid_solve(problem, config)
-        else:
-            report = solve_hlsp(problem, config)
+        report = solve_hlsp(problem, config)
     except InvalidProblemError as exc:
         print(f"invalid problem: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(report.to_dict(), args.out)
     if any(lv.method_fallback for lv in report.levels):
-        return EXIT_METHOD
-    if not report.converged:
-        return EXIT_SUB_CONVERGED
-    return EXIT_OK
+        code = EXIT_METHOD
+    elif not report.converged:
+        code = EXIT_SUB_CONVERGED
+    else:
+        code = EXIT_OK
+    return _emit(report.to_dict(), args.out, code)
 
 
 def cmd_bench(args):
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         print(f"error: bad spec file ({exc})", file=sys.stderr)
         return EXIT_INVALID
     try:
         rows, summary = run_benchmark(spec, out_path=args.out)
-    except (InvalidProblemError, ValueError) as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 METHODS = ("nf-ipm", "ls-ipm", "nf-ipm-asm", "ls-ipm-asm", "classical")
-LS_SWITCH_VARIANTS = ("2nr", "nr")
 
 
 @dataclass
@@ -18,7 +17,6 @@ class SolverConfig:
     density_threshold: float = 0.4
     rank_tol: float = 1e-10
     solve_tol: float = 1e-15
-    ls_switch: str = "2nr"
     asm_max_iter: int = 200
     warm_start_x: object = None
     warm_active_sets: object = None
@@ -26,11 +24,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.ls_switch not in LS_SWITCH_VARIANTS:
-            raise ValueError(
-                f"unknown ls-switch variant {self.ls_switch!r}; "
-                f"choose from {LS_SWITCH_VARIANTS}"
-            )
 
     @property
     def step_form(self):
@@ -45,15 +38,7 @@ class SolverConfig:
         return self.method in ("nf-ipm-asm", "ls-ipm-asm")
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "eps": self.eps,
-            "xi": self.xi,
-            "max_iter": self.max_iter,
-            "tau": self.tau,
-            "density_threshold": self.density_threshold,
-            "rank_tol": self.rank_tol,
-            "solve_tol": self.solve_tol,
-            "ls_switch": self.ls_switch,
-            "asm_max_iter": self.asm_max_iter,
-        }
+        """The settings for the report, without the warm-start inputs."""
+        settings = asdict(self)
+        del settings["warm_start_x"], settings["warm_active_sets"]
+        return settings

@@ -154,13 +154,6 @@ class Rrqr:
         x[self.perm[: self.rank]] = y
         return x
 
-    def residual_norm(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if self.shape[0] == 0:
-            return 0.0
-        c = self.q.apply_transpose(rhs)
-        return float(np.linalg.norm(c[self.rank :]))
-
     def solve_transpose_basic(self, c):
         """Basic solution of (A P)^T-shaped system A^T lam = c.
 
@@ -246,8 +239,6 @@ class StagedFactorization:
     free_block: np.ndarray  # columns beyond the combined rank
     col_order: np.ndarray
     rank: int
-    rank3: int
-    m_top: int
     shape: tuple
     givens_columns: int = 0
     householder_columns: int = 0
@@ -266,20 +257,6 @@ class StagedFactorization:
             y = solve_triangular(self.triangular, d[: self.rank])
             x[self.col_order[: self.rank]] = y
         return x
-
-    def residual_norm(self, rhs_top, rhs_bottom):
-        r1 = self.stage1.rank
-        rhs_bottom = np.asarray(rhs_bottom, dtype=float)
-        rhs_top = np.asarray(rhs_top, dtype=float)
-        tail = 0.0
-        if rhs_bottom.size:
-            c_a = self.stage1.q.apply_transpose(rhs_bottom)
-            tail = float(np.sum(c_a[r1:] ** 2))
-        else:
-            c_a = rhs_bottom
-        stacked = np.concatenate([c_a[:r1], rhs_top])
-        d = self.stage23.apply_transpose(stacked) if stacked.size else stacked
-        return float(np.sqrt(tail + np.sum(d[self.rank :] ** 2)))
 
 
 def staged_rrqr(
@@ -395,25 +372,10 @@ def staged_rrqr(
         free_block=work[:rank, rank:].copy(),
         col_order=col_order,
         rank=rank,
-        rank3=rank3,
-        m_top=m_b,
         shape=(m_b + stage1.shape[0], k),
         givens_columns=givens_cols,
         householder_columns=householder_cols,
     )
-
-
-def ls_basic_solution(f, rhs):
-    """Basic least-squares solution through a plain or staged factorization.
-
-    For a staged factorization the rhs is split as [top; bottom] in the
-    stacking order of the factorized rows.
-    """
-    if isinstance(f, StagedFactorization):
-        rhs = np.asarray(rhs, dtype=float)
-        m_b = f.m_top
-        return f.solve_basic(rhs[:m_b], rhs[m_b:])
-    return f.solve_basic(rhs)
 
 
 def rrqr_append_row(fact: Rrqr, row, tol=None):

@@ -21,9 +21,24 @@ class ProblemFormatError(ValueError):
     pass
 
 
+def _numbers(values, where):
+    """A JSON list of numbers as floats; anything else is a format error."""
+    if not isinstance(values, list):
+        raise ProblemFormatError(f"{where}: expected a list, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ProblemFormatError(f"{where}: non-numeric entry {v!r}")
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from exc
+
+
 def _block_from_lists(rows, rhs, n, where):
-    rows = [list(map(float, r)) for r in rows]
-    rhs = list(map(float, rhs))
+    if not isinstance(rows, list):
+        raise ProblemFormatError(f"{where}: expected a list of rows, got {rows!r}")
+    rows = [_numbers(r, f"{where} row {i}") for i, r in enumerate(rows)]
+    rhs = _numbers(rhs, f"{where} rhs")
     if len(rows) != len(rhs):
         raise ProblemFormatError(
             f"{where}: {len(rows)} matrix rows but {len(rhs)} rhs entries"
@@ -47,8 +62,10 @@ def problem_from_dict(data):
     if missing:
         raise ProblemFormatError(f"missing problem fields: {sorted(missing)}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ProblemFormatError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(data["levels"], list):
+        raise ProblemFormatError(f"levels must be a list, got {data['levels']!r}")
     levels = []
     for idx, entry in enumerate(data["levels"], start=1):
         if not isinstance(entry, dict):
@@ -96,7 +113,7 @@ def load_problem(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from exc
     return problem_from_dict(data)
 

@@ -137,15 +137,6 @@ def initial_state(ctx: LevelContext, x):
     )
 
 
-def duality_measures(s: IterateState, n):
-    """Average complementarity of the two barrier variable pairs."""
-    m_i = s.v_ineq.shape[0]
-    m_in = s.w_inact.shape[0]
-    mu_ineq = float(-s.v_ineq @ s.w_ineq / (n + m_i)) if m_i else 0.0
-    mu_inact = float(s.lam_inact @ s.w_inact / (n + m_in)) if m_in else 0.0
-    return mu_ineq, mu_inact
-
-
 def _clamped_pivot(s: IterateState):
     """Diagonal v - w, kept strictly negative through boundary rounding."""
     d = s.v_ineq - s.w_ineq
@@ -231,96 +222,15 @@ def _inact_weight(s):
     return s.lam_inact / s.w_inact
 
 
-def projected_normal_step(ctx, s, f_vec, g_vec):
-    """Newton step from the null-space-projected normal equations."""
-    if ctx.n_r == 0:
-        return np.zeros(0)
-    h = ctx.proj_eq.T @ ctx.proj_eq
-    rhs = ctx.proj_eq.T @ (ctx.b_eq - ctx.a_eq @ s.x)
-    if ctx.m_ineq:
-        wt = _ineq_weight(s)
-        h = h + (ctx.proj_ineq * wt[:, None]).T @ ctx.proj_ineq
-        rhs = rhs + ctx.proj_ineq.T @ g_vec
-    if ctx.m_inact:
-        wt = _inact_weight(s)
-        h = h + (ctx.proj_inact * wt[:, None]).T @ ctx.proj_inact
-        rhs = rhs + ctx.proj_inact.T @ f_vec
-    fact = rrqr(h, tol=ctx.config.solve_tol, counter=ctx.counters)
-    return fact.solve_basic(rhs)
-
-
-def _ls_stack(ctx, s, f_vec, g_vec):
+def _sqrt_weights(s):
+    """Square roots of the barrier weights that scale the least-squares rows."""
     wt_inact = _inact_weight(s)
     wt_ineq = _ineq_weight(s)
     if np.any(wt_inact < 0) or np.any(wt_ineq < 0):
         raise SingularWeightError(
             "negative square-root weight: line-search sign conditions breached"
         )
-    sq_inact = np.sqrt(wt_inact)
-    sq_ineq = np.sqrt(wt_ineq)
-    top = np.vstack(
-        [
-            ctx.proj_inact * sq_inact[:, None],
-            ctx.proj_ineq * sq_ineq[:, None],
-        ]
-    )
-    rhs_top = np.concatenate(
-        [
-            np.divide(f_vec, sq_inact, out=np.zeros_like(f_vec), where=sq_inact > 0),
-            np.divide(g_vec, sq_ineq, out=np.zeros_like(g_vec), where=sq_ineq > 0),
-        ]
-    )
-    return top, rhs_top
-
-
-def ls_form_step(ctx, s, f_vec, g_vec):
-    """Newton step from the square-root-weighted least-squares form.
-
-    Shares the retained factorization of the projected equality block; a
-    level without barrier rows reduces to a plain projected least-squares
-    solve through that factorization alone.
-    """
-    if ctx.n_r == 0:
-        return np.zeros(0)
-    rhs_eq = ctx.b_eq - ctx.a_eq @ s.x
-    if ctx.m_ineq == 0 and ctx.m_inact == 0:
-        return ctx.stage1.solve_basic(rhs_eq)
-    top, rhs_top = _ls_stack(ctx, s, f_vec, g_vec)
-    staged = staged_rrqr(
-        top,
-        ctx.stage1,
-        density_threshold=ctx.config.density_threshold,
-        tol=ctx.config.solve_tol,
-        counter=ctx.counters,
-    )
-    return staged.solve_basic(rhs_top, rhs_eq)
-
-
-def classical_normal_step(ctx, s, f_vec, g_vec, factored=None):
-    """Full-space step through the quadratic-term inverse.
-
-    Needs the quadratic term to be nonsingular; factorizes it and the
-    active-constraint product, then returns both the primal and the
-    active-dual steps. ``factored`` reuses the two factorizations across
-    the predictor and corrector of one iteration.
-    """
-    if factored is None:
-        factored = classical_factorize(ctx, s)
-    fact_c, fact_m = factored
-    r1 = ctx.a_eq.T @ (ctx.b_eq - ctx.a_eq @ s.x)
-    if ctx.m_ineq:
-        r1 = r1 + ctx.a_ineq.T @ g_vec
-    if ctx.m_inact:
-        r1 = r1 + ctx.a_inact.T @ f_vec
-    if ctx.m_act:
-        r1 = r1 + ctx.a_act.T @ s.lam_act
-        r2 = ctx.a_act @ s.x - ctx.b_act - ctx.v_act
-        dlam = fact_m.solve_basic(-r2 - ctx.a_act @ fact_c.solve_basic(r1))
-        dx = fact_c.solve_basic(r1 + ctx.a_act.T @ dlam)
-    else:
-        dlam = np.zeros(0)
-        dx = fact_c.solve_basic(r1)
-    return dx, dlam
+    return np.sqrt(wt_inact), np.sqrt(wt_ineq)
 
 
 def classical_factorize(ctx, s):
@@ -432,30 +342,7 @@ def mehrotra_iteration(ctx, s, form):
     ctx.counters.newton_iterations += 1
     tau = ctx.config.tau
     equality_only = ctx.m_ineq == 0 and ctx.m_inact == 0
-
-    if form == "classical":
-        factored = classical_factorize(ctx, s)
-
-        def solve(f_vec, g_vec):
-            dx, dlam = classical_normal_step(ctx, s, f_vec, g_vec, factored)
-            d = component_steps(ctx, s, None, f_vec, g_vec, dx=dx)
-            d.dlam_act = dlam
-            return d
-
-    elif form == "normal":
-        solve_dz = _normal_solver(ctx, s)
-
-        def solve(f_vec, g_vec):
-            return component_steps(ctx, s, solve_dz(f_vec, g_vec), f_vec, g_vec)
-
-    elif form == "ls":
-        solve_dz = _ls_solver(ctx, s)
-
-        def solve(f_vec, g_vec):
-            return component_steps(ctx, s, solve_dz(f_vec, g_vec), f_vec, g_vec)
-
-    else:
-        raise ValueError(f"unknown step form {form!r}")
+    solve = _step_solver(ctx, s, form)
 
     if equality_only:
         empty = np.zeros(0)
@@ -495,17 +382,61 @@ def mehrotra_iteration(ctx, s, form):
     return d
 
 
+def _step_solver(ctx, s, form):
+    """Factorize the level's Newton system once in the given step form.
+
+    Returns ``solve(f_vec, g_vec) -> StepDirection``, which reuses the
+    factorization for the affine predictor and the centered corrector.
+    ``"normal"`` factors the null-space-projected quadratic term, ``"ls"``
+    stages the square-root-weighted barrier rows over the retained
+    factorization of the projected equality block, and ``"classical"``
+    factors the full-space quadratic term and the active-constraint
+    product and also returns the active-dual step.
+    """
+    if form == "classical":
+        fact_c, fact_m = classical_factorize(ctx, s)
+
+        def solve(f_vec, g_vec):
+            r1 = ctx.a_eq.T @ (ctx.b_eq - ctx.a_eq @ s.x)
+            if ctx.m_ineq:
+                r1 = r1 + ctx.a_ineq.T @ g_vec
+            if ctx.m_inact:
+                r1 = r1 + ctx.a_inact.T @ f_vec
+            if ctx.m_act:
+                r1 = r1 + ctx.a_act.T @ s.lam_act
+                r2 = ctx.a_act @ s.x - ctx.b_act - ctx.v_act
+                dlam = fact_m.solve_basic(-r2 - ctx.a_act @ fact_c.solve_basic(r1))
+                dx = fact_c.solve_basic(r1 + ctx.a_act.T @ dlam)
+            else:
+                dlam = np.zeros(0)
+                dx = fact_c.solve_basic(r1)
+            d = component_steps(ctx, s, None, f_vec, g_vec, dx=dx)
+            d.dlam_act = dlam
+            return d
+
+        return solve
+    if form == "normal":
+        solve_dz = _normal_solver(ctx, s)
+    elif form == "ls":
+        solve_dz = _ls_solver(ctx, s)
+    else:
+        raise ValueError(f"unknown step form {form!r}")
+
+    def solve(f_vec, g_vec):
+        return component_steps(ctx, s, solve_dz(f_vec, g_vec), f_vec, g_vec)
+
+    return solve
+
+
 def _normal_solver(ctx, s):
     """Factor the reduced quadratic term once, solve for many right sides."""
     if ctx.n_r == 0:
         return lambda f_vec, g_vec: np.zeros(0)
     h = ctx.proj_eq.T @ ctx.proj_eq
-    wt_ineq = _ineq_weight(s) if ctx.m_ineq else None
-    wt_inact = _inact_weight(s) if ctx.m_inact else None
     if ctx.m_ineq:
-        h = h + (ctx.proj_ineq * wt_ineq[:, None]).T @ ctx.proj_ineq
+        h = h + (ctx.proj_ineq * _ineq_weight(s)[:, None]).T @ ctx.proj_ineq
     if ctx.m_inact:
-        h = h + (ctx.proj_inact * wt_inact[:, None]).T @ ctx.proj_inact
+        h = h + (ctx.proj_inact * _inact_weight(s)[:, None]).T @ ctx.proj_inact
     fact = rrqr(h, tol=ctx.config.solve_tol, counter=ctx.counters)
     rhs_eq = ctx.proj_eq.T @ (ctx.b_eq - ctx.a_eq @ s.x)
 
@@ -527,7 +458,10 @@ def _ls_solver(ctx, s):
     rhs_eq_full = ctx.b_eq - ctx.a_eq @ s.x
     if ctx.m_ineq == 0 and ctx.m_inact == 0:
         return lambda f_vec, g_vec: ctx.stage1.solve_basic(rhs_eq_full)
-    top, _ = _ls_stack(ctx, s, np.zeros(ctx.m_inact), np.zeros(ctx.m_ineq))
+    sq_inact, sq_ineq = _sqrt_weights(s)
+    top = np.vstack(
+        [ctx.proj_inact * sq_inact[:, None], ctx.proj_ineq * sq_ineq[:, None]]
+    )
     staged = staged_rrqr(
         top,
         ctx.stage1,
@@ -535,8 +469,6 @@ def _ls_solver(ctx, s):
         tol=ctx.config.solve_tol,
         counter=ctx.counters,
     )
-    sq_inact = np.sqrt(_inact_weight(s)) if ctx.m_inact else np.zeros(0)
-    sq_ineq = np.sqrt(_ineq_weight(s)) if ctx.m_ineq else np.zeros(0)
 
     def solve(f_vec, g_vec):
         rhs_top = np.concatenate(
@@ -593,7 +525,10 @@ def converged(ctx, s, eps):
     return full < eps, full
 
 
-def ls_form_recommended(m_inact, m_ineq, m_eq, n_r, variant="2nr"):
-    """Operation-count crossover between the two reduced step forms."""
-    threshold = 2 * n_r if variant == "2nr" else n_r
-    return m_inact + m_ineq + 2 * m_eq < threshold
+def ls_form_recommended(m_inact, m_ineq, m_eq, n_r):
+    """Operation-count crossover between the two reduced step forms.
+
+    The least-squares form is cheaper while the stacked row count, with
+    the equality rows counted twice, stays below ``2 n_r``.
+    """
+    return m_inact + m_ineq + 2 * m_eq < 2 * n_r

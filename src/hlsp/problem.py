@@ -113,6 +113,10 @@ def validate_problem(problem: HlspProblem):
                     f"rhs length mismatch at level {idx}: {name} block has "
                     f"{block.m} rows but rhs length {block.rhs.shape[0]}"
                 )
+            if not (np.isfinite(block.matrix).all() and np.isfinite(block.rhs).all()):
+                violations.append(
+                    f"non-finite entry at level {idx}: {name} block holds NaN or Inf"
+                )
             if block.is_bound.shape[0] != block.m:
                 violations.append(
                     f"bound flag length mismatch at level {idx} ({name} block)"

@@ -15,10 +15,8 @@ from hlsp.cascade import hybrid_solve, solve_hlsp
 from hlsp.config import SolverConfig
 from hlsp.factorization import rrqr, staged_rrqr
 from hlsp.newton import (
+    _step_solver,
     assemble_f_g,
-    classical_normal_step,
-    ls_form_step,
-    projected_normal_step,
     recover_equality_dual,
 )
 from hlsp.oracle import brute_force_cascade, cascade_objectives, lexicographic_lsq_equality
@@ -174,14 +172,14 @@ class TestCriterion4CrossFormAgreement:
                 seed, n=n, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=m_prior
             )
             f, g = assemble_f_g(ctx, s, 0.003, 0.004)
-            dz_nf = projected_normal_step(ctx, s, f, g)
-            dz_ls = ls_form_step(ctx, s, f, g)
+            dz_nf = _step_solver(ctx, s, "normal")(f, g).dz
+            dz_ls = _step_solver(ctx, s, "ls")(f, g).dz
             scale = max(1.0, float(np.linalg.norm(dz_nf)))
             worst = max(worst, float(np.linalg.norm(dz_nf - dz_ls)) / scale)
             if m_eq + m_ineq + m_inact >= n + 1:
                 stacked = np.vstack([ctx.a_eq, ctx.a_ineq, ctx.a_inact])
                 if rrqr(stacked).rank == n:
-                    dx_cl, _ = classical_normal_step(ctx, s, f, g)
+                    dx_cl = _step_solver(ctx, s, "classical")(f, g).dx
                     dx_nf = ctx.basis @ dz_nf
                     classical_checked += 1
                     worst_classical = max(

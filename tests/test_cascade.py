@@ -25,6 +25,11 @@ def lvl(n, ae, be, ai, bi):
     )
 
 
+def level_work(report):
+    """Per-level (iterations, factorizations, asm iterations) of a solve."""
+    return [(v.iterations, v.factorizations, v.asm_iterations) for v in report.levels]
+
+
 def two_sided_conflict():
     """One variable squeezed by x >= 1 and x <= 0; optimum splits at 0.5."""
     return HlspProblem(
@@ -306,6 +311,17 @@ class TestAsm:
         assert conv
         assert abs(s.x[0] - 0.5) < 1e-8
         assert np.allclose(s.v_ineq, [-0.5, -0.5], atol=1e-8)
+
+    @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_hlsp_runs_asm_like_hybrid_solve(self, method, seed):
+        specs = [(1, 3, 0, "mixed"), (2, 2, 1, "feasible"), (0, 3, 0, "mixed")]
+        p = random_hlsp(seed + 500, 6, specs)
+        direct = solve_hlsp(p, SolverConfig(method=method))
+        guarded = hybrid_solve(p, SolverConfig(method=method))
+        assert np.array_equal(direct.x, guarded.x)
+        assert level_work(direct) == level_work(guarded)
+        assert sum(lv.asm_iterations for lv in direct.levels) > 0
 
     def test_hybrid_rejects_non_asm_method(self):
         p = two_sided_conflict()

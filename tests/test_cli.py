@@ -122,6 +122,45 @@ class TestSolveCommand:
         }
         assert set(report["levels"][0]) == expected_level_keys
 
+    @pytest.mark.parametrize(
+        "n,levels",
+        [
+            (2, [{"A_e": [["one", 0.0]], "b_e": [1.0], "A_i": [], "b_i": []}]),
+            (2, 5),
+            (True, [{"A_e": [[1.0]], "b_e": [1.0], "A_i": [], "b_i": []}]),
+            (2, [{"A_e": [1.0, 0.0], "b_e": [1.0], "A_i": [], "b_i": []}]),
+            (2, [{"A_e": [[1.0, 0.0]], "b_e": 1.0, "A_i": [], "b_i": []}]),
+            (None, None),
+        ],
+        ids=[
+            "string-entry",
+            "levels-not-list",
+            "bool-n",
+            "row-not-list",
+            "rhs-not-list",
+            "directory",
+        ],
+    )
+    def test_malformed_input_exit_codes(self, tmp_path, capsys, n, levels):
+        path = tmp_path / "problem.json"
+        if levels is None:
+            path.mkdir()
+            expected = EXIT_IO
+        else:
+            path.write_text(json.dumps({"n": n, "levels": levels}))
+            expected = EXIT_INVALID
+        assert main(["solve", str(path)]) == expected
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "nf-ipm-asm", "classical"])
+    def test_non_finite_problem_is_invalid(self, tmp_path, method):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"n": 2, "levels": [{"A_e": [[NaN, 1.0]], "b_e": [1.0], '
+            '"A_i": [[1.0, 0.0]], "b_i": [Infinity]}]}'
+        )
+        assert main(["solve", str(path), "--method", method]) == EXIT_INVALID
+
 
 class TestGenCommand:
     def test_gen_then_solve(self, tmp_path):
@@ -205,3 +244,40 @@ class TestBenchCommand:
         bad = tmp_path / "spec.json"
         bad.write_text("nope{")
         assert main(["bench", str(bad), "--out", str(tmp_path / "t.csv")]) == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"config": {"foo": 1}},
+            {"instances": [{"n": 4}]},
+            {"instances": [[4, [[1, 2, 0, "feasible"]]]]},
+            {"instances": [{"n": 4, "levels": 5}]},
+            {"instances": [{"n": 4, "levels": [["1", 2, 0, "feasible"]]}]},
+            {"seeds": 3},
+            {"repeats": None},
+            {"equality_sweep": {"n": 4, "seed": "x"}},
+        ],
+        ids=[
+            "unknown-config",
+            "no-levels",
+            "instance-not-object",
+            "levels-not-list",
+            "string-row-count",
+            "seeds-not-list",
+            "null-repeats",
+            "string-sweep-seed",
+        ],
+    )
+    def test_spec_errors_are_invalid(self, tmp_path, capsys, change):
+        spec = {"methods": ["nf-ipm"], "repeats": 1, "instances": []}
+        spec.update(change)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "t.csv"
+        assert main(["bench", str(spec_path), "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_spec_directory_is_io_error(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["bench", str(tmp_path), "--out", str(out)]) == EXIT_IO

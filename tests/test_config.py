@@ -10,7 +10,6 @@ def test_documented_defaults():
     assert cfg.max_iter == 50
     assert cfg.tau == 0.995
     assert cfg.density_threshold == 0.4
-    assert cfg.ls_switch == "2nr"
     assert cfg.asm_max_iter == 200
     assert cfg.method == "nf-ipm"
 
@@ -18,8 +17,6 @@ def test_documented_defaults():
 def test_rejects_unknown_method():
     with pytest.raises(ValueError):
         SolverConfig(method="simplex")
-    with pytest.raises(ValueError):
-        SolverConfig(ls_switch="3nr")
 
 
 def test_step_form_mapping():

@@ -10,18 +10,15 @@ from hlsp.newton import (
     LevelContext,
     MethodNotApplicable,
     StepDirection,
+    _step_solver,
     assemble_f_g,
-    classical_normal_step,
     component_steps,
     converged,
-    duality_measures,
     initial_state,
     kkt_residual,
     line_search,
     ls_form_recommended,
-    ls_form_step,
     mehrotra_iteration,
-    projected_normal_step,
     recover_equality_dual,
 )
 
@@ -81,47 +78,6 @@ class TestKktResidual:
             kkt_residual(ctx, s, 0.0, 0.0)
 
 
-class TestDualityMeasures:
-    def test_complementary_state_is_zero(self):
-        s = IterateState(
-            x=np.zeros(1),
-            v_eq=np.zeros(0),
-            v_ineq=np.zeros(1),
-            w_ineq=np.ones(1),
-            w_inact=np.zeros(0),
-            lam_inact=np.zeros(0),
-        )
-        mu_i, mu_in = duality_measures(s, 1)
-        assert mu_i == 0.0 and mu_in == 0.0
-
-    def test_single_row_arithmetic(self):
-        s = IterateState(
-            x=np.zeros(1),
-            v_eq=np.zeros(0),
-            v_ineq=np.array([-1.0]),
-            w_ineq=np.array([1.0]),
-            w_inact=np.zeros(0),
-            lam_inact=np.zeros(0),
-        )
-        mu_i, _ = duality_measures(s, 1)
-        assert abs(mu_i - 0.5) < 1e-15
-
-    def test_random_matches_formula(self):
-        rng = np.random.default_rng(7)
-        n, m_i, m_in = 4, 3, 2
-        s = IterateState(
-            x=np.zeros(n),
-            v_eq=np.zeros(0),
-            v_ineq=-rng.uniform(0.1, 1, m_i),
-            w_ineq=rng.uniform(0.1, 1, m_i),
-            w_inact=rng.uniform(0.1, 1, m_in),
-            lam_inact=rng.uniform(0.1, 1, m_in),
-        )
-        mu_i, mu_in = duality_measures(s, n)
-        assert abs(mu_i - (-s.v_ineq @ s.w_ineq) / (n + m_i)) < 1e-15
-        assert abs(mu_in - (s.lam_inact @ s.w_inact) / (n + m_in)) < 1e-15
-
-
 class TestAssembleFG:
     def test_empty_sets_give_empty(self):
         ctx, s = build_random_level(3, n=3, m_eq=2, m_ineq=0, m_inact=0, m_prior=0)
@@ -160,7 +116,7 @@ class TestProjectedNormalStep:
     def test_equality_only_single_step_hits_least_squares(self):
         ctx, s = build_random_level(7, n=5, m_eq=3, m_ineq=0, m_inact=0, m_prior=0)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = projected_normal_step(ctx, s, f, g)
+        dz = _step_solver(ctx, s, "normal")(f, g).dz
         x_new = s.x + ctx.basis @ dz
         x_ref = np.linalg.lstsq(ctx.a_eq, ctx.b_eq, rcond=None)[0]
         assert np.allclose(ctx.a_eq @ x_new, ctx.a_eq @ x_ref, atol=1e-10)
@@ -204,7 +160,7 @@ class TestProjectedNormalStep:
             w_inact=np.zeros(0),
             lam_inact=np.zeros(0),
         )
-        dz = projected_normal_step(ctx, s, np.zeros(0), np.zeros(0))
+        dz = _step_solver(ctx, s, "normal")(np.zeros(0), np.zeros(0)).dz
         dx = chain.basis @ dz
         assert abs(dx[0]) < 1e-12
         assert abs((x + dx)[1] - 4.0) < 1e-10
@@ -213,7 +169,7 @@ class TestProjectedNormalStep:
     def test_matches_dense_reduced_solve(self, seed):
         ctx, s = build_random_level(seed + 10, n=6, m_eq=2, m_ineq=3, m_inact=2, m_prior=2)
         f, g = assemble_f_g(ctx, s, 0.01, 0.02)
-        dz = projected_normal_step(ctx, s, f, g)
+        dz = _step_solver(ctx, s, "normal")(f, g).dz
         wt_i = s.v_ineq / (s.v_ineq - s.w_ineq)
         wt_in = s.lam_inact / s.w_inact
         h = (
@@ -232,7 +188,7 @@ class TestProjectedNormalStep:
     def test_active_rows_unchanged_by_step(self):
         ctx, s = build_random_level(30, n=6, m_eq=2, m_ineq=2, m_inact=2, m_prior=3)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = projected_normal_step(ctx, s, f, g)
+        dz = _step_solver(ctx, s, "normal")(f, g).dz
         dx = ctx.basis @ dz
         assert np.linalg.norm(ctx.a_act @ dx) < 1e-10 * max(1, np.linalg.norm(dx))
 
@@ -240,7 +196,7 @@ class TestProjectedNormalStep:
 class TestLsFormStep:
     def test_equality_only_reduces_to_projected_least_squares(self):
         ctx, s = build_random_level(11, n=5, m_eq=3, m_ineq=0, m_inact=0, m_prior=1)
-        dz_ls = ls_form_step(ctx, s, np.zeros(0), np.zeros(0))
+        dz_ls = _step_solver(ctx, s, "ls")(np.zeros(0), np.zeros(0)).dz
         rhs = ctx.b_eq - ctx.a_eq @ s.x
         dz_ref = np.linalg.lstsq(ctx.proj_eq, rhs, rcond=None)[0]
         assert np.linalg.norm(ctx.proj_eq @ dz_ls - rhs) <= (
@@ -252,7 +208,7 @@ class TestLsFormStep:
         s.w_inact = np.array([1.0])
         s.lam_inact = np.array([1.0])
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = ls_form_step(ctx, s, f, g)
+        dz = _step_solver(ctx, s, "ls")(f, g).dz
         # weight sqrt(lam/w) = 1: the stacked system is [inact; eq] unweighted
         stack = np.vstack([ctx.proj_inact, ctx.proj_eq])
         rhs = np.concatenate([f, ctx.b_eq - ctx.a_eq @ s.x])
@@ -265,8 +221,8 @@ class TestLsFormStep:
     def test_matches_projected_normal_step(self, seed):
         ctx, s = build_random_level(seed + 40, n=7, m_eq=2, m_ineq=3, m_inact=3, m_prior=2)
         f, g = assemble_f_g(ctx, s, 0.01, 0.005)
-        dz_nf = projected_normal_step(ctx, s, f, g)
-        dz_ls = ls_form_step(ctx, s, f, g)
+        dz_nf = _step_solver(ctx, s, "normal")(f, g).dz
+        dz_ls = _step_solver(ctx, s, "ls")(f, g).dz
         scale = max(1.0, np.linalg.norm(dz_nf))
         assert np.linalg.norm(dz_nf - dz_ls) < 1e-8 * scale
 
@@ -280,7 +236,7 @@ class TestClassicalStep:
         s.lam_act = np.zeros(0)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         before = ctx.counters.factorizations
-        classical_normal_step(ctx, s, f, g)
+        _step_solver(ctx, s, "classical")(f, g)
         assert ctx.counters.factorizations - before == 1
 
     def test_matches_projected_form_on_full_rank_toy(self):
@@ -290,8 +246,8 @@ class TestClassicalStep:
         )
         s.lam_act = np.zeros(ctx.m_act)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dx_cl, _ = classical_normal_step(ctx, s, f, g)
-        dz = projected_normal_step(ctx, s, f, g)
+        dx_cl = _step_solver(ctx, s, "classical")(f, g).dx
+        dz = _step_solver(ctx, s, "normal")(f, g).dz
         dx_nf = ctx.basis @ dz
         assert np.allclose(dx_cl, dx_nf, atol=1e-8 * max(1, np.linalg.norm(dx_nf)))
 
@@ -303,7 +259,7 @@ class TestClassicalStep:
         s.lam_act = np.zeros(ctx.m_act)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         with pytest.raises(MethodNotApplicable):
-            classical_normal_step(ctx, s, f, g)
+            _step_solver(ctx, s, "classical")(f, g)
 
 
 def linearized_residual(ctx, s, d, smu_i, smu_in):
@@ -369,7 +325,7 @@ class TestComponentSteps:
     def test_equality_only_components(self):
         ctx, s = build_random_level(17, n=4, m_eq=2, m_ineq=0, m_inact=0, m_prior=0)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = projected_normal_step(ctx, s, f, g)
+        dz = _step_solver(ctx, s, "normal")(f, g).dz
         d = component_steps(ctx, s, dz, f, g)
         assert d.dv_ineq.size == 0 and d.dw_ineq.size == 0
         assert np.linalg.norm(d.dx) > 0
@@ -380,7 +336,7 @@ class TestComponentSteps:
         ctx, s = build_random_level(seed + 60, n=6, m_eq=2, m_ineq=3, m_inact=2, m_prior=2)
         smu_i, smu_in = 0.004, 0.006
         f, g = assemble_f_g(ctx, s, smu_i, smu_in)
-        dz = projected_normal_step(ctx, s, f, g)
+        dz = _step_solver(ctx, s, "normal")(f, g).dz
         d = component_steps(ctx, s, dz, f, g)
         res = linearized_residual(ctx, s, d, smu_i, smu_in)
         scale = max(1.0, np.linalg.norm(d.dx))
@@ -666,10 +622,8 @@ class TestConverged:
 
 class TestLsSwitch:
     def test_default_variant_threshold(self):
-        assert ls_form_recommended(0, 0, 2, 3, "2nr") is True
-        assert ls_form_recommended(0, 0, 3, 3, "2nr") is False
+        assert ls_form_recommended(0, 0, 2, 3) is True
+        assert ls_form_recommended(0, 0, 3, 3) is False
 
     def test_alternate_variant_threshold(self):
-        assert ls_form_recommended(0, 1, 1, 4, "nr") is True
-        assert ls_form_recommended(1, 1, 1, 4, "nr") is False
-        assert ls_form_recommended(1, 1, 1, 4, "2nr") is True
+        assert ls_form_recommended(1, 1, 1, 4) is True

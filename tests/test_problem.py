@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hlsp.cascade import InvalidProblemError, solve_hlsp
 from hlsp.fileio import (
     ProblemFormatError,
     load_problem,
@@ -73,6 +74,21 @@ class TestValidate:
         )
         msgs = validate_problem(p)
         assert any("left unflagged" in m for m in msgs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A_e", "b_e", "A_i", "b_i"])
+    def test_non_finite_entry_reported(self, where, bad):
+        blocks = {"A_e": [[1.0, 0.0]], "b_e": [1.0], "A_i": [[0.0, 1.0]], "b_i": [0.0]}
+        if where.startswith("A"):
+            blocks[where] = [[bad, 1.0]]
+        else:
+            blocks[where] = [bad]
+        p = make_problem(2, [tuple(blocks[k] for k in ("A_e", "b_e", "A_i", "b_i"))])
+        name = "equality" if where.endswith("e") else "inequality"
+        msgs = validate_problem(p)
+        assert msgs == [f"non-finite entry at level 1: {name} block holds NaN or Inf"]
+        with pytest.raises(InvalidProblemError):
+            solve_hlsp(p)
 
 
 class TestBoundTagging:
