@@ -219,6 +219,8 @@ def build_level_context(state: CascadeState, level, config, counters):
     a_ineq = level.inequalities.matrix
     a_act, b_act, v_act = state.chain.active_stack()
     proj_eq = a_eq @ basis
+    # classical levels factorize it only when they fall back to a
+    # projected form without barrier rows (``newton._equality_solver``)
     stage1 = None
     if config.step_form != "classical":
         stage1 = rrqr(proj_eq, tol=config.rank_tol, counter=counters)

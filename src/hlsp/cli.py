@@ -3,7 +3,9 @@
 Exit codes for ``solve``: 0 full convergence, 1 sub-converged, 2
 parse/validation error, 3 I/O error, 4 requested method not applicable
 (fell back on some level). ``bench`` exits 0, 2 for a malformed spec or
-an invalid generated problem, and 3 for an I/O error.
+an invalid generated problem, and 3 for an I/O error. ``gen`` exits 0
+when the problem is written, 2 for a bad level spec and 3 for an I/O
+error.
 """
 
 from __future__ import annotations
@@ -201,7 +203,11 @@ def cmd_gen(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    save_problem(problem, args.out)
+    try:
+        save_problem(problem, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(f"wrote {args.out}")
     return EXIT_OK
 

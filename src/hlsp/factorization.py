@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr, dtrtrs
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_DENSITY_THRESHOLD = 0.4
@@ -73,6 +73,28 @@ def _ormqr(trans, v, tau, c):
     """Q^T c (``trans`` "T") or Q c for the compact reflectors (v, tau)."""
     lwork = _NB * max(1, c.shape[1])
     return dormqr("L", trans, v, tau, c, lwork, overwrite_c=1)[0]
+
+
+def _trsolve(r, b, trans="N"):
+    """R x = b (``trans`` "N") or R^T x = b for upper-triangular R (xTRTRS).
+
+    The LAPACK call and its C/F-order branch are those of
+    ``scipy.linalg.solve_triangular``, so results are bit-identical, without
+    its validation layer, which costs more than the solve at these sizes.
+    Its errors are kept: ValueError on NaN/Inf, LinAlgError on a zero pivot.
+    """
+    if not (np.isfinite(r).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    t = int(trans == "T")
+    if r.flags.f_contiguous:
+        x, info = dtrtrs(r, b, lower=0, trans=t)
+    else:
+        x, info = dtrtrs(r.T, b, lower=1, trans=1 - t)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
 
 
 def _geqp3(a, tol):
@@ -150,7 +172,7 @@ class Rrqr:
         if self.rank == 0:
             return x
         c = self.q.apply_transpose(rhs)[: self.rank]
-        y = solve_triangular(self.r, c)
+        y = _trsolve(self.r, c)
         x[self.perm[: self.rank]] = y
         return x
 
@@ -167,7 +189,7 @@ class Rrqr:
             return lam
         c = np.asarray(c, dtype=float)
         c1 = c[self.perm[: self.rank]]
-        y = solve_triangular(self.r, c1, trans="T")
+        y = _trsolve(self.r, c1, trans="T")
         padded = np.zeros(m)
         padded[: self.rank] = y
         return self.q.apply(padded)
@@ -213,7 +235,7 @@ def nullspace_basis(f: Rrqr):
     nr = k - f.rank
     bracket = np.zeros((k, nr))
     if f.rank > 0 and nr > 0:
-        bracket[: f.rank, :] = -solve_triangular(f.r, f.t)
+        bracket[: f.rank, :] = -_trsolve(f.r, f.t)
     if nr > 0:
         bracket[f.rank :, :] = np.eye(nr)
     z = np.zeros((k, nr))
@@ -254,7 +276,7 @@ class StagedFactorization:
         d = self.stage23.apply_transpose(stacked) if stacked.size else stacked
         x = np.zeros(k)
         if self.rank > 0:
-            y = solve_triangular(self.triangular, d[: self.rank])
+            y = _trsolve(self.triangular, d[: self.rank])
             x[self.col_order[: self.rank]] = y
         return x
 

@@ -82,8 +82,9 @@ class LevelContext:
 
     Projected blocks share the remaining-variable column count; the
     factorization of the projected equality block is computed once per
-    level and reused by the least-squares form and, when the active set
-    turns out to be the equalities alone, by the null-space projection.
+    level and reused by the least-squares form, by both projected forms on
+    levels without barrier rows and, when the active set turns out to be
+    the equalities alone, by the null-space projection.
     """
 
     n: int
@@ -284,25 +285,24 @@ def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
 
 
 def line_search(s, d: StepDirection, tau):
-    """Largest fraction of the step keeping every sign condition valid."""
-    a_max = np.inf
+    """Largest fraction of the step keeping every sign condition valid.
 
-    def block(val, dval, lower):
-        nonlocal a_max
-        if val.size == 0:
-            return
-        if lower:
-            mask = dval < 0
-        else:
-            mask = dval > 0
-        if np.any(mask):
-            ratios = -val[mask] / dval[mask] if not lower else val[mask] / -dval[mask]
-            a_max = min(a_max, float(np.min(ratios)))
-
-    block(s.w_ineq, d.dw_ineq, lower=True)
-    block(-s.v_ineq, -d.dv_ineq, lower=True)
-    block(s.w_inact, d.dw_inact, lower=True)
-    block(s.lam_inact, d.dlam_inact, lower=True)
+    One ratio test over the four stacked nonnegative blocks (w_ineq,
+    -v_ineq, w_inact, lam_inact). A block whose ratios include a NaN sets
+    no bound at all.
+    """
+    blocks = (s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact)
+    val = np.concatenate(blocks)
+    dval = np.concatenate([d.dw_ineq, -d.dv_ineq, d.dw_inact, d.dlam_inact])
+    mask = dval < 0
+    ratios = val[mask] / -dval[mask]
+    nan = np.isnan(ratios)
+    if nan.any():
+        block = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])[mask]
+        ratios = ratios[~np.isin(block, block[nan])]
+    if ratios.size == 0:
+        return 1.0
+    a_max = float(np.min(ratios))
     if not np.isfinite(a_max):
         return 1.0
     return float(min(1.0, tau * a_max))
@@ -391,7 +391,9 @@ def _step_solver(ctx, s, form):
     stages the square-root-weighted barrier rows over the retained
     factorization of the projected equality block, and ``"classical"``
     factors the full-space quadratic term and the active-constraint
-    product and also returns the active-dual step.
+    product and also returns the active-dual step. On a level without
+    barrier rows both projected forms take the basic least-squares step on
+    the retained equality factorization, so the level needs no other.
     """
     if form == "classical":
         fact_c, fact_m = classical_factorize(ctx, s)
@@ -415,12 +417,16 @@ def _step_solver(ctx, s, form):
             return d
 
         return solve
-    if form == "normal":
-        solve_dz = _normal_solver(ctx, s)
-    elif form == "ls":
-        solve_dz = _ls_solver(ctx, s)
-    else:
+    if form not in ("normal", "ls"):
         raise ValueError(f"unknown step form {form!r}")
+    if ctx.n_r == 0:
+        solve_dz = lambda f_vec, g_vec: np.zeros(0)
+    elif ctx.m_ineq == 0 and ctx.m_inact == 0:
+        solve_dz = _equality_solver(ctx, s)
+    elif form == "normal":
+        solve_dz = _normal_solver(ctx, s)
+    else:
+        solve_dz = _ls_solver(ctx, s)
 
     def solve(f_vec, g_vec):
         return component_steps(ctx, s, solve_dz(f_vec, g_vec), f_vec, g_vec)
@@ -428,10 +434,21 @@ def _step_solver(ctx, s, form):
     return solve
 
 
+def _equality_solver(ctx, s):
+    """Basic least-squares step on the projected equality block's RRQR.
+
+    Classical contexts retain no such factorization; it is made here when
+    one of their levels falls back to a projected form, and the level's
+    projection then reuses it.
+    """
+    if ctx.stage1 is None:
+        ctx.stage1 = rrqr(ctx.proj_eq, tol=ctx.config.rank_tol, counter=ctx.counters)
+    rhs_eq = ctx.b_eq - ctx.a_eq @ s.x
+    return lambda f_vec, g_vec: ctx.stage1.solve_basic(rhs_eq)
+
+
 def _normal_solver(ctx, s):
     """Factor the reduced quadratic term once, solve for many right sides."""
-    if ctx.n_r == 0:
-        return lambda f_vec, g_vec: np.zeros(0)
     h = ctx.proj_eq.T @ ctx.proj_eq
     if ctx.m_ineq:
         h = h + (ctx.proj_ineq * _ineq_weight(s)[:, None]).T @ ctx.proj_ineq
@@ -453,11 +470,7 @@ def _normal_solver(ctx, s):
 
 def _ls_solver(ctx, s):
     """Stage the weighted stack once; the rhs changes between solves."""
-    if ctx.n_r == 0:
-        return lambda f_vec, g_vec: np.zeros(0)
     rhs_eq_full = ctx.b_eq - ctx.a_eq @ s.x
-    if ctx.m_ineq == 0 and ctx.m_inact == 0:
-        return lambda f_vec, g_vec: ctx.stage1.solve_basic(rhs_eq_full)
     sq_inact, sq_ineq = _sqrt_weights(s)
     top = np.vstack(
         [ctx.proj_inact * sq_inact[:, None], ctx.proj_ineq * sq_ineq[:, None]]

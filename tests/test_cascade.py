@@ -338,6 +338,51 @@ class TestAsm:
         assert np.allclose(ls.x, hyb.x, atol=1e-10)
 
 
+def with_regularizer(problem, seed):
+    """Append a full-rank identity level, which makes x unique."""
+    n = problem.n
+    b = np.random.default_rng(seed).uniform(-1, 1, n)
+    reg = lvl(n, np.eye(n), b, np.zeros((0, n)), [])
+    return HlspProblem(n=n, levels=problem.levels + (reg,))
+
+
+def equality_only_problems():
+    """Acceptance criterion 2's generator, then chains of rank-deficient levels."""
+    for seed in range(12):
+        rng = np.random.default_rng(30_000 + seed)
+        n = int(rng.integers(4, 31))
+        specs, budget = [], n - 1
+        for _ in range(int(rng.integers(1, 4))):
+            if budget <= 0:
+                break
+            m_e = int(rng.integers(1, min(4, budget) + 1))
+            specs.append((m_e, 0, 0, "feasible"))
+            budget -= m_e
+        yield with_regularizer(random_hlsp(seed, n, specs), seed)
+    for seed in range(4):
+        chain = random_hlsp(seed, 24, [(5, 0, 1, "feasible")] * 4)
+        yield with_regularizer(chain, seed)
+
+
+class TestEqualityOnlyLevels:
+    def test_one_decomposition_per_level_in_every_form(self):
+        for problem in equality_only_problems():
+            reps = {
+                m: solve_hlsp(problem, SolverConfig(method=m))
+                for m in ("nf-ipm", "ls-ipm", "classical")
+            }
+            for method in ("nf-ipm", "ls-ipm"):
+                for lv in reps[method].levels:
+                    assert (lv.iterations, lv.factorizations) == (1, 1)
+            fell_back = [lv for lv in reps["classical"].levels if lv.method_fallback]
+            assert fell_back
+            for lv in fell_back:
+                assert (lv.iterations, lv.factorizations) == (1, 1)
+            # both projected forms take the same step on the same factorization
+            assert np.array_equal(reps["nf-ipm"].x, reps["ls-ipm"].x)
+            assert np.allclose(reps["classical"].x, reps["ls-ipm"].x, atol=1e-8)
+
+
 # classical raises MethodNotApplicable inside the Newton loop on these
 NUMERICALLY_SINGULAR = (
     random_hlsp(305473437, 4, [(2, 1, 0, "feasible"), (2, 2, 0, "mixed")]),

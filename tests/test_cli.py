@@ -190,6 +190,14 @@ class TestGenCommand:
         ])
         assert code == EXIT_INVALID
 
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        code = main([
+            "gen", "--seed", "1", "--n", "3", "--levels", "1,1,0,feasible",
+            "--out", str(tmp_path / "missing" / "dir" / "p.json"),
+        ])
+        assert code == EXIT_IO
+        assert "error:" in capsys.readouterr().err
+
     def test_parse_level_specs(self):
         specs = parse_level_specs("1,2,0,feasible; 0,4,0,infeasible")
         assert specs == [(1, 2, 0, "feasible"), (0, 4, 0, "infeasible")]

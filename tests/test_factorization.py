@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hlsp.factorization import (
+    _trsolve,
     nullspace_basis,
     rrqr,
     rrqr_append_row,
@@ -455,3 +456,52 @@ class TestKernelProperties:
         first = staged.stage23.ops[0]
         assert first[0] == "h" and first[3].size == 1
         assert_lstsq_residual(staged, b, a, rng)
+
+
+class TestTriangularSolve:
+    """The direct xTRTRS call against ``scipy.linalg.solve_triangular``."""
+
+    @staticmethod
+    def triangle(k, order, seed=0):
+        rng = np.random.default_rng(seed)
+        r = np.triu(rng.uniform(-1, 1, (k, k))) + 3.0 * np.eye(k)
+        return np.asarray(r, order=order)
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs_shape", [(6,), (6, 1), (6, 4), (6, 0)])
+    def test_bit_identical_to_scipy(self, trans, order, rhs_shape):
+        r = self.triangle(6, order)
+        b = np.random.default_rng(1).uniform(-1, 1, rhs_shape)
+        got = _trsolve(r, b, trans=trans)
+        want = scipy.linalg.solve_triangular(r, b, trans=trans)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_strided_views_bit_identical(self):
+        # neither C- nor F-contiguous: a slice of a larger factor
+        r = self.triangle(8, "C")[::2, ::2]
+        b = np.arange(4.0)
+        for trans in ("N", "T"):
+            want = scipy.linalg.solve_triangular(r, b, trans=trans)
+            assert _trsolve(r, b, trans=trans).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["r", "b"])
+    def test_non_finite_input_raises(self, bad, where):
+        r = self.triangle(4, "C")
+        b = np.ones(4)
+        if where == "r":
+            r[1, 2] = bad
+        else:
+            b[1] = bad
+        with pytest.raises(ValueError):
+            _trsolve(r, b)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_zero_pivot_raises(self, order, trans):
+        r = self.triangle(4, "C")
+        r[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+            _trsolve(np.asarray(r, order=order), np.ones(4), trans=trans)

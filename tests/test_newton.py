@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hlsp.cascade import NullSpaceChain
 from hlsp.config import SolverConfig
@@ -343,7 +346,114 @@ class TestComponentSteps:
         assert np.linalg.norm(res) < 1e-8 * scale
 
 
+def per_block_line_search(s, d: StepDirection, tau):
+    """Reference: the per-block ratio test that ``line_search`` vectorizes."""
+    a_max = np.inf
+
+    def block(val, dval, lower):
+        nonlocal a_max
+        if val.size == 0:
+            return
+        if lower:
+            mask = dval < 0
+        else:
+            mask = dval > 0
+        if np.any(mask):
+            ratios = -val[mask] / dval[mask] if not lower else val[mask] / -dval[mask]
+            a_max = min(a_max, float(np.min(ratios)))
+
+    block(s.w_ineq, d.dw_ineq, lower=True)
+    block(-s.v_ineq, -d.dv_ineq, lower=True)
+    block(s.w_inact, d.dw_inact, lower=True)
+    block(s.lam_inact, d.dlam_inact, lower=True)
+    if not np.isfinite(a_max):
+        return 1.0
+    return float(min(1.0, tau * a_max))
+
+
+def ratio_test_pair(blocks, steps):
+    """State and direction from the four nonnegative blocks and their steps.
+
+    Block order is (w_ineq, -v_ineq, w_inact, lam_inact).
+    """
+    w_ineq, neg_v, w_inact, lam_inact = blocks
+    s = IterateState(
+        x=np.zeros(1),
+        v_eq=np.zeros(0),
+        v_ineq=-neg_v,
+        w_ineq=w_ineq,
+        w_inact=w_inact,
+        lam_inact=lam_inact,
+    )
+    d = StepDirection(
+        dz=None,
+        dx=np.zeros(1),
+        dv_eq=np.zeros(0),
+        dv_ineq=-steps[1],
+        dw_ineq=steps[0],
+        dw_inact=steps[2],
+        dlam_inact=steps[3],
+    )
+    return s, d
+
+
+@st.composite
+def ratio_tests(draw):
+    """Interior states, with empty blocks, nonnegative steps and a NaN entry."""
+    sizes = [draw(st.integers(0, 4)), draw(st.integers(0, 4))]
+    sizes = [sizes[0], sizes[0], sizes[1], sizes[1]]
+    low = 0.0 if draw(st.booleans()) else -1e6
+    blocks = [
+        draw(hnp.arrays(float, m, elements=st.floats(1e-12, 1e12))) for m in sizes
+    ]
+    steps = [draw(hnp.arrays(float, m, elements=st.floats(low, 1e6))) for m in sizes]
+    filled = [i for i, m in enumerate(sizes) if m]
+    if filled and draw(st.booleans()):
+        i = draw(st.sampled_from(filled))
+        target = draw(st.sampled_from((blocks, steps)))
+        target[i][draw(st.integers(0, sizes[i] - 1))] = np.nan
+    return blocks, steps, draw(st.floats(0.5, 1.0))
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 class TestLineSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(ratio_tests())
+    def test_matches_per_block_loop(self, case):
+        blocks, steps, tau = case
+        s, d = ratio_test_pair(blocks, steps)
+        # tiny steps overflow some ratios to inf in both versions
+        with np.errstate(over="ignore"):
+            assert same_bits(line_search(s, d, tau), per_block_line_search(s, d, tau))
+
+    @pytest.mark.parametrize(
+        "blocks, steps, expected",
+        [
+            # every block empty
+            ([np.zeros(0)] * 4, [np.zeros(0)] * 4, 1.0),
+            # all steps nonnegative: nothing blocks
+            ([np.ones(2), np.ones(2), np.ones(1), np.ones(1)],
+             [np.zeros(2), np.ones(2), np.ones(1), np.zeros(1)], 1.0),
+            # a NaN ratio drops its block's bound whole: 1/8 does not count
+            ([np.array([1.0, np.nan]), np.ones(2), np.ones(1), np.array([2.0])],
+             [np.array([-8.0, -1.0]), np.ones(2), np.ones(1), np.array([-8.0])],
+             0.995 * 0.25),
+            # a NaN step never blocks
+            ([np.ones(2), np.ones(2), np.ones(1), np.ones(1)],
+             [np.array([np.nan, -2.0]), np.ones(2), np.ones(1), np.ones(1)],
+             0.995 * 0.5),
+        ],
+        ids=["empty", "nonnegative", "nan_state", "nan_step"],
+    )
+    def test_edge_cases_match_per_block_loop(self, blocks, steps, expected):
+        s, d = ratio_test_pair(blocks, steps)
+        alpha = line_search(s, d, 0.995)
+        assert same_bits(alpha, per_block_line_search(s, d, 0.995))
+        assert alpha == expected
+
     def _direction(self, s, **kw):
         z = lambda a: np.zeros_like(a)
         d = StepDirection(
