@@ -53,10 +53,6 @@ class BenchSpecError(ValueError):
     """The suite spec is malformed."""
 
 
-def solve_with_method(problem, method, **overrides):
-    return solve_hlsp(problem, SolverConfig(method=method, **overrides))
-
-
 def _fact_work(shapes):
     """Flop proxy for a factorization list: sum of min-dim^2 * max-dim."""
     return int(sum(min(m, k) ** 2 * max(m, k) for m, k in shapes))

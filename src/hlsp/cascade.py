@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .factorization import Rrqr, nullspace_basis, rrqr, rrqr_append_row
+from .factorization import Rrqr, nullspace_basis, rrqr
 from .newton import (
     Counters,
     IterateState,
@@ -27,7 +27,13 @@ from .newton import (
     initial_state,
     mehrotra_iteration,
 )
-from .problem import HlspProblem, tag_bound_rows, validate_problem
+from .problem import (
+    ConstraintBlock,
+    HlspProblem,
+    Level,
+    tag_bound_rows,
+    validate_problem,
+)
 
 
 class InvalidProblemError(ValueError):
@@ -45,7 +51,6 @@ class Stage:
     v_star: np.ndarray
     fact: Rrqr
     basis_before: np.ndarray
-    z: np.ndarray
     rank: int
 
 
@@ -75,7 +80,6 @@ class NullSpaceChain:
             v_star=v_star,
             fact=fact,
             basis_before=self.basis,
-            z=z,
             rank=fact.rank,
         )
         self.stages.append(stage)
@@ -235,8 +239,8 @@ def build_level_context(state: CascadeState, level, config, counters):
         a_act=a_act,
         b_act=b_act,
         v_act=v_act,
-        a_inact=state.carry.matrix.copy(),
-        b_inact=state.carry.rhs.copy(),
+        a_inact=state.carry.matrix,
+        b_inact=state.carry.rhs,
         proj_eq=proj_eq,
         proj_ineq=a_ineq @ basis,
         proj_inact=state.carry.matrix @ basis,
@@ -354,15 +358,15 @@ def project_current(
     level_index,
     counters,
     rank_tol,
-    stage1=None,
-    stage1_valid=False,
+    retained=None,
 ):
     """Pin the level's active set and carry its satisfied inequalities.
 
     The active set holds every equality row plus the inequalities violated
     beyond the activation threshold, stored with their optimal violations.
-    When nothing but the equalities activates and the basis did not move,
-    the retained equality factorization is reused for the projection.
+    ``retained`` is the factorization of the projected equality block in
+    the current basis, when the caller has one; it is reused when nothing
+    but the equalities activates.
     """
     a_eq = level.equalities.matrix
     a_ineq = level.inequalities.matrix
@@ -374,8 +378,8 @@ def project_current(
     v_star = np.concatenate([r_eq, r_ineq[viol]])
     rank_gained = 0
     if act_rows.shape[0]:
-        if stage1_valid and not np.any(viol) and stage1 is not None:
-            fact = stage1
+        if retained is not None and not np.any(viol):
+            fact = retained
         else:
             fact = rrqr(act_rows @ state.chain.basis, tol=rank_tol, counter=counters)
         state.chain.extend("real", level_index, act_rows, act_rhs, v_star, fact)
@@ -457,12 +461,15 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         warm_set = _warm_set_for(config, idx)
 
         fell_back = False
+        conv, retained = None, None
         if config.uses_asm and level.inequalities.m > 0:
             s, conv, norm = asm_level_feasibility(
                 state, level, x, config, counters, warm_set
             )
-            stage1 = None
-        else:
+            x = s.x
+        if conv is None:
+            # the interior point, also for a level whose active-set search
+            # cycled or ran out, started from the search's last primal
             ctx = build_level_context(state, level, config, counters)
             s = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
@@ -474,7 +481,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 s = initial_state(ctx, x)
                 conv, norm = newton_loop(ctx, s, form="normal")
                 fell_back = True
-            stage1 = ctx.stage1
+            retained = ctx.stage1
         x = s.x
         sub = not conv
         all_converged = all_converged and conv
@@ -482,6 +489,8 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         rank_virtual = project_inactive(
             state, s, config.xi, idx, counters, config.rank_tol
         )
+        if rank_virtual:
+            retained = None  # the basis moved
         rank_current = 0
         if state.chain.total_rank < n:
             rank_current = project_current(
@@ -492,8 +501,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 idx,
                 counters,
                 config.rank_tol,
-                stage1=stage1,
-                stage1_valid=rank_virtual == 0 and stage1 is not None,
+                retained=retained,
             )
         objective, v_norm = _level_objective(level, x)
         level_reports.append(
@@ -560,59 +568,29 @@ def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
 def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
     """Active-set search for one level's feasible or optimal infeasible point.
 
-    Inequalities of the level enter the objective only while active; the
-    carried constraints of the higher levels stay enforced through the
-    barrier inside every inner Newton solve. The retained factorization of
-    the active stack is extended by Givens updates when a row is added and
-    recomputed when one is removed. A repeated active set or an exhausted
-    iteration budget hands the level to the reliable interior-point path.
+    Inequalities of the level enter the objective only while active: each
+    inner Newton solve takes the equalities plus the active rows as its
+    equality block, so ``build_level_context`` refactorizes the active stack
+    after every add and every remove. The carried constraints of the higher
+    levels stay enforced through the barrier inside every inner solve.
+    Returns (s, conv, norm). A repeated active set or an exhausted iteration
+    budget ends the search with ``conv`` None and its last primal in
+    ``s.x``, from which ``solve_hlsp`` runs the interior point on the level.
     """
-    basis = state.chain.basis
-    a_eq = level.equalities.matrix
-    b_eq = level.equalities.rhs
-    a_ineq = level.inequalities.matrix
-    b_ineq = level.inequalities.rhs
-    m_i = a_ineq.shape[0]
-    proj_eq = a_eq @ basis
-    proj_ineq = a_ineq @ basis
-    a_act, b_act, v_act = state.chain.active_stack()
-    carry = state.carry
-    proj_inact = carry.matrix @ basis
-
-    active = [int(j) for j in warm_set if 0 <= int(j) < m_i]
-    fact = rrqr(
-        np.vstack([proj_eq, proj_ineq[active]]), tol=config.rank_tol, counter=counters
-    )
-
-    x = np.asarray(x, dtype=float).copy()
-    conv, norm, s = False, np.inf, None
+    eq, ineq = level.equalities, level.inequalities
+    active = [int(j) for j in warm_set if 0 <= int(j) < ineq.m]
     seen_sets = {frozenset(active)}
-    give_up = False
-
+    no_rows = ConstraintBlock.empty(state.chain.n)
     while True:
-        sub_eq = np.vstack([a_eq, a_ineq[active]])
-        sub_rhs = np.concatenate([b_eq, b_ineq[active]])
-        ctx = LevelContext(
-            n=state.chain.n,
-            n_r=state.chain.n_r,
-            basis=basis,
-            a_eq=sub_eq,
-            b_eq=sub_rhs,
-            a_ineq=np.zeros((0, state.chain.n)),
-            b_ineq=np.zeros(0),
-            a_act=a_act,
-            b_act=b_act,
-            v_act=v_act,
-            a_inact=carry.matrix.copy(),
-            b_inact=carry.rhs.copy(),
-            proj_eq=np.vstack([proj_eq, proj_ineq[active]]),
-            proj_ineq=np.zeros((0, state.chain.n_r)),
-            proj_inact=proj_inact,
-            stage1=fact,
-            chain=state.chain,
-            counters=counters,
-            config=config,
+        pinned = Level(
+            equalities=ConstraintBlock(
+                np.vstack([eq.matrix, ineq.matrix[active]]),
+                np.concatenate([eq.rhs, ineq.rhs[active]]),
+                np.concatenate([eq.is_bound, ineq.is_bound[active]]),
+            ),
+            inequalities=no_rows,
         )
+        ctx = build_level_context(state, pinned, config, counters)
         # interior restart per solve: warm-starting the barrier variables
         # from a previous boundary point jams the line search
         s = initial_state(ctx, x)
@@ -620,47 +598,26 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
         x = s.x
 
         if counters.asm_iterations >= config.asm_max_iter:
-            give_up = True
-            break
-        residuals = a_ineq @ x - b_ineq
-        inactive_rows = [j for j in range(m_i) if j not in active]
+            return s, None, norm
+        residuals = ineq.matrix @ x - ineq.rhs
+        inactive_rows = [j for j in range(ineq.m) if j not in active]
         violated = [j for j in inactive_rows if residuals[j] < -config.xi]
         satisfied = [j for j in active if residuals[j] >= config.xi]
         if violated:
-            j = min(violated, key=lambda r: (residuals[r], r))
-            active.append(j)
-            fact = rrqr_append_row(fact, proj_ineq[j])
-            counters.asm_iterations += 1
+            active.append(min(violated, key=lambda r: (residuals[r], r)))
         elif satisfied:
             # a positive residual on an active row means the row would be
             # satisfied without being pinned: drop the most over-satisfied
-            j = max(satisfied, key=lambda r: (residuals[r], -r))
-            active.remove(j)
-            fact = rrqr(
-                np.vstack([proj_eq, proj_ineq[active]]),
-                tol=config.rank_tol,
-                counter=counters,
-            )
-            counters.asm_iterations += 1
+            active.remove(max(satisfied, key=lambda r: (residuals[r], -r)))
         else:
             break
+        counters.asm_iterations += 1
         key = frozenset(active)
         if key in seen_sets:
-            give_up = True
-            break
+            return s, None, norm
         seen_sets.add(key)
 
-    if give_up:
-        # cycling or exhausted search: switch to the reliable interior
-        # point for the whole level, warm-started at the current primal
-        ctx = build_level_context(state, level, config, counters)
-        s = initial_state(ctx, x)
-        conv, norm = newton_loop(ctx, s)
-        return s, conv, norm
-
     # hand the explicit slack split to the projection step
-    residuals = a_ineq @ x - b_ineq
-    s.x = x
     s.v_ineq = np.minimum(residuals, 0.0)
     s.w_ineq = np.maximum(residuals, 0.0)
     return s, conv, norm

@@ -5,7 +5,9 @@ parse/validation error, 3 I/O error, 4 requested method not applicable
 (fell back on some level). ``bench`` exits 0, 2 for a malformed spec or
 an invalid generated problem, and 3 for an I/O error. ``gen`` exits 0
 when the problem is written, 2 for a bad level spec and 3 for an I/O
-error.
+error. Any other error that escapes a command is a defect, not a
+verdict: every command then prints one ``error: <Type>: <message>`` line
+and exits 5 (internal error).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_SUB_CONVERGED = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_METHOD = 4
+EXIT_INTERNAL = 5
 
 
 def _parser():
@@ -212,13 +215,17 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+COMMANDS = {"solve": cmd_solve, "bench": cmd_bench, "gen": cmd_gen}
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    return cmd_gen(args)
+    try:
+        return COMMANDS[args.command](args)
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

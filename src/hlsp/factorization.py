@@ -100,17 +100,15 @@ def _trsolve(r, b, trans="N"):
 def _geqp3(a, tol):
     """Column-pivoted QR of a nonempty matrix with rank detection.
 
-    Returns (qr, 0-based perm, tau, scale, rank). ``scale`` is |R_00|, the
-    largest column norm, which LAPACK computes without the underflow of
-    squaring tiny entries; ``rank`` counts the leading |R_jj| above
-    ``tol * scale``.
+    Returns (qr, 0-based perm, tau, rank). ``rank`` counts the leading
+    |R_jj| above ``tol * |R_00|``; |R_00| is the largest column norm, which
+    LAPACK computes without the underflow of squaring tiny entries.
     """
     k = a.shape[1]
     qr, jpvt, tau, _, _ = dgeqp3(a, lwork=2 * k + (k + 1) * _NB)
-    scale = float(abs(qr[0, 0]))
-    above = np.abs(np.diagonal(qr)) > tol * scale
+    above = np.abs(np.diagonal(qr)) > tol * float(abs(qr[0, 0]))
     rank = int(above.size if above.all() else np.argmin(above))
-    return qr, (jpvt - 1).astype(int), tau, scale, rank
+    return qr, (jpvt - 1).astype(int), tau, rank
 
 
 def _all_dense(block, threshold):
@@ -143,7 +141,6 @@ class Rrqr:
     rank: int
     tol: float
     shape: tuple
-    scale: float
 
     @property
     def ncols(self):
@@ -206,9 +203,9 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None):
         raise ValueError("expected a 2-d matrix")
     m, k = a.shape
     q = OrthoTransform(m)
-    qr, perm, scale, rank = np.zeros((0, k)), np.arange(k), 0.0, 0
+    qr, perm, rank = np.zeros((0, k)), np.arange(k), 0
     if m > 0 and k > 0:
-        qr, perm, tau, scale, rank = _geqp3(a, tol)
+        qr, perm, tau, rank = _geqp3(a, tol)
         q.add_reflectors(slice(0, m), qr[:, : tau.size], tau)
     if counter is not None:
         counter.count_factorization(m, k)
@@ -220,7 +217,6 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None):
         rank=rank,
         tol=tol,
         shape=(m, k),
-        scale=scale,
     )
 
 
@@ -363,7 +359,7 @@ def staged_rrqr(
     rank3 = 0
     if m_b and k > r1:
         if _all_dense(work[r1:, r1:], density_threshold):
-            qr, pi, tau, _, rank3 = _geqp3(work[r1:, r1:], tol)
+            qr, pi, tau, rank3 = _geqp3(work[r1:, r1:], tol)
             ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
             work[:r1, r1:] = work[:r1, r1:][:, pi]
             work[r1:, r1:] = np.triu(qr)
@@ -397,74 +393,4 @@ def staged_rrqr(
         shape=(m_b + stage1.shape[0], k),
         givens_columns=givens_cols,
         householder_columns=householder_cols,
-    )
-
-
-def rrqr_append_row(fact: Rrqr, row, tol=None):
-    """Extend a factorization by one bottom row via Givens updates.
-
-    The existing pivot order is kept; if the appended row is independent
-    of the current range, the strongest leftover entry becomes a new
-    pivot. The result satisfies the same reconstruction contract as a
-    fresh factorization but its pivots are no longer globally greedy.
-    """
-    row = np.asarray(row, dtype=float)
-    m, k = fact.shape
-    if row.shape[0] != k:
-        raise ValueError(f"row length {row.shape[0]} != column count {k}")
-    tol = fact.tol if tol is None else tol
-    q = OrthoTransform(m + 1)
-    q.ops = list(fact.q.ops)
-    r = np.zeros((fact.rank, fact.rank))
-    r[:, :] = fact.r
-    t = fact.t.copy()
-    perm = fact.perm.copy()
-    u = row[perm].copy()
-    scale = max(fact.scale, float(np.max(np.abs(row))) if k else 0.0)
-    rank = fact.rank
-    for j in range(rank):
-        if u[j] == 0.0:
-            continue
-        c, s, rj = _givens_pair(r[j, j], u[j])
-        q.add_givens(j, m, c, s)
-        rj_row = np.concatenate([r[j, j:], t[j, :]])
-        u_row = u[j:].copy()
-        new_rj = c * rj_row - s * u_row
-        new_u = s * rj_row + c * u_row
-        r[j, j:] = new_rj[: rank - j]
-        t[j, :] = new_rj[rank - j :]
-        u[j:] = new_u
-        r[j, j] = rj
-        u[j] = 0.0
-    leftover = u[rank:]
-    if leftover.size and np.max(np.abs(leftover)) > tol * scale:
-        p = int(np.argmax(np.abs(leftover)))
-        if p != 0:
-            t[:, [0, p]] = t[:, [p, 0]]
-            perm[[rank, rank + p]] = perm[[rank + p, rank]]
-            leftover[[0, p]] = leftover[[p, 0]]
-        if rank < m:
-            # the new pivot row lives in the appended physical row; rotate
-            # it into triangular slot ``rank`` (picks up a sign flip)
-            q.add_givens(rank, m, 0.0, 1.0)
-            leftover = -leftover
-        new_r = np.zeros((rank + 1, rank + 1))
-        new_r[:rank, :rank] = r
-        new_r[:rank, rank] = t[:, 0]
-        new_r[rank, rank] = leftover[0]
-        new_t = np.zeros((rank + 1, max(k - rank - 1, 0)))
-        new_t[:rank, :] = t[:, 1:]
-        new_t[rank, :] = leftover[1:]
-        r = new_r
-        t = new_t
-        rank += 1
-    return Rrqr(
-        q=q,
-        r=r,
-        t=t,
-        perm=perm,
-        rank=rank,
-        tol=tol,
-        shape=(m + 1, k),
-        scale=scale,
     )

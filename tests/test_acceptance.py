@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from hlsp.bench import equality_sweep_problem, solve_with_method
+from hlsp.bench import equality_sweep_problem
 from hlsp.cascade import hybrid_solve, solve_hlsp
 from hlsp.config import SolverConfig
 from hlsp.factorization import rrqr, staged_rrqr
@@ -324,7 +324,7 @@ class TestCriterion8SweepTrend:
             problem = equality_sweep_problem(n, m1e, n, seed=0)
             for method in ("nf-ipm", "ls-ipm", "classical"):
                 t0 = time.perf_counter()
-                rep = solve_with_method(problem, method)
+                rep = solve_hlsp(problem, SolverConfig(method=method))
                 wall = time.perf_counter() - t0
                 rows.append(
                     f"{m1e},{method},{wall:.6f},"

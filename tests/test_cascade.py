@@ -25,6 +25,13 @@ def lvl(n, ae, be, ai, bi):
     )
 
 
+def asm_problem(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    mode = ["feasible", "mixed"][seed % 2]
+    return random_hlsp(seed + 300, n, [(1, 2, 0, mode), (1, 1, 0, "feasible")])
+
+
 def level_work(report):
     """Per-level (iterations, factorizations, asm iterations) of a solve."""
     return [(v.iterations, v.factorizations, v.asm_iterations) for v in report.levels]
@@ -292,13 +299,28 @@ class TestAsm:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_pure_ipm(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        mode = ["feasible", "mixed"][seed % 2]
-        p = random_hlsp(seed + 300, n, [(1, 2, 0, mode), (1, 1, 0, "feasible")])
+        p = asm_problem(seed)
         pure = solve_hlsp(p, SolverConfig(method="nf-ipm"))
         hyb = hybrid_solve(p, SolverConfig(method="nf-ipm-asm"))
         assert np.allclose(pure.objectives, hyb.objectives, atol=1e-6)
+
+    @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
+    def test_exhausted_search_hands_level_to_interior_point(self, method):
+        # with no search budget every level with inequalities goes to the
+        # interior point after the first inner solve
+        for seed in range(8):
+            p = asm_problem(seed)
+            pure = solve_hlsp(p, SolverConfig(method="nf-ipm"))
+            rep = solve_hlsp(p, SolverConfig(method=method, asm_max_iter=0))
+            assert all(lv.asm_iterations == 0 for lv in rep.levels)
+            assert np.allclose(pure.objectives, rep.objectives, atol=1e-6)
+
+    @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
+    def test_every_active_stack_is_factorized(self, method):
+        # the empty stack needs none, then one RRQR per non-empty active
+        # stack ([x >= 1], then both rows) and one for the projection
+        rep = solve_hlsp(two_sided_conflict(), SolverConfig(method=method))
+        assert rep.levels[0].fact_shapes == [(1, 1), (2, 1), (2, 1)]
 
     def test_asm_level_feasibility_direct(self):
         p = two_sided_conflict()
@@ -505,6 +527,21 @@ class TestInvariants:
                 rep.objectives,
                 obj_o,
             )
+
+
+class TestKnownStalls:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="level 2's Mehrotra iterates settle into a period-3 cycle "
+        "at a KKT norm of 3.0e-3 (ROADMAP item 4)",
+    )
+    def test_carried_pair_level_converges(self):
+        # small_oracle seed 613, problem 55: level 2 has two equalities, the
+        # two carried rows of level 1 and n_r = 2
+        specs = [(2, 2, 0, "feasible"), (2, 0, 0, "mixed"), (2, 2, 0, "mixed")]
+        p = random_hlsp(1712024670, 4, specs)
+        rep = solve_hlsp(p, SolverConfig(method="nf-ipm"))
+        assert not rep.levels[1].sub_converged
 
 
 class TestReportShape:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from hlsp.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_IO,
     EXIT_METHOD,
@@ -289,3 +290,41 @@ class TestBenchCommand:
     def test_spec_directory_is_io_error(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["bench", str(tmp_path), "--out", str(out)]) == EXIT_IO
+
+
+def raise_(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+class TestInternalErrors:
+    @pytest.fixture
+    def bench_spec(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"methods": ["nf-ipm"], "instances": []}))
+        return spec_path
+
+    def test_solve_error_is_one_line_and_exit_5(self, problem_file, monkeypatch, capsys):
+        monkeypatch.setattr("hlsp.cli.solve_hlsp", raise_(RuntimeError("boom\nagain")))
+        assert main(["solve", str(problem_file)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: RuntimeError: boom again\n"
+        assert "Traceback" not in err
+
+    def test_bench_error_is_exit_5(self, bench_spec, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("hlsp.cli.run_benchmark", raise_(RuntimeError("boom")))
+        code = main(["bench", str(bench_spec), "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: RuntimeError: boom\n"
+        assert "Traceback" not in err
+
+    def test_usage_error_and_interrupt_pass_through(self, problem_file, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        assert exc.value.code == 2
+        monkeypatch.setattr("hlsp.cli.solve_hlsp", raise_(KeyboardInterrupt()))
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", str(problem_file)])

@@ -9,7 +9,6 @@ from hlsp.factorization import (
     _trsolve,
     nullspace_basis,
     rrqr,
-    rrqr_append_row,
     staged_rrqr,
 )
 
@@ -284,61 +283,6 @@ class TestStagedRrqr:
         assert abs(r_sparse - r_dense) < 1e-10 * max(1.0, r_dense)
 
 
-class TestAppendRow:
-    def test_append_keeps_reconstruction(self):
-        rng = np.random.default_rng(31)
-        a = rng.uniform(-1, 1, (3, 5))
-        f = rrqr(a)
-        row = rng.uniform(-1, 1, 5)
-        f2 = rrqr_append_row(f, row)
-        stacked = np.vstack([a, row])
-        assert f2.rank == reference_rank(stacked)
-        assert np.linalg.norm(f2.reconstruct() - stacked) < 1e-10 * np.linalg.norm(
-            stacked
-        )
-
-    def test_append_dependent_row_keeps_rank(self):
-        rng = np.random.default_rng(33)
-        a = rng.uniform(-1, 1, (2, 4))
-        f = rrqr(a)
-        row = 0.5 * a[0] - 2.0 * a[1]
-        f2 = rrqr_append_row(f, row)
-        assert f2.rank == 2
-        stacked = np.vstack([a, row])
-        assert np.linalg.norm(f2.reconstruct() - stacked) < 1e-10 * np.linalg.norm(
-            stacked
-        )
-
-    def test_append_grows_rank_and_solves(self):
-        rng = np.random.default_rng(35)
-        a = rng.uniform(-1, 1, (2, 4))
-        f = rrqr(a)
-        row = rng.uniform(-1, 1, 4)
-        f2 = rrqr_append_row(f, row)
-        assert f2.rank == 3
-        stacked = np.vstack([a, row])
-        rhs = rng.uniform(-1, 1, 3)
-        x = f2.solve_basic(rhs)
-        res = np.linalg.norm(stacked @ x - rhs)
-        res_ref = dense_ls_residual(stacked, rhs)
-        assert abs(res - res_ref) < 1e-8 * max(1.0, res_ref)
-
-    def test_chained_appends(self):
-        rng = np.random.default_rng(37)
-        a = rng.uniform(-1, 1, (1, 6))
-        f = rrqr(a)
-        rows = [a[0]]
-        for _ in range(5):
-            row = rng.uniform(-1, 1, 6)
-            rows.append(row)
-            f = rrqr_append_row(f, row)
-        stacked = np.vstack(rows)
-        assert f.rank == reference_rank(stacked)
-        assert np.linalg.norm(f.reconstruct() - stacked) < 1e-9 * np.linalg.norm(
-            stacked
-        )
-
-
 PROPERTY = settings(max_examples=60, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -402,22 +346,13 @@ class TestKernelProperties:
         assert safe_norm(a @ z) <= bound
 
     @PROPERTY
-    @given(matrices(), seeds)
-    def test_append_rows_to_lapack_factor_reconstructs(self, a, seed):
+    @given(seeds, st.integers(2, 10), st.integers(1, 8), st.integers(3, 12), st.integers(0, 3))
+    def test_ortho_transform_round_trip(self, seed, n, m_a, m_b, ncols):
+        # stages 2 and 3 over bound rows: Givens rotations for the sparse
+        # columns, reflector blocks once the remaining columns are dense
         rng = np.random.default_rng(seed)
-        f = rrqr(a)
-        stacked = a
-        for _ in range(2):
-            row = rng.uniform(-1, 1, a.shape[1])
-            f = rrqr_append_row(f, row)
-            stacked = np.vstack([stacked, row])
-        assert safe_norm(f.reconstruct() - stacked) <= 1e-8 * safe_norm(stacked)
-
-    @PROPERTY
-    @given(matrices(min_rows=1), seeds, st.integers(0, 3))
-    def test_ortho_transform_round_trip(self, a, seed, ncols):
-        rng = np.random.default_rng(seed)
-        q = rrqr_append_row(rrqr(a), rng.uniform(-1, 1, a.shape[1])).q
+        a = rng.uniform(-1, 1, (m_a, n))
+        q = staged_rrqr(bound_rows(rng, m_b, n), rrqr(a)).stage23
         for b in (rng.uniform(-1, 1, q.m), rng.uniform(-1, 1, (q.m, ncols))):
             assert np.allclose(q.apply(q.apply_transpose(b)), b, atol=1e-12)
             assert np.allclose(q.apply_transpose(q.apply(b)), b, atol=1e-12)
