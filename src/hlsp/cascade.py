@@ -31,6 +31,7 @@ from .problem import (
     ConstraintBlock,
     HlspProblem,
     Level,
+    bound_row_flags,
     tag_bound_rows,
     validate_problem,
 )
@@ -98,15 +99,14 @@ class NullSpaceChain:
 class InactiveCarry:
     """Inequality rows carried forward as feasibility constraints.
 
-    Bound rows are deduplicated per (variable, side); the tighter
-    right-hand side wins.
+    Bound rows, recognised from the matrix by ``bound_row_flags``, are
+    deduplicated per (variable, side); the tighter right-hand side wins.
     """
 
     def __init__(self, n):
         self.n = n
         self.matrix = np.zeros((0, n))
         self.rhs = np.zeros(0)
-        self.is_bound = np.zeros(0, dtype=bool)
 
     @property
     def m(self):
@@ -120,18 +120,16 @@ class InactiveCarry:
         keep = ~mask
         self.matrix = self.matrix[keep]
         self.rhs = self.rhs[keep]
-        self.is_bound = self.is_bound[keep]
 
-    def append(self, rows, rhs, flags):
+    def append(self, rows, rhs):
         if rows.shape[0] == 0:
             return
         index = {}
-        for i in range(self.m):
-            if self.is_bound[i]:
-                index[self._bound_key(self.matrix[i])] = i
-        add_rows, add_rhs, add_flags = [], [], []
+        for i in np.flatnonzero(bound_row_flags(self.matrix)):
+            index[self._bound_key(self.matrix[i])] = i
+        add_rows, add_rhs = [], []
         rhs_new = self.rhs.copy()
-        for row, b, flag in zip(rows, rhs, flags):
+        for row, b, flag in zip(rows, rhs, bound_row_flags(rows)):
             if flag:
                 key = self._bound_key(row)
                 if key in index:
@@ -145,14 +143,10 @@ class InactiveCarry:
                 index[key] = self.m + len(add_rows)
             add_rows.append(row)
             add_rhs.append(b)
-            add_flags.append(flag)
         self.rhs = rhs_new
         if add_rows:
             self.matrix = np.vstack([self.matrix, np.array(add_rows)])
             self.rhs = np.concatenate([self.rhs, np.array(add_rhs)])
-            self.is_bound = np.concatenate(
-                [self.is_bound, np.array(add_flags, dtype=bool)]
-            )
 
 
 @dataclass
@@ -222,12 +216,6 @@ def build_level_context(state: CascadeState, level, config, counters):
     a_eq = level.equalities.matrix
     a_ineq = level.inequalities.matrix
     a_act, b_act, v_act = state.chain.active_stack()
-    proj_eq = a_eq @ basis
-    # classical levels factorize it only when they fall back to a
-    # projected form without barrier rows (``newton._equality_solver``)
-    stage1 = None
-    if config.step_form != "classical":
-        stage1 = rrqr(proj_eq, tol=config.rank_tol, counter=counters)
     return LevelContext(
         n=state.chain.n,
         n_r=state.chain.n_r,
@@ -241,10 +229,10 @@ def build_level_context(state: CascadeState, level, config, counters):
         v_act=v_act,
         a_inact=state.carry.matrix,
         b_inact=state.carry.rhs,
-        proj_eq=proj_eq,
+        proj_eq=a_eq @ basis,
         proj_ineq=a_ineq @ basis,
         proj_inact=state.carry.matrix @ basis,
-        stage1=stage1,
+        stage1=None,
         chain=state.chain,
         counters=counters,
         config=config,
@@ -385,11 +373,7 @@ def project_current(
         state.chain.extend("real", level_index, act_rows, act_rhs, v_star, fact)
         rank_gained = fact.rank
     keep = ~viol
-    state.carry.append(
-        a_ineq[keep].copy(),
-        level.inequalities.rhs[keep].copy(),
-        level.inequalities.is_bound[keep].copy(),
-    )
+    state.carry.append(a_ineq[keep].copy(), level.inequalities.rhs[keep].copy())
     return rank_gained
 
 
@@ -586,7 +570,6 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
             equalities=ConstraintBlock(
                 np.vstack([eq.matrix, ineq.matrix[active]]),
                 np.concatenate([eq.rhs, ineq.rhs[active]]),
-                np.concatenate([eq.is_bound, ineq.is_bound[active]]),
             ),
             inequalities=no_rows,
         )

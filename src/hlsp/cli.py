@@ -1,13 +1,13 @@
 """Command-line entry points: solve, bench, gen.
 
 Exit codes for ``solve``: 0 full convergence, 1 sub-converged, 2
-parse/validation error, 3 I/O error, 4 requested method not applicable
-(fell back on some level). ``bench`` exits 0, 2 for a malformed spec or
-an invalid generated problem, and 3 for an I/O error. ``gen`` exits 0
-when the problem is written, 2 for a bad level spec and 3 for an I/O
-error. Any other error that escapes a command is a defect, not a
-verdict: every command then prints one ``error: <Type>: <message>`` line
-and exits 5 (internal error).
+parse/validation error or an out-of-range solver setting, 3 I/O error,
+4 requested method not applicable (fell back on some level). ``bench``
+exits 0, 2 for a malformed spec or an invalid generated problem, and 3
+for an I/O error. ``gen`` exits 0 when the problem is written, 2 for a
+bad level spec and 3 for an I/O error. Any other error that escapes a
+command is a defect, not a verdict: every command then prints one
+``error: <Type>: <message>`` line and exits 5 (internal error).
 """
 
 from __future__ import annotations
@@ -143,7 +143,11 @@ def cmd_solve(args):
             return EXIT_INVALID
         return _emit(report, args.out, EXIT_OK)
 
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         report = solve_hlsp(problem, config)
     except InvalidProblemError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 METHODS = ("nf-ipm", "ls-ipm", "nf-ipm-asm", "ls-ipm-asm", "classical")
@@ -24,6 +25,18 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        checks = [
+            (name, 0.0 < getattr(self, name) < math.inf, "positive and finite")
+            for name in ("eps", "xi", "rank_tol", "solve_tol")
+        ] + [
+            ("tau", 0.0 < self.tau < 1.0, "in (0, 1)"),
+            ("max_iter", self.max_iter >= 0, ">= 0"),
+            ("asm_max_iter", self.asm_max_iter >= 0, ">= 0"),
+            ("density_threshold", 0.0 <= self.density_threshold < math.inf, ">= 0 and finite"),
+        ]
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     @property
     def step_form(self):

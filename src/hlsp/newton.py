@@ -80,11 +80,12 @@ class StepDirection:
 class LevelContext:
     """Constant data of one level's Newton loop.
 
-    Projected blocks share the remaining-variable column count; the
-    factorization of the projected equality block is computed once per
-    level and reused by the least-squares form, by both projected forms on
-    levels without barrier rows and, when the active set turns out to be
-    the equalities alone, by the null-space projection.
+    Projected blocks share the remaining-variable column count. The
+    factorization of the projected equality block, ``stage1``, is made on
+    first read by ``equality_factorization`` and then reused: by the
+    least-squares form, by both projected forms on levels without barrier
+    rows and, when the active set turns out to be the equalities alone, by
+    the null-space projection. Levels that read none of these make none.
     """
 
     n: int
@@ -106,6 +107,12 @@ class LevelContext:
     chain: object
     counters: Counters
     config: object
+
+    def equality_factorization(self):
+        """The counted RRQR of ``proj_eq``, made on first read."""
+        if self.stage1 is None:
+            self.stage1 = rrqr(self.proj_eq, tol=self.config.rank_tol, counter=self.counters)
+        return self.stage1
 
     @property
     def m_eq(self):
@@ -435,16 +442,10 @@ def _step_solver(ctx, s, form):
 
 
 def _equality_solver(ctx, s):
-    """Basic least-squares step on the projected equality block's RRQR.
-
-    Classical contexts retain no such factorization; it is made here when
-    one of their levels falls back to a projected form, and the level's
-    projection then reuses it.
-    """
-    if ctx.stage1 is None:
-        ctx.stage1 = rrqr(ctx.proj_eq, tol=ctx.config.rank_tol, counter=ctx.counters)
+    """Basic least-squares step on the projected equality block's RRQR."""
+    stage1 = ctx.equality_factorization()
     rhs_eq = ctx.b_eq - ctx.a_eq @ s.x
-    return lambda f_vec, g_vec: ctx.stage1.solve_basic(rhs_eq)
+    return lambda f_vec, g_vec: stage1.solve_basic(rhs_eq)
 
 
 def _normal_solver(ctx, s):
@@ -477,7 +478,7 @@ def _ls_solver(ctx, s):
     )
     staged = staged_rrqr(
         top,
-        ctx.stage1,
+        ctx.equality_factorization(),
         density_threshold=ctx.config.density_threshold,
         tol=ctx.config.solve_tol,
         counter=ctx.counters,

@@ -2,10 +2,11 @@
 
 A problem is an ordered stack of priority levels over n shared variables.
 Each level carries an equality block (A x - b = v) and an inequality block
-with the convention A x - b >= 0 for feasibility. Rows with exactly one
-entry of magnitude one are flagged as bounds; two-sided bounds are two
-rows. Instances are immutable after construction and safe to share across
-solver instances.
+with the convention A x - b >= 0 for feasibility. A block is its matrix
+and right-hand side alone: bound rows (exactly one nonzero, of magnitude
+one) are recognised from the matrix by ``bound_row_flags`` where the
+cascade merges them; two-sided bounds are two rows. Instances are
+immutable after construction and safe to share across solver instances.
 """
 
 from __future__ import annotations
@@ -35,25 +36,18 @@ def _lock(a):
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """One m x n constraint block with its right-hand side and bound flags."""
+    """One m x n constraint block with its right-hand side."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    is_bound: np.ndarray = None
 
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if matrix.size == 0:
             matrix = matrix.reshape(0, matrix.shape[1] if matrix.ndim == 2 else 0)
         rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
-        flags = self.is_bound
-        if flags is None:
-            flags = bound_row_flags(matrix)
-        flags = np.asarray(flags, dtype=bool).reshape(-1)
         object.__setattr__(self, "matrix", _lock(matrix))
         object.__setattr__(self, "rhs", _lock(rhs))
-        flags.setflags(write=False)
-        object.__setattr__(self, "is_bound", flags)
 
     @classmethod
     def empty(cls, n):
@@ -103,7 +97,7 @@ def validate_problem(problem: HlspProblem):
         violations.append(f"variable count {problem.n} < 1")
     for idx, level in enumerate(problem.levels, start=1):
         for name, block in (("equality", level.equalities), ("inequality", level.inequalities)):
-            if block.m > 0 and block.ncols != problem.n:
+            if block.ncols != problem.n:
                 violations.append(
                     f"column count mismatch at level {idx}: {name} block has "
                     f"{block.ncols} columns, expected {problem.n}"
@@ -117,46 +111,18 @@ def validate_problem(problem: HlspProblem):
                 violations.append(
                     f"non-finite entry at level {idx}: {name} block holds NaN or Inf"
                 )
-            if block.is_bound.shape[0] != block.m:
-                violations.append(
-                    f"bound flag length mismatch at level {idx} ({name} block)"
-                )
-                continue
-            true_flags = bound_row_flags(block.matrix)
-            for r in range(block.m):
-                if block.is_bound[r] and not true_flags[r]:
-                    nnz = np.count_nonzero(block.matrix[r])
-                    if nnz != 1:
-                        violations.append(
-                            f"level {idx} {name} row {r}: flagged as bound but has "
-                            f"{nnz} nonzeros"
-                        )
-                    else:
-                        violations.append(
-                            f"level {idx} {name} row {r}: bound row magnitude != 1"
-                        )
-                elif not block.is_bound[r] and true_flags[r]:
-                    violations.append(
-                        f"level {idx} {name} row {r}: bound row left unflagged"
-                    )
     return violations
 
 
 def tag_bound_rows(problem: HlspProblem):
-    """Return a copy with is_bound recomputed on every block (idempotent)."""
-    levels = []
-    for level in problem.levels:
-        levels.append(
-            Level(
-                equalities=ConstraintBlock(
-                    level.equalities.matrix, level.equalities.rhs
-                ),
-                inequalities=ConstraintBlock(
-                    level.inequalities.matrix, level.inequalities.rhs
-                ),
-            )
-        )
-    return HlspProblem(n=problem.n, levels=tuple(levels), witness_x0=problem.witness_x0)
+    """Return ``problem`` unchanged.
+
+    Bound rows need no tag: the inactive carry recognises them from the
+    matrix with ``bound_row_flags``. The pass stays only because the
+    benchmark's per-layer metrics time it; ROADMAP item 1 drops that span
+    and frees the function for deletion.
+    """
+    return problem
 
 
 FEASIBILITY_MODES = ("feasible", "infeasible", "mixed")

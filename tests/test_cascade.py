@@ -12,7 +12,7 @@ from hlsp.cascade import (
     project_inactive,
     solve_hlsp,
 )
-from hlsp.config import SolverConfig
+from hlsp.config import METHODS, SolverConfig
 from hlsp.newton import Counters, initial_state
 from hlsp.oracle import brute_force_cascade, cascade_objectives
 from hlsp.problem import ConstraintBlock, HlspProblem, Level, random_hlsp
@@ -178,9 +178,7 @@ class TestProjections:
 
     def test_saturated_with_significant_dual_activates(self):
         state = CascadeState.fresh(2)
-        state.carry.append(
-            np.array([[1.0, 0.0]]), np.array([1.0]), np.array([True])
-        )
+        state.carry.append(np.array([[1.0, 0.0]]), np.array([1.0]))
         config = SolverConfig()
         counters = Counters()
 
@@ -201,7 +199,7 @@ class TestProjections:
 
     def test_accidentally_saturated_not_activated(self):
         state = CascadeState.fresh(2)
-        state.carry.append(np.array([[1.0, 0.0]]), np.array([1.0]), np.array([True]))
+        state.carry.append(np.array([[1.0, 0.0]]), np.array([1.0]))
         config = SolverConfig()
         counters = Counters()
 
@@ -235,21 +233,17 @@ class TestProjections:
 
     def test_tighter_bound_merging(self):
         state = CascadeState.fresh(3)
+        state.carry.append(np.array([[0.0, 1.0, 0.0]]), np.array([0.3]))
         state.carry.append(
-            np.array([[0.0, 1.0, 0.0]]), np.array([0.3]), np.array([True])
-        )
-        state.carry.append(
-            np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
-            np.array([0.7, 2.0]),
-            np.array([True, False]),
+            np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]), np.array([0.7, 2.0])
         )
         assert state.carry.m == 2
         assert state.carry.rhs[0] == 0.7
 
     def test_opposite_side_bounds_not_merged(self):
         state = CascadeState.fresh(2)
-        state.carry.append(np.array([[0.0, 1.0]]), np.array([0.3]), np.array([True]))
-        state.carry.append(np.array([[0.0, -1.0]]), np.array([-0.9]), np.array([True]))
+        state.carry.append(np.array([[0.0, 1.0]]), np.array([0.3]))
+        state.carry.append(np.array([[0.0, -1.0]]), np.array([-0.9]))
         assert state.carry.m == 2
 
     def test_duplicate_bounds_within_one_batch_merge(self):
@@ -257,10 +251,44 @@ class TestProjections:
         state.carry.append(
             np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
             np.array([0.3, 0.9, 0.1]),
-            np.array([True, True, True]),
         )
         assert state.carry.m == 2
         assert state.carry.rhs[0] == 0.9
+
+
+def box_and_task():
+    """A box, then rows that repeat two of its bounds, then a task."""
+    box = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]
+    return HlspProblem(
+        n=3,
+        levels=(
+            lvl(3, np.zeros((0, 3)), [], box, [-1, -1, -2, -2]),
+            lvl(3, np.zeros((0, 3)), [], [[1, 0, 0], [0, -1, 0], [0.5, 0.5, 1]],
+                [0.5, -1.5, 0.2]),
+            lvl(3, np.eye(3), [0, 3, 1], np.zeros((0, 3)), []),
+        ),
+    )
+
+
+class TestBoundRows:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_merged_bounds_match_brute_force(self, method):
+        p = box_and_task()
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        _, v_o = brute_force_cascade(p)
+        assert np.allclose(rep.objectives, cascade_objectives(p, v_o), rtol=0, atol=1e-6)
+        # the two bound rows of level 2 merge into the box: 4 + 1, not 4 + 3
+        assert rep.levels[2].m_inact == 5
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_level_context_factorizes_nothing_up_front(method):
+    counters = Counters()
+    build_level_context(
+        CascadeState.fresh(2), lvl(2, [[1, 1]], [1], [[1, 0]], [0]),
+        SolverConfig(method=method), counters,
+    )
+    assert counters.factorizations == 0
 
 
 class TestAsm:

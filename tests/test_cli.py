@@ -163,6 +163,28 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--method", method]) == EXIT_INVALID
 
 
+    @pytest.mark.parametrize(
+        "method,flag,value",
+        [
+            ("ls-ipm", "--tau", "1.5"),
+            ("ls-ipm", "--tau", "nan"),
+            ("nf-ipm", "--tau", "-1"),
+            ("classical", "--tau", "-1"),
+            ("nf-ipm", "--eps", "-1"),
+            ("nf-ipm", "--xi", "-1"),
+            ("nf-ipm", "--max-iter", "-3"),
+            ("ls-ipm", "--density-threshold", "inf"),
+        ],
+    )
+    def test_out_of_range_setting_is_invalid(
+        self, problem_file, capsys, method, flag, value
+    ):
+        code = main(["solve", str(problem_file), "--method", method, flag, value])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestGenCommand:
     def test_gen_then_solve(self, tmp_path):
         path = tmp_path / "gen.json"

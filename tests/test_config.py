@@ -27,3 +27,29 @@ def test_step_form_mapping():
     assert SolverConfig(method="classical").step_form == "classical"
     assert SolverConfig(method="ls-ipm-asm").uses_asm
     assert not SolverConfig(method="ls-ipm").uses_asm
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tau", 0.0),
+        ("tau", 1.0),
+        ("tau", float("nan")),
+        ("eps", 0.0),
+        ("xi", -1e-8),
+        ("rank_tol", float("inf")),
+        ("solve_tol", float("nan")),
+        ("max_iter", -1),
+        ("asm_max_iter", -1),
+        ("density_threshold", -0.1),
+        ("density_threshold", float("inf")),
+    ],
+)
+def test_rejects_out_of_range_setting(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_accepts_edge_settings():
+    cfg = SolverConfig(tau=0.5, max_iter=0, asm_max_iter=0, density_threshold=0.0)
+    assert cfg.max_iter == 0

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from hlsp.cascade import InvalidProblemError, solve_hlsp
+from hlsp.config import METHODS, SolverConfig
 from hlsp.fileio import (
     ProblemFormatError,
     load_problem,
@@ -49,31 +50,20 @@ class TestValidate:
         msgs = validate_problem(p)
         assert any("column count mismatch at level 1" in m for m in msgs)
 
-    def test_misflagged_bound_magnitude(self):
-        block = ConstraintBlock(
-            np.array([[0.0, 2.0, 0.0]]),
-            np.array([1.0]),
-            is_bound=np.array([True]),
-        )
-        p = HlspProblem(
-            n=3,
-            levels=(Level(equalities=block, inequalities=ConstraintBlock.empty(3)),),
-        )
-        msgs = validate_problem(p)
-        assert any("bound row magnitude != 1" in m for m in msgs)
-
-    def test_unflagged_bound_row_reported(self):
-        block = ConstraintBlock(
-            np.array([[0.0, -1.0, 0.0]]),
-            np.array([1.0]),
-            is_bound=np.array([False]),
-        )
-        p = HlspProblem(
-            n=3,
-            levels=(Level(equalities=ConstraintBlock.empty(3), inequalities=block),),
-        )
-        msgs = validate_problem(p)
-        assert any("left unflagged" in m for m in msgs)
+    @pytest.mark.parametrize(
+        "block,ncols",
+        [(ConstraintBlock([], []), 0), (ConstraintBlock(np.zeros((0, 3)), []), 3)],
+    )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_block_column_mismatch_reported(self, block, ncols, method):
+        level = Level(ConstraintBlock(np.eye(2), np.ones(2)), inequalities=block)
+        p = HlspProblem(n=2, levels=(level,))
+        assert validate_problem(p) == [
+            f"column count mismatch at level 1: inequality block has {ncols} "
+            "columns, expected 2"
+        ]
+        with pytest.raises(InvalidProblemError, match="column count mismatch"):
+            solve_hlsp(p, SolverConfig(method=method))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["A_e", "b_e", "A_i", "b_i"])
@@ -107,11 +97,7 @@ class TestBoundTagging:
 
     def test_tagging_is_idempotent(self):
         p = random_hlsp(4, 5, [(2, 3, 0, "mixed")])
-        once = tag_bound_rows(p)
-        twice = tag_bound_rows(once)
-        for l1, l2 in zip(once.levels, twice.levels):
-            assert np.array_equal(l1.inequalities.is_bound, l2.inequalities.is_bound)
-            assert np.array_equal(l1.equalities.is_bound, l2.equalities.is_bound)
+        assert tag_bound_rows(p) is p
 
     def test_blocks_are_immutable(self):
         p = random_hlsp(4, 3, [(1, 1, 0, "feasible")])
