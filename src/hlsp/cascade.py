@@ -12,7 +12,7 @@ through the barrier.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .newton import (
     converged,
     initial_state,
     mehrotra_iteration,
+    recover_equality_dual,
 )
 from .problem import (
     ConstraintBlock,
@@ -233,7 +234,7 @@ def build_level_context(state: CascadeState, level, config, counters):
         proj_ineq=a_ineq @ basis,
         proj_inact=state.carry.matrix @ basis,
         stage1=None,
-        chain=state.chain,
+        stages=tuple(state.chain.stages),
         counters=counters,
         config=config,
     )
@@ -247,7 +248,7 @@ def _snapshot(s):
         s.w_ineq.copy(),
         s.w_inact.copy(),
         s.lam_inact.copy(),
-        None if s.lam_act is None else s.lam_act.copy(),
+        s.lam_act.copy(),
     )
 
 
@@ -261,10 +262,12 @@ def _level_form(ctx):
     The term's rank equals the rank of the stacked level and carried rows
     (the barrier weights are positive diagonals), so applicability is
     structural and probed once; a rank lost to rounding inside the Newton
-    loop is caught by ``solve_hlsp``. Returns (form, fell_back).
+    loop is caught by ``solve_hlsp``. A level without rows of its own or
+    carried ones has nothing to factorize and is not probed. Returns
+    (form, fell_back).
     """
     cfg = ctx.config
-    if cfg.step_form != "classical":
+    if cfg.step_form != "classical" or not (ctx.m_eq or ctx.m_ineq or ctx.m_inact):
         return cfg.step_form, False
     stacked = np.vstack([ctx.a_eq, ctx.a_ineq, ctx.a_inact])
     if rrqr(stacked, tol=cfg.rank_tol).rank < ctx.n:
@@ -275,19 +278,17 @@ def _level_form(ctx):
 def newton_loop(ctx, s, form=None):
     """Run the level to optimality; returns (converged, kkt_norm).
 
-    Levels without barrier rows have a linear optimality system and are
-    solved in a single iteration without a prior convergence test. The
-    iteration cap applies per call, so active-set re-solves get a fresh
-    budget. The best iterate seen is kept; when the residual stops
-    improving near the numerical floor the loop exits and restores it.
+    Every iteration is followed by the dual-free convergence test, and the
+    loop tests once before its first step. Levels without barrier rows have
+    a linear optimality system: unless the start is already optimal, they
+    fail the first test, take one step and pass the second. The iteration
+    cap applies per call, so active-set re-solves get a fresh budget. The
+    best iterate seen is kept; when the residual stops improving near the
+    numerical floor the loop exits and restores it.
     """
     cfg = ctx.config
     if form is None:
         form = _level_form(ctx)[0]
-    if ctx.m_ineq == 0 and ctx.m_inact == 0:
-        if ctx.m_eq > 0 and ctx.n_r > 0:
-            mehrotra_iteration(ctx, s, form)
-        return converged(ctx, s, cfg.eps)
     start = ctx.counters.newton_iterations
     conv, norm = converged(ctx, s, cfg.eps)
     best_norm, best = norm, _snapshot(s)
@@ -414,7 +415,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
 
     The single entry point for every method: the ``-asm`` methods run the
     active-set search on levels with inequalities, the others the
-    interior point alone.
+    interior point alone. The active-constraint duals in ``last_duals``
+    take one chain walk, made after the cascade for the last level solved
+    and counted in that level's ``dual_evaluations``.
     """
     config = config if config is not None else SolverConfig()
     violations = validate_problem(problem)
@@ -423,14 +426,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     problem = tag_bound_rows(problem)
     n = problem.n
     t_start = time.perf_counter()
-    x = (
-        np.asarray(config.warm_start_x, dtype=float).copy()
-        if config.warm_start_x is not None
-        else np.zeros(n)
-    )
+    x = _warm_start_x(config, n)
     state = CascadeState.fresh(n)
     level_reports = []
-    last_duals = {}
     all_converged = True
     exhausted = False
 
@@ -442,12 +440,12 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         counters = Counters()
         n_r_before = state.chain.n_r
         m_inact_seen = state.carry.m
-        warm_set = _warm_set_for(config, idx)
+        warm_set = tuple((config.warm_active_sets or {}).get(idx, ()))
 
         fell_back = False
         conv, retained = None, None
         if config.uses_asm and level.inequalities.m > 0:
-            s, conv, norm = asm_level_feasibility(
+            ctx, s, conv, norm = asm_level_feasibility(
                 state, level, x, config, counters, warm_set
             )
             x = s.x
@@ -469,6 +467,8 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         x = s.x
         sub = not conv
         all_converged = all_converged and conv
+        # the projection trims the carried rows of s; the walk needs them
+        final = replace(s)
 
         rank_virtual = project_inactive(
             state, s, config.xi, idx, counters, config.rank_tol
@@ -488,56 +488,59 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 retained=retained,
             )
         objective, v_norm = _level_objective(level, x)
-        level_reports.append(
-            LevelReport(
-                level=idx,
-                m_eq=level.equalities.m,
-                m_ineq=level.inequalities.m,
-                m_inact=m_inact_seen,
-                n_r_before=n_r_before,
-                n_r_after=state.chain.n_r,
-                rank_virtual=rank_virtual,
-                rank_current=rank_current,
-                iterations=counters.newton_iterations,
-                factorizations=counters.factorizations,
-                dual_evaluations=counters.dual_evaluations,
-                asm_iterations=counters.asm_iterations,
-                kkt_norm=norm,
-                sub_converged=sub,
-                method_fallback=fell_back,
-                v_star_norm=v_norm,
-                objective=objective,
-                fact_shapes=counters.fact_shapes,
-                wall_time_s=time.perf_counter() - t0,
-            )
+        report = LevelReport(
+            level=idx,
+            m_eq=level.equalities.m,
+            m_ineq=level.inequalities.m,
+            m_inact=m_inact_seen,
+            n_r_before=n_r_before,
+            n_r_after=state.chain.n_r,
+            rank_virtual=rank_virtual,
+            rank_current=rank_current,
+            iterations=counters.newton_iterations,
+            factorizations=counters.factorizations,
+            dual_evaluations=0,
+            asm_iterations=counters.asm_iterations,
+            kkt_norm=norm,
+            sub_converged=sub,
+            method_fallback=fell_back,
+            v_star_norm=v_norm,
+            objective=objective,
+            fact_shapes=counters.fact_shapes,
+            wall_time_s=time.perf_counter() - t0,
         )
-        last_duals = {
-            "lam_act": s.lam_act if s.lam_act is not None else np.zeros(0),
-            "lam_inact": s.lam_inact,
-        }
+        level_reports.append(report)
         if state.chain.total_rank >= n:
             exhausted = True
 
+    # ctx, final, report and s still hold the last solved level: the
+    # trivial levels after an exhausted chain reassign none of them
+    lam_act = np.zeros(0)
+    if ctx.m_act:
+        lam_act = recover_equality_dual(ctx, final)
+        report.dual_evaluations += 1
     return SolveReport(
         method=config.method,
         config=config.to_dict(),
         x=x,
         converged=all_converged,
         levels=level_reports,
-        last_duals=last_duals,
+        last_duals={"lam_act": lam_act, "lam_inact": s.lam_inact},
         wall_time_s=time.perf_counter() - t_start,
     )
 
 
-def _warm_set_for(config, level_index):
-    sets = config.warm_active_sets
-    if not sets:
-        return ()
-    if isinstance(sets, dict):
-        return tuple(sets.get(level_index, ()))
-    if level_index - 1 < len(sets):
-        return tuple(sets[level_index - 1])
-    return ()
+def _warm_start_x(config, n):
+    if config.warm_start_x is None:
+        return np.zeros(n)
+    try:
+        x = np.array(config.warm_start_x, dtype=float)
+        valid = x.shape == (n,) and np.isfinite(x).all()
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"warm_start_x must be a finite vector of length {n}")
+    return x
 
 
 def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
@@ -557,9 +560,10 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
     equality block, so ``build_level_context`` refactorizes the active stack
     after every add and every remove. The carried constraints of the higher
     levels stay enforced through the barrier inside every inner solve.
-    Returns (s, conv, norm). A repeated active set or an exhausted iteration
-    budget ends the search with ``conv`` None and its last primal in
-    ``s.x``, from which ``solve_hlsp`` runs the interior point on the level.
+    Returns (ctx, s, conv, norm) of the last inner solve. A repeated active
+    set or an exhausted iteration budget ends the search with ``conv`` None
+    and its last primal in ``s.x``, from which ``solve_hlsp`` runs the
+    interior point on the level.
     """
     eq, ineq = level.equalities, level.inequalities
     active = [int(j) for j in warm_set if 0 <= int(j) < ineq.m]
@@ -581,7 +585,7 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
         x = s.x
 
         if counters.asm_iterations >= config.asm_max_iter:
-            return s, None, norm
+            return ctx, s, None, norm
         residuals = ineq.matrix @ x - ineq.rhs
         inactive_rows = [j for j in range(ineq.m) if j not in active]
         violated = [j for j in inactive_rows if residuals[j] < -config.xi]
@@ -597,10 +601,10 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
         counters.asm_iterations += 1
         key = frozenset(active)
         if key in seen_sets:
-            return s, None, norm
+            return ctx, s, None, norm
         seen_sets.add(key)
 
     # hand the explicit slack split to the projection step
     s.v_ineq = np.minimum(residuals, 0.0)
     s.w_ineq = np.maximum(residuals, 0.0)
-    return s, conv, norm
+    return ctx, s, conv, norm

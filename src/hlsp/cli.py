@@ -55,8 +55,6 @@ def _parser():
                        help="Newton iteration cap per level (default 50)")
     solve.add_argument("--tau", type=float, default=0.995,
                        help="fraction-to-boundary factor (default 0.995)")
-    solve.add_argument("--density-threshold", type=float, default=0.4,
-                       help="Givens/Householder density crossover (default 0.4)")
     solve.add_argument("--out", default=None, help="report path (default stdout)")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
@@ -83,7 +81,6 @@ def _config_from_args(args):
         xi=args.xi,
         max_iter=args.max_iter,
         tau=args.tau,
-        density_threshold=args.density_threshold,
     )
 
 

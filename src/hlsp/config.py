@@ -15,7 +15,6 @@ class SolverConfig:
     xi: float = 1e-8
     max_iter: int = 50
     tau: float = 0.995
-    density_threshold: float = 0.4
     rank_tol: float = 1e-10
     solve_tol: float = 1e-15
     asm_max_iter: int = 200
@@ -32,11 +31,15 @@ class SolverConfig:
             ("tau", 0.0 < self.tau < 1.0, "in (0, 1)"),
             ("max_iter", self.max_iter >= 0, ">= 0"),
             ("asm_max_iter", self.asm_max_iter >= 0, ">= 0"),
-            ("density_threshold", 0.0 <= self.density_threshold < math.inf, ">= 0 and finite"),
+            (
+                "warm_active_sets",
+                self.warm_active_sets is None or isinstance(self.warm_active_sets, dict),
+                "a {level: rows} dict",
+            ),
         ]
         for name, ok, rule in checks:
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def step_form(self):

@@ -4,8 +4,11 @@ The level problem couples the current equality and inequality blocks with
 the carried inactive constraints of the higher levels, all projected into
 the accumulated null-space basis. One Newton iteration factorizes the
 system once and reuses the factorization for the affine predictor and the
-centered corrector. Equality-constraint duals are recovered lazily, only
-when the cheap part of the optimality residual already passes.
+centered corrector. The convergence test needs no active-constraint dual:
+the chain basis annihilates every active row, so stationarity is measured
+in that basis. Only the reported duals are recovered, by one walk over the
+chain (``recover_equality_dual``) that ``solve_hlsp`` makes at most once
+per solve.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ class Counters:
 
     newton_iterations: int = 0
     factorizations: int = 0
-    dual_evaluations: int = 0
     asm_iterations: int = 0
     fact_shapes: list = field(default_factory=list)
 
@@ -50,8 +52,9 @@ class IterateState:
 
     Sign conditions after every accepted step: v_ineq <= 0, w_ineq >= 0,
     w_inact >= 0, lam_inact >= 0. The equality and inequality duals are
-    implicit (lam_eq = -v_eq, lam_ineq = -v_ineq); lam_act is filled in
-    lazily by the convergence test.
+    implicit (lam_eq = -v_eq, lam_ineq = -v_ineq). The active-constraint
+    duals lam_act start at zero and only the classical step moves them; the
+    projected forms neither read nor move them.
     """
 
     x: np.ndarray
@@ -60,7 +63,7 @@ class IterateState:
     w_ineq: np.ndarray
     w_inact: np.ndarray
     lam_inact: np.ndarray
-    lam_act: np.ndarray = None
+    lam_act: np.ndarray
 
 
 @dataclass
@@ -72,7 +75,7 @@ class StepDirection:
     dw_ineq: np.ndarray
     dw_inact: np.ndarray
     dlam_inact: np.ndarray
-    dlam_act: np.ndarray = None
+    dlam_act: np.ndarray = field(default_factory=lambda: np.zeros(0))
     alpha: float = None
 
 
@@ -86,6 +89,8 @@ class LevelContext:
     least-squares form, by both projected forms on levels without barrier
     rows and, when the active set turns out to be the equalities alone, by
     the null-space projection. Levels that read none of these make none.
+    ``stages`` are the chain stages in force when the context was built;
+    their rows stack into ``a_act``.
     """
 
     n: int
@@ -104,7 +109,7 @@ class LevelContext:
     proj_ineq: np.ndarray
     proj_inact: np.ndarray
     stage1: object
-    chain: object
+    stages: tuple
     counters: Counters
     config: object
 
@@ -141,7 +146,7 @@ def initial_state(ctx: LevelContext, x):
         w_ineq=np.ones(ctx.m_ineq),
         w_inact=np.ones(ctx.m_inact),
         lam_inact=np.ones(ctx.m_inact),
-        lam_act=np.zeros(ctx.m_act) if ctx.config.step_form == "classical" else None,
+        lam_act=np.zeros(ctx.m_act),
     )
 
 
@@ -151,33 +156,26 @@ def _clamped_pivot(s: IterateState):
     return np.where(d > -PIVOT_CLAMP, -PIVOT_CLAMP, d)
 
 
-def assemble_f_g(ctx, s, sigma_mu_ineq, sigma_mu_inact, mode="plain", affine_products=None):
+def assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=None):
     """Right-hand-side bundles for the eliminated barrier variables.
 
-    ``affine_products`` carries the elementwise predictor cross terms
+    ``cross`` carries the corrector's elementwise predictor cross terms
     (dlam_aff * dw_aff over the inactive rows, dv_aff * dw_aff over the
-    current inequalities) and is required exactly in corrector mode.
+    current inequalities); the affine predictor passes none and zero
+    centering.
     """
-    if mode == "corrector" and affine_products is None:
-        raise ValueError("corrector mode requires the affine cross products")
-    if mode == "affine":
-        sigma_mu_ineq = 0.0
-        sigma_mu_inact = 0.0
-    cross_inact = np.zeros(ctx.m_inact)
-    cross_ineq = np.zeros(ctx.m_ineq)
-    if mode == "corrector":
-        cross_inact, cross_ineq = affine_products
+    cross_inact, cross_ineq = (0.0, 0.0) if cross is None else cross
 
     if ctx.m_inact:
         res = ctx.b_inact - ctx.a_inact @ s.x
-        f = s.lam_inact + (s.lam_inact * res + sigma_mu_inact - cross_inact) / s.w_inact
+        f = s.lam_inact + (s.lam_inact * res + smu_inact - cross_inact) / s.w_inact
     else:
         f = np.zeros(0)
 
     if ctx.m_ineq:
         d = _clamped_pivot(s)
         axbw = ctx.a_ineq @ s.x - ctx.b_ineq - s.w_ineq
-        g = -axbw - (sigma_mu_ineq + cross_ineq + s.w_ineq * axbw) / d
+        g = -axbw - (smu_ineq + cross_ineq + s.w_ineq * axbw) / d
     else:
         g = np.zeros(0)
     return f, g
@@ -191,23 +189,20 @@ def kkt_residual(ctx, s, sigma_mu_ineq, sigma_mu_inact):
     consistency, inactive-constraint consistency, inactive
     complementarity.
     """
-    if ctx.m_act and s.lam_act is None:
-        raise ValueError("stationarity block requested without lam_act")
-    blocks = [_stationarity(ctx, s)]
+    blocks = [_dual_free_stationarity(ctx, s) - ctx.a_act.T @ s.lam_act]
     blocks.extend(_partial_blocks(ctx, s, sigma_mu_ineq, sigma_mu_inact))
     k = np.concatenate(blocks)
     return k, float(np.linalg.norm(k))
 
 
-def _stationarity(ctx, s):
-    k1 = ctx.a_eq.T @ s.v_eq
+def _dual_free_stationarity(ctx, s):
+    """The stationarity block without its active-row term."""
+    r = ctx.a_eq.T @ s.v_eq
     if ctx.m_ineq:
-        k1 = k1 + ctx.a_ineq.T @ s.v_ineq
-    if ctx.m_act:
-        k1 = k1 - ctx.a_act.T @ s.lam_act
+        r = r + ctx.a_ineq.T @ s.v_ineq
     if ctx.m_inact:
-        k1 = k1 - ctx.a_inact.T @ s.lam_inact
-    return k1
+        r = r - ctx.a_inact.T @ s.lam_inact
+    return r
 
 
 def _partial_blocks(ctx, s, sigma_mu_ineq, sigma_mu_inact):
@@ -323,7 +318,7 @@ def apply_step(ctx, s, d: StepDirection, alpha):
     if ctx.m_inact:
         s.w_inact = s.w_inact + alpha * d.dw_inact
         s.lam_inact = s.lam_inact + alpha * d.dlam_inact
-    if d.dlam_act is not None and s.lam_act is not None and d.dlam_act.size:
+    if d.dlam_act.size:
         s.lam_act = s.lam_act + alpha * d.dlam_act
     # keeping the equality slack consistent preserves the feasibility of
     # the reduced system's right-hand side across iterations
@@ -358,7 +353,7 @@ def mehrotra_iteration(ctx, s, form):
         apply_step(ctx, s, d, 1.0)
         return d
 
-    f_aff, g_aff = assemble_f_g(ctx, s, 0.0, 0.0, mode="affine")
+    f_aff, g_aff = assemble_f_g(ctx, s, 0.0, 0.0)
     d_aff = solve(f_aff, g_aff)
     alpha_aff = line_search(s, d_aff, 1.0)
 
@@ -379,9 +374,7 @@ def mehrotra_iteration(ctx, s, form):
         d_aff.dlam_inact * d_aff.dw_inact,
         d_aff.dv_ineq * d_aff.dw_ineq,
     )
-    f_cor, g_cor = assemble_f_g(
-        ctx, s, smu_ineq, smu_inact, mode="corrector", affine_products=products
-    )
+    f_cor, g_cor = assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=products)
     d = solve(f_cor, g_cor)
     alpha = line_search(s, d, tau)
     d.alpha = alpha
@@ -477,11 +470,7 @@ def _ls_solver(ctx, s):
         [ctx.proj_inact * sq_inact[:, None], ctx.proj_ineq * sq_ineq[:, None]]
     )
     staged = staged_rrqr(
-        top,
-        ctx.equality_factorization(),
-        density_threshold=ctx.config.density_threshold,
-        tol=ctx.config.solve_tol,
-        counter=ctx.counters,
+        top, ctx.equality_factorization(), tol=ctx.config.solve_tol, counter=ctx.counters
     )
 
     def solve(f_vec, g_vec):
@@ -498,21 +487,18 @@ def _ls_solver(ctx, s):
     return solve
 
 
-def recover_equality_dual(chain, ctx, s):
+def recover_equality_dual(ctx, s):
     """Active-constraint duals from the stationarity block set to zero.
 
-    Walks the null-space chain backwards, reusing each stage's retained
-    factorization and subtracting the contributions of the stages already
-    resolved.
+    Walks the context's chain stages backwards, reusing each stage's
+    retained factorization and subtracting the contributions of the stages
+    already resolved. Each stage's basic solve zeroes the pivot components
+    of the remainder, so the stationarity left at these duals has the norm
+    of ``basis.T @ r``, the quantity ``converged`` measures.
     """
-    rhs = ctx.a_eq.T @ s.v_eq if ctx.m_eq else np.zeros(ctx.n)
-    if ctx.m_ineq:
-        rhs = rhs + ctx.a_ineq.T @ s.v_ineq
-    if ctx.m_inact:
-        rhs = rhs - ctx.a_inact.T @ s.lam_inact
-    remaining = np.asarray(rhs, dtype=float).reshape(ctx.n).copy()
+    remaining = _dual_free_stationarity(ctx, s)
     parts = []
-    for stage in reversed(chain.stages):
+    for stage in reversed(ctx.stages):
         c = stage.basis_before.T @ remaining
         lam_j = stage.fact.solve_transpose_basic(c)
         parts.append(lam_j)
@@ -522,20 +508,20 @@ def recover_equality_dual(chain, ctx, s):
 
 
 def converged(ctx, s, eps):
-    """Lazy optimality test: duals only when the cheap blocks pass.
+    """Optimality test with stationarity measured in the chain basis.
 
-    Returns (converged, norm); the norm is the partial norm when the
-    early-out fires and the full norm otherwise.
+    The basis annihilates every active row, so the projected stationarity
+    ``g_r = basis.T @ r`` of the dual-free block r needs no active dual; its
+    norm is that of the stationarity block at ``recover_equality_dual``'s
+    duals. Returns (converged, norm); the norm is the partial norm when the
+    early-out fires and ``hypot(partial, |g_r|)`` otherwise. Reads only.
     """
     partial = np.concatenate(_partial_blocks(ctx, s, 0.0, 0.0))
     pn = float(np.linalg.norm(partial))
     if pn >= eps:
         return False, pn
-    if ctx.m_act:
-        s.lam_act = recover_equality_dual(ctx.chain, ctx, s)
-        ctx.counters.dual_evaluations += 1
-    k1 = _stationarity(ctx, s)
-    full = float(np.hypot(pn, np.linalg.norm(k1)))
+    g_r = ctx.basis.T @ _dual_free_stationarity(ctx, s)
+    full = float(np.hypot(pn, np.linalg.norm(g_r)))
     return full < eps, full
 
 

@@ -66,7 +66,7 @@ def build_random_level(
         proj_ineq=a_ineq @ basis,
         proj_inact=a_inact @ basis,
         stage1=rrqr(a_eq @ basis, tol=config.rank_tol),
-        chain=chain,
+        stages=tuple(chain.stages),
         counters=counters,
         config=config,
     )

@@ -220,7 +220,7 @@ class TestCriterion5DualRecursion:
             ctx.a_eq = ctx.a_act.copy()
             ctx.b_eq = np.zeros(ctx.m_act)
             s.v_eq = lam_true
-            lam = recover_equality_dual(ctx.chain, ctx, s)
+            lam = recover_equality_dual(ctx, s)
             rhs = ctx.a_eq.T @ s.v_eq
             lam_ref = np.linalg.lstsq(ctx.a_act.T, rhs, rcond=None)[0]
             scale = max(1.0, float(np.linalg.norm(lam_ref)))

@@ -13,7 +13,7 @@ from hlsp.cascade import (
     solve_hlsp,
 )
 from hlsp.config import METHODS, SolverConfig
-from hlsp.newton import Counters, initial_state
+from hlsp.newton import Counters, initial_state, recover_equality_dual
 from hlsp.oracle import brute_force_cascade, cascade_objectives
 from hlsp.problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
@@ -136,6 +136,16 @@ class TestSolveExamples:
         rep0 = solve_hlsp(p, SolverConfig(method="nf-ipm"))
         rep1 = solve_hlsp(p, SolverConfig(method="nf-ipm", warm_start_x=rep0.x))
         assert np.allclose(rep0.x, rep1.x, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "warm",
+        [np.zeros(3), np.zeros((4, 1)), [0.0, np.nan, 0.0, 0.0], [np.inf] * 4, ["a"] * 4],
+        ids=["short", "column", "nan", "inf", "text"],
+    )
+    def test_invalid_warm_start_rejected(self, warm):
+        p = random_hlsp(8, 4, [(2, 1, 0, "feasible")])
+        with pytest.raises(ValueError, match="warm_start_x"):
+            solve_hlsp(p, SolverConfig(warm_start_x=warm))
 
 
 class TestProjections:
@@ -355,10 +365,11 @@ class TestAsm:
         config = SolverConfig(method="nf-ipm-asm")
         state = CascadeState.fresh(1)
         counters = Counters()
-        s, conv, norm = asm_level_feasibility(
+        ctx, s, conv, norm = asm_level_feasibility(
             state, p.levels[0], np.zeros(1), config, counters, ()
         )
         assert conv
+        assert ctx.m_eq == 2  # the last inner solve pinned both rows
         assert abs(s.x[0] - 0.5) < 1e-8
         assert np.allclose(s.v_ineq, [-0.5, -0.5], atol=1e-8)
 
@@ -555,6 +566,41 @@ class TestInvariants:
                 rep.objectives,
                 obj_o,
             )
+
+
+def level2_exhausts_chain():
+    specs = [(2, 0, 0, "feasible"), (2, 1, 0, "feasible"), (1, 1, 0, "mixed")]
+    return random_hlsp(41, 4, specs)
+
+
+class TestLastDuals:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_walk_for_the_last_level_solved(self, method):
+        rep = solve_hlsp(level2_exhausts_chain(), SolverConfig(method=method))
+        assert rep.levels[1].n_r_after == 0 and rep.levels[2].kkt_norm is None
+        assert [lv.dual_evaluations for lv in rep.levels] == [0, 1, 0]
+        assert rep.last_duals["lam_act"].shape == (2,)
+
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm"])
+    def test_duals_are_the_walk_at_level_2(self, method):
+        p = level2_exhausts_chain()
+        config = SolverConfig(method=method)
+        rep = solve_hlsp(p, config)
+        # replay the cascade to level 2's final iterate
+        state = CascadeState.fresh(p.n)
+        counters = Counters()
+        ctx = build_level_context(state, p.levels[0], config, counters)
+        s = initial_state(ctx, np.zeros(p.n))
+        newton_loop(ctx, s)
+        project_current(
+            state, p.levels[0], s, config.xi, 1, counters, config.rank_tol, ctx.stage1
+        )
+        ctx = build_level_context(state, p.levels[1], config, counters)
+        s = initial_state(ctx, s.x)
+        newton_loop(ctx, s)
+        assert np.array_equal(s.x, rep.x)
+        assert ctx.m_act == 2
+        assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
 
 
 class TestKnownStalls:

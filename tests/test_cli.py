@@ -83,6 +83,19 @@ class TestSolveCommand:
         code = main(["solve", str(path), "--method", "classical", "--out", str(out)])
         assert code == EXIT_METHOD
 
+    def test_classical_on_level_without_rows(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(
+            '{"n": 3, "levels": [{"A_e": [], "b_e": [], "A_i": [], "b_i": []}, '
+            '{"A_e": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b_e": [0, 3, 1], '
+            '"A_i": [], "b_i": []}]}'
+        )
+        out = tmp_path / "r.json"
+        code = main(["solve", str(path), "--method", "classical", "--out", str(out)])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        assert [lv["method_fallback"] for lv in report["levels"]] == [False, False]
+
     def test_sub_converged_status(self, tmp_path):
         p = random_hlsp(11, 4, [(1, 3, 0, "mixed")])
         path = tmp_path / "p.json"
@@ -173,7 +186,6 @@ class TestSolveCommand:
             ("nf-ipm", "--eps", "-1"),
             ("nf-ipm", "--xi", "-1"),
             ("nf-ipm", "--max-iter", "-3"),
-            ("ls-ipm", "--density-threshold", "inf"),
         ],
     )
     def test_out_of_range_setting_is_invalid(
@@ -287,6 +299,7 @@ class TestBenchCommand:
             {"seeds": 3},
             {"repeats": None},
             {"equality_sweep": {"n": 4, "seed": "x"}},
+            {"config": {"density_threshold": 0.4}},
         ],
         ids=[
             "unknown-config",
@@ -297,6 +310,7 @@ class TestBenchCommand:
             "seeds-not-list",
             "null-repeats",
             "string-sweep-seed",
+            "removed-density-threshold",
         ],
     )
     def test_spec_errors_are_invalid(self, tmp_path, capsys, change):

@@ -9,7 +9,6 @@ def test_documented_defaults():
     assert cfg.xi == 1e-8
     assert cfg.max_iter == 50
     assert cfg.tau == 0.995
-    assert cfg.density_threshold == 0.4
     assert cfg.asm_max_iter == 200
     assert cfg.method == "nf-ipm"
 
@@ -41,8 +40,8 @@ def test_step_form_mapping():
         ("solve_tol", float("nan")),
         ("max_iter", -1),
         ("asm_max_iter", -1),
-        ("density_threshold", -0.1),
-        ("density_threshold", float("inf")),
+        ("warm_active_sets", 5),
+        ("warm_active_sets", [(0, 1)]),
     ],
 )
 def test_rejects_out_of_range_setting(field, value):
@@ -51,5 +50,5 @@ def test_rejects_out_of_range_setting(field, value):
 
 
 def test_accepts_edge_settings():
-    cfg = SolverConfig(tau=0.5, max_iter=0, asm_max_iter=0, density_threshold=0.0)
+    cfg = SolverConfig(tau=0.5, max_iter=0, asm_max_iter=0)
     assert cfg.max_iter == 0
