@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .config import SolverConfig
-from .factorization import Rrqr, nullspace_basis, rrqr
+from .factorization import Rrqr, nullspace_update, rrqr
 from .newton import (
     Counters,
     IterateState,
@@ -57,12 +57,20 @@ class Stage:
 
 
 class NullSpaceChain:
-    """Accumulated null-space basis of all activated constraint rows."""
+    """Accumulated null-space basis of all activated constraint rows.
+
+    ``rows``, ``rhs`` and ``v_star`` stack the activated rows of every
+    stage in order. ``extend`` replaces them and the basis, never writing
+    in place, so a level context may hold them.
+    """
 
     def __init__(self, n):
         self.n = n
         self.basis = np.eye(n)
         self.stages = []
+        self.rows = np.zeros((0, n))
+        self.rhs = np.zeros(0)
+        self.v_star = np.zeros(0)
 
     @property
     def n_r(self):
@@ -73,7 +81,7 @@ class NullSpaceChain:
         return sum(stage.rank for stage in self.stages)
 
     def extend(self, kind, level, rows, rhs, v_star, fact):
-        z = nullspace_basis(fact)
+        """Append a stage; the basis moves into the null space of ``fact``."""
         stage = Stage(
             kind=kind,
             level=level,
@@ -85,16 +93,14 @@ class NullSpaceChain:
             rank=fact.rank,
         )
         self.stages.append(stage)
-        self.basis = self.basis @ z
+        self.basis = nullspace_update(self.basis, fact)
+        self.rows = np.vstack([self.rows, rows])
+        self.rhs = np.concatenate([self.rhs, rhs])
+        self.v_star = np.concatenate([self.v_star, v_star])
         return stage
 
     def active_stack(self):
-        if not self.stages:
-            return np.zeros((0, self.n)), np.zeros(0), np.zeros(0)
-        rows = np.vstack([st.rows for st in self.stages])
-        rhs = np.concatenate([st.rhs for st in self.stages])
-        v_star = np.concatenate([st.v_star for st in self.stages])
-        return rows, rhs, v_star
+        return self.rows, self.rhs, self.v_star
 
 
 class InactiveCarry:
@@ -263,14 +269,17 @@ def _level_form(ctx):
     (the barrier weights are positive diagonals), so applicability is
     structural and probed once; a rank lost to rounding inside the Newton
     loop is caught by ``solve_hlsp``. A level without rows of its own or
-    carried ones has nothing to factorize and is not probed. Returns
+    carried ones has nothing to factorize and is not probed; one with
+    fewer rows than variables is singular without a probe. Returns
     (form, fell_back).
     """
     cfg = ctx.config
-    if cfg.step_form != "classical" or not (ctx.m_eq or ctx.m_ineq or ctx.m_inact):
+    m = ctx.m_eq + ctx.m_ineq + ctx.m_inact
+    if cfg.step_form != "classical" or m == 0:
         return cfg.step_form, False
-    stacked = np.vstack([ctx.a_eq, ctx.a_ineq, ctx.a_inact])
-    if rrqr(stacked, tol=cfg.rank_tol).rank < ctx.n:
+    if m < ctx.n or rrqr(
+        np.vstack([ctx.a_eq, ctx.a_ineq, ctx.a_inact]), tol=cfg.rank_tol
+    ).rank < ctx.n:
         return "normal", True
     return "classical", False
 
@@ -328,7 +337,12 @@ def project_inactive(state: CascadeState, s: IterateState, xi, level, counters, 
         rows = carry.matrix[mask].copy()
         rhs = carry.rhs[mask].copy()
         v_star = rows @ s.x - rhs
-        fact = rrqr(rows @ state.chain.basis, tol=rank_tol, counter=counters)
+        fact = rrqr(
+            rows @ state.chain.basis,
+            tol=rank_tol,
+            counter=counters,
+            floor=rank_tol * np.linalg.norm(rows, axis=1).max(),
+        )
         state.chain.extend("virtual", level, rows, rhs, v_star, fact)
         rank_gained = fact.rank
         carry.remove(mask)
@@ -370,7 +384,12 @@ def project_current(
         if retained is not None and not np.any(viol):
             fact = retained
         else:
-            fact = rrqr(act_rows @ state.chain.basis, tol=rank_tol, counter=counters)
+            fact = rrqr(
+                act_rows @ state.chain.basis,
+                tol=rank_tol,
+                counter=counters,
+                floor=rank_tol * np.linalg.norm(act_rows, axis=1).max(),
+            )
         state.chain.extend("real", level_index, act_rows, act_rhs, v_star, fact)
         rank_gained = fact.rank
     keep = ~viol

@@ -97,16 +97,17 @@ def _trsolve(r, b, trans="N"):
     return x
 
 
-def _geqp3(a, tol):
+def _geqp3(a, tol, floor=0.0):
     """Column-pivoted QR of a nonempty matrix with rank detection.
 
     Returns (qr, 0-based perm, tau, rank). ``rank`` counts the leading
-    |R_jj| above ``tol * |R_00|``; |R_00| is the largest column norm, which
-    LAPACK computes without the underflow of squaring tiny entries.
+    |R_jj| above both ``tol * |R_00|`` and the absolute ``floor``; |R_00| is
+    the largest column norm, which LAPACK computes without the underflow of
+    squaring tiny entries.
     """
     k = a.shape[1]
     qr, jpvt, tau, _, _ = dgeqp3(a, lwork=2 * k + (k + 1) * _NB)
-    above = np.abs(np.diagonal(qr)) > tol * float(abs(qr[0, 0]))
+    above = np.abs(np.diagonal(qr)) > max(tol * float(abs(qr[0, 0])), floor)
     rank = int(above.size if above.all() else np.argmin(above))
     return qr, (jpvt - 1).astype(int), tau, rank
 
@@ -131,7 +132,7 @@ class Rrqr:
     A @ P = Q @ [[R, T], [0, 0]]. ``perm`` holds the pivot order: column j
     of A @ P is A[:, perm[j]]. ``rank`` counts the diagonal entries of R
     that survived the relative tolerance against the largest initial
-    column norm.
+    column norm and the absolute floor.
     """
 
     q: OrthoTransform
@@ -192,11 +193,14 @@ class Rrqr:
         return self.q.apply(padded)
 
 
-def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None):
+def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, floor=0.0):
     """Column-pivoted QR (LAPACK xGEQP3) with rank detection.
 
     Rank is the number of leading pivots |R_jj| above ``tol`` times the
-    largest initial column norm. Empty inputs yield rank 0.
+    largest initial column norm and above the absolute ``floor``. A block
+    projected into a null-space basis is judged against the scale of its
+    unprojected rows through ``floor``: relative to its own scale, a block
+    of rounding noise would count as full rank. Empty inputs yield rank 0.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
@@ -205,7 +209,7 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None):
     q = OrthoTransform(m)
     qr, perm, rank = np.zeros((0, k)), np.arange(k), 0
     if m > 0 and k > 0:
-        qr, perm, tau, rank = _geqp3(a, tol)
+        qr, perm, tau, rank = _geqp3(a, tol, floor)
         q.add_reflectors(slice(0, m), qr[:, : tau.size], tau)
     if counter is not None:
         counter.count_factorization(m, k)
@@ -220,6 +224,21 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None):
     )
 
 
+def nullspace_update(basis, f: Rrqr):
+    """``basis @ Z`` for the null-space basis Z = P [[-R^-1 T], [I]] of ``f``.
+
+    Z is never formed: the identity block selects the free columns of
+    ``basis``, and only its ``rank`` pivot columns are multiplied, by
+    R^-1 T. For an n x k ``basis`` this costs n r (k - r) flops instead of
+    the n k (k - r) of the dense product.
+    """
+    r = f.rank
+    out = basis[:, f.perm[r:]]
+    if r > 0 and out.shape[1] > 0:
+        out = out - basis[:, f.perm[:r]] @ _trsolve(f.r, f.t)
+    return out
+
+
 def nullspace_basis(f: Rrqr):
     """Non-orthogonal null-space basis Z = P [[-R^-1 T], [I]].
 
@@ -227,16 +246,7 @@ def nullspace_basis(f: Rrqr):
     the columns structurally independent. Full-rank input yields a k x 0
     matrix.
     """
-    k = f.ncols
-    nr = k - f.rank
-    bracket = np.zeros((k, nr))
-    if f.rank > 0 and nr > 0:
-        bracket[: f.rank, :] = -_trsolve(f.r, f.t)
-    if nr > 0:
-        bracket[f.rank :, :] = np.eye(nr)
-    z = np.zeros((k, nr))
-    z[f.perm] = bracket
-    return z
+    return nullspace_update(np.eye(f.ncols), f)
 
 
 @dataclass

@@ -114,9 +114,19 @@ class LevelContext:
     config: object
 
     def equality_factorization(self):
-        """The counted RRQR of ``proj_eq``, made on first read."""
+        """The counted RRQR of ``proj_eq``, made on first read.
+
+        Its rank is judged against the scale of the unprojected rows too,
+        so equalities that restate active rows project to rank 0.
+        """
         if self.stage1 is None:
-            self.stage1 = rrqr(self.proj_eq, tol=self.config.rank_tol, counter=self.counters)
+            tol = self.config.rank_tol
+            self.stage1 = rrqr(
+                self.proj_eq,
+                tol=tol,
+                counter=self.counters,
+                floor=tol * np.linalg.norm(self.a_eq, axis=1).max(initial=0.0),
+            )
         return self.stage1
 
     @property

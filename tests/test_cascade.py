@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from hlsp import cascade
 from hlsp.cascade import (
     CascadeState,
     InvalidProblemError,
@@ -241,6 +244,37 @@ class TestProjections:
         assert np.allclose(stage.v_star, [-0.5, -0.5], atol=1e-8)
         assert state.chain.total_rank == 1
 
+    def test_active_stack_stacks_every_stage(self):
+        def assert_stacked(chain):
+            rows, rhs, v_star = chain.active_stack()
+            assert np.array_equal(rows, np.vstack([st.rows for st in chain.stages]))
+            assert np.array_equal(rhs, np.concatenate([st.rhs for st in chain.stages]))
+            assert np.array_equal(v_star, np.concatenate([st.v_star for st in chain.stages]))
+
+        state = CascadeState.fresh(4)
+        rows, rhs, v_star = state.chain.active_stack()
+        assert rows.shape == (0, 4) and rhs.shape == (0,) and v_star.shape == (0,)
+        config = SolverConfig()
+        counters = Counters()
+        # the equality and the violated first inequality activate; the
+        # second inequality is satisfied and carried
+        level = lvl(4, [[1, 0, 0, 0]], [1.0], [[0, 1, 0, 0], [0, 0, 1, 0]], [0.5, -1.0])
+        s = SimpleNamespace(x=np.array([1.0, 0.2, 0.0, 0.0]))
+        project_current(state, level, s, config.xi, 1, counters, config.rank_tol)
+        assert [st.kind for st in state.chain.stages] == ["real"]
+        assert state.chain.active_stack()[0].shape == (2, 4)
+        assert_stacked(state.chain)
+        # the carried row saturates with a significant dual
+        s = SimpleNamespace(
+            x=np.array([1.0, 0.2, -1.0, 0.0]),
+            w_inact=np.zeros(1),
+            lam_inact=np.array([0.3]),
+        )
+        project_inactive(state, s, config.xi, 2, counters, config.rank_tol)
+        assert [st.kind for st in state.chain.stages] == ["real", "virtual"]
+        assert state.chain.active_stack()[0].shape == (3, 4)
+        assert_stacked(state.chain)
+
     def test_tighter_bound_merging(self):
         state = CascadeState.fresh(3)
         state.carry.append(np.array([[0.0, 1.0, 0.0]]), np.array([0.3]))
@@ -264,6 +298,32 @@ class TestProjections:
         )
         assert state.carry.m == 2
         assert state.carry.rhs[0] == 0.9
+
+
+def restated_row_problem():
+    """Level 2 restates a row of level 1; level 3 pins x = 0 (n = 3)."""
+    rows = [[0.3, 0.8, 0.6], [-0.5, -0.4, 0.7]]
+    no_rows = np.zeros((0, 3))
+    return HlspProblem(
+        n=3,
+        levels=(
+            lvl(3, rows, [-1.0, 0.6], no_rows, []),
+            lvl(3, rows[:1], [-1.0], no_rows, []),
+            lvl(3, np.eye(3), np.zeros(3), no_rows, []),
+        ),
+    )
+
+
+class TestRestatedRows:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_restated_row_consumes_no_variable(self, method):
+        # level 2 projects to rounding noise; its rank is judged against
+        # the unprojected row, so level 3 keeps the free variable
+        p = restated_row_problem()
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        _, v_o = brute_force_cascade(p)
+        assert np.allclose(rep.objectives, cascade_objectives(p, v_o), rtol=0, atol=1e-9)
+        assert rep.levels[1].rank_current == 0
 
 
 def box_and_task():
@@ -475,6 +535,25 @@ class TestClassicalMethod:
         shapes = cl.levels[1].fact_shapes
         assert shapes[0] == (5, 5) and shapes[1] == (2, 2)
         assert cl.levels[1].factorizations == 2 * cl.levels[1].iterations + 1
+
+    def test_fewer_rows_than_variables_skip_the_probe(self, monkeypatch):
+        probes = []
+        counted_rrqr = cascade.rrqr
+
+        def rrqr(matrix, *args, counter=None, **kwargs):
+            if counter is None:  # only the probe goes uncounted
+                probes.append(np.shape(matrix))
+            return counted_rrqr(matrix, *args, counter=counter, **kwargs)
+
+        monkeypatch.setattr(cascade, "rrqr", rrqr)
+        n = 6
+        p = random_hlsp(1, n, [(2, 1, 0, "feasible"), (1, 2, 0, "mixed"), (2, 0, 0, "feasible")])
+        empty = lvl(n, np.zeros((0, n)), [], np.zeros((0, n)), [])
+        p = HlspProblem(n=n, levels=(empty,) + p.levels)
+        rep = solve_hlsp(p, SolverConfig(method="classical"))
+        assert [lv.m_eq + lv.m_ineq + lv.m_inact for lv in rep.levels] == [0, 3, 4, 5]
+        assert probes == []
+        assert [lv.method_fallback for lv in rep.levels] == [False, True, True, True]
 
     def test_rank_deficient_quadratic_term_falls_back(self):
         p = random_hlsp(29, 6, [(2, 0, 0, "feasible"), (2, 0, 0, "feasible")])

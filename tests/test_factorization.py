@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from hlsp.factorization import (
     _trsolve,
     nullspace_basis,
+    nullspace_update,
     rrqr,
     staged_rrqr,
 )
@@ -57,6 +58,13 @@ class TestRrqr:
         assert rrqr(np.zeros((3, 0))).rank == 0
         assert rrqr(np.zeros((3, 3))).rank == 0
 
+    def test_absolute_floor_rejects_noise(self):
+        # relative to its own scale a block of rounding noise is full rank
+        a = 1e-17 * np.random.default_rng(17).uniform(-1, 1, (2, 4))
+        assert rrqr(a).rank == 2
+        assert rrqr(a, floor=1e-10).rank == 0
+        assert rrqr(1e10 * a, floor=1e-10).rank == 2
+
     def test_tiny_scale_rank(self):
         # squared entries underflow; the rank scale must not
         assert rrqr(np.full((5, 6), 1e-200)).rank == 1
@@ -100,6 +108,19 @@ class TestNullspaceBasis:
         z = nullspace_basis(f)
         block = z[f.perm[f.rank :], :]
         assert np.array_equal(block, np.eye(7 - f.rank))
+
+
+class TestNullspaceUpdate:
+    @pytest.mark.parametrize("rank", [0, 2, 4])
+    def test_equals_product_with_formed_basis(self, rank):
+        rng = np.random.default_rng(rank + 40)
+        basis = rng.uniform(-1, 1, (6, 4))
+        f = rrqr(rng.uniform(-1, 1, (5, rank)) @ rng.uniform(-1, 1, (rank, 4)))
+        assert f.rank == rank
+        out = nullspace_update(basis, f)
+        dense = basis @ nullspace_basis(f)
+        assert out.shape == (6, 4 - rank)
+        assert np.allclose(out, dense, rtol=0, atol=1e-14)
 
 
 class TestBasicSolution:

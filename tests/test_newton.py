@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from hlsp.cascade import NullSpaceChain
 from hlsp.config import SolverConfig
 from hlsp import newton
-from hlsp.factorization import rrqr
+from hlsp.factorization import nullspace_basis, rrqr
 from hlsp.newton import (
     Counters,
     IterateState,
@@ -738,14 +738,15 @@ class TestConverged:
         assert ctx.counters == counters
 
 
-def rank_deficient_chain(rng, n, stages):
+def rank_deficient_chain(rng, n, stages, kinds=("real",)):
     """Chain whose stages repeat a row or restate a row of an earlier stage.
 
-    Every stage keeps at least one new row: a block of rounding noise alone
-    passes the rank test, which is relative to the block's own scale.
+    Every stage keeps at least one new row: without an absolute floor, a
+    block of rounding noise alone passes the rank test, which is relative
+    to the block's own scale. Stage i takes the kind ``kinds[i % len(kinds)]``.
     """
     chain = NullSpaceChain(n)
-    for _ in range(stages):
+    for i in range(stages):
         if chain.n_r == 0:
             break
         m = int(rng.integers(1, 5))
@@ -756,8 +757,32 @@ def rank_deficient_chain(rng, n, stages):
             prior = chain.stages[int(rng.integers(len(chain.stages)))].rows
             rows[0] = rng.uniform(-1, 1, prior.shape[0]) @ prior
         fact = rrqr(rows @ chain.basis, tol=SolverConfig().rank_tol)
-        chain.extend("real", 1, rows, rng.uniform(-1, 1, m), np.zeros(m), fact)
+        kind = kinds[i % len(kinds)]
+        chain.extend(kind, 1, rows, rng.uniform(-1, 1, m), np.zeros(m), fact)
     return chain
+
+
+class TestChainExtension:
+    def test_extension_is_the_product_with_the_stage_basis(self):
+        deficient = 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed + 4300)
+            n = int(rng.integers(3, 11))
+            chain = rank_deficient_chain(
+                rng, n, int(rng.integers(1, 5)), kinds=("real", "virtual")
+            )
+            stages = chain.stages
+            deficient += any(st.rank < st.rows.shape[0] for st in stages)
+            # the basis each extend left behind
+            after = [st.basis_before for st in stages[1:]] + [chain.basis]
+            for j, (stage, basis) in enumerate(zip(stages, after)):
+                dense = stage.basis_before @ nullspace_basis(stage.fact)
+                assert basis.shape == dense.shape
+                assert np.linalg.norm(basis - dense) <= 1e-12 * np.linalg.norm(dense)
+                a_act = np.vstack([st.rows for st in stages[: j + 1]])
+                bound = 1e-12 * np.linalg.norm(a_act) * np.linalg.norm(basis)
+                assert np.linalg.norm(a_act @ basis) <= bound
+        assert deficient >= 60
 
 
 class TestChainBasisStationarity:
