@@ -446,6 +446,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     n = problem.n
     t_start = time.perf_counter()
     x = _warm_start_x(config, n)
+    warm_sets = _warm_active_sets(config, problem.levels)
     state = CascadeState.fresh(n)
     level_reports = []
     all_converged = True
@@ -459,13 +460,12 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         counters = Counters()
         n_r_before = state.chain.n_r
         m_inact_seen = state.carry.m
-        warm_set = tuple((config.warm_active_sets or {}).get(idx, ()))
 
         fell_back = False
         conv, retained = None, None
         if config.uses_asm and level.inequalities.m > 0:
             ctx, s, conv, norm = asm_level_feasibility(
-                state, level, x, config, counters, warm_set
+                state, level, x, config, counters, warm_sets.get(idx, ())
             )
             x = s.x
         if conv is None:
@@ -562,6 +562,20 @@ def _warm_start_x(config, n):
     return x
 
 
+def _warm_active_sets(config, levels):
+    """``config.warm_active_sets``, each row checked against its level."""
+    sets = config.warm_active_sets or {}
+    for idx, rows in sets.items():
+        m = levels[idx - 1].inequalities.m if idx <= len(levels) else 0
+        bad = [int(j) for j in rows if not 0 <= j < m]
+        if bad or idx > len(levels):
+            raise ValueError(
+                f"warm_active_sets level {idx} of {len(levels)}: rows {bad} "
+                f"outside its inequality rows [0, {m})"
+            )
+    return sets
+
+
 def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
     """``solve_hlsp`` restricted to the active-set (``-asm``) methods."""
     if config is None:
@@ -585,7 +599,7 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
     interior point on the level.
     """
     eq, ineq = level.equalities, level.inequalities
-    active = [int(j) for j in warm_set if 0 <= int(j) < ineq.m]
+    active = [int(j) for j in warm_set]
     seen_sets = {frozenset(active)}
     no_rows = ConstraintBlock.empty(state.chain.n)
     while True:

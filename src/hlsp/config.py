@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
+
+import numpy as np
 
 METHODS = ("nf-ipm", "ls-ipm", "nf-ipm-asm", "ls-ipm-asm", "classical")
 
@@ -33,8 +36,8 @@ class SolverConfig:
             ("asm_max_iter", self.asm_max_iter >= 0, ">= 0"),
             (
                 "warm_active_sets",
-                self.warm_active_sets is None or isinstance(self.warm_active_sets, dict),
-                "a {level: rows} dict",
+                self.warm_active_sets is None or _is_active_sets(self.warm_active_sets),
+                "a {level: rows} dict of positive int levels and integer row sequences",
             ),
         ]
         for name, ok, rule in checks:
@@ -58,3 +61,19 @@ class SolverConfig:
         settings = asdict(self)
         del settings["warm_start_x"], settings["warm_active_sets"]
         return settings
+
+
+def _is_active_sets(sets):
+    """A dict from 1-based levels to sequences of integer row indices."""
+
+    def is_index(value):
+        return isinstance(value, Integral) and not isinstance(value, bool)
+
+    return isinstance(sets, dict) and all(
+        is_index(level)
+        and level >= 1
+        and isinstance(rows, (list, tuple, range, np.ndarray))
+        and getattr(rows, "ndim", 1) == 1
+        and all(map(is_index, rows))
+        for level, rows in sets.items()
+    )

@@ -2,13 +2,12 @@
 
 Q factors are never formed explicitly. They are kept as a sequence of
 LAPACK compact-reflector blocks, the ``(v, tau)`` output of xGEQRF or
-xGEQP3 that one xORMQR call applies, and of Givens rotations. Plain RRQR is
-xGEQP3, the BLAS-3 column-pivoted QR of Quintana-Orti, Sun & Bischof
-(1998). The staged factorization reuses a constant bottom block that was
-factorized once and only refactorizes the rows stacked on top of it: a
-column whose density is below a threshold is eliminated by Givens
-rotations that touch only its nonzeros, and once the remaining columns are
-dense they go to LAPACK as one block.
+xGEQP3 that one xORMQR call applies. Plain RRQR is xGEQP3, the BLAS-3
+column-pivoted QR of Quintana-Orti, Sun & Bischof (1998). The staged
+factorization reuses a constant bottom block that was factorized once and
+only refactorizes the rows stacked on top of it, in two LAPACK calls: one
+xGEQRF of the columns the retained factor already pivoted, then one xGEQP3
+of the block that remains.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr, dtrtrs
 
 DEFAULT_RANK_TOL = 1e-10
-DEFAULT_DENSITY_THRESHOLD = 0.4
 # LAPACK block size assumed when sizing work arrays
 _NB = 32
 
@@ -28,10 +26,9 @@ _NB = 32
 class OrthoTransform:
     """Product of orthogonal row operations on m rows.
 
-    Operations are stored in application order for Q^T: reflector blocks
-    ``("h", rows, v, tau)`` acting on the rows that ``rows`` (a slice or
-    an index array) selects, and Givens rotations ``("g", i, k, c, s)``.
-    Applying Q runs them backwards, each one transposed.
+    Operations are compact-reflector blocks ``(rows, v, tau)``, each acting
+    on the contiguous row range that the slice ``rows`` selects, stored in
+    application order for Q^T. Applying Q runs them backwards.
     """
 
     def __init__(self, m):
@@ -39,25 +36,13 @@ class OrthoTransform:
         self.ops = []
 
     def add_reflectors(self, rows, v, tau):
-        self.ops.append(("h", rows, v, tau))
-
-    def add_givens(self, i, k, c, s):
-        self.ops.append(("g", i, k, c, s))
+        self.ops.append((rows, v, tau))
 
     def _run(self, b, trans):
         b = np.asarray(b, dtype=float)
         out = np.array(b[:, None] if b.ndim == 1 else b, order="F")
-        ops, sign = (self.ops, 1.0) if trans == "T" else (reversed(self.ops), -1.0)
-        for op in ops:
-            if op[0] == "h":
-                _, rows, v, tau = op
-                out[rows] = _ormqr(trans, v, tau, out[rows])
-            else:
-                _, i, k, c, s = op
-                s = sign * s
-                bi = out[i].copy()
-                out[i] = c * bi - s * out[k]
-                out[k] = s * bi + c * out[k]
+        for rows, v, tau in self.ops if trans == "T" else reversed(self.ops):
+            out[rows] = _ormqr(trans, v, tau, out[rows])
         return out[:, 0] if b.ndim == 1 else out
 
     def apply_transpose(self, b):
@@ -112,19 +97,6 @@ def _geqp3(a, tol, floor=0.0):
     return qr, (jpvt - 1).astype(int), tau, rank
 
 
-def _all_dense(block, threshold):
-    """Every column's share of nonzero entries is at least ``threshold``."""
-    return bool(np.all(np.count_nonzero(block, axis=0) / block.shape[0] >= threshold))
-
-
-def _givens_pair(a, b):
-    """Rotation (c, s, r) with [c -s; s c] @ [a, b] = [r, 0]."""
-    r = np.hypot(a, b)
-    if r == 0.0:
-        return 1.0, 0.0, 0.0
-    return a / r, -b / r, r
-
-
 @dataclass
 class Rrqr:
     """Column-pivoted QR with rank detection.
@@ -152,9 +124,8 @@ class Rrqr:
         block = np.zeros((m, k))
         block[: self.rank, : self.rank] = self.r
         block[: self.rank, self.rank :] = self.t
-        full = self.q.apply(block)
-        out = np.empty_like(full)
-        out[:, self.perm] = full
+        out = np.empty((m, k))
+        out[:, self.perm] = self.q.apply(block)
         return out
 
     def solve_basic(self, rhs):
@@ -167,11 +138,9 @@ class Rrqr:
         if rhs.shape[0] != m:
             raise ValueError(f"rhs length {rhs.shape[0]} != row count {m}")
         x = np.zeros((k,) + rhs.shape[1:])
-        if self.rank == 0:
-            return x
-        c = self.q.apply_transpose(rhs)[: self.rank]
-        y = _trsolve(self.r, c)
-        x[self.perm[: self.rank]] = y
+        if self.rank > 0:
+            c = self.q.apply_transpose(rhs)[: self.rank]
+            x[self.perm[: self.rank]] = _trsolve(self.r, c)
         return x
 
     def solve_transpose_basic(self, c):
@@ -181,16 +150,12 @@ class Rrqr:
         components of c; the orthogonal complement of the row space is
         left at zero.
         """
-        m, _ = self.shape
-        lam = np.zeros(m)
+        lam = np.zeros(self.shape[0])
         if self.rank == 0:
             return lam
-        c = np.asarray(c, dtype=float)
-        c1 = c[self.perm[: self.rank]]
-        y = _trsolve(self.r, c1, trans="T")
-        padded = np.zeros(m)
-        padded[: self.rank] = y
-        return self.q.apply(padded)
+        c1 = np.asarray(c, dtype=float)[self.perm[: self.rank]]
+        lam[: self.rank] = _trsolve(self.r, c1, trans="T")
+        return self.q.apply(lam)
 
 
 def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, floor=0.0):
@@ -253,55 +218,45 @@ def nullspace_basis(f: Rrqr):
 class StagedFactorization:
     """Three-stage RRQR of a stack [B; A] over a prefactorized A.
 
-    Stage 1 is the retained factorization of the constant block A. Stage 2
-    eliminates B against the triangular stage-1 factor column by column,
-    skipping the structural zeros below the diagonal; stage 3 is a
-    column-pivoted RRQR of the remaining block. Columns are eliminated by
-    Givens rotations while their tracked density stays below the
-    threshold.
+    Stage 1 is the retained factorization A P1 = Q1 [R1 T1; 0 0] of the
+    constant block. Stage 2 is one xGEQRF of the first r1 columns of
+    [R1 T1; B P1], over all r1 + m_b rows; stage 3 is one xGEQP3 of the
+    bottom-right block that stage 2 leaves. ``stage23`` holds the
+    reflectors of both, ``triangular`` the combined (r1 + r3) square upper
+    factor, and ``col_order`` the column order of P1 with stage 3's pivots.
     """
 
     stage1: Rrqr
     stage23: OrthoTransform
-    triangular: np.ndarray  # combined (r1 + r3) x (r1 + r3) upper block
-    free_block: np.ndarray  # columns beyond the combined rank
+    triangular: np.ndarray
     col_order: np.ndarray
     rank: int
     shape: tuple
+    # read by the benchmark's column-share metric; no Givens path exists
     givens_columns: int = 0
     householder_columns: int = 0
 
     def solve_basic(self, rhs_top, rhs_bottom):
         """Basic LS solution of [B; A] x = [rhs_top; rhs_bottom]."""
-        r1 = self.stage1.rank
-        k = self.shape[1]
         rhs_bottom = np.asarray(rhs_bottom, dtype=float)
         rhs_top = np.asarray(rhs_top, dtype=float)
         c_a = self.stage1.q.apply_transpose(rhs_bottom) if rhs_bottom.size else rhs_bottom
-        stacked = np.concatenate([c_a[:r1], rhs_top])
+        stacked = np.concatenate([c_a[: self.stage1.rank], rhs_top])
         d = self.stage23.apply_transpose(stacked) if stacked.size else stacked
-        x = np.zeros(k)
+        x = np.zeros(self.shape[1])
         if self.rank > 0:
-            y = _trsolve(self.triangular, d[: self.rank])
-            x[self.col_order[: self.rank]] = y
+            x[self.col_order[: self.rank]] = _trsolve(self.triangular, d[: self.rank])
         return x
 
 
-def staged_rrqr(
-    b_block,
-    stage1: Rrqr,
-    density_threshold=DEFAULT_DENSITY_THRESHOLD,
-    tol=DEFAULT_RANK_TOL,
-    counter=None,
-):
+def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
     """Factorize the stack [B; A] reusing the retained RRQR of A.
 
     ``b_block`` rows sit on top of the already factorized constant block.
-    Per-column density (nonzeros over rows still to eliminate) picks the
-    Givens path below the threshold and a Householder reflection at or
-    above it. Fill-in only adds nonzeros, so once every remaining column
-    of a stage is dense they are eliminated together by one blocked LAPACK
-    QR: xGEQRF in stage 2, the pivoted xGEQP3 in stage 3.
+    Stage 2 triangularizes the first r1 columns of [R1 T1; B P1] with one
+    xGEQRF and applies its reflectors to the trailing columns with xORMQR;
+    stage 3 is one column-pivoted xGEQP3 of the bottom-right block, with
+    rank decided by ``tol`` against its largest column norm.
     """
     b = np.asarray(b_block, dtype=float)
     if b.ndim != 2:
@@ -317,77 +272,20 @@ def staged_rrqr(
     work = np.zeros((r1 + m_b, k))
     work[:r1, :r1] = stage1.r
     work[:r1, r1:] = stage1.t
-    if m_b:
-        work[r1:, :] = b[:, stage1.perm]
+    work[r1:] = b[:, stage1.perm]
     ops = OrthoTransform(r1 + m_b)
-    givens_cols = 0
-    householder_cols = 0
+    pi, rank3 = np.arange(k - r1), 0
 
-    def reflect(rows, lo, hi):
-        """QR of work[rows, lo:hi], applied to the trailing columns."""
-        qr, tau, _, _ = dgeqrf(work[rows, lo:hi])
-        ops.add_reflectors(rows, qr, tau)
-        work[rows, hi:] = _ormqr("T", qr, tau, work[rows, hi:])
-        work[rows, lo:hi] = np.triu(qr)
-
-    def eliminate(pivot, col, lo):
-        """Zero work[lo:, col] against work[pivot, col] in place."""
-        nonlocal givens_cols, householder_cols
-        sub = work[lo:, col]
-        nnz = int(np.count_nonzero(sub))
-        if nnz == 0:
-            return
-        density = nnz / sub.shape[0]
-        if density < density_threshold:
-            givens_cols += 1
-            for off in np.nonzero(sub)[0]:
-                i = lo + off
-                c, s, r = _givens_pair(work[pivot, col], work[i, col])
-                ops.add_givens(pivot, i, c, s)
-                rowp = work[pivot, col:].copy()
-                rowi = work[i, col:]
-                work[pivot, col:] = c * rowp - s * rowi
-                work[i, col:] = s * rowp + c * rowi
-                work[pivot, col] = r
-                work[i, col] = 0.0
-        else:
-            householder_cols += 1
-            reflect(np.r_[pivot, lo : r1 + m_b], col, col + 1)
-
-    # stage 2: per column, only the B rows below the triangular pivot carry
-    # nonzeros, so the structural zeros of the stage-1 factor are skipped
-    if m_b:
-        for j in range(r1):
-            if _all_dense(work[r1:, j:r1], density_threshold):
-                householder_cols += r1 - j
-                reflect(slice(j, None), j, r1)
-                break
-            eliminate(j, j, r1)
-
-    # stage 3: column-pivoted elimination of the remaining bottom-right block
-    pi = np.arange(k - r1)
-    rank3 = 0
+    if m_b and r1:
+        qr, tau, _, _ = dgeqrf(work[:, :r1])
+        ops.add_reflectors(slice(0, None), qr, tau)
+        work[:, r1:] = _ormqr("T", qr, tau, work[:, r1:])
+        work[:, :r1] = np.triu(qr)
     if m_b and k > r1:
-        if _all_dense(work[r1:, r1:], density_threshold):
-            qr, pi, tau, rank3 = _geqp3(work[r1:, r1:], tol)
-            ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
-            work[:r1, r1:] = work[:r1, r1:][:, pi]
-            work[r1:, r1:] = np.triu(qr)
-            householder_cols += min(rank3, m_b - 1)
-        else:
-            scale3 = float(np.max(np.linalg.norm(work[r1:, r1:], axis=0)))
-            for j in range(min(m_b, k - r1)):
-                col = r1 + j
-                row = r1 + j
-                norms = np.linalg.norm(work[row:, col:], axis=0)
-                p = int(np.argmax(norms))
-                if norms[p] <= tol * scale3 or scale3 == 0.0:
-                    break
-                if p != 0:
-                    work[:, [col, col + p]] = work[:, [col + p, col]]
-                    pi[[j, j + p]] = pi[[j + p, j]]
-                eliminate(row, col, row + 1)
-                rank3 += 1
+        qr, pi, tau, rank3 = _geqp3(work[r1:, r1:], tol)
+        ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
+        work[:r1, r1:] = work[:r1, r1:][:, pi]
+        work[r1:, r1:] = np.triu(qr)
 
     rank = r1 + rank3
     col_order = np.concatenate([stage1.perm[:r1], stage1.perm[r1:][pi]]).astype(int)
@@ -397,10 +295,9 @@ def staged_rrqr(
         stage1=stage1,
         stage23=ops,
         triangular=work[:rank, :rank].copy(),
-        free_block=work[:rank, rank:].copy(),
         col_order=col_order,
         rank=rank,
         shape=(m_b + stage1.shape[0], k),
-        givens_columns=givens_cols,
-        householder_columns=householder_cols,
+        # stage 2 reflects r1 columns; a stage-3 pivot on the last row has none
+        householder_columns=r1 + min(rank3, m_b - 1) if m_b else 0,
     )

@@ -351,6 +351,31 @@ class TestBoundRows:
         assert rep.levels[2].m_inact == 5
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_least_squares_form_on_box_plus_task(self, seed):
+        # level 1 stacks 2n bound rows over a task while the basis is still
+        # I: the staged factorization of the least-squares step meets them
+        # directly
+        n, t = 40, 5
+        rng = np.random.default_rng(seed)
+        task1, task2 = rng.uniform(-1, 1, (t, n)), rng.uniform(-1, 1, (t, n))
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        p = HlspProblem(
+            n=n,
+            levels=(
+                lvl(n, task1, rng.uniform(-1, 1, t), box, -np.ones(2 * n)),
+                lvl(n, task2, rng.uniform(-1, 1, t), np.zeros((0, n)), []),
+                lvl(n, np.eye(n), np.zeros(n), np.zeros((0, n)), []),
+            ),
+        )
+        ls = solve_hlsp(p, SolverConfig(method="ls-ipm"))
+        nf = solve_hlsp(p, SolverConfig(method="nf-ipm"))
+        assert ls.converged
+        assert not any(level.method_fallback for level in ls.levels)
+        # levels 1 and 2 are feasible and end at objectives of 1e-26
+        assert np.allclose(ls.objectives, nf.objectives, rtol=1e-6, atol=1e-12)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_level_context_factorizes_nothing_up_front(method):
     counters = Counters()
@@ -394,6 +419,14 @@ class TestAsm:
         rep = hybrid_solve(p, config)
         assert abs(rep.x[0] - 0.5) < 1e-8
         assert rep.levels[0].asm_iterations == 0
+
+    @pytest.mark.parametrize(
+        "sets,level", [({1: (0, 2)}, 1), ({1: [-1]}, 1), ({2: [0]}, 2), ({3: []}, 3)]
+    )
+    def test_warm_rows_outside_the_level_rejected(self, sets, level):
+        config = SolverConfig(method="nf-ipm-asm", warm_active_sets=sets)
+        with pytest.raises(ValueError, match=f"warm_active_sets.* level {level}"):
+            hybrid_solve(two_sided_conflict(), config)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_pure_ipm(self, seed):

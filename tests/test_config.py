@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hlsp.config import SolverConfig
@@ -42,6 +43,13 @@ def test_step_form_mapping():
         ("asm_max_iter", -1),
         ("warm_active_sets", 5),
         ("warm_active_sets", [(0, 1)]),
+        ("warm_active_sets", {1: 3}),
+        ("warm_active_sets", {1: "ab"}),
+        ("warm_active_sets", {1: [0.5]}),
+        ("warm_active_sets", {1: [True]}),
+        ("warm_active_sets", {1: np.zeros((1, 1), dtype=int)}),
+        ("warm_active_sets", {"1": [0]}),
+        ("warm_active_sets", {0: [0]}),
     ],
 )
 def test_rejects_out_of_range_setting(field, value):
@@ -52,3 +60,4 @@ def test_rejects_out_of_range_setting(field, value):
 def test_accepts_edge_settings():
     cfg = SolverConfig(tau=0.5, max_iter=0, asm_max_iter=0)
     assert cfg.max_iter == 0
+    SolverConfig(warm_active_sets={1: np.arange(2), 2: (), 3: range(1)})
