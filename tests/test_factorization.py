@@ -164,6 +164,15 @@ def eliminate_column(col):
 
 
 class TestSparseColumnElimination:
+    def test_boundary_is_householder(self):
+        # a half-dense column takes the one reflector path
+        staged = eliminate_column(np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0]))
+        assert (staged.givens_columns, staged.householder_columns) == (0, 1)
+
+    def test_fully_dense_is_householder(self):
+        staged = eliminate_column(np.ones(5))
+        assert (staged.givens_columns, staged.householder_columns) == (0, 1)
+
     def test_both_paths_zero_the_column(self):
         # a dense and a bound-like sparse column take the same reflector
         rng = np.random.default_rng(19)
@@ -362,7 +371,7 @@ class TestKernelProperties:
 
     @PROPERTY
     @given(seeds, st.integers(4, 8), st.integers(4, 12))
-    def test_staged_bound_rows_take_two_reflector_blocks(self, seed, n, m_b):
+    def test_staged_dense_then_sparse_columns_match_lstsq(self, seed, n, m_b):
         rng = np.random.default_rng(seed)
         # bound rows behind a dense first column, over a diagonal A: however
         # sparse the columns, stage 2 is one xGEQRF block and stage 3 one
