@@ -61,7 +61,7 @@ def _fact_work(shapes):
 def _row(instance_name, method, seed, problem, config, repeats):
     times = []
     report = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         report = solve_hlsp(problem, config)
         times.append(time.perf_counter() - t0)
@@ -152,8 +152,8 @@ def run_benchmark(spec, out_path=None):
 
     Spec fields: ``instances`` (each with ``n`` and ``levels`` as
     [m_e, m_i, rank_deficiency, mode] lists), ``seeds``, ``methods``,
-    ``repeats`` (default 5), optional ``equality_sweep`` with ``n``,
-    ``m2`` and ``step``.
+    ``repeats`` (a positive integer, default 5), optional
+    ``equality_sweep`` with ``n``, ``m2`` and ``step``.
     """
     if not isinstance(spec, dict):
         raise BenchSpecError("spec must be a JSON object")
@@ -164,7 +164,10 @@ def run_benchmark(spec, out_path=None):
                 f"got {type(spec[key]).__name__}"
             )
     methods = spec.get("methods", ["nf-ipm"])
-    repeats = int(spec.get("repeats", 5))
+    repeats = spec.get("repeats", 5)
+    # a JSON true is an int to isinstance; it is not a repeat count
+    if isinstance(repeats, bool) or repeats < 1:
+        raise BenchSpecError(f"spec field 'repeats' must be a positive integer, got {repeats!r}")
     try:
         configs = {m: SolverConfig(method=m, **spec.get("config", {})) for m in methods}
     except TypeError as exc:

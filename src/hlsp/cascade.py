@@ -247,19 +247,12 @@ def build_level_context(state: CascadeState, level, config, counters):
 
 
 def _snapshot(s):
-    return (
-        s.x.copy(),
-        s.v_eq.copy(),
-        s.v_ineq.copy(),
-        s.w_ineq.copy(),
-        s.w_inact.copy(),
-        s.lam_inact.copy(),
-        s.lam_act.copy(),
-    )
+    # iterate arrays are replaced, never written in place: references suffice
+    return (s.x, s.v_eq, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact, s.lam_act, s.frame)
 
 
 def _restore(s, snap):
-    s.x, s.v_eq, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact, s.lam_act = snap
+    s.x, s.v_eq, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact, s.lam_act, s.frame = snap
 
 
 def _level_form(ctx):

@@ -12,6 +12,7 @@ of the block that remains.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,22 @@ def _trsolve(r, b, trans="N"):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     return x
+
+
+@functools.lru_cache(maxsize=64)
+def _below_diagonal(rows, cols):
+    """Read-only mask of the entries below the main diagonal."""
+    mask = np.tri(rows, cols, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _zero_below_diagonal(a):
+    """Zero the strict lower triangle of ``a`` in place; ``np.triu``'s values."""
+    rows, cols = a.shape
+    if rows > 1 and cols > 0:
+        a[_below_diagonal(rows, cols)] = 0.0
+    return a
 
 
 def _geqp3(a, tol, floor=0.0):
@@ -180,7 +197,8 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, floor=0.0):
         counter.count_factorization(m, k)
     return Rrqr(
         q=q,
-        r=np.triu(qr[:rank, :rank]),
+        # C order, as np.triu returned it: _trsolve's LAPACK call follows the layout
+        r=_zero_below_diagonal(np.array(qr[:rank, :rank], order="C")),
         t=qr[:rank, rank:].copy(),
         perm=perm,
         rank=rank,
@@ -280,12 +298,14 @@ def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
         qr, tau, _, _ = dgeqrf(work[:, :r1])
         ops.add_reflectors(slice(0, None), qr, tau)
         work[:, r1:] = _ormqr("T", qr, tau, work[:, r1:])
-        work[:, :r1] = np.triu(qr)
+        work[:, :r1] = qr
+        _zero_below_diagonal(work[:, :r1])
     if m_b and k > r1:
         qr, pi, tau, rank3 = _geqp3(work[r1:, r1:], tol)
         ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
         work[:r1, r1:] = work[:r1, r1:][:, pi]
-        work[r1:, r1:] = np.triu(qr)
+        work[r1:, r1:] = qr
+        _zero_below_diagonal(work[r1:, r1:])
 
     rank = r1 + rank3
     col_order = np.concatenate([stage1.perm[:r1], stage1.perm[r1:][pi]]).astype(int)

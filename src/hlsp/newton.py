@@ -9,10 +9,15 @@ the chain basis annihilates every active row, so stationarity is measured
 in that basis. Only the reported duals are recovered, by one walk over the
 chain (``recover_equality_dual``) that ``solve_hlsp`` makes at most once
 per solve.
+
+The products ``A @ x`` and the barrier weights of an iterate are computed
+once, when the iterate is made, into its ``_Frame``. The convergence test
+and the predictor and corrector of the next iteration all read them there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +60,12 @@ class IterateState:
     implicit (lam_eq = -v_eq, lam_ineq = -v_ineq). The active-constraint
     duals lam_act start at zero and only the classical step moves them; the
     projected forms neither read nor move them.
+
+    Arrays are replaced, never written in place: a step binds new arrays to
+    the fields. So a snapshot of the iterate may hold references, and
+    ``frame``, the products of the iterate that ``initial_state`` and
+    ``apply_step`` make, stays valid exactly while the fields still hold
+    the arrays it was made from.
     """
 
     x: np.ndarray
@@ -64,6 +75,7 @@ class IterateState:
     w_inact: np.ndarray
     lam_inact: np.ndarray
     lam_act: np.ndarray
+    frame: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -90,7 +102,9 @@ class LevelContext:
     rows and, when the active set turns out to be the equalities alone, by
     the null-space projection. Levels that read none of these make none.
     ``stages`` are the chain stages in force when the context was built;
-    their rows stack into ``a_act``.
+    their rows stack into ``a_act``. ``eq_gram``, the constant term
+    ``proj_eq.T @ proj_eq`` of the reduced quadratic term, is made likewise
+    on the normal form's first read.
     """
 
     n: int
@@ -112,6 +126,7 @@ class LevelContext:
     stages: tuple
     counters: Counters
     config: object
+    eq_gram: np.ndarray = None
 
     def equality_factorization(self):
         """The counted RRQR of ``proj_eq``, made on first read.
@@ -128,6 +143,11 @@ class LevelContext:
                 floor=tol * np.linalg.norm(self.a_eq, axis=1).max(initial=0.0),
             )
         return self.stage1
+
+    def _equality_gram(self):
+        if self.eq_gram is None:
+            self.eq_gram = self.proj_eq.T @ self.proj_eq
+        return self.eq_gram
 
     @property
     def m_eq(self):
@@ -149,21 +169,88 @@ class LevelContext:
 def initial_state(ctx: LevelContext, x):
     """All-ones interior start; the primal is warm-started from the caller."""
     x = np.asarray(x, dtype=float).copy()
-    return IterateState(
+    ax_eq = ctx.a_eq @ x
+    s = IterateState(
         x=x,
-        v_eq=ctx.a_eq @ x - ctx.b_eq,
+        v_eq=ax_eq - ctx.b_eq,
         v_ineq=-np.ones(ctx.m_ineq),
         w_ineq=np.ones(ctx.m_ineq),
         w_inact=np.ones(ctx.m_inact),
         lam_inact=np.ones(ctx.m_inact),
         lam_act=np.zeros(ctx.m_act),
     )
+    s.frame = _Frame(ctx, s, ax_eq)
+    return s
 
 
-def _clamped_pivot(s: IterateState):
-    """Diagonal v - w, kept strictly negative through boundary rounding."""
-    d = s.v_ineq - s.w_ineq
-    return np.where(d > -PIVOT_CLAMP, -PIVOT_CLAMP, d)
+_EMPTY = np.zeros(0)
+_EMPTY.flags.writeable = False
+
+
+class _Frame:
+    """Products and barrier weights of one iterate, each computed once.
+
+    Every expression keeps the operand order of the formula it stands in
+    for, so results are the bits a fresh evaluation gives. The frame holds
+    the context and state arrays it was made from; ``_frame`` hands it out
+    only while the state still holds exactly those. The blocks a level
+    lacks keep the empty class defaults.
+    """
+
+    ax_act = rhs_act = _EMPTY
+    ax_ineq = rhs_ineq = slack_ineq = neg_axbw = w_axbw = neg_v_ineq = _EMPTY
+    pivot = w_over_pivot = wt_ineq = _EMPTY
+    ax_inact = res_inact = lam_res = wt_inact = ratio_base = _EMPTY
+
+    def __init__(self, ctx, s, ax_eq=None):
+        self.ctx, self.x = ctx, s.x
+        self.v_ineq, self.w_ineq = s.v_ineq, s.w_ineq
+        self.w_inact, self.lam_inact = s.w_inact, s.lam_inact
+        self.ax_eq = ctx.a_eq @ s.x if ax_eq is None else ax_eq
+        self.rhs_eq = ctx.b_eq - self.ax_eq
+        if ctx.m_act:
+            self.ax_act = ctx.a_act @ s.x
+            self.rhs_act = ctx.b_act - self.ax_act
+        if ctx.m_ineq:
+            v, w = s.v_ineq, s.w_ineq
+            self.ax_ineq = ctx.a_ineq @ s.x
+            self.rhs_ineq = ctx.b_ineq - self.ax_ineq
+            self.slack_ineq = self.rhs_ineq + w
+            axbw = self.ax_ineq - ctx.b_ineq - w
+            self.neg_axbw = -axbw
+            self.w_axbw = w * axbw
+            self.neg_v_ineq = -v
+            # diagonal v - w, kept strictly negative through boundary rounding
+            self.pivot = np.minimum(v - w, -PIVOT_CLAMP)
+            self.w_over_pivot = w / self.pivot
+            # diagonal of I + (V - W)^-1 W, nonnegative under the sign conditions
+            self.wt_ineq = v / self.pivot
+        if ctx.m_inact:
+            self.ax_inact = ctx.a_inact @ s.x
+            self.res_inact = ctx.b_inact - self.ax_inact
+            self.lam_res = s.lam_inact * self.res_inact
+            self.wt_inact = s.lam_inact / s.w_inact
+        if ctx.m_ineq or ctx.m_inact:
+            self.ratio_base = np.concatenate(
+                (s.w_ineq, self.neg_v_ineq, s.w_inact, s.lam_inact)
+            )
+
+    def holds(self, s):
+        """True while ``s`` holds the barrier arrays this frame was made from."""
+        return (
+            self.v_ineq is s.v_ineq
+            and self.w_ineq is s.w_ineq
+            and self.w_inact is s.w_inact
+            and self.lam_inact is s.lam_inact
+        )
+
+
+def _frame(ctx, s):
+    """The iterate's frame, or a fresh one for a state that has none valid."""
+    fr = s.frame
+    if fr is None or fr.ctx is not ctx or fr.x is not s.x or not fr.holds(s):
+        fr = _Frame(ctx, s)
+    return fr
 
 
 def assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=None):
@@ -175,17 +262,13 @@ def assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=None):
     centering.
     """
     cross_inact, cross_ineq = (0.0, 0.0) if cross is None else cross
-
+    fr = _frame(ctx, s)
     if ctx.m_inact:
-        res = ctx.b_inact - ctx.a_inact @ s.x
-        f = s.lam_inact + (s.lam_inact * res + smu_inact - cross_inact) / s.w_inact
+        f = s.lam_inact + (fr.lam_res + smu_inact - cross_inact) / s.w_inact
     else:
         f = np.zeros(0)
-
     if ctx.m_ineq:
-        d = _clamped_pivot(s)
-        axbw = ctx.a_ineq @ s.x - ctx.b_ineq - s.w_ineq
-        g = -axbw - (smu_ineq + cross_ineq + s.w_ineq * axbw) / d
+        g = fr.neg_axbw - (smu_ineq + cross_ineq + fr.w_axbw) / fr.pivot
     else:
         g = np.zeros(0)
     return f, g
@@ -202,7 +285,7 @@ def kkt_residual(ctx, s, sigma_mu_ineq, sigma_mu_inact):
     blocks = [_dual_free_stationarity(ctx, s) - ctx.a_act.T @ s.lam_act]
     blocks.extend(_partial_blocks(ctx, s, sigma_mu_ineq, sigma_mu_inact))
     k = np.concatenate(blocks)
-    return k, float(np.linalg.norm(k))
+    return k, _norm(k)
 
 
 def _dual_free_stationarity(ctx, s):
@@ -216,42 +299,41 @@ def _dual_free_stationarity(ctx, s):
 
 
 def _partial_blocks(ctx, s, sigma_mu_ineq, sigma_mu_inact):
-    return [
-        ctx.b_eq - ctx.a_eq @ s.x + s.v_eq,
-        ctx.b_ineq - ctx.a_ineq @ s.x + s.v_ineq + s.w_ineq,
-        s.w_ineq * s.v_ineq + sigma_mu_ineq,
-        ctx.b_act - ctx.a_act @ s.x + ctx.v_act,
-        ctx.b_inact - ctx.a_inact @ s.x + s.w_inact,
-        s.lam_inact * s.w_inact - sigma_mu_inact,
-    ]
+    """The six blocks after stationarity; empty ones are left out."""
+    fr = _frame(ctx, s)
+    blocks = [fr.rhs_eq + s.v_eq]
+    if ctx.m_ineq:
+        blocks.append(fr.rhs_ineq + s.v_ineq + s.w_ineq)
+        blocks.append(s.w_ineq * s.v_ineq + sigma_mu_ineq)
+    if ctx.m_act:
+        blocks.append(fr.rhs_act + ctx.v_act)
+    if ctx.m_inact:
+        blocks.append(fr.res_inact + s.w_inact)
+        blocks.append(s.lam_inact * s.w_inact - sigma_mu_inact)
+    return blocks
 
 
-def _ineq_weight(s):
-    """Diagonal of I + (V - W)^-1 W, nonnegative under the sign conditions."""
-    return s.v_ineq / _clamped_pivot(s)
+def _norm(v):
+    """2-norm of a real vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v.dot(v))
 
 
-def _inact_weight(s):
-    return s.lam_inact / s.w_inact
-
-
-def _sqrt_weights(s):
+def _sqrt_weights(fr):
     """Square roots of the barrier weights that scale the least-squares rows."""
-    wt_inact = _inact_weight(s)
-    wt_ineq = _ineq_weight(s)
-    if np.any(wt_inact < 0) or np.any(wt_ineq < 0):
+    if (fr.wt_inact < 0).any() or (fr.wt_ineq < 0).any():
         raise SingularWeightError(
             "negative square-root weight: line-search sign conditions breached"
         )
-    return np.sqrt(wt_inact), np.sqrt(wt_ineq)
+    return np.sqrt(fr.wt_inact), np.sqrt(fr.wt_ineq)
 
 
 def classical_factorize(ctx, s):
+    fr = _frame(ctx, s)
     c = ctx.a_eq.T @ ctx.a_eq
     if ctx.m_ineq:
-        c = c + (ctx.a_ineq * _ineq_weight(s)[:, None]).T @ ctx.a_ineq
+        c = c + (ctx.a_ineq * fr.wt_ineq[:, None]).T @ ctx.a_ineq
     if ctx.m_inact:
-        c = c + (ctx.a_inact * _inact_weight(s)[:, None]).T @ ctx.a_inact
+        c = c + (ctx.a_inact * fr.wt_inact[:, None]).T @ ctx.a_inact
     fact_c = rrqr(c, tol=ctx.config.solve_tol, counter=ctx.counters)
     if fact_c.rank < ctx.n:
         raise MethodNotApplicable(
@@ -267,21 +349,21 @@ def classical_factorize(ctx, s):
 
 def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
     """Recover the eliminated variable steps from the reduced step."""
+    fr = _frame(ctx, s)
     if dx is None:
         dx = ctx.basis @ dz if ctx.n_r else np.zeros(ctx.n)
     x_new = s.x + dx
     dv_eq = ctx.a_eq @ x_new - ctx.b_eq - s.v_eq
     if ctx.m_ineq:
-        d = _clamped_pivot(s)
         adx = ctx.a_ineq @ dx
-        dw_ineq = g_vec - (ctx.b_ineq - ctx.a_ineq @ s.x + s.w_ineq) - (s.w_ineq / d) * adx
+        dw_ineq = g_vec - fr.slack_ineq - fr.w_over_pivot * adx
         dv_ineq = (ctx.a_ineq @ x_new - ctx.b_ineq) - s.v_ineq - s.w_ineq - dw_ineq
     else:
         dw_ineq = np.zeros(0)
         dv_ineq = np.zeros(0)
     if ctx.m_inact:
         dw_inact = ctx.a_inact @ x_new - ctx.b_inact - s.w_inact
-        dlam_inact = f_vec - s.lam_inact - _inact_weight(s) * (ctx.a_inact @ dx)
+        dlam_inact = f_vec - s.lam_inact - fr.wt_inact * (ctx.a_inact @ dx)
     else:
         dw_inact = np.zeros(0)
         dlam_inact = np.zeros(0)
@@ -300,22 +382,29 @@ def line_search(s, d: StepDirection, tau):
     """Largest fraction of the step keeping every sign condition valid.
 
     One ratio test over the four stacked nonnegative blocks (w_ineq,
-    -v_ineq, w_inact, lam_inact). A block whose ratios include a NaN sets
-    no bound at all.
+    -v_ineq, w_inact, lam_inact), whose stack the iterate's frame holds. A
+    block whose ratios include a NaN sets no bound at all.
     """
-    blocks = (s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact)
-    val = np.concatenate(blocks)
-    dval = np.concatenate([d.dw_ineq, -d.dv_ineq, d.dw_inact, d.dlam_inact])
+    fr = s.frame
+    if fr is not None and fr.holds(s):
+        val = fr.ratio_base
+    else:
+        val = np.concatenate((s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact))
+    dval = np.concatenate((d.dw_ineq, -d.dv_ineq, d.dw_inact, d.dlam_inact))
     mask = dval < 0
     ratios = val[mask] / -dval[mask]
-    nan = np.isnan(ratios)
-    if nan.any():
-        block = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])[mask]
-        ratios = ratios[~np.isin(block, block[nan])]
     if ratios.size == 0:
         return 1.0
-    a_max = float(np.min(ratios))
-    if not np.isfinite(a_max):
+    a_max = float(ratios.min())
+    if a_max != a_max:
+        # a NaN ratio: drop every ratio of its block
+        sizes = (s.w_ineq.size, s.v_ineq.size, s.w_inact.size, s.lam_inact.size)
+        block = np.repeat(np.arange(4), sizes)[mask]
+        ratios = ratios[~np.isin(block, block[np.isnan(ratios)])]
+        if ratios.size == 0:
+            return 1.0
+        a_max = float(ratios.min())
+    if not math.isfinite(a_max):
         return 1.0
     return float(min(1.0, tau * a_max))
 
@@ -332,14 +421,17 @@ def apply_step(ctx, s, d: StepDirection, alpha):
         s.lam_act = s.lam_act + alpha * d.dlam_act
     # keeping the equality slack consistent preserves the feasibility of
     # the reduced system's right-hand side across iterations
-    s.v_eq = ctx.a_eq @ s.x - ctx.b_eq
+    ax_eq = ctx.a_eq @ s.x
+    s.v_eq = ax_eq - ctx.b_eq
+    s.frame = _Frame(ctx, s, ax_eq)
 
 
 def _centering(mu, mu_aff):
     if mu <= 0.0:
         return 0.0
     sigma = (mu_aff / mu) ** 3
-    return float(np.clip(sigma, 0.0, 1.0)) * mu
+    # the clip of np.clip: NaN and -0.0 pass through
+    return min(max(sigma, 0.0), 1.0) * mu
 
 
 def mehrotra_iteration(ctx, s, form):
@@ -369,7 +461,7 @@ def mehrotra_iteration(ctx, s, form):
 
     smu_ineq = 0.0
     if ctx.m_ineq:
-        mu = float(-s.v_ineq @ s.w_ineq / ctx.m_ineq)
+        mu = float(_frame(ctx, s).neg_v_ineq @ s.w_ineq / ctx.m_ineq)
         v_aff = s.v_ineq + alpha_aff * d_aff.dv_ineq
         w_aff = s.w_ineq + alpha_aff * d_aff.dw_ineq
         smu_ineq = _centering(mu, float(-v_aff @ w_aff / ctx.m_ineq))
@@ -405,19 +497,23 @@ def _step_solver(ctx, s, form):
     barrier rows both projected forms take the basic least-squares step on
     the retained equality factorization, so the level needs no other.
     """
+    fr = _frame(ctx, s)
     if form == "classical":
         fact_c, fact_m = classical_factorize(ctx, s)
+        r1_eq = ctx.a_eq.T @ fr.rhs_eq
+        if ctx.m_act:
+            r1_act = ctx.a_act.T @ s.lam_act
+            neg_r2 = -(fr.ax_act - ctx.b_act - ctx.v_act)
 
         def solve(f_vec, g_vec):
-            r1 = ctx.a_eq.T @ (ctx.b_eq - ctx.a_eq @ s.x)
+            r1 = r1_eq
             if ctx.m_ineq:
                 r1 = r1 + ctx.a_ineq.T @ g_vec
             if ctx.m_inact:
                 r1 = r1 + ctx.a_inact.T @ f_vec
             if ctx.m_act:
-                r1 = r1 + ctx.a_act.T @ s.lam_act
-                r2 = ctx.a_act @ s.x - ctx.b_act - ctx.v_act
-                dlam = fact_m.solve_basic(-r2 - ctx.a_act @ fact_c.solve_basic(r1))
+                r1 = r1 + r1_act
+                dlam = fact_m.solve_basic(neg_r2 - ctx.a_act @ fact_c.solve_basic(r1))
                 dx = fact_c.solve_basic(r1 + ctx.a_act.T @ dlam)
             else:
                 dlam = np.zeros(0)
@@ -432,11 +528,11 @@ def _step_solver(ctx, s, form):
     if ctx.n_r == 0:
         solve_dz = lambda f_vec, g_vec: np.zeros(0)
     elif ctx.m_ineq == 0 and ctx.m_inact == 0:
-        solve_dz = _equality_solver(ctx, s)
+        solve_dz = _equality_solver(ctx, fr)
     elif form == "normal":
-        solve_dz = _normal_solver(ctx, s)
+        solve_dz = _normal_solver(ctx, fr)
     else:
-        solve_dz = _ls_solver(ctx, s)
+        solve_dz = _ls_solver(ctx, fr)
 
     def solve(f_vec, g_vec):
         return component_steps(ctx, s, solve_dz(f_vec, g_vec), f_vec, g_vec)
@@ -444,55 +540,51 @@ def _step_solver(ctx, s, form):
     return solve
 
 
-def _equality_solver(ctx, s):
+def _equality_solver(ctx, fr):
     """Basic least-squares step on the projected equality block's RRQR."""
     stage1 = ctx.equality_factorization()
-    rhs_eq = ctx.b_eq - ctx.a_eq @ s.x
-    return lambda f_vec, g_vec: stage1.solve_basic(rhs_eq)
+    return lambda f_vec, g_vec: stage1.solve_basic(fr.rhs_eq)
 
 
-def _normal_solver(ctx, s):
+def _normal_solver(ctx, fr):
     """Factor the reduced quadratic term once, solve for many right sides."""
-    h = ctx.proj_eq.T @ ctx.proj_eq
+    h = ctx._equality_gram()
     if ctx.m_ineq:
-        h = h + (ctx.proj_ineq * _ineq_weight(s)[:, None]).T @ ctx.proj_ineq
+        h = h + (ctx.proj_ineq * fr.wt_ineq[:, None]).T @ ctx.proj_ineq
     if ctx.m_inact:
-        h = h + (ctx.proj_inact * _inact_weight(s)[:, None]).T @ ctx.proj_inact
+        h = h + (ctx.proj_inact * fr.wt_inact[:, None]).T @ ctx.proj_inact
     fact = rrqr(h, tol=ctx.config.solve_tol, counter=ctx.counters)
-    rhs_eq = ctx.proj_eq.T @ (ctx.b_eq - ctx.a_eq @ s.x)
+    rhs_eq = ctx.proj_eq.T @ fr.rhs_eq
 
     def solve(f_vec, g_vec):
-        rhs = rhs_eq.copy()
+        rhs = rhs_eq
         if ctx.m_ineq:
-            rhs += ctx.proj_ineq.T @ g_vec
+            rhs = rhs + ctx.proj_ineq.T @ g_vec
         if ctx.m_inact:
-            rhs += ctx.proj_inact.T @ f_vec
+            rhs = rhs + ctx.proj_inact.T @ f_vec
         return fact.solve_basic(rhs)
 
     return solve
 
 
-def _ls_solver(ctx, s):
+def _ls_solver(ctx, fr):
     """Stage the weighted stack once; the rhs changes between solves."""
-    rhs_eq_full = ctx.b_eq - ctx.a_eq @ s.x
-    sq_inact, sq_ineq = _sqrt_weights(s)
+    sq_inact, sq_ineq = _sqrt_weights(fr)
     top = np.vstack(
         [ctx.proj_inact * sq_inact[:, None], ctx.proj_ineq * sq_ineq[:, None]]
     )
     staged = staged_rrqr(
         top, ctx.equality_factorization(), tol=ctx.config.solve_tol, counter=ctx.counters
     )
+    m_inact = ctx.m_inact
+    live_inact, live_ineq = sq_inact > 0, sq_ineq > 0
 
     def solve(f_vec, g_vec):
-        rhs_top = np.concatenate(
-            [
-                np.divide(
-                    f_vec, sq_inact, out=np.zeros_like(f_vec), where=sq_inact > 0
-                ),
-                np.divide(g_vec, sq_ineq, out=np.zeros_like(g_vec), where=sq_ineq > 0),
-            ]
-        )
-        return staged.solve_basic(rhs_top, rhs_eq_full)
+        # rows of zero weight take a zero right-hand side
+        rhs_top = np.zeros(len(top))
+        np.divide(f_vec, sq_inact, out=rhs_top[:m_inact], where=live_inact)
+        np.divide(g_vec, sq_ineq, out=rhs_top[m_inact:], where=live_ineq)
+        return staged.solve_basic(rhs_top, fr.rhs_eq)
 
     return solve
 
@@ -527,11 +619,11 @@ def converged(ctx, s, eps):
     early-out fires and ``hypot(partial, |g_r|)`` otherwise. Reads only.
     """
     partial = np.concatenate(_partial_blocks(ctx, s, 0.0, 0.0))
-    pn = float(np.linalg.norm(partial))
+    pn = _norm(partial)
     if pn >= eps:
         return False, pn
     g_r = ctx.basis.T @ _dual_free_stationarity(ctx, s)
-    full = float(np.hypot(pn, np.linalg.norm(g_r)))
+    full = float(np.hypot(pn, _norm(g_r)))
     return full < eps, full
 
 

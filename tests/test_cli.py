@@ -298,6 +298,9 @@ class TestBenchCommand:
             {"instances": [{"n": 4, "levels": [["1", 2, 0, "feasible"]]}]},
             {"seeds": 3},
             {"repeats": None},
+            {"repeats": 0},
+            {"repeats": -2},
+            {"repeats": True},
             {"equality_sweep": {"n": 4, "seed": "x"}},
             {"config": {"density_threshold": 0.4}},
         ],
@@ -309,6 +312,9 @@ class TestBenchCommand:
             "string-row-count",
             "seeds-not-list",
             "null-repeats",
+            "zero-repeats",
+            "negative-repeats",
+            "bool-repeats",
             "string-sweep-seed",
             "removed-density-threshold",
         ],

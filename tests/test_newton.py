@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hlsp import cascade
 from hlsp.cascade import NullSpaceChain
 from hlsp.config import SolverConfig
 from hlsp import newton
@@ -817,3 +818,131 @@ class TestLsSwitch:
 
     def test_alternate_variant_threshold(self):
         assert ls_form_recommended(1, 1, 1, 4) is True
+
+
+def frame_arrays(frame):
+    """Every array a frame holds, by attribute name."""
+    return {k: v for k, v in vars(frame).items() if isinstance(v, np.ndarray)}
+
+
+def fresh_products(ctx, s):
+    """Each stored product and weight, evaluated from scratch as the step formulas read."""
+    d = s.v_ineq - s.w_ineq
+    pivot = np.where(d > -newton.PIVOT_CLAMP, -newton.PIVOT_CLAMP, d)
+    return {
+        "ax_eq": ctx.a_eq @ s.x,
+        "rhs_eq": ctx.b_eq - ctx.a_eq @ s.x,
+        "ax_act": ctx.a_act @ s.x,
+        "rhs_act": ctx.b_act - ctx.a_act @ s.x,
+        "ax_ineq": ctx.a_ineq @ s.x,
+        "rhs_ineq": ctx.b_ineq - ctx.a_ineq @ s.x,
+        "slack_ineq": ctx.b_ineq - ctx.a_ineq @ s.x + s.w_ineq,
+        "neg_axbw": -(ctx.a_ineq @ s.x - ctx.b_ineq - s.w_ineq),
+        "w_axbw": s.w_ineq * (ctx.a_ineq @ s.x - ctx.b_ineq - s.w_ineq),
+        "neg_v_ineq": -s.v_ineq,
+        "pivot": pivot,
+        "w_over_pivot": s.w_ineq / pivot,
+        "wt_ineq": s.v_ineq / pivot,
+        "ax_inact": ctx.a_inact @ s.x,
+        "res_inact": ctx.b_inact - ctx.a_inact @ s.x,
+        "lam_res": s.lam_inact * (ctx.b_inact - ctx.a_inact @ s.x),
+        "wt_inact": s.lam_inact / s.w_inact,
+        "ratio_base": np.concatenate((s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact)),
+    }
+
+
+def assert_stored_products_fresh(ctx, s):
+    assert newton._frame(ctx, s) is s.frame, "the stored frame no longer fits the state"
+    for name, value in fresh_products(ctx, s).items():
+        assert np.array_equal(getattr(s.frame, name), value), name
+    assert np.array_equal(s.v_eq, ctx.a_eq @ s.x - ctx.b_eq)
+
+
+# (form, m_eq, m_ineq, m_inact) on n = 5: with and without carried rows;
+# the classical levels have n equalities, so their quadratic term stays
+# nonsingular however the barrier weights move
+FRAME_LEVELS = [
+    ("normal", 1, 3, 0),
+    ("normal", 1, 2, 2),
+    ("ls", 1, 3, 0),
+    ("ls", 1, 2, 2),
+    ("classical", 5, 3, 0),
+    ("classical", 5, 2, 2),
+]
+
+
+class TestIterateFrame:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
+    def test_iterate_arrays_are_never_written_in_place(
+        self, monkeypatch, seed, form, m_eq, m_ineq, m_inact
+    ):
+        # newton_loop keeps references to earlier iterates as its best
+        # point; every iterate must keep its bits once a step has moved on
+        ctx, s0 = build_random_level(
+            seed + 5300, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
+        )
+        s = initial_state(ctx, s0.x)
+        kept = []
+        take_snapshot = cascade._snapshot
+
+        def keep(snap):
+            arrays = list(snap[:-1]) + list(frame_arrays(snap[-1]).values())
+            kept.append((arrays, copy.deepcopy(arrays)))
+            return snap
+
+        def checked_iteration(ctx, state, form):
+            d = mehrotra_iteration(ctx, state, form)
+            for arrays, reference in kept:
+                for a, b in zip(arrays, reference):
+                    assert a.tobytes() == b.tobytes()
+            keep(take_snapshot(state))
+            return d
+
+        monkeypatch.setattr(cascade, "_snapshot", lambda state: keep(take_snapshot(state)))
+        monkeypatch.setattr(cascade, "mehrotra_iteration", checked_iteration)
+        cascade.newton_loop(ctx, s, form=form)
+        assert ctx.counters.newton_iterations >= 3
+        assert len(kept) > ctx.counters.newton_iterations
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
+    def test_stored_products_equal_fresh_ones(
+        self, monkeypatch, seed, form, m_eq, m_ineq, m_inact
+    ):
+        ctx, s0 = build_random_level(
+            seed + 5400, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
+        )
+        s = initial_state(ctx, s0.x)
+        assert_stored_products_fresh(ctx, s)
+        first = cascade._snapshot(s)
+        step = newton.apply_step
+        steps = []
+
+        def checked_step(ctx, state, d, alpha):
+            step(ctx, state, d, alpha)
+            assert_stored_products_fresh(ctx, state)
+            steps.append(alpha)
+
+        monkeypatch.setattr(newton, "apply_step", checked_step)
+        for _ in range(4):
+            mehrotra_iteration(ctx, s, form)
+        assert len(steps) == 4
+        cascade._restore(s, first)
+        assert_stored_products_fresh(ctx, s)
+        assert np.array_equal(s.x, s0.x)
+
+    def test_helpers_ignore_a_frame_the_state_outgrew(self):
+        # a field rebound after the frame was made invalidates it
+        ctx, s0 = build_random_level(5500, n=5, m_eq=1, m_ineq=2, m_inact=2, m_prior=1)
+        s = initial_state(ctx, s0.x)
+        s.x = s.x + 0.25
+        s.w_inact = s.w_inact * 2.0
+        hand_built = IterateState(
+            x=s.x, v_eq=s.v_eq, v_ineq=s.v_ineq, w_ineq=s.w_ineq,
+            w_inact=s.w_inact, lam_inact=s.lam_inact, lam_act=s.lam_act,
+        )
+        assert newton._frame(ctx, s) is not s.frame
+        for a, b in zip(assemble_f_g(ctx, s, 0.1, 0.2), assemble_f_g(ctx, hand_built, 0.1, 0.2)):
+            assert np.array_equal(a, b)
+        assert converged(ctx, s, 1e-12) == converged(ctx, hand_built, 1e-12)
