@@ -53,6 +53,19 @@ class BenchSpecError(ValueError):
     """The suite spec is malformed."""
 
 
+def _spec_int(value, what, least=None):
+    """``value`` if it is an integer of at least ``least``, else a spec error.
+
+    ``json.load`` makes ``true`` a bool, an int to isinstance, and ``3.7`` a
+    float that ``int`` would truncate; neither is a count or a seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BenchSpecError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise BenchSpecError(f"{what} must be at least {least}, got {value!r}")
+    return value
+
+
 def _fact_work(shapes):
     """Flop proxy for a factorization list: sum of min-dim^2 * max-dim."""
     return int(sum(min(m, k) ** 2 * max(m, k) for m, k in shapes))
@@ -122,24 +135,25 @@ def _spec_problems(spec):
     for idx, inst in enumerate(spec.get("instances", [])):
         if not isinstance(inst, dict) or not {"n", "levels"} <= set(inst):
             raise BenchSpecError(f"instance {idx} needs the fields n and levels")
+        n = _spec_int(inst["n"], f"instance {idx}: n")
         for seed in spec.get("seeds", [0]):
             try:
                 specs = [tuple(lv) for lv in inst["levels"]]
-                problem = random_hlsp(seed, int(inst["n"]), specs)
+                for level, lv in enumerate(specs, start=1):
+                    for count in lv[:3]:
+                        _spec_int(count, f"level {level} count")
+                problem = random_hlsp(seed, n, specs)
             except (TypeError, ValueError) as exc:
                 raise BenchSpecError(f"instance {idx}: {exc}") from exc
             yield inst.get("name", f"inst{idx}"), seed, problem
     sweep = spec.get("equality_sweep")
     if not sweep:
         return
-    seed = sweep.get("seed", 0)
-    try:
-        n = int(sweep.get("n", 60))
-        m2 = int(sweep.get("m2", n))
-        m1e_values = range(0, n + 1, int(sweep.get("step", 1)))
-    except (TypeError, ValueError) as exc:
-        raise BenchSpecError(f"equality_sweep: {exc}") from exc
-    for m1e in m1e_values:
+    seed = _spec_int(sweep.get("seed", 0), "equality_sweep: seed")
+    n = _spec_int(sweep.get("n", 60), "equality_sweep: n")
+    m2 = _spec_int(sweep.get("m2", n), "equality_sweep: m2")
+    step = _spec_int(sweep.get("step", 1), "equality_sweep: step", least=1)
+    for m1e in range(0, n + 1, step):
         try:
             problem = equality_sweep_problem(n, m1e, m2, seed=seed)
         except (TypeError, ValueError) as exc:
@@ -153,7 +167,8 @@ def run_benchmark(spec, out_path=None):
     Spec fields: ``instances`` (each with ``n`` and ``levels`` as
     [m_e, m_i, rank_deficiency, mode] lists), ``seeds``, ``methods``,
     ``repeats`` (a positive integer, default 5), optional
-    ``equality_sweep`` with ``n``, ``m2`` and ``step``.
+    ``equality_sweep`` with ``n``, ``m2`` and ``step``. Every count and
+    seed must be an integer; a boolean or a fraction is a spec error.
     """
     if not isinstance(spec, dict):
         raise BenchSpecError("spec must be a JSON object")
@@ -164,10 +179,9 @@ def run_benchmark(spec, out_path=None):
                 f"got {type(spec[key]).__name__}"
             )
     methods = spec.get("methods", ["nf-ipm"])
-    repeats = spec.get("repeats", 5)
-    # a JSON true is an int to isinstance; it is not a repeat count
-    if isinstance(repeats, bool) or repeats < 1:
-        raise BenchSpecError(f"spec field 'repeats' must be a positive integer, got {repeats!r}")
+    repeats = _spec_int(spec.get("repeats", 5), "spec field 'repeats'", least=1)
+    for seed in spec.get("seeds", []):
+        _spec_int(seed, "spec field 'seeds' entry")
     try:
         configs = {m: SolverConfig(method=m, **spec.get("config", {})) for m in methods}
     except TypeError as exc:

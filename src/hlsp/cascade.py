@@ -11,13 +11,14 @@ through the barrier.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .config import SolverConfig
-from .factorization import Rrqr, nullspace_update, rrqr
+from .factorization import NonFiniteError, Rrqr, nullspace_update, rrqr
 from .newton import (
     Counters,
     IterateState,
@@ -53,7 +54,6 @@ class Stage:
     v_star: np.ndarray
     fact: Rrqr
     basis_before: np.ndarray
-    rank: int
 
 
 class NullSpaceChain:
@@ -61,7 +61,8 @@ class NullSpaceChain:
 
     ``rows``, ``rhs`` and ``v_star`` stack the activated rows of every
     stage in order. ``extend`` replaces them and the basis, never writing
-    in place, so a level context may hold them.
+    in place, so a level context may hold them. Each stage removes exactly
+    its rank from the basis columns, so the rank consumed is ``n - n_r``.
     """
 
     def __init__(self, n):
@@ -76,10 +77,6 @@ class NullSpaceChain:
     def n_r(self):
         return self.basis.shape[1]
 
-    @property
-    def total_rank(self):
-        return sum(stage.rank for stage in self.stages)
-
     def extend(self, kind, level, rows, rhs, v_star, fact):
         """Append a stage; the basis moves into the null space of ``fact``."""
         stage = Stage(
@@ -90,7 +87,6 @@ class NullSpaceChain:
             v_star=v_star,
             fact=fact,
             basis_before=self.basis,
-            rank=fact.rank,
         )
         self.stages.append(stage)
         self.basis = nullspace_update(self.basis, fact)
@@ -98,9 +94,6 @@ class NullSpaceChain:
         self.rhs = np.concatenate([self.rhs, rhs])
         self.v_star = np.concatenate([self.v_star, v_star])
         return stage
-
-    def active_stack(self):
-        return self.rows, self.rhs, self.v_star
 
 
 class InactiveCarry:
@@ -168,25 +161,27 @@ class CascadeState:
 
 @dataclass
 class LevelReport:
+    """One level's outcome; the defaults describe a level left unsolved."""
+
     level: int
     m_eq: int
     m_ineq: int
-    m_inact: int
     n_r_before: int
     n_r_after: int
-    rank_virtual: int
-    rank_current: int
-    iterations: int
-    factorizations: int
-    dual_evaluations: int
-    asm_iterations: int
-    kkt_norm: float
-    sub_converged: bool
-    method_fallback: bool
     v_star_norm: float
     objective: float
-    fact_shapes: list
-    wall_time_s: float
+    m_inact: int = 0
+    rank_virtual: int = 0
+    rank_current: int = 0
+    iterations: int = 0
+    factorizations: int = 0
+    dual_evaluations: int = 0
+    asm_iterations: int = 0
+    kkt_norm: float = None
+    sub_converged: bool = False
+    method_fallback: bool = False
+    fact_shapes: list = field(default_factory=list)
+    wall_time_s: float = 0.0
 
 
 @dataclass
@@ -219,28 +214,28 @@ class SolveReport:
 
 
 def build_level_context(state: CascadeState, level, config, counters):
-    basis = state.chain.basis
+    chain = state.chain
+    basis = chain.basis
     a_eq = level.equalities.matrix
     a_ineq = level.inequalities.matrix
-    a_act, b_act, v_act = state.chain.active_stack()
     return LevelContext(
-        n=state.chain.n,
-        n_r=state.chain.n_r,
+        n=chain.n,
+        n_r=chain.n_r,
         basis=basis,
         a_eq=a_eq,
         b_eq=level.equalities.rhs,
         a_ineq=a_ineq,
         b_ineq=level.inequalities.rhs,
-        a_act=a_act,
-        b_act=b_act,
-        v_act=v_act,
+        a_act=chain.rows,
+        b_act=chain.rhs,
+        v_act=chain.v_star,
         a_inact=state.carry.matrix,
         b_inact=state.carry.rhs,
         proj_eq=a_eq @ basis,
         proj_ineq=a_ineq @ basis,
         proj_inact=state.carry.matrix @ basis,
         stage1=None,
-        stages=tuple(state.chain.stages),
+        stages=tuple(chain.stages),
         counters=counters,
         config=config,
     )
@@ -270,9 +265,7 @@ def _level_form(ctx):
     m = ctx.m_eq + ctx.m_ineq + ctx.m_inact
     if cfg.step_form != "classical" or m == 0:
         return cfg.step_form, False
-    if m < ctx.n or rrqr(
-        np.vstack([ctx.a_eq, ctx.a_ineq, ctx.a_inact]), tol=cfg.rank_tol
-    ).rank < ctx.n:
+    if m < ctx.n or rrqr(np.vstack([ctx.a_eq, ctx.a_ineq, ctx.a_inact])).rank < ctx.n:
         return "normal", True
     return "classical", False
 
@@ -286,7 +279,9 @@ def newton_loop(ctx, s, form=None):
     fail the first test, take one step and pass the second. The iteration
     cap applies per call, so active-set re-solves get a fresh budget. The
     best iterate seen is kept; when the residual stops improving near the
-    numerical floor the loop exits and restores it.
+    numerical floor the loop exits and restores it. It does the same when
+    a diverging barrier variable overflows the step or the residual to an
+    Inf or a NaN, and the level ends unconverged.
     """
     cfg = ctx.config
     if form is None:
@@ -296,8 +291,15 @@ def newton_loop(ctx, s, form=None):
     best_norm, best = norm, _snapshot(s)
     stalled = 0
     while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
-        mehrotra_iteration(ctx, s, form)
-        conv, norm = converged(ctx, s, cfg.eps)
+        try:
+            mehrotra_iteration(ctx, s, form)
+            conv, norm = converged(ctx, s, cfg.eps)
+        except NonFiniteError:
+            conv, norm = False, math.inf
+        if not math.isfinite(norm):
+            # the best iterate is finite; a NaN would compare as no worse
+            norm = math.inf
+            break
         if norm < best_norm:
             best_norm, best = norm, _snapshot(s)
             stalled = 0
@@ -313,48 +315,42 @@ def newton_loop(ctx, s, form=None):
     return conv, norm
 
 
-def project_inactive(state: CascadeState, s: IterateState, xi, level, counters, rank_tol):
+def _activate(chain, kind, level, rows, rhs, v_star, counters, retained=None):
+    """Extend the chain by the activated ``rows``; returns the rank they add.
+
+    ``retained`` is the factorization of the rows projected into the
+    current basis, when the caller has one. Otherwise they are projected
+    and factorized here, their rank judged against the scale of the
+    unprojected rows too.
+    """
+    if rows.shape[0] == 0:
+        return 0
+    fact = retained
+    if fact is None:
+        fact = rrqr(rows @ chain.basis, counter=counters, scale_rows=rows)
+    chain.extend(kind, level, rows, rhs, v_star, fact)
+    return fact.rank
+
+
+def project_inactive(state: CascadeState, s: IterateState, xi, level, counters):
     """Move saturated, dual-active carried rows into a virtual level.
 
     Saturation is judged on explicitly recomputed slacks; rows that are
-    merely saturated without a significant multiplier stay carried. The
-    remaining carried slacks are recomputed from the primal.
+    merely saturated without a significant multiplier stay carried.
     """
     carry = state.carry
-    if carry.m == 0:
+    mask = (carry.matrix @ s.x - carry.rhs < xi) & (s.lam_inact > xi)
+    if not mask.any():
         return 0
-    w_explicit = carry.matrix @ s.x - carry.rhs
-    mask = (w_explicit < xi) & (s.lam_inact > xi)
-    rank_gained = 0
-    if np.any(mask):
-        rows = carry.matrix[mask].copy()
-        rhs = carry.rhs[mask].copy()
-        v_star = rows @ s.x - rhs
-        fact = rrqr(
-            rows @ state.chain.basis,
-            tol=rank_tol,
-            counter=counters,
-            floor=rank_tol * np.linalg.norm(rows, axis=1).max(),
-        )
-        state.chain.extend("virtual", level, rows, rhs, v_star, fact)
-        rank_gained = fact.rank
-        carry.remove(mask)
-        s.w_inact = s.w_inact[~mask]
-        s.lam_inact = s.lam_inact[~mask]
-    if carry.m:
-        s.w_inact = carry.matrix @ s.x - carry.rhs
-    return rank_gained
+    rows, rhs = carry.matrix[mask], carry.rhs[mask]
+    carry.remove(mask)
+    s.lam_inact = s.lam_inact[~mask]
+    v_star = rows @ s.x - rhs
+    return _activate(state.chain, "virtual", level, rows, rhs, v_star, counters)
 
 
 def project_current(
-    state: CascadeState,
-    level,
-    s: IterateState,
-    xi,
-    level_index,
-    counters,
-    rank_tol,
-    retained=None,
+    state: CascadeState, level, s: IterateState, xi, index, counters, retained=None
 ):
     """Pin the level's active set and carry its satisfied inequalities.
 
@@ -364,30 +360,16 @@ def project_current(
     the current basis, when the caller has one; it is reused when nothing
     but the equalities activates.
     """
-    a_eq = level.equalities.matrix
-    a_ineq = level.inequalities.matrix
-    r_eq = a_eq @ s.x - level.equalities.rhs
-    r_ineq = a_ineq @ s.x - level.inequalities.rhs
+    eq, ineq = level.equalities, level.inequalities
+    r_ineq = ineq.matrix @ s.x - ineq.rhs
     viol = r_ineq < -xi
-    act_rows = np.vstack([a_eq, a_ineq[viol]])
-    act_rhs = np.concatenate([level.equalities.rhs, level.inequalities.rhs[viol]])
-    v_star = np.concatenate([r_eq, r_ineq[viol]])
-    rank_gained = 0
-    if act_rows.shape[0]:
-        if retained is not None and not np.any(viol):
-            fact = retained
-        else:
-            fact = rrqr(
-                act_rows @ state.chain.basis,
-                tol=rank_tol,
-                counter=counters,
-                floor=rank_tol * np.linalg.norm(act_rows, axis=1).max(),
-            )
-        state.chain.extend("real", level_index, act_rows, act_rhs, v_star, fact)
-        rank_gained = fact.rank
-    keep = ~viol
-    state.carry.append(a_ineq[keep].copy(), level.inequalities.rhs[keep].copy())
-    return rank_gained
+    rows = np.vstack([eq.matrix, ineq.matrix[viol]])
+    rhs = np.concatenate([eq.rhs, ineq.rhs[viol]])
+    v_star = np.concatenate([eq.matrix @ s.x - eq.rhs, r_ineq[viol]])
+    retained = None if viol.any() else retained
+    rank = _activate(state.chain, "real", index, rows, rhs, v_star, counters, retained)
+    state.carry.append(ineq.matrix[~viol], ineq.rhs[~viol])
+    return rank
 
 
 def _level_objective(level, x):
@@ -395,31 +377,6 @@ def _level_objective(level, x):
     v_ineq = np.minimum(level.inequalities.matrix @ x - level.inequalities.rhs, 0.0)
     sq = float(v_eq @ v_eq + v_ineq @ v_ineq)
     return 0.5 * sq, float(np.sqrt(sq))
-
-
-def _trivial_report(level_index, level, x, n_r):
-    objective, v_norm = _level_objective(level, x)
-    return LevelReport(
-        level=level_index,
-        m_eq=level.equalities.m,
-        m_ineq=level.inequalities.m,
-        m_inact=0,
-        n_r_before=n_r,
-        n_r_after=n_r,
-        rank_virtual=0,
-        rank_current=0,
-        iterations=0,
-        factorizations=0,
-        dual_evaluations=0,
-        asm_iterations=0,
-        kkt_norm=None,
-        sub_converged=False,
-        method_fallback=False,
-        v_star_norm=v_norm,
-        objective=objective,
-        fact_shapes=[],
-        wall_time_s=0.0,
-    )
 
 
 def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
@@ -443,11 +400,22 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     state = CascadeState.fresh(n)
     level_reports = []
     all_converged = True
-    exhausted = False
 
     for idx, level in enumerate(problem.levels, start=1):
-        if exhausted:
-            level_reports.append(_trivial_report(idx, level, x, state.chain.n_r))
+        if state.chain.n_r == 0:
+            # the chain is exhausted: no variable is left to solve for
+            objective, v_norm = _level_objective(level, x)
+            level_reports.append(
+                LevelReport(
+                    level=idx,
+                    m_eq=level.equalities.m,
+                    m_ineq=level.inequalities.m,
+                    n_r_before=0,
+                    n_r_after=0,
+                    v_star_norm=v_norm,
+                    objective=objective,
+                )
+            )
             continue
         t0 = time.perf_counter()
         counters = Counters()
@@ -482,22 +450,13 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         # the projection trims the carried rows of s; the walk needs them
         final = replace(s)
 
-        rank_virtual = project_inactive(
-            state, s, config.xi, idx, counters, config.rank_tol
-        )
+        rank_virtual = project_inactive(state, s, config.xi, idx, counters)
         if rank_virtual:
             retained = None  # the basis moved
         rank_current = 0
-        if state.chain.total_rank < n:
+        if state.chain.n_r:
             rank_current = project_current(
-                state,
-                level,
-                s,
-                config.xi,
-                idx,
-                counters,
-                config.rank_tol,
-                retained=retained,
+                state, level, s, config.xi, idx, counters, retained=retained
             )
         objective, v_norm = _level_objective(level, x)
         report = LevelReport(
@@ -511,7 +470,6 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             rank_current=rank_current,
             iterations=counters.newton_iterations,
             factorizations=counters.factorizations,
-            dual_evaluations=0,
             asm_iterations=counters.asm_iterations,
             kkt_norm=norm,
             sub_converged=sub,
@@ -522,8 +480,6 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             wall_time_s=time.perf_counter() - t0,
         )
         level_reports.append(report)
-        if state.chain.total_rank >= n:
-            exhausted = True
 
     # ctx, final, report and s still hold the last solved level: the
     # trivial levels after an exhausted chain reassign none of them
@@ -623,14 +579,9 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
             # satisfied without being pinned: drop the most over-satisfied
             active.remove(max(satisfied, key=lambda r: (residuals[r], -r)))
         else:
-            break
+            return ctx, s, conv, norm
         counters.asm_iterations += 1
         key = frozenset(active)
         if key in seen_sets:
             return ctx, s, None, norm
         seen_sets.add(key)
-
-    # hand the explicit slack split to the projection step
-    s.v_ineq = np.minimum(residuals, 0.0)
-    s.w_ineq = np.maximum(residuals, 0.0)
-    return ctx, s, conv, norm

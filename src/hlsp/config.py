@@ -18,8 +18,6 @@ class SolverConfig:
     xi: float = 1e-8
     max_iter: int = 50
     tau: float = 0.995
-    rank_tol: float = 1e-10
-    solve_tol: float = 1e-15
     asm_max_iter: int = 200
     warm_start_x: object = None
     warm_active_sets: object = None
@@ -29,7 +27,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         checks = [
             (name, 0.0 < getattr(self, name) < math.inf, "positive and finite")
-            for name in ("eps", "xi", "rank_tol", "solve_tol")
+            for name in ("eps", "xi")
         ] + [
             ("tau", 0.0 < self.tau < 1.0, "in (0, 1)"),
             ("max_iter", self.max_iter >= 0, ">= 0"),

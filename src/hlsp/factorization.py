@@ -24,6 +24,10 @@ DEFAULT_RANK_TOL = 1e-10
 _NB = 32
 
 
+class NonFiniteError(ValueError):
+    """A triangular solve met an Inf or a NaN, in the factor or the right side."""
+
+
 class OrthoTransform:
     """Product of orthogonal row operations on m rows.
 
@@ -67,10 +71,11 @@ def _trsolve(r, b, trans="N"):
     The LAPACK call and its C/F-order branch are those of
     ``scipy.linalg.solve_triangular``, so results are bit-identical, without
     its validation layer, which costs more than the solve at these sizes.
-    Its errors are kept: ValueError on NaN/Inf, LinAlgError on a zero pivot.
+    Its errors are kept: a ValueError on NaN/Inf (``NonFiniteError``, so
+    the Newton loop can tell it from others), LinAlgError on a zero pivot.
     """
     if not (np.isfinite(r).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteError("array must not contain infs or NaNs")
     t = int(trans == "T")
     if r.flags.f_contiguous:
         x, info = dtrtrs(r, b, lower=0, trans=t)
@@ -175,14 +180,15 @@ class Rrqr:
         return self.q.apply(lam)
 
 
-def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, floor=0.0):
+def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, scale_rows=None):
     """Column-pivoted QR (LAPACK xGEQP3) with rank detection.
 
     Rank is the number of leading pivots |R_jj| above ``tol`` times the
-    largest initial column norm and above the absolute ``floor``. A block
-    projected into a null-space basis is judged against the scale of its
-    unprojected rows through ``floor``: relative to its own scale, a block
-    of rounding noise would count as full rank. Empty inputs yield rank 0.
+    largest initial column norm. A block projected into a null-space basis
+    passes its unprojected rows as ``scale_rows``, and its pivots must then
+    also exceed the floor ``tol`` times the largest row norm of those rows:
+    relative to its own scale, a block of rounding noise would count as
+    full rank. Empty inputs yield rank 0.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
@@ -191,6 +197,9 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, floor=0.0):
     q = OrthoTransform(m)
     qr, perm, rank = np.zeros((0, k)), np.arange(k), 0
     if m > 0 and k > 0:
+        floor = 0.0
+        if scale_rows is not None:
+            floor = tol * np.linalg.norm(scale_rows, axis=1).max(initial=0.0)
         qr, perm, tau, rank = _geqp3(a, tol, floor)
         q.add_reflectors(slice(0, m), qr[:, : tau.size], tau)
     if counter is not None:

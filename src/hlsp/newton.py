@@ -25,6 +25,8 @@ import numpy as np
 from .factorization import rrqr, staged_rrqr
 
 PIVOT_CLAMP = 1e-30
+# rank cut of the per-iteration step factorizations, relative to their scale
+STEP_TOL = 1e-15
 
 
 class MethodNotApplicable(RuntimeError):
@@ -135,12 +137,8 @@ class LevelContext:
         so equalities that restate active rows project to rank 0.
         """
         if self.stage1 is None:
-            tol = self.config.rank_tol
             self.stage1 = rrqr(
-                self.proj_eq,
-                tol=tol,
-                counter=self.counters,
-                floor=tol * np.linalg.norm(self.a_eq, axis=1).max(initial=0.0),
+                self.proj_eq, counter=self.counters, scale_rows=self.a_eq
             )
         return self.stage1
 
@@ -334,7 +332,7 @@ def classical_factorize(ctx, s):
         c = c + (ctx.a_ineq * fr.wt_ineq[:, None]).T @ ctx.a_ineq
     if ctx.m_inact:
         c = c + (ctx.a_inact * fr.wt_inact[:, None]).T @ ctx.a_inact
-    fact_c = rrqr(c, tol=ctx.config.solve_tol, counter=ctx.counters)
+    fact_c = rrqr(c, tol=STEP_TOL, counter=ctx.counters)
     if fact_c.rank < ctx.n:
         raise MethodNotApplicable(
             f"quadratic term is rank {fact_c.rank} < {ctx.n}; "
@@ -343,7 +341,7 @@ def classical_factorize(ctx, s):
     fact_m = None
     if ctx.m_act:
         m = ctx.a_act @ fact_c.solve_basic(ctx.a_act.T)
-        fact_m = rrqr(m, tol=ctx.config.rank_tol, counter=ctx.counters)
+        fact_m = rrqr(m, counter=ctx.counters)
     return fact_c, fact_m
 
 
@@ -553,7 +551,7 @@ def _normal_solver(ctx, fr):
         h = h + (ctx.proj_ineq * fr.wt_ineq[:, None]).T @ ctx.proj_ineq
     if ctx.m_inact:
         h = h + (ctx.proj_inact * fr.wt_inact[:, None]).T @ ctx.proj_inact
-    fact = rrqr(h, tol=ctx.config.solve_tol, counter=ctx.counters)
+    fact = rrqr(h, tol=STEP_TOL, counter=ctx.counters)
     rhs_eq = ctx.proj_eq.T @ fr.rhs_eq
 
     def solve(f_vec, g_vec):
@@ -574,7 +572,7 @@ def _ls_solver(ctx, fr):
         [ctx.proj_inact * sq_inact[:, None], ctx.proj_ineq * sq_ineq[:, None]]
     )
     staged = staged_rrqr(
-        top, ctx.equality_factorization(), tol=ctx.config.solve_tol, counter=ctx.counters
+        top, ctx.equality_factorization(), tol=STEP_TOL, counter=ctx.counters
     )
     m_inact = ctx.m_inact
     live_inact, live_ineq = sq_inact > 0, sq_ineq > 0

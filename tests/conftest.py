@@ -31,9 +31,9 @@ def build_random_level(
         rows = rng.uniform(-1, 1, (m_prior, n))
         rhs = rng.uniform(-1, 1, m_prior)
         v_star = rng.uniform(-0.5, 0.0, m_prior)
-        fact = rrqr(rows @ chain.basis, tol=config.rank_tol)
+        fact = rrqr(rows @ chain.basis)
         chain.extend("real", 1, rows, rhs, v_star, fact)
-    a_act, b_act, v_act = chain.active_stack()
+    a_act, b_act, v_act = chain.rows, chain.rhs, chain.v_star
 
     if a_act.shape[0]:
         x = np.linalg.lstsq(a_act, b_act + v_act, rcond=None)[0]
@@ -65,7 +65,7 @@ def build_random_level(
         proj_eq=a_eq @ basis,
         proj_ineq=a_ineq @ basis,
         proj_inact=a_inact @ basis,
-        stage1=rrqr(a_eq @ basis, tol=config.rank_tol),
+        stage1=rrqr(a_eq @ basis),
         stages=tuple(chain.stages),
         counters=counters,
         config=config,

@@ -16,7 +16,9 @@ from hlsp.cascade import (
     solve_hlsp,
 )
 from hlsp.config import METHODS, SolverConfig
-from hlsp.newton import Counters, initial_state, recover_equality_dual
+from hlsp.factorization import NonFiniteError
+from hlsp.fileio import problem_from_dict
+from hlsp.newton import Counters, converged, initial_state, recover_equality_dual
 from hlsp.oracle import brute_force_cascade, cascade_objectives
 from hlsp.problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
@@ -175,17 +177,17 @@ class TestProjections:
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(2))
         newton_loop(ctx, s)
-        project_inactive(state, s, config.xi, 1, counters, config.rank_tol)
-        project_current(state, p.levels[0], s, config.xi, 1, counters, config.rank_tol)
+        project_inactive(state, s, config.xi, 1, counters)
+        project_current(state, p.levels[0], s, config.xi, 1, counters)
         # satisfied row carried, nothing active
         assert state.carry.m == 1
-        assert state.chain.total_rank == 0
+        assert state.chain.n_r == 2  # no rank consumed
         # now solve level 2 and activate from the carry only if saturated
         ctx2 = build_level_context(state, p.levels[1], config, counters)
         s2 = initial_state(ctx2, s.x)
         newton_loop(ctx2, s2)
         stages_before = len(state.chain.stages)
-        project_inactive(state, s2, config.xi, 2, counters, config.rank_tol)
+        project_inactive(state, s2, config.xi, 2, counters)
         assert len(state.chain.stages) == stages_before  # x2 move ignores x1 >= -1
         assert state.carry.m == 1
 
@@ -200,9 +202,8 @@ class TestProjections:
 
         s = S()
         s.x = np.array([1.0 + 1e-10, 3.0])
-        s.w_inact = np.array([1e-10])
         s.lam_inact = np.array([0.3])
-        rank = project_inactive(state, s, config.xi, 2, counters, config.rank_tol)
+        rank = project_inactive(state, s, config.xi, 2, counters)
         assert rank == 1
         assert state.chain.stages[0].kind == "virtual"
         assert state.carry.m == 0
@@ -221,13 +222,10 @@ class TestProjections:
 
         s = S()
         s.x = np.array([1.0 + 1e-10, 0.0])
-        s.w_inact = np.array([1e-10])
         s.lam_inact = np.array([1e-10])
-        rank = project_inactive(state, s, config.xi, 2, counters, config.rank_tol)
+        rank = project_inactive(state, s, config.xi, 2, counters)
         assert rank == 0
         assert state.carry.m == 1
-        # slack was recomputed explicitly from the primal
-        assert abs(s.w_inact[0] - 1e-10) < 1e-16
 
     def test_violated_row_pinned_with_its_violation(self):
         p = two_sided_conflict()
@@ -237,22 +235,22 @@ class TestProjections:
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(1))
         newton_loop(ctx, s)
-        project_inactive(state, s, config.xi, 1, counters, config.rank_tol)
-        project_current(state, p.levels[0], s, config.xi, 1, counters, config.rank_tol)
+        project_inactive(state, s, config.xi, 1, counters)
+        project_current(state, p.levels[0], s, config.xi, 1, counters)
         stage = state.chain.stages[0]
         assert stage.kind == "real"
         assert np.allclose(stage.v_star, [-0.5, -0.5], atol=1e-8)
-        assert state.chain.total_rank == 1
+        assert state.chain.n_r == 0  # rank 1 of 1 consumed
 
     def test_active_stack_stacks_every_stage(self):
         def assert_stacked(chain):
-            rows, rhs, v_star = chain.active_stack()
+            rows, rhs, v_star = chain.rows, chain.rhs, chain.v_star
             assert np.array_equal(rows, np.vstack([st.rows for st in chain.stages]))
             assert np.array_equal(rhs, np.concatenate([st.rhs for st in chain.stages]))
             assert np.array_equal(v_star, np.concatenate([st.v_star for st in chain.stages]))
 
         state = CascadeState.fresh(4)
-        rows, rhs, v_star = state.chain.active_stack()
+        rows, rhs, v_star = state.chain.rows, state.chain.rhs, state.chain.v_star
         assert rows.shape == (0, 4) and rhs.shape == (0,) and v_star.shape == (0,)
         config = SolverConfig()
         counters = Counters()
@@ -260,19 +258,18 @@ class TestProjections:
         # second inequality is satisfied and carried
         level = lvl(4, [[1, 0, 0, 0]], [1.0], [[0, 1, 0, 0], [0, 0, 1, 0]], [0.5, -1.0])
         s = SimpleNamespace(x=np.array([1.0, 0.2, 0.0, 0.0]))
-        project_current(state, level, s, config.xi, 1, counters, config.rank_tol)
+        project_current(state, level, s, config.xi, 1, counters)
         assert [st.kind for st in state.chain.stages] == ["real"]
-        assert state.chain.active_stack()[0].shape == (2, 4)
+        assert state.chain.rows.shape == (2, 4)
         assert_stacked(state.chain)
         # the carried row saturates with a significant dual
         s = SimpleNamespace(
             x=np.array([1.0, 0.2, -1.0, 0.0]),
-            w_inact=np.zeros(1),
             lam_inact=np.array([0.3]),
         )
-        project_inactive(state, s, config.xi, 2, counters, config.rank_tol)
+        project_inactive(state, s, config.xi, 2, counters)
         assert [st.kind for st in state.chain.stages] == ["real", "virtual"]
-        assert state.chain.active_stack()[0].shape == (3, 4)
+        assert state.chain.rows.shape == (3, 4)
         assert_stacked(state.chain)
 
     def test_tighter_bound_merging(self):
@@ -464,7 +461,8 @@ class TestAsm:
         assert conv
         assert ctx.m_eq == 2  # the last inner solve pinned both rows
         assert abs(s.x[0] - 0.5) < 1e-8
-        assert np.allclose(s.v_ineq, [-0.5, -0.5], atol=1e-8)
+        # both rows are pinned at their optimal violations
+        assert np.allclose(ctx.a_eq @ s.x - ctx.b_eq, [-0.5, -0.5], atol=1e-8)
 
     @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
     @pytest.mark.parametrize("seed", range(3))
@@ -624,12 +622,12 @@ class TestInvariants:
             s = initial_state(ctx, x)
             newton_loop(ctx, s)
             x = s.x
-            project_inactive(state, s, config.xi, li, counters, config.rank_tol)
-            if state.chain.total_rank < n:
+            project_inactive(state, s, config.xi, li, counters)
+            if state.chain.n_r:
                 project_current(
-                    state, level, s, config.xi, li, counters, config.rank_tol
+                    state, level, s, config.xi, li, counters
                 )
-            if state.chain.total_rank >= n:
+            if state.chain.n_r == 0:
                 break
         for stage in state.chain.stages:
             drift = stage.rows @ x - stage.rhs - stage.v_star
@@ -705,7 +703,7 @@ class TestLastDuals:
         s = initial_state(ctx, np.zeros(p.n))
         newton_loop(ctx, s)
         project_current(
-            state, p.levels[0], s, config.xi, 1, counters, config.rank_tol, ctx.stage1
+            state, p.levels[0], s, config.xi, 1, counters, ctx.stage1
         )
         ctx = build_level_context(state, p.levels[1], config, counters)
         s = initial_state(ctx, s.x)
@@ -728,6 +726,91 @@ class TestKnownStalls:
         p = random_hlsp(1712024670, 4, specs)
         rep = solve_hlsp(p, SolverConfig(method="nf-ipm"))
         assert not rep.levels[1].sub_converged
+
+
+def scaled_rows_problem():
+    """Inequality rows scaled over 1e-6 to 1e6 (CI's ``scaled.json``).
+
+    In the last inner solve of the ``-asm`` search on level 3 a carried
+    multiplier diverges to about 1e208 while its slack falls to 1e-42, and
+    the KKT residual overflows.
+    """
+    return problem_from_dict(
+        {
+            "n": 4,
+            "levels": [
+                {
+                    "A_e": [],
+                    "b_e": [],
+                    "A_i": [
+                        [-8e5, -7e5, -1e6, 8e5],
+                        [8e-5, 7e-5, 1e-4, -8e-5],
+                        [1e-4, -5e-5, 2e-5, 3e-6],
+                        [-1e-5, 5e-6, -2e-6, -3e-7],
+                        [-1e5, -1e5, -3e5, -9e5],
+                    ],
+                    "b_i": [-1.0, 3.0, -0.1, 1.0, -0.4],
+                },
+                {
+                    "A_e": [],
+                    "b_e": [],
+                    "A_i": [[-2e4, 1e4, 2e4, 4e4], [2e-5, -1e-5, -2e-5, -4e-5]],
+                    "b_i": [0.01, 0.5],
+                },
+                {
+                    "A_e": [[0, 0, 0, 0]],
+                    "b_e": [0.7],
+                    "A_i": [[-0.006, -0.004, -0.008, 0.002]],
+                    "b_i": [-0.7],
+                },
+            ],
+        }
+    )
+
+
+# the overflows are the subject of these tests
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteSteps:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_scaled_rows_return_a_report(self, method):
+        p = scaled_rows_problem()
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert np.isfinite(rep.x).all()
+        if rep.config["method"].endswith("-asm"):
+            ref = solve_hlsp(p, SolverConfig(method="nf-ipm"))
+            assert np.allclose(rep.objectives, ref.objectives, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("form", ["normal", "ls"])
+    def test_overflowed_multiplier_ends_level_at_best_iterate(self, monkeypatch, form):
+        # the third step starts from infinite multipliers: the ls step's
+        # triangular solve rejects them, the normal step yields an Inf/NaN
+        # iterate; either way the loop stops and restores a finite iterate
+        state = CascadeState.fresh(5)
+        rng = np.random.default_rng(0)
+        state.carry.append(rng.uniform(-1, 1, (3, 5)), rng.uniform(-2, -1, 3))
+        config = SolverConfig()
+        level = random_hlsp(3, 5, [(1, 3, 0, "mixed")]).levels[0]
+        ctx = build_level_context(state, level, config, Counters())
+        s = initial_state(ctx, np.zeros(5))
+        real, steps, raised = cascade.mehrotra_iteration, [], []
+
+        def diverging(ctx, s, form):
+            steps.append(form)
+            if len(steps) == 3:
+                s.lam_inact = np.full_like(s.lam_inact, np.inf)
+            try:
+                return real(ctx, s, form)
+            except NonFiniteError:
+                raised.append(form)
+                raise
+
+        monkeypatch.setattr(cascade, "mehrotra_iteration", diverging)
+        conv, norm = newton_loop(ctx, s, form=form)
+        assert len(steps) == 3 and raised == ([form] if form == "ls" else [])
+        assert not conv
+        assert np.isfinite(norm) and norm == converged(ctx, s, config.eps)[1]
+        for values in (s.x, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact):
+            assert np.isfinite(values).all()
 
 
 class TestReportShape:

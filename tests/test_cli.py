@@ -303,6 +303,16 @@ class TestBenchCommand:
             {"repeats": True},
             {"equality_sweep": {"n": 4, "seed": "x"}},
             {"config": {"density_threshold": 0.4}},
+            {"config": {"rank_tol": 1e-6}},
+            {"seeds": [True], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
+            {"seeds": [0.5], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
+            {"instances": [{"n": True, "levels": [[1, 0, 0, "feasible"]]}]},
+            {"instances": [{"n": 3.7, "levels": [[1, 1, 0, "mixed"]]}]},
+            {"instances": [{"n": 4, "levels": [[True, 1, 0, "mixed"]]}]},
+            {"instances": [{"n": 4, "levels": [[1, 1.5, 0, "mixed"]]}]},
+            {"equality_sweep": {"n": True, "m2": True, "step": True}},
+            {"equality_sweep": {"n": 4, "m2": 2.5}},
+            {"equality_sweep": {"n": 4, "step": 0}},
         ],
         ids=[
             "unknown-config",
@@ -317,6 +327,16 @@ class TestBenchCommand:
             "bool-repeats",
             "string-sweep-seed",
             "removed-density-threshold",
+            "removed-rank-tol",
+            "bool-seed",
+            "fraction-seed",
+            "bool-n",
+            "fraction-n",
+            "bool-row-count",
+            "fraction-row-count",
+            "bool-sweep",
+            "fraction-sweep-m2",
+            "zero-sweep-step",
         ],
     )
     def test_spec_errors_are_invalid(self, tmp_path, capsys, change):

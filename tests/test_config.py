@@ -37,8 +37,8 @@ def test_step_form_mapping():
         ("tau", float("nan")),
         ("eps", 0.0),
         ("xi", -1e-8),
-        ("rank_tol", float("inf")),
-        ("solve_tol", float("nan")),
+        ("eps", float("inf")),
+        ("xi", float("nan")),
         ("max_iter", -1),
         ("asm_max_iter", -1),
         ("warm_active_sets", 5),
@@ -55,6 +55,13 @@ def test_step_form_mapping():
 def test_rejects_out_of_range_setting(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["rank_tol", "solve_tol"])
+def test_rank_tolerances_are_not_settings(field):
+    # the rank cuts are constants of the factorization and the Newton step
+    with pytest.raises(TypeError, match=field):
+        SolverConfig(**{field: 1e-8})
 
 
 def test_accepts_edge_settings():

@@ -62,8 +62,10 @@ class TestRrqr:
         # relative to its own scale a block of rounding noise is full rank
         a = 1e-17 * np.random.default_rng(17).uniform(-1, 1, (2, 4))
         assert rrqr(a).rank == 2
-        assert rrqr(a, floor=1e-10).rank == 0
-        assert rrqr(1e10 * a, floor=1e-10).rank == 2
+        # against the scale of unit rows the floor is 1e-10
+        unit_rows = np.eye(2, 4)
+        assert rrqr(a, scale_rows=unit_rows).rank == 0
+        assert rrqr(1e10 * a, scale_rows=unit_rows).rank == 2
 
     def test_tiny_scale_rank(self):
         # squared entries underflow; the rank scale must not

@@ -757,7 +757,7 @@ def rank_deficient_chain(rng, n, stages, kinds=("real",)):
         if m > 1 and chain.stages and rng.random() < 0.5:
             prior = chain.stages[int(rng.integers(len(chain.stages)))].rows
             rows[0] = rng.uniform(-1, 1, prior.shape[0]) @ prior
-        fact = rrqr(rows @ chain.basis, tol=SolverConfig().rank_tol)
+        fact = rrqr(rows @ chain.basis)
         kind = kinds[i % len(kinds)]
         chain.extend(kind, 1, rows, rng.uniform(-1, 1, m), np.zeros(m), fact)
     return chain
@@ -773,7 +773,7 @@ class TestChainExtension:
                 rng, n, int(rng.integers(1, 5)), kinds=("real", "virtual")
             )
             stages = chain.stages
-            deficient += any(st.rank < st.rows.shape[0] for st in stages)
+            deficient += any(st.fact.rank < st.rows.shape[0] for st in stages)
             # the basis each extend left behind
             after = [st.basis_before for st in stages[1:]] + [chain.basis]
             for j, (stage, basis) in enumerate(zip(stages, after)):
@@ -793,10 +793,10 @@ class TestChainBasisStationarity:
             rng = np.random.default_rng(seed + 4100)
             n = int(rng.integers(3, 11))
             chain = rank_deficient_chain(rng, n, int(rng.integers(1, 5)))
-            deficient += any(st.rank < st.rows.shape[0] for st in chain.stages)
+            deficient += any(st.fact.rank < st.rows.shape[0] for st in chain.stages)
             ctx, s = build_random_level(seed + 4200, n=n, m_prior=0)
-            a_act, ctx.b_act, ctx.v_act = chain.active_stack()
-            ctx.a_act, ctx.basis, ctx.stages = a_act, chain.basis, tuple(chain.stages)
+            ctx.a_act, ctx.b_act, ctx.v_act = chain.rows, chain.rhs, chain.v_star
+            ctx.basis, ctx.stages = chain.basis, tuple(chain.stages)
             ctx.n_r = chain.n_r
             s.v_eq = rng.uniform(-1, 1, ctx.m_eq)
             r = ctx.a_eq.T @ s.v_eq + ctx.a_ineq.T @ s.v_ineq - ctx.a_inact.T @ s.lam_inact
