@@ -18,7 +18,7 @@ from .cascade import (
 )
 from .config import SolverConfig
 from .fileio import ProblemFormatError, load_problem, save_problem
-from .newton import MethodNotApplicable, ls_form_recommended
+from .newton import MethodNotApplicable
 from .oracle import (
     OracleBudgetExceeded,
     brute_force_cascade,
@@ -54,7 +54,6 @@ __all__ = [
     "hybrid_solve",
     "lexicographic_lsq_equality",
     "load_problem",
-    "ls_form_recommended",
     "random_hlsp",
     "save_problem",
     "solve_hlsp",

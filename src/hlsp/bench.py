@@ -3,8 +3,8 @@
 Emits one delimiter-separated row per instance and method with work
 counters, timing medians over repeats, and the per-level remaining
 variable counts, plus a pairwise method time-ratio summary. The
-equality-only sweep over the first level's row count reproduces the
-qualitative crossover between the step forms.
+equality-only sweep over the first level's row count shows the projected
+forms' level-2 work falling while classical's second factorization grows.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .cascade import solve_hlsp
 from .config import SolverConfig
-from .newton import ls_form_recommended
 from .problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
 TABLE_COLUMNS = [
@@ -33,7 +32,6 @@ TABLE_COLUMNS = [
     "n_r_per_level",
     "fact_work",
     "second_fact_dims",
-    "ls_recommended",
     "converged",
 ]
 
@@ -79,10 +77,6 @@ def _row(instance_name, method, seed, problem, config, repeats):
         report = solve_hlsp(problem, config)
         times.append(time.perf_counter() - t0)
     kkts = [lv.kkt_norm for lv in report.levels if lv.kkt_norm is not None]
-    level1 = problem.levels[0]
-    recommended = ls_form_recommended(
-        0, level1.inequalities.m, level1.equalities.m, problem.n
-    )
     # the classical form's second factorization per iteration is the
     # active-row product; informational for crossover inspection
     second_dims = []
@@ -105,7 +99,6 @@ def _row(instance_name, method, seed, problem, config, repeats):
             [sh for lv in report.levels for sh in lv.fact_shapes]
         ),
         "second_fact_dims": ";".join(map(str, second_dims)),
-        "ls_recommended": recommended,
         "converged": report.converged,
     }, report
 

@@ -47,11 +47,7 @@ class InvalidProblemError(ValueError):
 class Stage:
     """One activated row set with its retained factorization."""
 
-    kind: str  # "real" | "virtual"
-    level: int
     rows: np.ndarray
-    rhs: np.ndarray
-    v_star: np.ndarray
     fact: Rrqr
     basis_before: np.ndarray
 
@@ -77,44 +73,30 @@ class NullSpaceChain:
     def n_r(self):
         return self.basis.shape[1]
 
-    def extend(self, kind, level, rows, rhs, v_star, fact):
+    def extend(self, rows, rhs, v_star, fact):
         """Append a stage; the basis moves into the null space of ``fact``."""
-        stage = Stage(
-            kind=kind,
-            level=level,
-            rows=rows,
-            rhs=rhs,
-            v_star=v_star,
-            fact=fact,
-            basis_before=self.basis,
-        )
-        self.stages.append(stage)
+        self.stages.append(Stage(rows=rows, fact=fact, basis_before=self.basis))
         self.basis = nullspace_update(self.basis, fact)
         self.rows = np.vstack([self.rows, rows])
         self.rhs = np.concatenate([self.rhs, rhs])
         self.v_star = np.concatenate([self.v_star, v_star])
-        return stage
 
 
 class InactiveCarry:
     """Inequality rows carried forward as feasibility constraints.
 
     Bound rows, recognised from the matrix by ``bound_row_flags``, are
-    deduplicated per (variable, side); the tighter right-hand side wins.
+    deduplicated per (variable, side): the first row keeps its place and
+    takes the tightest right-hand side.
     """
 
     def __init__(self, n):
-        self.n = n
         self.matrix = np.zeros((0, n))
         self.rhs = np.zeros(0)
 
     @property
     def m(self):
         return self.matrix.shape[0]
-
-    def _bound_key(self, row):
-        j = int(np.nonzero(row)[0][0])
-        return j, 1.0 if row[j] > 0 else -1.0
 
     def remove(self, mask):
         keep = ~mask
@@ -124,29 +106,17 @@ class InactiveCarry:
     def append(self, rows, rhs):
         if rows.shape[0] == 0:
             return
-        index = {}
-        for i in np.flatnonzero(bound_row_flags(self.matrix)):
-            index[self._bound_key(self.matrix[i])] = i
-        add_rows, add_rhs = [], []
-        rhs_new = self.rhs.copy()
-        for row, b, flag in zip(rows, rhs, bound_row_flags(rows)):
-            if flag:
-                key = self._bound_key(row)
-                if key in index:
-                    i = index[key]
-                    if i < self.m:
-                        rhs_new[i] = max(rhs_new[i], b)
-                    else:
-                        j = i - self.m
-                        add_rhs[j] = max(add_rhs[j], b)
-                    continue
-                index[key] = self.m + len(add_rows)
-            add_rows.append(row)
-            add_rhs.append(b)
-        self.rhs = rhs_new
-        if add_rows:
-            self.matrix = np.vstack([self.matrix, np.array(add_rows)])
-            self.rhs = np.concatenate([self.rhs, np.array(add_rhs)])
+        matrix = np.vstack([self.matrix, rows])
+        rhs = np.concatenate([self.rhs, rhs])
+        keep = np.ones(rhs.size, dtype=bool)
+        first = {}
+        for i in np.flatnonzero(bound_row_flags(matrix)):
+            j = int(np.flatnonzero(matrix[i])[0])
+            k = first.setdefault((j, matrix[i, j] > 0), i)
+            if k != i:
+                rhs[k] = max(rhs[k], rhs[i])
+                keep[i] = False
+        self.matrix, self.rhs = matrix[keep], rhs[keep]
 
 
 @dataclass
@@ -220,7 +190,6 @@ def build_level_context(state: CascadeState, level, config, counters):
     a_ineq = level.inequalities.matrix
     return LevelContext(
         n=chain.n,
-        n_r=chain.n_r,
         basis=basis,
         a_eq=a_eq,
         b_eq=level.equalities.rhs,
@@ -315,7 +284,7 @@ def newton_loop(ctx, s, form=None):
     return conv, norm
 
 
-def _activate(chain, kind, level, rows, rhs, v_star, counters, retained=None):
+def _activate(chain, rows, rhs, v_star, counters, retained=None):
     """Extend the chain by the activated ``rows``; returns the rank they add.
 
     ``retained`` is the factorization of the rows projected into the
@@ -328,11 +297,11 @@ def _activate(chain, kind, level, rows, rhs, v_star, counters, retained=None):
     fact = retained
     if fact is None:
         fact = rrqr(rows @ chain.basis, counter=counters, scale_rows=rows)
-    chain.extend(kind, level, rows, rhs, v_star, fact)
+    chain.extend(rows, rhs, v_star, fact)
     return fact.rank
 
 
-def project_inactive(state: CascadeState, s: IterateState, xi, level, counters):
+def project_inactive(state: CascadeState, s: IterateState, xi, counters):
     """Move saturated, dual-active carried rows into a virtual level.
 
     Saturation is judged on explicitly recomputed slacks; rows that are
@@ -346,11 +315,11 @@ def project_inactive(state: CascadeState, s: IterateState, xi, level, counters):
     carry.remove(mask)
     s.lam_inact = s.lam_inact[~mask]
     v_star = rows @ s.x - rhs
-    return _activate(state.chain, "virtual", level, rows, rhs, v_star, counters)
+    return _activate(state.chain, rows, rhs, v_star, counters)
 
 
 def project_current(
-    state: CascadeState, level, s: IterateState, xi, index, counters, retained=None
+    state: CascadeState, level, s: IterateState, xi, counters, retained=None
 ):
     """Pin the level's active set and carry its satisfied inequalities.
 
@@ -367,7 +336,7 @@ def project_current(
     rhs = np.concatenate([eq.rhs, ineq.rhs[viol]])
     v_star = np.concatenate([eq.matrix @ s.x - eq.rhs, r_ineq[viol]])
     retained = None if viol.any() else retained
-    rank = _activate(state.chain, "real", index, rows, rhs, v_star, counters, retained)
+    rank = _activate(state.chain, rows, rhs, v_star, counters, retained)
     state.carry.append(ineq.matrix[~viol], ineq.rhs[~viol])
     return rank
 
@@ -450,13 +419,13 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         # the projection trims the carried rows of s; the walk needs them
         final = replace(s)
 
-        rank_virtual = project_inactive(state, s, config.xi, idx, counters)
+        rank_virtual = project_inactive(state, s, config.xi, counters)
         if rank_virtual:
             retained = None  # the basis moved
         rank_current = 0
         if state.chain.n_r:
             rank_current = project_current(
-                state, level, s, config.xi, idx, counters, retained=retained
+                state, level, s, config.xi, counters, retained=retained
             )
         objective, v_norm = _level_objective(level, x)
         report = LevelReport(

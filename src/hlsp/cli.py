@@ -21,7 +21,12 @@ from .bench import run_benchmark
 from .cascade import InvalidProblemError, solve_hlsp
 from .config import METHODS, SolverConfig
 from .fileio import ProblemFormatError, load_problem, save_json, save_problem
-from .oracle import OracleBudgetExceeded, brute_force_cascade, cascade_objectives
+from .oracle import (
+    OracleBudgetExceeded,
+    OracleInconclusive,
+    brute_force_cascade,
+    cascade_objectives,
+)
 from .problem import random_hlsp, validate_problem
 
 EXIT_OK = 0
@@ -39,22 +44,24 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the solver settings default to SolverConfig's own
+    defaults = SolverConfig()
     solve = sub.add_parser("solve", help="solve a problem file")
     solve.add_argument("file", help="problem file (JSON)")
     solve.add_argument(
         "--method",
-        default="nf-ipm",
+        default=defaults.method,
         choices=list(METHODS) + ["oracle"],
-        help="solver variant (default: nf-ipm)",
+        help="solver variant (default: %(default)s)",
     )
-    solve.add_argument("--eps", type=float, default=1e-12,
-                       help="optimality threshold (default 1e-12)")
-    solve.add_argument("--xi", type=float, default=1e-8,
-                       help="activation threshold (default 1e-8)")
-    solve.add_argument("--max-iter", type=int, default=50,
-                       help="Newton iteration cap per level (default 50)")
-    solve.add_argument("--tau", type=float, default=0.995,
-                       help="fraction-to-boundary factor (default 0.995)")
+    solve.add_argument("--eps", type=float, default=defaults.eps,
+                       help="optimality threshold (default %(default)s)")
+    solve.add_argument("--xi", type=float, default=defaults.xi,
+                       help="activation threshold (default %(default)s)")
+    solve.add_argument("--max-iter", type=int, default=defaults.max_iter,
+                       help="Newton iteration cap per level (default %(default)s)")
+    solve.add_argument("--tau", type=float, default=defaults.tau,
+                       help="fraction-to-boundary factor (default %(default)s)")
     solve.add_argument("--out", default=None, help="report path (default stdout)")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
@@ -135,7 +142,7 @@ def cmd_solve(args):
     if args.method == "oracle":
         try:
             report = _oracle_report(problem)
-        except OracleBudgetExceeded as exc:
+        except (OracleBudgetExceeded, OracleInconclusive) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
         return _emit(report, args.out, EXIT_OK)

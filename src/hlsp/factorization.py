@@ -134,7 +134,6 @@ class Rrqr:
     t: np.ndarray
     perm: np.ndarray
     rank: int
-    tol: float
     shape: tuple
 
     @property
@@ -211,7 +210,6 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, scale_rows=None):
         t=qr[:rank, rank:].copy(),
         perm=perm,
         rank=rank,
-        tol=tol,
         shape=(m, k),
     )
 
@@ -229,16 +227,6 @@ def nullspace_update(basis, f: Rrqr):
     if r > 0 and out.shape[1] > 0:
         out = out - basis[:, f.perm[:r]] @ _trsolve(f.r, f.t)
     return out
-
-
-def nullspace_basis(f: Rrqr):
-    """Non-orthogonal null-space basis Z = P [[-R^-1 T], [I]].
-
-    A @ Z vanishes to factorization accuracy and the identity block makes
-    the columns structurally independent. Full-rank input yields a k x 0
-    matrix.
-    """
-    return nullspace_update(np.eye(f.ncols), f)
 
 
 @dataclass

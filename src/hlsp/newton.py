@@ -84,7 +84,6 @@ class IterateState:
 class StepDirection:
     dz: np.ndarray
     dx: np.ndarray
-    dv_eq: np.ndarray
     dv_ineq: np.ndarray
     dw_ineq: np.ndarray
     dw_inact: np.ndarray
@@ -110,7 +109,6 @@ class LevelContext:
     """
 
     n: int
-    n_r: int
     basis: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -349,9 +347,8 @@ def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
     """Recover the eliminated variable steps from the reduced step."""
     fr = _frame(ctx, s)
     if dx is None:
-        dx = ctx.basis @ dz if ctx.n_r else np.zeros(ctx.n)
+        dx = ctx.basis @ dz
     x_new = s.x + dx
-    dv_eq = ctx.a_eq @ x_new - ctx.b_eq - s.v_eq
     if ctx.m_ineq:
         adx = ctx.a_ineq @ dx
         dw_ineq = g_vec - fr.slack_ineq - fr.w_over_pivot * adx
@@ -368,7 +365,6 @@ def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
     return StepDirection(
         dz=dz,
         dx=dx,
-        dv_eq=dv_eq,
         dv_ineq=dv_ineq,
         dw_ineq=dw_ineq,
         dw_inact=dw_inact,
@@ -523,9 +519,7 @@ def _step_solver(ctx, s, form):
         return solve
     if form not in ("normal", "ls"):
         raise ValueError(f"unknown step form {form!r}")
-    if ctx.n_r == 0:
-        solve_dz = lambda f_vec, g_vec: np.zeros(0)
-    elif ctx.m_ineq == 0 and ctx.m_inact == 0:
+    if ctx.m_ineq == 0 and ctx.m_inact == 0:
         solve_dz = _equality_solver(ctx, fr)
     elif form == "normal":
         solve_dz = _normal_solver(ctx, fr)
@@ -624,11 +618,3 @@ def converged(ctx, s, eps):
     full = float(np.hypot(pn, _norm(g_r)))
     return full < eps, full
 
-
-def ls_form_recommended(m_inact, m_ineq, m_eq, n_r):
-    """Operation-count crossover between the two reduced step forms.
-
-    The least-squares form is cheaper while the stacked row count, with
-    the equality rows counted twice, stays below ``2 n_r``.
-    """
-    return m_inact + m_ineq + 2 * m_eq < 2 * n_r

@@ -24,6 +24,16 @@ class OracleBudgetExceeded(RuntimeError):
     pass
 
 
+class OracleInconclusive(RuntimeError):
+    """The enumeration cannot vouch for an answer.
+
+    No candidate of some level passed the feasibility checks, or sampling
+    found a better point than the best candidate. Rows whose norms span
+    many decades within one pinned system can do this: the
+    pseudo-inverse's relative cutoff then drops the small rows.
+    """
+
+
 def _null_space(a):
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
@@ -35,6 +45,11 @@ def _null_space(a):
     return vh[rank:].T
 
 
+def _misses(a, b, x):
+    """True when ``a x = b`` misses by more than FEAS_TOL relative to ``b``."""
+    return np.linalg.norm(a @ x - b) > FEAS_TOL * max(1.0, np.linalg.norm(b))
+
+
 def _constrained_lsq(a_obj, b_obj, a_pin, b_pin):
     """min ||a_obj x - b_obj|| s.t. a_pin x = b_pin, via pinv on the reduced system.
 
@@ -43,9 +58,7 @@ def _constrained_lsq(a_obj, b_obj, a_pin, b_pin):
     n = a_obj.shape[1] if a_obj.size else a_pin.shape[1]
     if a_pin.shape[0]:
         x_p = np.linalg.pinv(a_pin, rcond=PINV_CUTOFF) @ b_pin
-        if np.linalg.norm(a_pin @ x_p - b_pin) > FEAS_TOL * max(
-            1.0, np.linalg.norm(b_pin)
-        ):
+        if _misses(a_pin, b_pin, x_p):
             return None
         basis = _null_space(a_pin)
     else:
@@ -53,9 +66,27 @@ def _constrained_lsq(a_obj, b_obj, a_pin, b_pin):
         basis = np.eye(n)
     if a_obj.shape[0] and basis.shape[1]:
         reduced = a_obj @ basis
-        y = np.linalg.pinv(reduced, rcond=PINV_CUTOFF) @ (b_obj - a_obj @ x_p)
-        return x_p + basis @ y
+        rhs = b_obj - a_obj @ x_p
+        x = x_p + basis @ (np.linalg.pinv(reduced, rcond=PINV_CUTOFF) @ rhs)
+        if a_pin.shape[0] and _misses(a_pin, b_pin, x):
+            # a row the pins annihilate projects to rounding noise of its
+            # own norm; next to much smaller rows the relative cut keeps
+            # that noise, and the long step along it breaks the pins. Cut
+            # relative to the largest objective row too.
+            row_max = np.linalg.norm(a_obj, axis=1).max()
+            rcond = PINV_CUTOFF * max(1.0, row_max / np.linalg.norm(reduced, 2))
+            x = x_p + basis @ (np.linalg.pinv(reduced, rcond=rcond) @ rhs)
+        return x
     return x_p
+
+
+def _below(a, b, x):
+    """Rows with ``a x - b`` below FEAS_TOL times the rounding scale of ``a @ x``.
+
+    The scale is ``|a| @ |x|``, at least 1: a row of large norm that a
+    point holds exactly still leaves a residual of about eps times it.
+    """
+    return a @ x - b < -FEAS_TOL * np.maximum(1.0, np.abs(a) @ np.abs(x))
 
 
 def _true_objective(level, x):
@@ -119,17 +150,15 @@ def brute_force_cascade(problem: HlspProblem, verify_samples=100, rng_seed=0):
                 x = _constrained_lsq(a_obj, b_obj, a_pin, b_pin)
                 if x is None:
                     continue
-                if pinned_a.shape[0] and np.linalg.norm(
-                    pinned_a @ x - pinned_b
-                ) > FEAS_TOL * max(1.0, np.linalg.norm(pinned_b)):
+                if pinned_a.shape[0] and _misses(pinned_a, pinned_b, x):
                     continue
-                if hard_a.shape[0] and np.min(hard_a @ x - hard_b) < -FEAS_TOL:
+                if _below(hard_a, hard_b, x).any():
                     continue
                 obj = _true_objective(level, x)
                 if obj < best[0] - 1e-15:
                     best = (obj, x)
         if best[1] is None:
-            raise RuntimeError("oracle found no feasible candidate")
+            raise OracleInconclusive("oracle found no feasible candidate")
         x_star = best[1]
 
         v_eq = a_eq @ x_star - b_eq
@@ -164,7 +193,9 @@ def _verify_by_sampling(level, x_star, obj, pinned_a, pinned_b, hard_a, hard_b, 
         if hard_a.shape[0] and np.min(hard_a @ x - hard_b) < 0.0:
             continue
         if _true_objective(level, x) < obj - 1e-7:
-            raise RuntimeError("sampling found a better feasible point than the oracle")
+            raise OracleInconclusive(
+                "sampling found a better feasible point than the oracle"
+            )
 
 
 def cascade_objectives(problem: HlspProblem, violations):

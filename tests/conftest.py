@@ -32,7 +32,7 @@ def build_random_level(
         rhs = rng.uniform(-1, 1, m_prior)
         v_star = rng.uniform(-0.5, 0.0, m_prior)
         fact = rrqr(rows @ chain.basis)
-        chain.extend("real", 1, rows, rhs, v_star, fact)
+        chain.extend(rows, rhs, v_star, fact)
     a_act, b_act, v_act = chain.rows, chain.rhs, chain.v_star
 
     if a_act.shape[0]:
@@ -51,7 +51,6 @@ def build_random_level(
     basis = chain.basis
     ctx = LevelContext(
         n=n,
-        n_r=basis.shape[1],
         basis=basis,
         a_eq=a_eq,
         b_eq=b_eq,

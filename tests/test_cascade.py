@@ -2,10 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlsp import cascade
 from hlsp.cascade import (
     CascadeState,
+    InactiveCarry,
     InvalidProblemError,
     asm_level_feasibility,
     build_level_context,
@@ -177,8 +180,8 @@ class TestProjections:
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(2))
         newton_loop(ctx, s)
-        project_inactive(state, s, config.xi, 1, counters)
-        project_current(state, p.levels[0], s, config.xi, 1, counters)
+        project_inactive(state, s, config.xi, counters)
+        project_current(state, p.levels[0], s, config.xi, counters)
         # satisfied row carried, nothing active
         assert state.carry.m == 1
         assert state.chain.n_r == 2  # no rank consumed
@@ -187,7 +190,7 @@ class TestProjections:
         s2 = initial_state(ctx2, s.x)
         newton_loop(ctx2, s2)
         stages_before = len(state.chain.stages)
-        project_inactive(state, s2, config.xi, 2, counters)
+        project_inactive(state, s2, config.xi, counters)
         assert len(state.chain.stages) == stages_before  # x2 move ignores x1 >= -1
         assert state.carry.m == 1
 
@@ -203,13 +206,13 @@ class TestProjections:
         s = S()
         s.x = np.array([1.0 + 1e-10, 3.0])
         s.lam_inact = np.array([0.3])
-        rank = project_inactive(state, s, config.xi, 2, counters)
+        rank = project_inactive(state, s, config.xi, counters)
         assert rank == 1
-        assert state.chain.stages[0].kind == "virtual"
+        assert np.array_equal(state.chain.rows, [[1.0, 0.0]])
         assert state.carry.m == 0
         # the stored violation is the exact residual at activation time, so
         # the pinned row stays consistent for every later level
-        assert abs(state.chain.stages[0].v_star[0] - 1e-10) < 1e-16
+        assert abs(state.chain.v_star[0] - 1e-10) < 1e-16
 
     def test_accidentally_saturated_not_activated(self):
         state = CascadeState.fresh(2)
@@ -223,7 +226,7 @@ class TestProjections:
         s = S()
         s.x = np.array([1.0 + 1e-10, 0.0])
         s.lam_inact = np.array([1e-10])
-        rank = project_inactive(state, s, config.xi, 2, counters)
+        rank = project_inactive(state, s, config.xi, counters)
         assert rank == 0
         assert state.carry.m == 1
 
@@ -235,19 +238,19 @@ class TestProjections:
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(1))
         newton_loop(ctx, s)
-        project_inactive(state, s, config.xi, 1, counters)
-        project_current(state, p.levels[0], s, config.xi, 1, counters)
-        stage = state.chain.stages[0]
-        assert stage.kind == "real"
-        assert np.allclose(stage.v_star, [-0.5, -0.5], atol=1e-8)
+        assert project_inactive(state, s, config.xi, counters) == 0
+        assert project_current(state, p.levels[0], s, config.xi, counters) == 1
+        # both inequalities are pinned, in level order, with their violations
+        assert np.array_equal(state.chain.rows, [[1.0], [-1.0]])
+        assert np.allclose(state.chain.v_star, [-0.5, -0.5], atol=1e-8)
         assert state.chain.n_r == 0  # rank 1 of 1 consumed
 
     def test_active_stack_stacks_every_stage(self):
-        def assert_stacked(chain):
-            rows, rhs, v_star = chain.rows, chain.rhs, chain.v_star
-            assert np.array_equal(rows, np.vstack([st.rows for st in chain.stages]))
-            assert np.array_equal(rhs, np.concatenate([st.rhs for st in chain.stages]))
-            assert np.array_equal(v_star, np.concatenate([st.v_star for st in chain.stages]))
+        def assert_stacked(chain, rhs, v_star):
+            stacked = np.vstack([st.rows for st in chain.stages])
+            assert np.array_equal(chain.rows, stacked)
+            assert np.array_equal(chain.rhs, rhs)
+            assert np.array_equal(chain.v_star, v_star)
 
         state = CascadeState.fresh(4)
         rows, rhs, v_star = state.chain.rows, state.chain.rhs, state.chain.v_star
@@ -258,19 +261,17 @@ class TestProjections:
         # second inequality is satisfied and carried
         level = lvl(4, [[1, 0, 0, 0]], [1.0], [[0, 1, 0, 0], [0, 0, 1, 0]], [0.5, -1.0])
         s = SimpleNamespace(x=np.array([1.0, 0.2, 0.0, 0.0]))
-        project_current(state, level, s, config.xi, 1, counters)
-        assert [st.kind for st in state.chain.stages] == ["real"]
-        assert state.chain.rows.shape == (2, 4)
-        assert_stacked(state.chain)
+        assert project_current(state, level, s, config.xi, counters) == 2
+        assert np.array_equal(state.chain.rows, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        assert_stacked(state.chain, [1.0, 0.5], [0.0, 0.2 - 0.5])
         # the carried row saturates with a significant dual
         s = SimpleNamespace(
             x=np.array([1.0, 0.2, -1.0, 0.0]),
             lam_inact=np.array([0.3]),
         )
-        project_inactive(state, s, config.xi, 2, counters)
-        assert [st.kind for st in state.chain.stages] == ["real", "virtual"]
-        assert state.chain.rows.shape == (3, 4)
-        assert_stacked(state.chain)
+        assert project_inactive(state, s, config.xi, counters) == 1
+        assert np.array_equal(state.chain.rows[2:], [[0, 0, 1, 0]])
+        assert_stacked(state.chain, [1.0, 0.5, -1.0], [0.0, 0.2 - 0.5, 0.0])
 
     def test_tighter_bound_merging(self):
         state = CascadeState.fresh(3)
@@ -295,6 +296,62 @@ class TestProjections:
         )
         assert state.carry.m == 2
         assert state.carry.rhs[0] == 0.9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_carry_merge_matches_first_seen_reference(self, data):
+        n = data.draw(st.integers(1, 2))
+        carry = InactiveCarry(n)
+        ref_rows, ref_rhs = [], []
+        for _ in range(data.draw(st.integers(1, 8))):
+            if ref_rows and data.draw(st.booleans()):
+                m = len(ref_rows)
+                mask = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+                carry.remove(mask)
+                ref_rows = [r for r, out in zip(ref_rows, mask) if not out]
+                ref_rhs = [b for b, out in zip(ref_rhs, mask) if not out]
+            else:
+                rows, rhs = carry_batch(data, n)
+                carry.append(rows, rhs)
+                for row, b in zip(rows, rhs):
+                    hit = [i for i, r in enumerate(ref_rows) if same_bound(r, row)]
+                    if hit:
+                        ref_rhs[hit[0]] = max(ref_rhs[hit[0]], b)
+                    else:
+                        ref_rows.append(row)
+                        ref_rhs.append(b)
+            assert np.array_equal(carry.matrix, np.array(ref_rows).reshape(-1, n))
+            assert np.array_equal(carry.rhs, np.array(ref_rhs))
+
+
+def carry_batch(data, n):
+    """Rows mixing bounds of either side, scaled single entries and dense rows."""
+    rows = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        row = np.zeros(n)
+        j = data.draw(st.integers(0, n - 1))
+        kind = data.draw(st.sampled_from(["bound", "scaled", "dense"]))
+        if kind == "dense":
+            entries = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+            row = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        else:
+            values = [-1.0, 1.0] if kind == "bound" else [-2.0, -0.5, 0.5, 3.0]
+            row[j] = data.draw(st.sampled_from(values))
+        rows.append(row)
+    # few distinct right-hand sides, so that merged bounds often tie
+    rhs = [data.draw(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 2.0])) for _ in rows]
+    return np.array(rows).reshape(-1, n), np.array(rhs)
+
+
+def same_bound(a, b):
+    """Both rows are bounds (one nonzero, of magnitude 1) on one variable and side."""
+    nz = np.flatnonzero(a)
+    return (
+        nz.size == 1
+        and abs(a[nz[0]]) == 1.0
+        and np.array_equal(np.flatnonzero(b), nz)
+        and a[nz[0]] == b[nz[0]]
+    )
 
 
 def restated_row_problem():
@@ -622,16 +679,16 @@ class TestInvariants:
             s = initial_state(ctx, x)
             newton_loop(ctx, s)
             x = s.x
-            project_inactive(state, s, config.xi, li, counters)
+            project_inactive(state, s, config.xi, counters)
             if state.chain.n_r:
-                project_current(
-                    state, level, s, config.xi, li, counters
-                )
+                project_current(state, level, s, config.xi, counters)
             if state.chain.n_r == 0:
                 break
-        for stage in state.chain.stages:
-            drift = stage.rows @ x - stage.rhs - stage.v_star
-            assert np.linalg.norm(drift) < 1e-8
+        chain = state.chain
+        drift = chain.rows @ x - chain.rhs - chain.v_star
+        ends = np.cumsum([stage.rows.shape[0] for stage in chain.stages])
+        for stage_drift in np.split(drift, ends[:-1]):
+            assert np.linalg.norm(stage_drift) < 1e-8
 
     @pytest.mark.parametrize("seed", range(10))
     def test_inactive_feasibility_and_rank_accounting(self, seed):
@@ -702,9 +759,7 @@ class TestLastDuals:
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(p.n))
         newton_loop(ctx, s)
-        project_current(
-            state, p.levels[0], s, config.xi, 1, counters, ctx.stage1
-        )
+        project_current(state, p.levels[0], s, config.xi, counters, ctx.stage1)
         ctx = build_level_context(state, p.levels[1], config, counters)
         s = initial_state(ctx, s.x)
         newton_loop(ctx, s)

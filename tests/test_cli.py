@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hlsp.bench import TABLE_COLUMNS
 from hlsp.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -13,7 +14,9 @@ from hlsp.cli import (
     main,
     parse_level_specs,
 )
+from hlsp.config import SolverConfig
 from hlsp.fileio import save_problem
+from hlsp.oracle import OracleInconclusive
 from hlsp.problem import random_hlsp
 
 
@@ -37,6 +40,34 @@ def masked(report):
         return obj
 
     return scrub(report)
+
+
+# CI's rows-scaled-over-1e±6 problem
+SCALED_PROBLEM = {
+    "n": 4,
+    "levels": [
+        {
+            "A_e": [], "b_e": [],
+            "A_i": [
+                [-8e5, -7e5, -1e6, 8e5],
+                [8e-5, 7e-5, 1e-4, -8e-5],
+                [1e-4, -5e-5, 2e-5, 3e-6],
+                [-1e-5, 5e-6, -2e-6, -3e-7],
+                [-1e5, -1e5, -3e5, -9e5],
+            ],
+            "b_i": [-1.0, 3.0, -0.1, 1.0, -0.4],
+        },
+        {
+            "A_e": [], "b_e": [],
+            "A_i": [[-2e4, 1e4, 2e4, 4e4], [2e-5, -1e-5, -2e-5, -4e-5]],
+            "b_i": [0.01, 0.5],
+        },
+        {
+            "A_e": [[0, 0, 0, 0]], "b_e": [0.7],
+            "A_i": [[-0.006, -0.004, -0.008, 0.002]], "b_i": [-0.7],
+        },
+    ],
+}
 
 
 class TestSolveCommand:
@@ -122,6 +153,32 @@ class TestSolveCommand:
         report = json.loads(out.read_text())
         assert report["method"] == "oracle"
         assert len(report["objectives"]) == 1
+
+    def test_oracle_on_rows_scaled_over_twelve_decades(self, tmp_path, capsys):
+        # each level pairs rows of norm 1e6 or 1e4 with parallel rows of
+        # norm 1e-4 or 1e-5; the pseudo-inverses' relative cutoffs and an
+        # absolute slack test once left no feasible candidate (exit 5)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(SCALED_PROBLEM))
+        assert main(["solve", str(path), "--method", "oracle"]) == EXIT_OK
+        oracle = json.loads(capsys.readouterr().out)["objectives"]
+        # each level's parallel pair conflicts: level 1 pays about 4.5 for
+        # its 1e6 pair and min_y (y + 0.1)^2 + (0.1 y + 1)^2 over 2 for its
+        # 1e-4 pair, level 2 about 0.125; level 3's zero row pays 0.7^2 / 2
+        expected = [4.5 + (1.01 - 0.04 / 1.01) / 2, 0.125, 0.245]
+        assert oracle == pytest.approx(expected, abs=1e-9)
+
+    def test_inconclusive_oracle_is_invalid(self, problem_file, monkeypatch, capsys):
+        def inconclusive(problem):
+            raise OracleInconclusive("oracle found no feasible candidate")
+
+        monkeypatch.setattr("hlsp.cli.brute_force_cascade", inconclusive)
+        assert main(["solve", str(problem_file), "--method", "oracle"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: oracle found no feasible candidate\n"
+
+    def test_defaults_are_the_solver_config(self, problem_file, capsys):
+        assert main(["solve", str(problem_file)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"] == SolverConfig().to_dict()
 
     def test_report_schema_stable(self, problem_file, tmp_path):
         out = tmp_path / "r.json"
@@ -256,6 +313,7 @@ class TestBenchCommand:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 seeds x 2 methods
+        assert list(rows[0]) == TABLE_COLUMNS
         summary = json.loads((tmp_path / "table.csv.summary.json").read_text())
         assert "time_ratios" in summary and "nf-ipm/ls-ipm" in summary["time_ratios"]
 

@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hlsp.factorization import (
+    DEFAULT_RANK_TOL,
     _trsolve,
-    nullspace_basis,
     nullspace_update,
     rrqr,
     staged_rrqr,
 )
+
+
+def formed_nullspace(f):
+    """The null-space basis Z = P [[-R^-1 T], [I]] of ``f``, formed."""
+    return nullspace_update(np.eye(f.ncols), f)
 
 
 def reference_rank(a, tol=1e-10):
@@ -77,13 +82,13 @@ class TestRrqr:
         a[:, 3] = 1e-13 * a[:, 0]
         f = rrqr(a)
         diag = np.abs(np.diag(f.r))
-        assert np.all(diag > f.tol * np.max(diag) - 1e-300)
+        assert np.all(diag > DEFAULT_RANK_TOL * np.max(diag) - 1e-300)
 
 
 class TestNullspaceBasis:
     def test_coordinate_nullspace(self):
         f = rrqr(np.array([[1.0, 0.0, 0.0]]))
-        z = nullspace_basis(f)
+        z = formed_nullspace(f)
         assert z.shape == (3, 2)
         expected = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(z, expected)
@@ -91,14 +96,14 @@ class TestNullspaceBasis:
     def test_full_rank_empty_nullspace(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(-1, 1, (3, 3))
-        z = nullspace_basis(rrqr(a))
+        z = formed_nullspace(rrqr(a))
         assert z.shape == (3, 0)
 
     def test_random_wide(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(-1, 1, (2, 5))
         f = rrqr(a)
-        z = nullspace_basis(f)
+        z = formed_nullspace(f)
         assert z.shape == (5, 3)
         assert np.linalg.norm(a @ z) < 1e-10 * np.linalg.norm(a) * np.linalg.norm(z)
         assert reference_rank(z) == 3
@@ -107,7 +112,7 @@ class TestNullspaceBasis:
         rng = np.random.default_rng(9)
         a = rng.uniform(-1, 1, (3, 7))
         f = rrqr(a)
-        z = nullspace_basis(f)
+        z = formed_nullspace(f)
         block = z[f.perm[f.rank :], :]
         assert np.array_equal(block, np.eye(7 - f.rank))
 
@@ -120,7 +125,7 @@ class TestNullspaceUpdate:
         f = rrqr(rng.uniform(-1, 1, (5, rank)) @ rng.uniform(-1, 1, (rank, 4)))
         assert f.rank == rank
         out = nullspace_update(basis, f)
-        dense = basis @ nullspace_basis(f)
+        dense = basis @ formed_nullspace(f)
         assert out.shape == (6, 4 - rank)
         assert np.allclose(out, dense, rtol=0, atol=1e-14)
 
@@ -335,7 +340,7 @@ class TestKernelProperties:
     @given(matrices())
     def test_nullspace_basis_annihilates(self, a):
         f = rrqr(a)
-        z = nullspace_basis(f)
+        z = formed_nullspace(f)
         assert z.shape[1] == a.shape[1] - f.rank
         bound = 1e-8 * safe_norm(a) * max(1.0, safe_norm(z))
         assert safe_norm(a @ z) <= bound

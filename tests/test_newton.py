@@ -10,7 +10,7 @@ from hlsp import cascade
 from hlsp.cascade import NullSpaceChain
 from hlsp.config import SolverConfig
 from hlsp import newton
-from hlsp.factorization import nullspace_basis, rrqr
+from hlsp.factorization import nullspace_update, rrqr
 from hlsp.newton import (
     Counters,
     IterateState,
@@ -24,7 +24,6 @@ from hlsp.newton import (
     initial_state,
     kkt_residual,
     line_search,
-    ls_form_recommended,
     mehrotra_iteration,
     recover_equality_dual,
 )
@@ -121,12 +120,11 @@ class TestProjectedNormalStep:
         chain = NullSpaceChain(n)
         rows = np.array([[1.0, 0.0]])
         fact = rrqr(rows)
-        chain.extend("real", 1, rows, np.array([1.0]), np.zeros(1), fact)
+        chain.extend(rows, np.array([1.0]), np.zeros(1), fact)
         config = SolverConfig()
         a_eq = np.array([[1.0, 1.0]])
         ctx = LevelContext(
             n=n,
-            n_r=1,
             basis=chain.basis,
             a_eq=a_eq,
             b_eq=np.array([5.0]),
@@ -262,13 +260,15 @@ def linearized_residual(ctx, s, d, smu_i, smu_in):
 
     The eliminated forms never produce the active-dual step, so the
     stationarity row is checked inside the null space of the active rows.
+    The equality slack follows ``x``, so its step is read off ``dx``.
     """
+    dv_eq = ctx.a_eq @ (s.x + d.dx) - ctx.b_eq - s.v_eq
     k2 = ctx.b_eq - ctx.a_eq @ s.x + s.v_eq
     k3 = ctx.b_ineq - ctx.a_ineq @ s.x + s.v_ineq + s.w_ineq
     k4 = s.w_ineq * s.v_ineq + smu_i
     k6 = ctx.b_inact - ctx.a_inact @ s.x + s.w_inact
     k7 = s.lam_inact * s.w_inact - smu_in
-    r2 = -ctx.a_eq @ d.dx + d.dv_eq + k2
+    r2 = -ctx.a_eq @ d.dx + dv_eq + k2
     r3 = -ctx.a_ineq @ d.dx + d.dv_ineq + d.dw_ineq + k3
     r4 = s.w_ineq * d.dv_ineq + s.v_ineq * d.dw_ineq + k4
     r5 = -ctx.a_act @ d.dx
@@ -280,7 +280,7 @@ def linearized_residual(ctx, s, d, smu_i, smu_in):
         - ctx.a_inact.T @ s.lam_inact
     )
     r1 = (
-        ctx.a_eq.T @ d.dv_eq
+        ctx.a_eq.T @ dv_eq
         + ctx.a_ineq.T @ d.dv_ineq
         - ctx.a_inact.T @ d.dlam_inact
         + k1
@@ -313,8 +313,9 @@ class TestComponentSteps:
         smu_in = float((s.lam_inact * s.w_inact)[0])
         s.lam_inact = smu_in / s.w_inact
         f, g = assemble_f_g(ctx, s, smu_i, smu_in)
-        d = component_steps(ctx, s, np.zeros(ctx.n_r), f, g)
-        for arr in (d.dx, d.dv_eq, d.dv_ineq, d.dw_ineq, d.dw_inact, d.dlam_inact):
+        d = component_steps(ctx, s, np.zeros(ctx.basis.shape[1]), f, g)
+        dv_eq = ctx.a_eq @ (s.x + d.dx) - ctx.b_eq - s.v_eq
+        for arr in (d.dx, dv_eq, d.dv_ineq, d.dw_ineq, d.dw_inact, d.dlam_inact):
             assert np.linalg.norm(arr) < 1e-10
 
     def test_equality_only_components(self):
@@ -324,7 +325,8 @@ class TestComponentSteps:
         d = component_steps(ctx, s, dz, f, g)
         assert d.dv_ineq.size == 0 and d.dw_ineq.size == 0
         assert np.linalg.norm(d.dx) > 0
-        assert np.linalg.norm(d.dv_eq) > 0
+        # the step moves the equality slack the iterate resets from x
+        assert np.linalg.norm(ctx.a_eq @ (s.x + d.dx) - ctx.b_eq - s.v_eq) > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_linearized_system_residual_small(self, seed):
@@ -381,7 +383,6 @@ def ratio_test_pair(blocks, steps):
     d = StepDirection(
         dz=None,
         dx=np.zeros(1),
-        dv_eq=np.zeros(0),
         dv_ineq=-steps[1],
         dw_ineq=steps[0],
         dw_inact=steps[2],
@@ -452,7 +453,6 @@ class TestLineSearch:
         d = StepDirection(
             dz=None,
             dx=np.zeros_like(s.x),
-            dv_eq=z(s.v_eq),
             dv_ineq=kw.get("dv_ineq", z(s.v_ineq)),
             dw_ineq=kw.get("dw_ineq", z(s.w_ineq)),
             dw_inact=kw.get("dw_inact", z(s.w_inact)),
@@ -563,7 +563,6 @@ class TestMehrotra:
         b_ineq = np.array([1.0, 0.0])
         ctx = LevelContext(
             n=n,
-            n_r=1,
             basis=chain.basis,
             a_eq=np.zeros((0, n)),
             b_eq=np.zeros(0),
@@ -611,11 +610,10 @@ class TestDualRecovery:
         chain = NullSpaceChain(n)
         rows = np.eye(3)[:2]
         fact = rrqr(rows)
-        chain.extend("real", 1, rows, np.zeros(2), np.zeros(2), fact)
+        chain.extend(rows, np.zeros(2), np.zeros(2), fact)
         a_eq = np.array([[0.5, 0.5, 0.5]])
         ctx = LevelContext(
             n=n,
-            n_r=1,
             basis=chain.basis,
             a_eq=a_eq,
             b_eq=np.array([1.0]),
@@ -739,12 +737,12 @@ class TestConverged:
         assert ctx.counters == counters
 
 
-def rank_deficient_chain(rng, n, stages, kinds=("real",)):
+def rank_deficient_chain(rng, n, stages):
     """Chain whose stages repeat a row or restate a row of an earlier stage.
 
     Every stage keeps at least one new row: without an absolute floor, a
     block of rounding noise alone passes the rank test, which is relative
-    to the block's own scale. Stage i takes the kind ``kinds[i % len(kinds)]``.
+    to the block's own scale.
     """
     chain = NullSpaceChain(n)
     for i in range(stages):
@@ -758,8 +756,7 @@ def rank_deficient_chain(rng, n, stages, kinds=("real",)):
             prior = chain.stages[int(rng.integers(len(chain.stages)))].rows
             rows[0] = rng.uniform(-1, 1, prior.shape[0]) @ prior
         fact = rrqr(rows @ chain.basis)
-        kind = kinds[i % len(kinds)]
-        chain.extend(kind, 1, rows, rng.uniform(-1, 1, m), np.zeros(m), fact)
+        chain.extend(rows, rng.uniform(-1, 1, m), np.zeros(m), fact)
     return chain
 
 
@@ -769,15 +766,14 @@ class TestChainExtension:
         for seed in range(120):
             rng = np.random.default_rng(seed + 4300)
             n = int(rng.integers(3, 11))
-            chain = rank_deficient_chain(
-                rng, n, int(rng.integers(1, 5)), kinds=("real", "virtual")
-            )
+            chain = rank_deficient_chain(rng, n, int(rng.integers(1, 5)))
             stages = chain.stages
             deficient += any(st.fact.rank < st.rows.shape[0] for st in stages)
             # the basis each extend left behind
             after = [st.basis_before for st in stages[1:]] + [chain.basis]
             for j, (stage, basis) in enumerate(zip(stages, after)):
-                dense = stage.basis_before @ nullspace_basis(stage.fact)
+                z = nullspace_update(np.eye(stage.fact.ncols), stage.fact)
+                dense = stage.basis_before @ z
                 assert basis.shape == dense.shape
                 assert np.linalg.norm(basis - dense) <= 1e-12 * np.linalg.norm(dense)
                 a_act = np.vstack([st.rows for st in stages[: j + 1]])
@@ -797,7 +793,6 @@ class TestChainBasisStationarity:
             ctx, s = build_random_level(seed + 4200, n=n, m_prior=0)
             ctx.a_act, ctx.b_act, ctx.v_act = chain.rows, chain.rhs, chain.v_star
             ctx.basis, ctx.stages = chain.basis, tuple(chain.stages)
-            ctx.n_r = chain.n_r
             s.v_eq = rng.uniform(-1, 1, ctx.m_eq)
             r = ctx.a_eq.T @ s.v_eq + ctx.a_ineq.T @ s.v_ineq - ctx.a_inact.T @ s.lam_inact
             s.lam_act = recover_equality_dual(ctx, s)
@@ -809,15 +804,6 @@ class TestChainBasisStationarity:
             _, norm = converged(ctx, s, np.inf)
             assert abs(norm - np.hypot(np.linalg.norm(k[n:]), walked)) <= tol
         assert deficient >= 60
-
-
-class TestLsSwitch:
-    def test_default_variant_threshold(self):
-        assert ls_form_recommended(0, 0, 2, 3) is True
-        assert ls_form_recommended(0, 0, 3, 3) is False
-
-    def test_alternate_variant_threshold(self):
-        assert ls_form_recommended(1, 1, 1, 4) is True
 
 
 def frame_arrays(frame):
