@@ -12,12 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import time
+from functools import partial
 
 import numpy as np
 
 from .cascade import solve_hlsp
 from .config import SolverConfig
+from .oracle import lexicographic_lsq_equality
 from .problem import ConstraintBlock, HlspProblem, Level, random_hlsp
+
+REFERENCE = "lexicographic"
 
 TABLE_COLUMNS = [
     "instance",
@@ -70,37 +74,37 @@ def _fact_work(shapes):
 
 
 def _row(instance_name, method, seed, problem, config, repeats):
+    """One table row; ``config`` None times ``REFERENCE``, which counts no work."""
+    solve = partial(solve_hlsp, config=config) if config else lexicographic_lsq_equality
     times = []
-    report = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        report = solve_hlsp(problem, config)
+        report = solve(problem)
         times.append(time.perf_counter() - t0)
-    kkts = [lv.kkt_norm for lv in report.levels if lv.kkt_norm is not None]
+    levels = report.levels if config else []
+    kkts = [lv.kkt_norm for lv in levels if lv.kkt_norm is not None]
     # the classical form's second factorization per iteration is the
     # active-row product; informational for crossover inspection
     second_dims = []
-    if config.method == "classical" and len(report.levels) > 1:
-        shapes = report.levels[1].fact_shapes
+    if method == "classical" and len(levels) > 1:
+        shapes = levels[1].fact_shapes
         if len(shapes) > 1:
             second_dims = list(shapes[1])
     return {
         "instance": instance_name,
-        "method": config.method,
+        "method": method,
         "seed": seed,
         "n": problem.n,
         "time_s": float(np.median(times)),
-        "iterations": sum(lv.iterations for lv in report.levels),
-        "factorizations": sum(lv.factorizations for lv in report.levels),
-        "dual_evaluations": sum(lv.dual_evaluations for lv in report.levels),
+        "iterations": sum(lv.iterations for lv in levels),
+        "factorizations": sum(lv.factorizations for lv in levels),
+        "dual_evaluations": sum(lv.dual_evaluations for lv in levels),
         "kkt_max": max(kkts) if kkts else 0.0,
-        "n_r_per_level": ";".join(str(lv.n_r_after) for lv in report.levels),
-        "fact_work": _fact_work(
-            [sh for lv in report.levels for sh in lv.fact_shapes]
-        ),
+        "n_r_per_level": ";".join(str(lv.n_r_after) for lv in levels),
+        "fact_work": _fact_work([sh for lv in levels for sh in lv.fact_shapes]),
         "second_fact_dims": ";".join(map(str, second_dims)),
-        "converged": report.converged,
-    }, report
+        "converged": report.converged if config else True,
+    }
 
 
 def equality_sweep_problem(n, m1e, m2, seed=0):
@@ -162,6 +166,8 @@ def run_benchmark(spec, out_path=None):
     ``repeats`` (a positive integer, default 5), optional
     ``equality_sweep`` with ``n``, ``m2`` and ``step``. Every count and
     seed must be an integer; a boolean or a fraction is a spec error.
+    ``methods`` may list ``REFERENCE``, whose rows time the sequential
+    equality-only solve; a problem with inequality rows is then an error.
     """
     if not isinstance(spec, dict):
         raise BenchSpecError("spec must be a JSON object")
@@ -176,14 +182,16 @@ def run_benchmark(spec, out_path=None):
     for seed in spec.get("seeds", []):
         _spec_int(seed, "spec field 'seeds' entry")
     try:
-        configs = {m: SolverConfig(method=m, **spec.get("config", {})) for m in methods}
+        cfg = spec.get("config", {})
+        configs = {m: SolverConfig(method=m, **cfg) for m in methods if m != REFERENCE}
     except TypeError as exc:
         raise BenchSpecError(f"bad config in spec: {exc}") from exc
     rows = []
     for name, seed, problem in _spec_problems(spec):
+        if REFERENCE in methods and any(lv.inequalities.m for lv in problem.levels):
+            raise BenchSpecError(f"{name}: {REFERENCE} takes equality-only problems")
         for method in methods:
-            row, _ = _row(name, method, seed, problem, configs[method], repeats)
-            rows.append(row)
+            rows.append(_row(name, method, seed, problem, configs.get(method), repeats))
     summary = time_ratio_summary(rows)
     if out_path is not None:
         write_table(rows, out_path)

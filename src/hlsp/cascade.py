@@ -56,9 +56,10 @@ class NullSpaceChain:
     """Accumulated null-space basis of all activated constraint rows.
 
     ``rows``, ``rhs`` and ``v_star`` stack the activated rows of every
-    stage in order. ``extend`` replaces them and the basis, never writing
-    in place, so a level context may hold them. Each stage removes exactly
-    its rank from the basis columns, so the rank consumed is ``n - n_r``.
+    stage in order; ``rows`` is a view of a buffer that ``extend`` fills
+    and doubles. It writes no filled row, so a level context may hold them.
+    Each stage removes exactly its rank from the basis columns, so the rank
+    consumed is ``n - n_r``.
     """
 
     def __init__(self, n):
@@ -68,6 +69,7 @@ class NullSpaceChain:
         self.rows = np.zeros((0, n))
         self.rhs = np.zeros(0)
         self.v_star = np.zeros(0)
+        self._rows = self.rows
 
     @property
     def n_r(self):
@@ -77,7 +79,12 @@ class NullSpaceChain:
         """Append a stage; the basis moves into the null space of ``fact``."""
         self.stages.append(Stage(rows=rows, fact=fact, basis_before=self.basis))
         self.basis = nullspace_update(self.basis, fact)
-        self.rows = np.vstack([self.rows, rows])
+        filled, end = self.rhs.size, self.rhs.size + rows.shape[0]
+        if end > len(self._rows):
+            # a copy of the filled rows; held views keep the old buffer
+            self._rows = np.resize(self.rows, (max(end, 2 * filled), self.n))
+        self._rows[filled:end] = rows
+        self.rows = self._rows[:end]
         self.rhs = np.concatenate([self.rhs, rhs])
         self.v_star = np.concatenate([self.v_star, v_star])
 
@@ -308,6 +315,8 @@ def project_inactive(state: CascadeState, s: IterateState, xi, counters):
     merely saturated without a significant multiplier stay carried.
     """
     carry = state.carry
+    if carry.m == 0:
+        return 0
     mask = (carry.matrix @ s.x - carry.rhs < xi) & (s.lam_inact > xi)
     if not mask.any():
         return 0
@@ -318,33 +327,40 @@ def project_inactive(state: CascadeState, s: IterateState, xi, counters):
     return _activate(state.chain, rows, rhs, v_star, counters)
 
 
-def project_current(
-    state: CascadeState, level, s: IterateState, xi, counters, retained=None
-):
+def project_current(state, level, s, xi, counters, retained=None, residuals=None):
     """Pin the level's active set and carry its satisfied inequalities.
 
     The active set holds every equality row plus the inequalities violated
     beyond the activation threshold, stored with their optimal violations.
     ``retained`` is the factorization of the projected equality block in
     the current basis, when the caller has one; it is reused when nothing
-    but the equalities activates.
+    but the equalities activates. ``residuals`` are the level's
+    ``_residuals`` at ``s.x``, when the caller has them.
     """
     eq, ineq = level.equalities, level.inequalities
-    r_ineq = ineq.matrix @ s.x - ineq.rhs
-    viol = r_ineq < -xi
-    rows = np.vstack([eq.matrix, ineq.matrix[viol]])
-    rhs = np.concatenate([eq.rhs, ineq.rhs[viol]])
-    v_star = np.concatenate([eq.matrix @ s.x - eq.rhs, r_ineq[viol]])
-    retained = None if viol.any() else retained
-    rank = _activate(state.chain, rows, rhs, v_star, counters, retained)
-    state.carry.append(ineq.matrix[~viol], ineq.rhs[~viol])
-    return rank
+    r_eq, r_ineq = _residuals(level, s.x) if residuals is None else residuals
+    # C order, as the stack below returns it, so the products keep their bits
+    rows, rhs, v_star = np.ascontiguousarray(eq.matrix), eq.rhs, r_eq
+    if ineq.m:
+        viol = r_ineq < -xi
+        if viol.any():
+            rows = np.vstack([eq.matrix, ineq.matrix[viol]])
+            rhs = np.concatenate([eq.rhs, ineq.rhs[viol]])
+            v_star = np.concatenate([r_eq, r_ineq[viol]])
+            retained = None
+        state.carry.append(ineq.matrix[~viol], ineq.rhs[~viol])
+    return _activate(state.chain, rows, rhs, v_star, counters, retained)
 
 
-def _level_objective(level, x):
-    v_eq = level.equalities.matrix @ x - level.equalities.rhs
-    v_ineq = np.minimum(level.inequalities.matrix @ x - level.inequalities.rhs, 0.0)
-    sq = float(v_eq @ v_eq + v_ineq @ v_ineq)
+def _residuals(level, x):
+    """``A x - b`` of the level's blocks; an empty block's is its empty rhs."""
+    eq, ineq = level.equalities, level.inequalities
+    return eq.matrix @ x - eq.rhs, ineq.matrix @ x - ineq.rhs if ineq.m else ineq.rhs
+
+
+def _level_objective(r_eq, r_ineq):
+    v_ineq = np.minimum(r_ineq, 0.0)
+    sq = float(r_eq @ r_eq + v_ineq @ v_ineq)
     return 0.5 * sq, float(np.sqrt(sq))
 
 
@@ -373,7 +389,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     for idx, level in enumerate(problem.levels, start=1):
         if state.chain.n_r == 0:
             # the chain is exhausted: no variable is left to solve for
-            objective, v_norm = _level_objective(level, x)
+            objective, v_norm = _level_objective(*_residuals(level, x))
             level_reports.append(
                 LevelReport(
                     level=idx,
@@ -416,8 +432,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         x = s.x
         sub = not conv
         all_converged = all_converged and conv
-        # the projection trims the carried rows of s; the walk needs them
-        final = replace(s)
+        # the projection trims the carried duals of s; the walk needs them
+        walk_lam_inact = s.lam_inact
+        residuals = _residuals(level, x)
 
         rank_virtual = project_inactive(state, s, config.xi, counters)
         if rank_virtual:
@@ -425,9 +442,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         rank_current = 0
         if state.chain.n_r:
             rank_current = project_current(
-                state, level, s, config.xi, counters, retained=retained
+                state, level, s, config.xi, counters, retained, residuals
             )
-        objective, v_norm = _level_objective(level, x)
+        objective, v_norm = _level_objective(*residuals)
         report = LevelReport(
             level=idx,
             m_eq=level.equalities.m,
@@ -450,11 +467,11 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         )
         level_reports.append(report)
 
-    # ctx, final, report and s still hold the last solved level: the
-    # trivial levels after an exhausted chain reassign none of them
+    # ctx, report and s still hold the last solved level: the trivial
+    # levels after an exhausted chain reassign none of them
     lam_act = np.zeros(0)
     if ctx.m_act:
-        lam_act = recover_equality_dual(ctx, final)
+        lam_act = recover_equality_dual(ctx, replace(s, lam_inact=walk_lam_inact))
         report.dual_evaluations += 1
     return SolveReport(
         method=config.method,

@@ -74,7 +74,9 @@ def _trsolve(r, b, trans="N"):
     Its errors are kept: a ValueError on NaN/Inf (``NonFiniteError``, so
     the Newton loop can tell it from others), LinAlgError on a zero pivot.
     """
-    if not (np.isfinite(r).all() and np.isfinite(b).all()):
+    # np.isfinite(r).all() and np.isfinite(b).all(), without ndarray.all's dispatch
+    finite = np.count_nonzero(np.isfinite(r)) + np.count_nonzero(np.isfinite(b))
+    if finite < r.size + b.size:
         raise NonFiniteError("array must not contain infs or NaNs")
     t = int(trans == "T")
     if r.flags.f_contiguous:
@@ -114,9 +116,9 @@ def _geqp3(a, tol, floor=0.0):
     """
     k = a.shape[1]
     qr, jpvt, tau, _, _ = dgeqp3(a, lwork=2 * k + (k + 1) * _NB)
-    above = np.abs(np.diagonal(qr)) > max(tol * float(abs(qr[0, 0])), floor)
+    above = np.abs(qr.diagonal()) > max(tol * float(abs(qr[0, 0])), floor)
     rank = int(above.size if above.all() else np.argmin(above))
-    return qr, (jpvt - 1).astype(int), tau, rank
+    return qr, np.subtract(jpvt, 1, dtype=int), tau, rank
 
 
 @dataclass
@@ -194,24 +196,21 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, scale_rows=None):
         raise ValueError("expected a 2-d matrix")
     m, k = a.shape
     q = OrthoTransform(m)
-    qr, perm, rank = np.zeros((0, k)), np.arange(k), 0
-    if m > 0 and k > 0:
-        floor = 0.0
-        if scale_rows is not None:
-            floor = tol * np.linalg.norm(scale_rows, axis=1).max(initial=0.0)
-        qr, perm, tau, rank = _geqp3(a, tol, floor)
-        q.add_reflectors(slice(0, m), qr[:, : tau.size], tau)
+    if m == 0 or k == 0:
+        return Rrqr(q, np.zeros((0, 0)), np.zeros((0, k)), np.arange(k), 0, (m, k))
+    floor = 0.0
+    if scale_rows is not None:
+        # the largest row norm, as np.linalg.norm(axis=1) computes each; the
+        # square root is monotonic, so it may follow the max
+        sq = np.add.reduce(scale_rows * scale_rows, axis=1)
+        floor = tol * np.sqrt(np.maximum.reduce(sq, initial=0.0))
+    qr, perm, tau, rank = _geqp3(a, tol, floor)
+    q.add_reflectors(slice(0, m), qr[:, : tau.size], tau)
+    # C order, as np.triu returned it: _trsolve's LAPACK call follows the layout
+    r = _zero_below_diagonal(np.array(qr[:rank, :rank], order="C"))
     if counter is not None:
         counter.count_factorization(m, k)
-    return Rrqr(
-        q=q,
-        # C order, as np.triu returned it: _trsolve's LAPACK call follows the layout
-        r=_zero_below_diagonal(np.array(qr[:rank, :rank], order="C")),
-        t=qr[:rank, rank:].copy(),
-        perm=perm,
-        rank=rank,
-        shape=(m, k),
-    )
+    return Rrqr(q, r, qr[:rank, rank:].copy(), perm, rank, (m, k))
 
 
 def nullspace_update(basis, f: Rrqr):

@@ -413,6 +413,11 @@ def apply_step(ctx, s, d: StepDirection, alpha):
         s.lam_inact = s.lam_inact + alpha * d.dlam_inact
     if d.dlam_act.size:
         s.lam_act = s.lam_act + alpha * d.dlam_act
+    _reframe(ctx, s)
+
+
+def _reframe(ctx, s):
+    """Recompute the equality slack and the frame after a step moved ``s``."""
     # keeping the equality slack consistent preserves the feasibility of
     # the reduced system's right-hand side across iterations
     ax_eq = ctx.a_eq @ s.x
@@ -434,17 +439,22 @@ def mehrotra_iteration(ctx, s, form):
     The affine predictor fixes the centering parameters through the cube
     rule, the corrector adds the affine cross products, and only the
     corrector step is applied, scaled by the fraction-to-boundary line
-    search. Equality-only levels are linear: the predictor lands on the
-    solution and the corrector degenerates to a zero step.
+    search, and the applied step is returned. A level without barrier rows
+    is linear and one full step solves it: the projected forms take the
+    basic step on the retained equality factorization and return None.
     """
     ctx.counters.newton_iterations += 1
-    tau = ctx.config.tau
     equality_only = ctx.m_ineq == 0 and ctx.m_inact == 0
+    if equality_only and form in ("normal", "ls"):
+        dz = ctx.equality_factorization().solve_basic(_frame(ctx, s).rhs_eq)
+        s.x = s.x + ctx.basis @ dz
+        _reframe(ctx, s)
+        return None
+    tau = ctx.config.tau
     solve = _step_solver(ctx, s, form)
 
     if equality_only:
-        empty = np.zeros(0)
-        d = solve(empty, empty)
+        d = solve(_EMPTY, _EMPTY)
         d.alpha = 1.0
         apply_step(ctx, s, d, 1.0)
         return d
@@ -487,9 +497,7 @@ def _step_solver(ctx, s, form):
     stages the square-root-weighted barrier rows over the retained
     factorization of the projected equality block, and ``"classical"``
     factors the full-space quadratic term and the active-constraint
-    product and also returns the active-dual step. On a level without
-    barrier rows both projected forms take the basic least-squares step on
-    the retained equality factorization, so the level needs no other.
+    product and also returns the active-dual step.
     """
     fr = _frame(ctx, s)
     if form == "classical":
@@ -519,9 +527,7 @@ def _step_solver(ctx, s, form):
         return solve
     if form not in ("normal", "ls"):
         raise ValueError(f"unknown step form {form!r}")
-    if ctx.m_ineq == 0 and ctx.m_inact == 0:
-        solve_dz = _equality_solver(ctx, fr)
-    elif form == "normal":
+    if form == "normal":
         solve_dz = _normal_solver(ctx, fr)
     else:
         solve_dz = _ls_solver(ctx, fr)
@@ -530,12 +536,6 @@ def _step_solver(ctx, s, form):
         return component_steps(ctx, s, solve_dz(f_vec, g_vec), f_vec, g_vec)
 
     return solve
-
-
-def _equality_solver(ctx, fr):
-    """Basic least-squares step on the projected equality block's RRQR."""
-    stage1 = ctx.equality_factorization()
-    return lambda f_vec, g_vec: stage1.solve_basic(fr.rhs_eq)
 
 
 def _normal_solver(ctx, fr):

@@ -19,7 +19,7 @@ from hlsp.cascade import (
     solve_hlsp,
 )
 from hlsp.config import METHODS, SolverConfig
-from hlsp.factorization import NonFiniteError
+from hlsp.factorization import NonFiniteError, nullspace_update, rrqr
 from hlsp.fileio import problem_from_dict
 from hlsp.newton import Counters, converged, initial_state, recover_equality_dual
 from hlsp.oracle import brute_force_cascade, cascade_objectives
@@ -272,6 +272,44 @@ class TestProjections:
         assert project_inactive(state, s, config.xi, counters) == 1
         assert np.array_equal(state.chain.rows[2:], [[0, 0, 1, 0]])
         assert_stacked(state.chain, [1.0, 0.5, -1.0], [0.0, 0.2 - 0.5, 0.0])
+
+    def test_context_active_stack_survives_later_extensions(self):
+        # the chain appends rows into a buffer that held contexts view;
+        # stages of 3 and 1 rows leave the buffer with room for 2 more, so
+        # the next stage writes into the buffer the second context views
+        rng = np.random.default_rng(43)
+        n = 30
+        state = CascadeState.fresh(n)
+        config, counters = SolverConfig(), Counters()
+        s = SimpleNamespace(x=rng.uniform(-1, 1, n))
+        plan = [("real", 3), ("real", 1), ("virtual", 2), ("real", 9), ("virtual", 6)]
+        expected, held = [], []
+
+        def stack(ctx):
+            return ctx.a_act, ctx.b_act, ctx.v_act
+
+        for kind, m in plan:
+            a, b = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)
+            if kind == "real":
+                level = lvl(n, a, b, np.zeros((0, n)), [])
+                assert project_current(state, level, s, config.xi, counters) == m
+            else:
+                # carried rows saturated at x, with significant duals
+                b = a @ s.x
+                state.carry.append(a, b)
+                s.lam_inact = np.ones(m)
+                assert project_inactive(state, s, config.xi, counters) == m
+            expected.append((a, b, a @ s.x - b))
+            if len(held) < 2:
+                ctx = build_level_context(state, level, config, counters)
+                held.append((ctx, [v.copy() for v in stack(ctx)]))
+        for ctx, copies in held:
+            for view, copy in zip(stack(ctx), copies):
+                assert np.array_equal(view, copy)
+        chain = state.chain
+        assert np.array_equal(chain.rows, np.vstack([e[0] for e in expected]))
+        assert np.array_equal(chain.rhs, np.concatenate([e[1] for e in expected]))
+        assert np.array_equal(chain.v_star, np.concatenate([e[2] for e in expected]))
 
     def test_tighter_bound_merging(self):
         state = CascadeState.fresh(3)
@@ -590,6 +628,63 @@ class TestEqualityOnlyLevels:
             # both projected forms take the same step on the same factorization
             assert np.array_equal(reps["nf-ipm"].x, reps["ls-ipm"].x)
             assert np.allclose(reps["classical"].x, reps["ls-ipm"].x, atol=1e-8)
+
+
+def linear_hierarchy(seed, identity):
+    """Rank-deficient equality levels, one restating an earlier row with a
+    conflicting right-hand side, and an optional final identity level.
+    Every level but the identity has fewer rows than variables."""
+    rng = np.random.default_rng(31_000 + seed)
+    n = int(rng.integers(4, 41))
+    specs = []
+    for _ in range(int(rng.integers(2, 5))):
+        m_e = int(rng.integers(1, max(2, n // 3)))
+        specs.append((m_e, 0, int(rng.integers(0, min(2, m_e) + 1)), "feasible"))
+    levels = list(random_hlsp(seed, n, specs).levels)
+    first = levels[0].equalities
+    restated = lvl(n, first.matrix[:1], first.rhs[:1] + 0.5, np.zeros((0, n)), [])
+    levels.insert(int(rng.integers(1, len(levels) + 1)), restated)
+    problem = HlspProblem(n=n, levels=tuple(levels))
+    return with_regularizer(problem, seed) if identity else problem
+
+
+class TestLinearLevelCost:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "method,identity",
+        [("nf-ipm", True), ("ls-ipm", True), ("classical", False)],
+    )
+    def test_one_rrqr_one_basic_step_one_extension(
+        self, monkeypatch, seed, method, identity
+    ):
+        # the paper's work per linear level, written out with the same
+        # kernels: the solver's x must match it bit for bit after each level
+        problem = linear_hierarchy(seed, identity)
+        seen = []
+        real_loop = cascade.newton_loop
+
+        def recording_loop(ctx, s, form=None):
+            out = real_loop(ctx, s, form)
+            seen.append(s.x)
+            return out
+
+        monkeypatch.setattr(cascade, "newton_loop", recording_loop)
+        report = solve_hlsp(problem, SolverConfig(method=method))
+        solved = [lv for lv in report.levels if lv.kkt_norm is not None]
+        assert len(seen) == len(solved)
+
+        x, basis = np.zeros(problem.n), np.eye(problem.n)
+        for level, lv, x_solver in zip(problem.levels, solved, seen):
+            a, b = level.equalities.matrix, level.equalities.rhs
+            fact = rrqr(a @ basis, scale_rows=a)
+            assert lv.iterations in (0, 1)
+            assert lv.method_fallback == (method == "classical")
+            if lv.iterations:
+                x = x + basis @ fact.solve_basic(b - a @ x)
+            assert np.array_equal(x_solver, x)
+            basis = nullspace_update(basis, fact)
+            assert lv.n_r_after == basis.shape[1]
+        assert np.array_equal(report.x, x)
 
 
 # classical raises MethodNotApplicable inside the Newton loop on these

@@ -341,6 +341,29 @@ class TestBenchCommand:
         totals = {r["instance"]: int(r["iterations"]) for r in rows}
         assert totals == {"sweep_m1e=0": 1, "sweep_m1e=4": 2, "sweep_m1e=8": 1}
 
+    def test_sequential_reference_rows(self, tmp_path):
+        spec = {
+            "seeds": [0],
+            "methods": ["nf-ipm", "lexicographic"],
+            "repeats": 2,
+            "instances": [
+                {"n": 6, "levels": [[2, 0, 1, "feasible"], [6, 0, 0, "feasible"]]}
+            ],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "table.csv"
+        assert main(["bench", str(spec_path), "--out", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == TABLE_COLUMNS
+        ref = [r for r in rows if r["method"] == "lexicographic"]
+        assert len(ref) == 1 and float(ref[0]["time_s"]) > 0.0
+        counts = ("iterations", "factorizations", "dual_evaluations", "fact_work")
+        assert all(ref[0][c] == "0" for c in counts) and ref[0]["converged"] == "True"
+        summary = json.loads((tmp_path / "table.csv.summary.json").read_text())
+        assert "nf-ipm/lexicographic" in summary["time_ratios"]
+
     def test_bad_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text("nope{")
@@ -371,6 +394,10 @@ class TestBenchCommand:
             {"equality_sweep": {"n": True, "m2": True, "step": True}},
             {"equality_sweep": {"n": 4, "m2": 2.5}},
             {"equality_sweep": {"n": 4, "step": 0}},
+            {
+                "methods": ["nf-ipm", "lexicographic"],
+                "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}],
+            },
         ],
         ids=[
             "unknown-config",
@@ -395,6 +422,7 @@ class TestBenchCommand:
             "bool-sweep",
             "fraction-sweep-m2",
             "zero-sweep-step",
+            "reference-with-inequalities",
         ],
     )
     def test_spec_errors_are_invalid(self, tmp_path, capsys, change):

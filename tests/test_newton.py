@@ -517,8 +517,11 @@ class TestLineSearch:
 class TestMehrotra:
     def test_equality_only_predictor_exact(self):
         ctx, s = build_random_level(20, n=5, m_eq=3, m_ineq=0, m_inact=0, m_prior=0)
-        d = mehrotra_iteration(ctx, s, "normal")
-        assert d.alpha == 1.0
+        x0 = s.x
+        mehrotra_iteration(ctx, s, "normal")
+        # the full basic least-squares step, lifted by the basis
+        dz = ctx.stage1.solve_basic(ctx.b_eq - ctx.a_eq @ x0)
+        assert np.array_equal(s.x, x0 + ctx.basis @ dz)
         x_ref = np.linalg.lstsq(ctx.a_eq, ctx.b_eq, rcond=None)[0]
         assert np.allclose(ctx.a_eq @ s.x, ctx.a_eq @ x_ref, atol=1e-10)
         conv, norm = converged(ctx, s, 1e-12)
