@@ -254,10 +254,14 @@ def newton_loop(ctx, s, form=None):
     a linear optimality system: unless the start is already optimal, they
     fail the first test, take one step and pass the second. The iteration
     cap applies per call, so active-set re-solves get a fresh budget. The
-    best iterate seen is kept; when the residual stops improving near the
-    numerical floor the loop exits and restores it. It does the same when
-    a diverging barrier variable overflows the step or the residual to an
-    Inf or a NaN, and the level ends unconverged.
+    best iterate seen is kept, and the loop exits and restores it in two
+    ways near the numerical floor: when the residual has not improved for
+    six iterations, or, once the best norm is below ``100 * eps``, at once
+    when a step throws the norm above ten times the best (a level thrown
+    off the rounding floor so far almost never converges afterwards). It
+    does the same when a diverging barrier variable overflows the step or
+    the residual to an Inf or a NaN, and the level ends unconverged; those
+    overflows are expected and raise no floating-point warning.
     """
     cfg = ctx.config
     if form is None:
@@ -266,25 +270,28 @@ def newton_loop(ctx, s, form=None):
     conv, norm = converged(ctx, s, cfg.eps)
     best_norm, best = norm, _snapshot(s)
     stalled = 0
-    while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
-        try:
-            mehrotra_iteration(ctx, s, form)
-            conv, norm = converged(ctx, s, cfg.eps)
-        except NonFiniteError:
-            conv, norm = False, math.inf
-        if not math.isfinite(norm):
-            # the best iterate is finite; a NaN would compare as no worse
-            norm = math.inf
-            break
-        if norm < best_norm:
-            best_norm, best = norm, _snapshot(s)
-            stalled = 0
-        else:
-            # early phases converge non-monotonically; only treat repeated
-            # non-improvement as floor-bouncing once the residual is tiny
-            stalled += 1
-            if stalled >= 6 and best_norm < 1e-8:
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
+            try:
+                mehrotra_iteration(ctx, s, form)
+                conv, norm = converged(ctx, s, cfg.eps)
+            except NonFiniteError:
+                conv, norm = False, math.inf
+            if not math.isfinite(norm):
+                # the best iterate is finite; a NaN would compare as no worse
+                norm = math.inf
                 break
+            if norm < best_norm:
+                best_norm, best = norm, _snapshot(s)
+                stalled = 0
+            elif best_norm < 100 * cfg.eps and norm > 10 * best_norm:
+                break
+            else:
+                # early phases converge non-monotonically; only treat repeated
+                # non-improvement as floor-bouncing once the residual is tiny
+                stalled += 1
+                if stalled >= 6 and best_norm < 1e-8:
+                    break
     if not conv and best_norm < norm:
         _restore(s, best)
         norm = best_norm

@@ -918,8 +918,50 @@ def scaled_rows_problem():
     )
 
 
-# the overflows are the subject of these tests
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFloorExits:
+    """``newton_loop``'s exits on a scripted sequence of KKT norms.
+
+    Iterate k carries k in ``x``, so the restored snapshot names itself.
+    """
+
+    def run(self, monkeypatch, norms):
+        config = SolverConfig()
+        ctx = SimpleNamespace(config=config, counters=Counters())
+        s = SimpleNamespace(
+            x=0, v_eq=None, v_ineq=None, w_ineq=None, w_inact=None,
+            lam_inact=None, lam_act=None, frame=None,
+        )
+
+        def scripted_step(ctx, s, form):
+            ctx.counters.newton_iterations += 1
+            s.x += 1
+
+        def scripted_norm(ctx, s, eps):
+            return norms[s.x] < eps, norms[s.x]
+
+        monkeypatch.setattr(cascade, "mehrotra_iteration", scripted_step)
+        monkeypatch.setattr(cascade, "converged", scripted_norm)
+        conv, norm = newton_loop(ctx, s, form="normal")
+        return conv, norm, ctx.counters.newton_iterations, s.x
+
+    def test_rise_off_the_floor_ends_the_loop_at_the_best_iterate(self, monkeypatch):
+        # best 5e-11 is below 100 * eps; a 4x rise is tolerated, a 12x rise
+        # over the best (not over the last norm) ends the loop at once
+        norms = [1.0, 1e-6, 5e-11, 2e-10, 6e-10, 1e-13]
+        assert self.run(monkeypatch, norms) == (False, 5e-11, 4, 2)
+
+    def test_same_rise_above_the_gate_continues(self, monkeypatch):
+        norms = [1.0, 1e-6, 2e-10, 3e-9, 5e-13]
+        assert self.run(monkeypatch, norms) == (True, 5e-13, 4, 4)
+
+    def test_patience_still_ends_a_flat_tail(self, monkeypatch):
+        norms = [1.0, 1e-6, 5e-11] + [8e-11] * 10
+        assert self.run(monkeypatch, norms) == (False, 5e-11, 8, 2)
+
+
+# the overflows are the subject of these tests; newton_loop silences them,
+# so a RuntimeWarning here is one that leaked
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteSteps:
     @pytest.mark.parametrize("method", METHODS)
     def test_scaled_rows_return_a_report(self, method):
