@@ -61,7 +61,9 @@ def _parser():
     solve.add_argument("--max-iter", type=int, default=defaults.max_iter,
                        help="Newton iteration cap per level (default %(default)s)")
     solve.add_argument("--tau", type=float, default=defaults.tau,
-                       help="fraction-to-boundary factor (default %(default)s)")
+                       help="cap of the corrector step as a fraction of the "
+                       "ratio-test bound, in (0, 1); Mehrotra's rule picks "
+                       "the step below it (default %(default)s)")
     solve.add_argument("--out", default=None, help="report path (default stdout)")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")

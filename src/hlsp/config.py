@@ -17,7 +17,7 @@ class SolverConfig:
     eps: float = 1e-12
     xi: float = 1e-8
     max_iter: int = 50
-    tau: float = 0.995
+    tau: float = 0.999
     asm_max_iter: int = 200
     warm_start_x: object = None
     warm_active_sets: object = None

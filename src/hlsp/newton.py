@@ -27,6 +27,9 @@ from .factorization import rrqr, staged_rrqr
 PIVOT_CLAMP = 1e-30
 # rank cut of the per-iteration step factorizations, relative to their scale
 STEP_TOL = 1e-15
+# the corrector steps at least this share of the ratio test's bound, and
+# leaves its blocking pair at 1 - GAMMA_F of the full step's mean product
+GAMMA_F = 0.95
 
 
 class MethodNotApplicable(RuntimeError):
@@ -372,12 +375,15 @@ def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
     )
 
 
-def line_search(s, d: StepDirection, tau):
-    """Largest fraction of the step keeping every sign condition valid.
+def _ratio_test(s, d: StepDirection):
+    """The fraction-to-boundary ratio test and its blocking entry.
 
     One ratio test over the four stacked nonnegative blocks (w_ineq,
     -v_ineq, w_inact, lam_inact), whose stack the iterate's frame holds. A
-    block whose ratios include a NaN sets no bound at all.
+    block whose ratios include a NaN sets no bound at all. Returns
+    ``(a_max, k, val, dval)``: the largest step keeping every entry
+    nonnegative, the stacked index of the entry that blocks it (None when
+    none does), and the stacked values and steps.
     """
     fr = s.frame
     if fr is not None and fr.holds(s):
@@ -385,22 +391,76 @@ def line_search(s, d: StepDirection, tau):
     else:
         val = np.concatenate((s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact))
     dval = np.concatenate((d.dw_ineq, -d.dv_ineq, d.dw_inact, d.dlam_inact))
-    mask = dval < 0
-    ratios = val[mask] / -dval[mask]
+    idx = (dval < 0).nonzero()[0]
+    ratios = val[idx] / -dval[idx]
     if ratios.size == 0:
-        return 1.0
-    a_max = float(ratios.min())
+        return math.inf, None, val, dval
+    j = int(ratios.argmin())
+    a_max = float(ratios[j])
     if a_max != a_max:
         # a NaN ratio: drop every ratio of its block
         sizes = (s.w_ineq.size, s.v_ineq.size, s.w_inact.size, s.lam_inact.size)
-        block = np.repeat(np.arange(4), sizes)[mask]
-        ratios = ratios[~np.isin(block, block[np.isnan(ratios)])]
+        block = np.repeat(np.arange(4), sizes)[idx]
+        keep = ~np.isin(block, block[np.isnan(ratios)])
+        idx, ratios = idx[keep], ratios[keep]
         if ratios.size == 0:
-            return 1.0
-        a_max = float(ratios.min())
+            return math.inf, None, val, dval
+        j = int(ratios.argmin())
+        a_max = float(ratios[j])
+    return a_max, int(idx[j]), val, dval
+
+
+def line_search(s, d: StepDirection, tau):
+    """Largest fraction of the step keeping every sign condition valid.
+
+    ``tau`` times the ratio test's bound, capped at a full step.
+    """
+    a_max = _ratio_test(s, d)[0]
     if not math.isfinite(a_max):
         return 1.0
     return float(min(1.0, tau * a_max))
+
+
+def step_length(s, d: StepDirection, tau):
+    """Mehrotra's step-length heuristic for the corrector (SIAM J. Optim. 1992).
+
+    The ratio test gives the bound a_max and its blocking entry. The step
+    stops where the blocking entry, times the present value of its
+    complementarity partner, equals ``(1 - GAMMA_F)`` times mu(a_max), the
+    mean complementarity product at the full step a_max, and is clamped
+    to ``[GAMMA_F * a_max, min(1, tau * a_max)]``. So ``tau`` is the cap,
+    and with ``tau <= GAMMA_F`` the step is ``line_search``'s
+    ``min(1, tau * a_max)``. A target that is not finite, or a partner at
+    zero, leaves the cap.
+    """
+    a_max, k, val, dval = _ratio_test(s, d)
+    if not math.isfinite(a_max):
+        return 1.0
+    cap = min(1.0, tau * a_max)
+    floor = GAMMA_F * a_max
+    if floor >= cap:
+        return float(cap)
+    m_ineq, m_inact = s.w_ineq.size, s.w_inact.size
+    split = 2 * m_ineq
+    full = val + a_max * dval
+    total = 0.0
+    if m_ineq:
+        total += full[:m_ineq].dot(full[m_ineq:split])
+    if m_inact:
+        total += full[split:split + m_inact].dot(full[split + m_inact:])
+    mu = float(total) / (m_ineq + m_inact)
+    # the partner is the same row of the other block of the pair
+    if k < split:
+        partner = k + m_ineq if k < m_ineq else k - m_ineq
+    else:
+        partner = k + m_inact if k < split + m_inact else k - m_inact
+    mate = float(val[partner])
+    if not mate > 0.0:
+        return float(cap)
+    alpha = (float(val[k]) - (1.0 - GAMMA_F) * mu / mate) / -float(dval[k])
+    if not math.isfinite(alpha):
+        return float(cap)
+    return float(min(cap, max(floor, alpha)))
 
 
 def apply_step(ctx, s, d: StepDirection, alpha):
@@ -438,10 +498,10 @@ def mehrotra_iteration(ctx, s, form):
 
     The affine predictor fixes the centering parameters through the cube
     rule, the corrector adds the affine cross products, and only the
-    corrector step is applied, scaled by the fraction-to-boundary line
-    search, and the applied step is returned. A level without barrier rows
-    is linear and one full step solves it: the projected forms take the
-    basic step on the retained equality factorization and return None.
+    corrector step is applied, at the length ``step_length`` picks, and
+    the applied step is returned. A level without barrier rows is linear
+    and one full step solves it: the projected forms take the basic step
+    on the retained equality factorization and return None.
     """
     ctx.counters.newton_iterations += 1
     equality_only = ctx.m_ineq == 0 and ctx.m_inact == 0
@@ -482,7 +542,7 @@ def mehrotra_iteration(ctx, s, form):
     )
     f_cor, g_cor = assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=products)
     d = solve(f_cor, g_cor)
-    alpha = line_search(s, d, tau)
+    alpha = step_length(s, d, tau)
     d.alpha = alpha
     apply_step(ctx, s, d, alpha)
     return d

@@ -863,19 +863,61 @@ class TestLastDuals:
         assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
 
 
+def carried_pair_problem():
+    """``small_oracle`` seed 613, problem 55.
+
+    Level 2 has two equalities, the two carried rows of level 1 and
+    n_r = 2. Under a fixed fraction-to-boundary step of 0.995 its iterates
+    settled into a period-3 cycle (step lengths 0.956, 0.471, 0.494) at a
+    KKT norm of 3.0e-3 in all five methods, 0.033 off the oracle's
+    objective; Mehrotra's step-length rule ends the cycle.
+    """
+    specs = [(2, 2, 0, "feasible"), (2, 0, 0, "mixed"), (2, 2, 0, "mixed")]
+    return random_hlsp(1712024670, 4, specs)
+
+
 class TestKnownStalls:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="level 2's Mehrotra iterates settle into a period-3 cycle "
-        "at a KKT norm of 3.0e-3 (ROADMAP item 4)",
-    )
     def test_carried_pair_level_converges(self):
-        # small_oracle seed 613, problem 55: level 2 has two equalities, the
-        # two carried rows of level 1 and n_r = 2
-        specs = [(2, 2, 0, "feasible"), (2, 0, 0, "mixed"), (2, 2, 0, "mixed")]
-        p = random_hlsp(1712024670, 4, specs)
-        rep = solve_hlsp(p, SolverConfig(method="nf-ipm"))
+        rep = solve_hlsp(carried_pair_problem(), SolverConfig(method="nf-ipm"))
         assert not rep.levels[1].sub_converged
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_carried_pair_level_matches_the_oracle(self, method):
+        p = carried_pair_problem()
+        expected = cascade_objectives(p, brute_force_cascade(p)[1])
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert np.allclose(rep.objectives, expected, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("method", ["nf-ipm", "classical"])
+    def test_row_and_its_small_multiple_level_matches_the_oracle(self, method):
+        # level 1 holds a row next to its -1e-6 multiple; under a fixed step
+        # of 0.995 the normal form ended it 9.8e-5 above the oracle
+        p = problem_from_dict(
+            {
+                "n": 8,
+                "levels": [
+                    {
+                        "A_e": [],
+                        "b_e": [],
+                        "A_i": [
+                            [-8.26e-07, -4.48e-07, 6.37e-07, 5.51e-07, 8.3e-07, -1.9e-07, -4.11e-07, 6.99e-07],
+                            [0.826, 0.448, -0.637, -0.551, -0.83, 0.19, 0.411, -0.699],
+                            [0.849, -0.277, 0.109, 0.31, -0.9, -0.28, 0.442, -0.182],
+                        ],
+                        "b_i": [1.65e-07, 1.03, 0.54],
+                    },
+                    {
+                        "A_e": [[-0.54, 0.774, 0.233, 0.895, -0.401, 0.581, -0.634, -0.66]],
+                        "b_e": [-0.245],
+                        "A_i": [[-8.99e-06, -2.14e-06, -4.55e-06, 1.27e-06, -1.06e-06, -6.91e-06, 5.83e-06, -9.03e-06]],
+                        "b_i": [-1.17e-05],
+                    },
+                ],
+            }
+        )
+        expected = cascade_objectives(p, brute_force_cascade(p)[1])
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert np.allclose(rep.objectives, expected, rtol=0.0, atol=1e-6)
 
 
 def scaled_rows_problem():

@@ -9,7 +9,7 @@ def test_documented_defaults():
     assert cfg.eps == 1e-12
     assert cfg.xi == 1e-8
     assert cfg.max_iter == 50
-    assert cfg.tau == 0.995
+    assert cfg.tau == 0.999
     assert cfg.asm_max_iter == 200
     assert cfg.method == "nf-ipm"
 
