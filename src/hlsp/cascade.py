@@ -217,15 +217,6 @@ def build_level_context(state: CascadeState, level, config, counters):
     )
 
 
-def _snapshot(s):
-    # iterate arrays are replaced, never written in place: references suffice
-    return (s.x, s.v_eq, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact, s.lam_act, s.frame)
-
-
-def _restore(s, snap):
-    s.x, s.v_eq, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact, s.lam_act, s.frame = snap
-
-
 def _level_form(ctx):
     """Step form for the level; classical needs a nonsingular quadratic term.
 
@@ -246,15 +237,17 @@ def _level_form(ctx):
     return "classical", False
 
 
-def newton_loop(ctx, s, form=None):
+def newton_loop(ctx, s, form):
     """Run the level to optimality; returns (converged, kkt_norm).
 
     Every iteration is followed by the dual-free convergence test, and the
     loop tests once before its first step. Levels without barrier rows have
     a linear optimality system: unless the start is already optimal, they
-    fail the first test, take one step and pass the second. The iteration
+    fail the first test, take one step and pass the second. Every step is
+    taken in ``form``, the step form of ``mehrotra_iteration``. The iteration
     cap applies per call, so active-set re-solves get a fresh budget. The
-    best iterate seen is kept, and the loop exits and restores it in two
+    best iterate seen is kept, as a copy of the fields of ``s`` (a step
+    replaces the iterate's arrays), and the loop exits and restores it in two
     ways near the numerical floor: when the residual has not improved for
     six iterations, or, once the best norm is below ``100 * eps``, at once
     when a step throws the norm above ten times the best (a level thrown
@@ -264,11 +257,9 @@ def newton_loop(ctx, s, form=None):
     overflows are expected and raise no floating-point warning.
     """
     cfg = ctx.config
-    if form is None:
-        form = _level_form(ctx)[0]
     start = ctx.counters.newton_iterations
     conv, norm = converged(ctx, s, cfg.eps)
-    best_norm, best = norm, _snapshot(s)
+    best_norm, best = norm, vars(s).copy()
     stalled = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
@@ -282,7 +273,7 @@ def newton_loop(ctx, s, form=None):
                 norm = math.inf
                 break
             if norm < best_norm:
-                best_norm, best = norm, _snapshot(s)
+                best_norm, best = norm, vars(s).copy()
                 stalled = 0
             elif best_norm < 100 * cfg.eps and norm > 10 * best_norm:
                 break
@@ -293,7 +284,7 @@ def newton_loop(ctx, s, form=None):
                 if stalled >= 6 and best_norm < 1e-8:
                     break
     if not conv and best_norm < norm:
-        _restore(s, best)
+        vars(s).update(best)
         norm = best_norm
     return conv, norm
 
@@ -556,7 +547,7 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
         # interior restart per solve: warm-starting the barrier variables
         # from a previous boundary point jams the line search
         s = initial_state(ctx, x)
-        conv, norm = newton_loop(ctx, s)
+        conv, norm = newton_loop(ctx, s, config.step_form)
         x = s.x
 
         if counters.asm_iterations >= config.asm_max_iter:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -25,13 +25,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        positive, count = "a positive finite number", "an integer >= 0"
         checks = [
-            (name, 0.0 < getattr(self, name) < math.inf, "positive and finite")
-            for name in ("eps", "xi")
-        ] + [
-            ("tau", 0.0 < self.tau < 1.0, "in (0, 1)"),
-            ("max_iter", self.max_iter >= 0, ">= 0"),
-            ("asm_max_iter", self.asm_max_iter >= 0, ">= 0"),
+            ("eps", _is_real(self.eps) and 0.0 < self.eps < math.inf, positive),
+            ("xi", _is_real(self.xi) and 0.0 < self.xi < math.inf, positive),
+            ("tau", _is_real(self.tau) and 0.0 < self.tau < 1.0, "a number in (0, 1)"),
+            ("max_iter", _is_int(self.max_iter) and self.max_iter >= 0, count),
+            ("asm_max_iter", _is_int(self.asm_max_iter) and self.asm_max_iter >= 0, count),
             (
                 "warm_active_sets",
                 self.warm_active_sets is None or _is_active_sets(self.warm_active_sets),
@@ -61,17 +61,21 @@ class SolverConfig:
         return settings
 
 
+def _is_real(value):
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_int(value):
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _is_active_sets(sets):
     """A dict from 1-based levels to sequences of integer row indices."""
-
-    def is_index(value):
-        return isinstance(value, Integral) and not isinstance(value, bool)
-
     return isinstance(sets, dict) and all(
-        is_index(level)
+        _is_int(level)
         and level >= 1
         and isinstance(rows, (list, tuple, range, np.ndarray))
         and getattr(rows, "ndim", 1) == 1
-        and all(map(is_index, rows))
+        and all(map(_is_int, rows))
         for level, rows in sets.items()
     )

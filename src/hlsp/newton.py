@@ -4,11 +4,13 @@ The level problem couples the current equality and inequality blocks with
 the carried inactive constraints of the higher levels, all projected into
 the accumulated null-space basis. One Newton iteration factorizes the
 system once and reuses the factorization for the affine predictor and the
-centered corrector. The convergence test needs no active-constraint dual:
-the chain basis annihilates every active row, so stationarity is measured
-in that basis. Only the reported duals are recovered, by one walk over the
-chain (``recover_equality_dual``) that ``solve_hlsp`` makes at most once
-per solve.
+centered corrector. No iterate carries the active-constraint duals: the
+chain basis annihilates every active row, so the projected steps never
+see them and the convergence test measures stationarity in that basis.
+The classical step solves for the new active duals afresh in every solve
+and reads no earlier ones. Only the reported duals are recovered, by one
+walk over the chain (``recover_equality_dual``) that ``solve_hlsp`` makes
+at most once per solve.
 
 The products ``A @ x`` and the barrier weights of an iterate are computed
 once, when the iterate is made, into its ``_Frame``. The convergence test
@@ -62,15 +64,13 @@ class IterateState:
 
     Sign conditions after every accepted step: v_ineq <= 0, w_ineq >= 0,
     w_inact >= 0, lam_inact >= 0. The equality and inequality duals are
-    implicit (lam_eq = -v_eq, lam_ineq = -v_ineq). The active-constraint
-    duals lam_act start at zero and only the classical step moves them; the
-    projected forms neither read nor move them.
+    implicit (lam_eq = -v_eq, lam_ineq = -v_ineq). No step reads the
+    active-constraint duals, so the iterate holds none.
 
     Arrays are replaced, never written in place: a step binds new arrays to
-    the fields. So a snapshot of the iterate may hold references, and
-    ``frame``, the products of the iterate that ``initial_state`` and
-    ``apply_step`` make, stays valid exactly while the fields still hold
-    the arrays it was made from.
+    the fields and a new ``frame``, the products of the iterate that
+    ``initial_state`` and ``apply_step`` make. So a shallow copy of the
+    state is a snapshot of the iterate, frame included.
     """
 
     x: np.ndarray
@@ -79,7 +79,6 @@ class IterateState:
     w_ineq: np.ndarray
     w_inact: np.ndarray
     lam_inact: np.ndarray
-    lam_act: np.ndarray
     frame: object = field(default=None, repr=False, compare=False)
 
 
@@ -91,8 +90,6 @@ class StepDirection:
     dw_ineq: np.ndarray
     dw_inact: np.ndarray
     dlam_inact: np.ndarray
-    dlam_act: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    alpha: float = None
 
 
 @dataclass
@@ -176,7 +173,6 @@ def initial_state(ctx: LevelContext, x):
         w_ineq=np.ones(ctx.m_ineq),
         w_inact=np.ones(ctx.m_inact),
         lam_inact=np.ones(ctx.m_inact),
-        lam_act=np.zeros(ctx.m_act),
     )
     s.frame = _Frame(ctx, s, ax_eq)
     return s
@@ -190,21 +186,16 @@ class _Frame:
     """Products and barrier weights of one iterate, each computed once.
 
     Every expression keeps the operand order of the formula it stands in
-    for, so results are the bits a fresh evaluation gives. The frame holds
-    the context and state arrays it was made from; ``_frame`` hands it out
-    only while the state still holds exactly those. The blocks a level
-    lacks keep the empty class defaults.
+    for, so results are the bits a fresh evaluation gives. The blocks a
+    level lacks keep the empty class defaults.
     """
 
     ax_act = rhs_act = _EMPTY
     ax_ineq = rhs_ineq = slack_ineq = neg_axbw = w_axbw = neg_v_ineq = _EMPTY
     pivot = w_over_pivot = wt_ineq = _EMPTY
-    ax_inact = res_inact = lam_res = wt_inact = ratio_base = _EMPTY
+    ax_inact = res_inact = lam_res = wt_inact = _EMPTY
 
     def __init__(self, ctx, s, ax_eq=None):
-        self.ctx, self.x = ctx, s.x
-        self.v_ineq, self.w_ineq = s.v_ineq, s.w_ineq
-        self.w_inact, self.lam_inact = s.w_inact, s.lam_inact
         self.ax_eq = ctx.a_eq @ s.x if ax_eq is None else ax_eq
         self.rhs_eq = ctx.b_eq - self.ax_eq
         if ctx.m_act:
@@ -229,27 +220,11 @@ class _Frame:
             self.res_inact = ctx.b_inact - self.ax_inact
             self.lam_res = s.lam_inact * self.res_inact
             self.wt_inact = s.lam_inact / s.w_inact
-        if ctx.m_ineq or ctx.m_inact:
-            self.ratio_base = np.concatenate(
-                (s.w_ineq, self.neg_v_ineq, s.w_inact, s.lam_inact)
-            )
-
-    def holds(self, s):
-        """True while ``s`` holds the barrier arrays this frame was made from."""
-        return (
-            self.v_ineq is s.v_ineq
-            and self.w_ineq is s.w_ineq
-            and self.w_inact is s.w_inact
-            and self.lam_inact is s.lam_inact
-        )
 
 
 def _frame(ctx, s):
-    """The iterate's frame, or a fresh one for a state that has none valid."""
-    fr = s.frame
-    if fr is None or fr.ctx is not ctx or fr.x is not s.x or not fr.holds(s):
-        fr = _Frame(ctx, s)
-    return fr
+    """The iterate's frame; a hand-made state without one gets a fresh one."""
+    return _Frame(ctx, s) if s.frame is None else s.frame
 
 
 def assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=None):
@@ -271,20 +246,6 @@ def assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=None):
     else:
         g = np.zeros(0)
     return f, g
-
-
-def kkt_residual(ctx, s, sigma_mu_ineq, sigma_mu_inact):
-    """All seven first-order optimality blocks and their 2-norm.
-
-    Block order: stationarity, equality consistency, inequality
-    consistency, inequality complementarity, active-constraint
-    consistency, inactive-constraint consistency, inactive
-    complementarity.
-    """
-    blocks = [_dual_free_stationarity(ctx, s) - ctx.a_act.T @ s.lam_act]
-    blocks.extend(_partial_blocks(ctx, s, sigma_mu_ineq, sigma_mu_inact))
-    k = np.concatenate(blocks)
-    return k, _norm(k)
 
 
 def _dual_free_stationarity(ctx, s):
@@ -379,17 +340,12 @@ def _ratio_test(s, d: StepDirection):
     """The fraction-to-boundary ratio test and its blocking entry.
 
     One ratio test over the four stacked nonnegative blocks (w_ineq,
-    -v_ineq, w_inact, lam_inact), whose stack the iterate's frame holds. A
-    block whose ratios include a NaN sets no bound at all. Returns
-    ``(a_max, k, val, dval)``: the largest step keeping every entry
-    nonnegative, the stacked index of the entry that blocks it (None when
-    none does), and the stacked values and steps.
+    -v_ineq, w_inact, lam_inact). A block whose ratios include a NaN sets
+    no bound at all. Returns ``(a_max, k, val, dval)``: the largest step
+    keeping every entry nonnegative, the stacked index of the entry that
+    blocks it (None when none does), and the stacked values and steps.
     """
-    fr = s.frame
-    if fr is not None and fr.holds(s):
-        val = fr.ratio_base
-    else:
-        val = np.concatenate((s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact))
+    val = np.concatenate((s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact))
     dval = np.concatenate((d.dw_ineq, -d.dv_ineq, d.dw_inact, d.dlam_inact))
     idx = (dval < 0).nonzero()[0]
     ratios = val[idx] / -dval[idx]
@@ -471,8 +427,6 @@ def apply_step(ctx, s, d: StepDirection, alpha):
     if ctx.m_inact:
         s.w_inact = s.w_inact + alpha * d.dw_inact
         s.lam_inact = s.lam_inact + alpha * d.dlam_inact
-    if d.dlam_act.size:
-        s.lam_act = s.lam_act + alpha * d.dlam_act
     _reframe(ctx, s)
 
 
@@ -498,10 +452,10 @@ def mehrotra_iteration(ctx, s, form):
 
     The affine predictor fixes the centering parameters through the cube
     rule, the corrector adds the affine cross products, and only the
-    corrector step is applied, at the length ``step_length`` picks, and
-    the applied step is returned. A level without barrier rows is linear
-    and one full step solves it: the projected forms take the basic step
-    on the retained equality factorization and return None.
+    corrector step is applied, at the length ``step_length`` picks. A
+    level without barrier rows is linear and one full step solves it: the
+    projected forms take the basic step on the retained equality
+    factorization.
     """
     ctx.counters.newton_iterations += 1
     equality_only = ctx.m_ineq == 0 and ctx.m_inact == 0
@@ -509,15 +463,13 @@ def mehrotra_iteration(ctx, s, form):
         dz = ctx.equality_factorization().solve_basic(_frame(ctx, s).rhs_eq)
         s.x = s.x + ctx.basis @ dz
         _reframe(ctx, s)
-        return None
+        return
     tau = ctx.config.tau
     solve = _step_solver(ctx, s, form)
 
     if equality_only:
-        d = solve(_EMPTY, _EMPTY)
-        d.alpha = 1.0
-        apply_step(ctx, s, d, 1.0)
-        return d
+        apply_step(ctx, s, solve(_EMPTY, _EMPTY), 1.0)
+        return
 
     f_aff, g_aff = assemble_f_g(ctx, s, 0.0, 0.0)
     d_aff = solve(f_aff, g_aff)
@@ -542,10 +494,7 @@ def mehrotra_iteration(ctx, s, form):
     )
     f_cor, g_cor = assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=products)
     d = solve(f_cor, g_cor)
-    alpha = step_length(s, d, tau)
-    d.alpha = alpha
-    apply_step(ctx, s, d, alpha)
-    return d
+    apply_step(ctx, s, d, step_length(s, d, tau))
 
 
 def _step_solver(ctx, s, form):
@@ -557,14 +506,15 @@ def _step_solver(ctx, s, form):
     stages the square-root-weighted barrier rows over the retained
     factorization of the projected equality block, and ``"classical"``
     factors the full-space quadratic term and the active-constraint
-    product and also returns the active-dual step.
+    product. Its solve finds the new active duals from the Schur complement
+    system, ``M lam = -r2 - A_act C^-1 r1``, and steps by
+    ``C^-1 (r1 + A_act^T lam)``.
     """
     fr = _frame(ctx, s)
     if form == "classical":
         fact_c, fact_m = classical_factorize(ctx, s)
         r1_eq = ctx.a_eq.T @ fr.rhs_eq
         if ctx.m_act:
-            r1_act = ctx.a_act.T @ s.lam_act
             neg_r2 = -(fr.ax_act - ctx.b_act - ctx.v_act)
 
         def solve(f_vec, g_vec):
@@ -574,15 +524,9 @@ def _step_solver(ctx, s, form):
             if ctx.m_inact:
                 r1 = r1 + ctx.a_inact.T @ f_vec
             if ctx.m_act:
-                r1 = r1 + r1_act
-                dlam = fact_m.solve_basic(neg_r2 - ctx.a_act @ fact_c.solve_basic(r1))
-                dx = fact_c.solve_basic(r1 + ctx.a_act.T @ dlam)
-            else:
-                dlam = np.zeros(0)
-                dx = fact_c.solve_basic(r1)
-            d = component_steps(ctx, s, None, f_vec, g_vec, dx=dx)
-            d.dlam_act = dlam
-            return d
+                lam = fact_m.solve_basic(neg_r2 - ctx.a_act @ fact_c.solve_basic(r1))
+                r1 = r1 + ctx.a_act.T @ lam
+            return component_steps(ctx, s, None, f_vec, g_vec, dx=fact_c.solve_basic(r1))
 
         return solve
     if form not in ("normal", "ls"):

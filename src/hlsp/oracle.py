@@ -18,6 +18,9 @@ from .problem import HlspProblem
 
 PINV_CUTOFF = 1e-10
 FEAS_TOL = 1e-9
+# random points tried around each level's optimum, and their generator's seed
+VERIFY_SAMPLES = 100
+VERIFY_SEED = 0
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -100,7 +103,7 @@ def _tight_subsets(total, max_size):
         yield from itertools.combinations(range(total), size)
 
 
-def brute_force_cascade(problem: HlspProblem, verify_samples=100, rng_seed=0):
+def brute_force_cascade(problem: HlspProblem):
     """Lexicographic reference solution by exhaustive signature enumeration.
 
     Per level, each subset of the level's inequalities is a candidate
@@ -120,7 +123,7 @@ def brute_force_cascade(problem: HlspProblem, verify_samples=100, rng_seed=0):
         raise OracleBudgetExceeded(
             f"instance too large for the oracle (n={n}, rows={total_rows})"
         )
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(VERIFY_SEED)
 
     pinned_a = np.zeros((0, n))
     pinned_b = np.zeros(0)
@@ -166,10 +169,9 @@ def brute_force_cascade(problem: HlspProblem, verify_samples=100, rng_seed=0):
         v_i = np.minimum(r_i, 0.0)
         violations.append(np.concatenate([v_eq, v_i]))
 
-        if n > 4 and verify_samples:
+        if n > 4:
             _verify_by_sampling(
-                level, x_star, best[0], pinned_a, pinned_b, hard_a, hard_b,
-                rng, verify_samples,
+                level, x_star, best[0], pinned_a, pinned_b, hard_a, hard_b, rng
             )
 
         pin_rows = r_i < -FEAS_TOL
@@ -181,13 +183,13 @@ def brute_force_cascade(problem: HlspProblem, verify_samples=100, rng_seed=0):
     return x_star, violations
 
 
-def _verify_by_sampling(level, x_star, obj, pinned_a, pinned_b, hard_a, hard_b, rng, count):
+def _verify_by_sampling(level, x_star, obj, pinned_a, pinned_b, hard_a, hard_b, rng):
     """Rejection-sampling soundness check around the claimed optimum."""
     n = x_star.shape[0]
     basis = _null_space(pinned_a)
     if basis.shape[1] == 0:
         return
-    for _ in range(count):
+    for _ in range(VERIFY_SAMPLES):
         step = basis @ rng.normal(size=basis.shape[1]) * rng.uniform(0.01, 2.0)
         x = x_star + step
         if hard_a.shape[0] and np.min(hard_a @ x - hard_b) < 0.0:

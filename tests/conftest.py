@@ -76,7 +76,6 @@ def build_random_level(
         w_ineq=rng.uniform(0.2, 1.5, m_ineq),
         w_inact=rng.uniform(0.2, 1.5, m_inact),
         lam_inact=rng.uniform(0.2, 1.5, m_inact),
-        lam_act=np.zeros(a_act.shape[0]),
     )
     return ctx, s
 

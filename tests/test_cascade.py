@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlsp import cascade
+from hlsp import cascade, newton
 from hlsp.cascade import (
     CascadeState,
     InactiveCarry,
@@ -163,7 +163,7 @@ class TestProjections:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(p.n))
-        newton_loop(ctx, s)
+        newton_loop(ctx, s, config.step_form)
         return state, ctx, s, counters, config
 
     def test_no_activation_when_strictly_satisfied(self):
@@ -179,7 +179,7 @@ class TestProjections:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(2))
-        newton_loop(ctx, s)
+        newton_loop(ctx, s, config.step_form)
         project_inactive(state, s, config.xi, counters)
         project_current(state, p.levels[0], s, config.xi, counters)
         # satisfied row carried, nothing active
@@ -188,7 +188,7 @@ class TestProjections:
         # now solve level 2 and activate from the carry only if saturated
         ctx2 = build_level_context(state, p.levels[1], config, counters)
         s2 = initial_state(ctx2, s.x)
-        newton_loop(ctx2, s2)
+        newton_loop(ctx2, s2, config.step_form)
         stages_before = len(state.chain.stages)
         project_inactive(state, s2, config.xi, counters)
         assert len(state.chain.stages) == stages_before  # x2 move ignores x1 >= -1
@@ -237,7 +237,7 @@ class TestProjections:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(1))
-        newton_loop(ctx, s)
+        newton_loop(ctx, s, config.step_form)
         assert project_inactive(state, s, config.xi, counters) == 0
         assert project_current(state, p.levels[0], s, config.xi, counters) == 1
         # both inequalities are pinned, in level order, with their violations
@@ -663,7 +663,7 @@ class TestLinearLevelCost:
         seen = []
         real_loop = cascade.newton_loop
 
-        def recording_loop(ctx, s, form=None):
+        def recording_loop(ctx, s, form):
             out = real_loop(ctx, s, form)
             seen.append(s.x)
             return out
@@ -772,7 +772,7 @@ class TestInvariants:
             counters = Counters()
             ctx = build_level_context(state, level, config, counters)
             s = initial_state(ctx, x)
-            newton_loop(ctx, s)
+            newton_loop(ctx, s, config.step_form)
             x = s.x
             project_inactive(state, s, config.xi, counters)
             if state.chain.n_r:
@@ -853,11 +853,11 @@ class TestLastDuals:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         s = initial_state(ctx, np.zeros(p.n))
-        newton_loop(ctx, s)
+        newton_loop(ctx, s, config.step_form)
         project_current(state, p.levels[0], s, config.xi, counters, ctx.stage1)
         ctx = build_level_context(state, p.levels[1], config, counters)
         s = initial_state(ctx, s.x)
-        newton_loop(ctx, s)
+        newton_loop(ctx, s, config.step_form)
         assert np.array_equal(s.x, rep.x)
         assert ctx.m_act == 2
         assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
@@ -971,7 +971,7 @@ class TestFloorExits:
         ctx = SimpleNamespace(config=config, counters=Counters())
         s = SimpleNamespace(
             x=0, v_eq=None, v_ineq=None, w_ineq=None, w_inact=None,
-            lam_inact=None, lam_act=None, frame=None,
+            lam_inact=None, frame=None,
         )
 
         def scripted_step(ctx, s, form):
@@ -1032,6 +1032,7 @@ class TestNonFiniteSteps:
             steps.append(form)
             if len(steps) == 3:
                 s.lam_inact = np.full_like(s.lam_inact, np.inf)
+                newton._reframe(ctx, s)
             try:
                 return real(ctx, s, form)
             except NonFiniteError:

@@ -86,6 +86,13 @@ class TestSolveCommand:
         code = main(["solve", str(tmp_path / "nope.json")])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("method", ["nf-ipm", "oracle"])
+    def test_unwritable_out_is_io_error(self, problem_file, tmp_path, capsys, method):
+        out = tmp_path / "missing" / "dir" / "r.json"
+        code = main(["solve", str(problem_file), "--method", method, "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unparseable_file_is_invalid(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{{{{")
@@ -420,6 +427,7 @@ class TestBenchCommand:
             {"equality_sweep": {"n": 4, "seed": "x"}},
             {"config": {"density_threshold": 0.4}},
             {"config": {"rank_tol": 1e-6}},
+            {"config": {"max_iter": True}},
             {"seeds": [True], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
             {"seeds": [0.5], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
             {"instances": [{"n": True, "levels": [[1, 0, 0, "feasible"]]}]},
@@ -448,6 +456,7 @@ class TestBenchCommand:
             "string-sweep-seed",
             "removed-density-threshold",
             "removed-rank-tol",
+            "bool-max-iter",
             "bool-seed",
             "fraction-seed",
             "bool-n",
@@ -473,6 +482,15 @@ class TestBenchCommand:
     def test_spec_directory_is_io_error(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["bench", str(tmp_path), "--out", str(out)]) == EXIT_IO
+
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        spec = {"methods": ["nf-ipm"], "repeats": 1,
+                "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "missing" / "dir" / "t.csv"
+        assert main(["bench", str(spec_path), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def raise_(exc):

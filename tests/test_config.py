@@ -50,6 +50,14 @@ def test_step_form_mapping():
         ("warm_active_sets", {1: np.zeros((1, 1), dtype=int)}),
         ("warm_active_sets", {"1": [0]}),
         ("warm_active_sets", {0: [0]}),
+        # counts are integers and values are real numbers, neither a bool
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("asm_max_iter", 3.0),
+        ("asm_max_iter", False),
+        ("eps", True),
+        ("xi", True),
+        ("tau", "0.5"),
     ],
 )
 def test_rejects_out_of_range_setting(field, value):
@@ -67,4 +75,5 @@ def test_rank_tolerances_are_not_settings(field):
 def test_accepts_edge_settings():
     cfg = SolverConfig(tau=0.5, max_iter=0, asm_max_iter=0)
     assert cfg.max_iter == 0
+    SolverConfig(eps=np.float64(1e-10), tau=np.float32(0.9), max_iter=np.int64(3))
     SolverConfig(warm_active_sets={1: np.arange(2), 2: (), 3: range(1)})

@@ -23,7 +23,6 @@ from hlsp.newton import (
     component_steps,
     converged,
     initial_state,
-    kkt_residual,
     line_search,
     mehrotra_iteration,
     recover_equality_dual,
@@ -32,12 +31,18 @@ from hlsp.newton import (
 from conftest import build_random_level
 
 
-def transcribed_kkt(ctx, s, smu_i, smu_in):
-    """Independent straight-line transcription of the optimality blocks."""
+def transcribed_kkt(ctx, s, lam_act, smu_i, smu_in):
+    """Independent straight-line transcription of the optimality blocks.
+
+    Block order: stationarity at the active duals ``lam_act``, equality
+    consistency, inequality consistency, inequality complementarity,
+    active-constraint consistency, inactive-constraint consistency,
+    inactive complementarity.
+    """
     k1 = (
         ctx.a_eq.T @ s.v_eq
         + ctx.a_ineq.T @ s.v_ineq
-        - ctx.a_act.T @ s.lam_act
+        - ctx.a_act.T @ lam_act
         - ctx.a_inact.T @ s.lam_inact
     )
     k2 = ctx.b_eq - ctx.a_eq @ s.x + s.v_eq
@@ -50,33 +55,36 @@ def transcribed_kkt(ctx, s, smu_i, smu_in):
 
 
 class TestKktResidual:
+    """The KKT norm that ``converged`` measures and reports as ``kkt_norm``."""
+
     def test_consistent_equality_optimum_is_zero(self):
         ctx, s = build_random_level(0, n=4, m_eq=2, m_ineq=0, m_inact=0, m_prior=0)
         x = np.linalg.lstsq(ctx.a_eq, ctx.b_eq, rcond=None)[0]
         s.x = x
         s.v_eq = ctx.a_eq @ x - ctx.b_eq
-        s.lam_act = np.zeros(0)
-        _, norm = kkt_residual(ctx, s, 0.0, 0.0)
-        assert norm < 1e-10
+        conv, norm = converged(ctx, s, 1e-10)
+        assert conv and norm < 1e-10
 
     def test_single_complementarity_block(self):
         ctx, s = build_random_level(1, n=3, m_eq=0, m_ineq=1, m_inact=0, m_prior=0)
         s.w_ineq = np.array([1.0])
         s.v_ineq = np.array([-1.0])
-        k, _ = kkt_residual(ctx, s, 0.0, 0.0)
-        # block order: k1 (n), k2 (0), k3 (1), then k4
-        assert abs(k[ctx.n + 1] - (-1.0)) < 1e-15
+        # blocks after stationarity: k2 (0 rows), k3 (1), then k4
+        assert newton._partial_blocks(ctx, s, 0.0, 0.0)[2][0] == -1.0
+        assert converged(ctx, s, np.inf)[1] >= 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_independent_transcription(self, seed):
         ctx, s = build_random_level(seed, n=5, m_eq=2, m_ineq=2, m_inact=2, m_prior=2)
-        rng = np.random.default_rng(seed + 99)
-        s.lam_act = rng.uniform(-1, 1, ctx.m_act)
+        lam_act = recover_equality_dual(ctx, s)
         smu_i, smu_in = 0.013, 0.007
-        k, norm = kkt_residual(ctx, s, smu_i, smu_in)
-        ref = transcribed_kkt(ctx, s, smu_i, smu_in)
-        assert np.allclose(k, ref, atol=1e-14)
-        assert abs(norm - np.linalg.norm(ref)) < 1e-12
+        partial = np.concatenate(newton._partial_blocks(ctx, s, smu_i, smu_in))
+        ref = transcribed_kkt(ctx, s, lam_act, smu_i, smu_in)
+        assert np.allclose(partial, ref[ctx.n:], atol=1e-14)
+        # past the early-out the norm is the whole residual's at the walked duals
+        ref = transcribed_kkt(ctx, s, lam_act, 0.0, 0.0)
+        _, norm = converged(ctx, s, np.inf)
+        assert abs(norm - np.linalg.norm(ref)) < 1e-12 * max(1.0, norm)
 
 
 class TestAssembleFG:
@@ -152,7 +160,6 @@ class TestProjectedNormalStep:
             w_ineq=np.zeros(0),
             w_inact=np.zeros(0),
             lam_inact=np.zeros(0),
-            lam_act=np.zeros(1),
         )
         dz = _step_solver(ctx, s, "normal")(np.zeros(0), np.zeros(0)).dz
         dx = chain.basis @ dz
@@ -227,7 +234,6 @@ class TestClassicalStep:
             13, n=4, m_eq=3, m_ineq=2, m_inact=0, m_prior=0,
             config=SolverConfig(method="classical"),
         )
-        s.lam_act = np.zeros(0)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         before = ctx.counters.factorizations
         _step_solver(ctx, s, "classical")(f, g)
@@ -238,7 +244,6 @@ class TestClassicalStep:
         ctx, s = build_random_level(
             14, n=5, m_eq=4, m_ineq=2, m_inact=2, m_prior=2, config=cfg
         )
-        s.lam_act = np.zeros(ctx.m_act)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         dx_cl = _step_solver(ctx, s, "classical")(f, g).dx
         dz = _step_solver(ctx, s, "normal")(f, g).dz
@@ -250,7 +255,6 @@ class TestClassicalStep:
         ctx, s = build_random_level(
             15, n=6, m_eq=1, m_ineq=1, m_inact=0, m_prior=1, config=cfg
         )
-        s.lam_act = np.zeros(ctx.m_act)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         with pytest.raises(MethodNotApplicable):
             _step_solver(ctx, s, "classical")(f, g)
@@ -379,7 +383,6 @@ def ratio_test_pair(blocks, steps):
         w_ineq=w_ineq,
         w_inact=w_inact,
         lam_inact=lam_inact,
-        lam_act=np.zeros(0),
     )
     d = StepDirection(
         dz=None,
@@ -629,8 +632,7 @@ class TestStepLength:
         ctx, s0 = build_random_level(seed + 7400, n=4, m_eq=1, m_ineq=3, m_inact=2, m_prior=1)
         s = initial_state(ctx, s0.x)
         d = random_direction(s, rng)
-        arrays = [s.x, s.v_eq, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact, s.lam_act]
-        arrays += list(frame_arrays(s.frame).values())
+        arrays = iterate_arrays(s)
         arrays += [d.dx, d.dv_ineq, d.dw_ineq, d.dw_inact, d.dlam_inact]
         before = [a.tobytes() for a in arrays]
         newton.step_length(s, d, 0.999)
@@ -673,7 +675,6 @@ class TestMehrotra:
         ctx, s = build_random_level(
             21, n=4, m_eq=3, m_ineq=2, m_inact=2, m_prior=2, config=cfg
         )
-        s.lam_act = np.zeros(ctx.m_act)
         before = ctx.counters.factorizations
         mehrotra_iteration(ctx, s, form)
         assert ctx.counters.factorizations - before == count
@@ -683,7 +684,6 @@ class TestMehrotra:
         ctx, s = build_random_level(
             28, n=4, m_eq=3, m_ineq=2, m_inact=2, m_prior=0, config=cfg
         )
-        s.lam_act = np.zeros(0)
         before = ctx.counters.factorizations
         mehrotra_iteration(ctx, s, "classical")
         assert ctx.counters.factorizations - before == 1
@@ -742,8 +742,9 @@ class TestMehrotra:
                 break
             mehrotra_iteration(ctx, s, "normal")
         assert conv
-        d = mehrotra_iteration(ctx, s, "normal")
-        assert np.linalg.norm(d.alpha * d.dx) < 1e-8
+        x = s.x
+        mehrotra_iteration(ctx, s, "normal")
+        assert np.linalg.norm(s.x - x) < 1e-8
 
 
 class TestDualRecovery:
@@ -783,7 +784,6 @@ class TestDualRecovery:
             w_ineq=np.zeros(0),
             w_inact=np.zeros(0),
             lam_inact=np.zeros(0),
-            lam_act=np.zeros(2),
         )
         lam = recover_equality_dual(ctx, s)
         rhs = ctx.a_eq.T @ s.v_eq
@@ -853,7 +853,6 @@ class TestConverged:
                 break
             mehrotra_iteration(ctx, s, "normal")
         assert conv
-        assert np.array_equal(s.lam_act, np.zeros(ctx.m_act))
 
     def test_partial_small_but_stationarity_large(self, monkeypatch):
         # stale primal in the reduced space: consistency rows vanish while
@@ -871,7 +870,6 @@ class TestConverged:
     def test_writes_nothing(self, eps):
         # eps = inf takes the full path past the early-out
         ctx, s = build_random_level(29, n=6, m_eq=2, m_ineq=2, m_inact=2, m_prior=2)
-        s.lam_act = np.linspace(-1.0, 1.0, ctx.m_act)
         before = copy.deepcopy(s)
         counters = copy.deepcopy(ctx.counters)
         converged(ctx, s, eps)
@@ -938,8 +936,7 @@ class TestChainBasisStationarity:
             ctx.basis, ctx.stages = chain.basis, tuple(chain.stages)
             s.v_eq = rng.uniform(-1, 1, ctx.m_eq)
             r = ctx.a_eq.T @ s.v_eq + ctx.a_ineq.T @ s.v_ineq - ctx.a_inact.T @ s.lam_inact
-            s.lam_act = recover_equality_dual(ctx, s)
-            k, _ = kkt_residual(ctx, s, 0.0, 0.0)
+            k = transcribed_kkt(ctx, s, recover_equality_dual(ctx, s), 0.0, 0.0)
             walked = np.linalg.norm(k[:n])
             tol = 1e-12 * max(1.0, np.linalg.norm(r))
             assert abs(np.linalg.norm(ctx.basis.T @ r) - walked) <= tol
@@ -976,12 +973,16 @@ def fresh_products(ctx, s):
         "res_inact": ctx.b_inact - ctx.a_inact @ s.x,
         "lam_res": s.lam_inact * (ctx.b_inact - ctx.a_inact @ s.x),
         "wt_inact": s.lam_inact / s.w_inact,
-        "ratio_base": np.concatenate((s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact)),
     }
 
 
+def iterate_arrays(s):
+    """The iterate's fields and the arrays of its frame."""
+    arrays = [s.x, s.v_eq, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact]
+    return arrays + list(frame_arrays(s.frame).values())
+
+
 def assert_stored_products_fresh(ctx, s):
-    assert newton._frame(ctx, s) is s.frame, "the stored frame no longer fits the state"
     for name, value in fresh_products(ctx, s).items():
         assert np.array_equal(getattr(s.frame, name), value), name
     assert np.array_equal(s.v_eq, ctx.a_eq @ s.x - ctx.b_eq)
@@ -1007,41 +1008,34 @@ class TestIterateFrame:
     def test_iterate_arrays_are_never_written_in_place(
         self, monkeypatch, seed, form, m_eq, m_ineq, m_inact
     ):
-        # newton_loop keeps references to earlier iterates as its best
+        # newton_loop keeps a shallow copy of an earlier iterate as its best
         # point; every iterate must keep its bits once a step has moved on
         ctx, s0 = build_random_level(
             seed + 5300, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
         s = initial_state(ctx, s0.x)
         kept = []
-        take_snapshot = cascade._snapshot
-
-        def keep(snap):
-            arrays = list(snap[:-1]) + list(frame_arrays(snap[-1]).values())
-            kept.append((arrays, copy.deepcopy(arrays)))
-            return snap
 
         def checked_iteration(ctx, state, form):
-            d = mehrotra_iteration(ctx, state, form)
+            arrays = iterate_arrays(state)
+            kept.append((arrays, copy.deepcopy(arrays)))
+            mehrotra_iteration(ctx, state, form)
             for arrays, reference in kept:
                 for a, b in zip(arrays, reference):
                     assert a.tobytes() == b.tobytes()
-            keep(take_snapshot(state))
-            return d
 
-        monkeypatch.setattr(cascade, "_snapshot", lambda state: keep(take_snapshot(state)))
         monkeypatch.setattr(cascade, "mehrotra_iteration", checked_iteration)
         try:
             cascade.newton_loop(ctx, s, form=form)
         except MethodNotApplicable:
             # the classical quadratic term lost rank numerically: restart the
             # level in the projected normal form, as solve_hlsp does, while
-            # every snapshot of the abandoned run is still checked
+            # every iterate of the abandoned run is still checked
             assert form == "classical"
             s = initial_state(ctx, s0.x)
             cascade.newton_loop(ctx, s, form="normal")
         assert ctx.counters.newton_iterations >= 3
-        assert len(kept) > ctx.counters.newton_iterations
+        assert len(kept) == ctx.counters.newton_iterations
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
@@ -1053,7 +1047,6 @@ class TestIterateFrame:
         )
         s = initial_state(ctx, s0.x)
         assert_stored_products_fresh(ctx, s)
-        first = cascade._snapshot(s)
         step = newton.apply_step
         steps = []
 
@@ -1066,21 +1059,28 @@ class TestIterateFrame:
         for _ in range(4):
             mehrotra_iteration(ctx, s, form)
         assert len(steps) == 4
-        cascade._restore(s, first)
-        assert_stored_products_fresh(ctx, s)
-        assert np.array_equal(s.x, s0.x)
 
-    def test_helpers_ignore_a_frame_the_state_outgrew(self):
-        # a field rebound after the frame was made invalidates it
-        ctx, s0 = build_random_level(5500, n=5, m_eq=1, m_ineq=2, m_inact=2, m_prior=1)
-        s = initial_state(ctx, s0.x)
-        s.x = s.x + 0.25
-        s.w_inact = s.w_inact * 2.0
-        hand_built = IterateState(
-            x=s.x, v_eq=s.v_eq, v_ineq=s.v_ineq, w_ineq=s.w_ineq,
-            w_inact=s.w_inact, lam_inact=s.lam_inact, lam_act=s.lam_act,
+    @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
+    def test_floor_exit_leaves_the_best_iterate_with_its_own_frame(
+        self, monkeypatch, form, m_eq, m_ineq, m_inact
+    ):
+        # scripted norms: the third step throws the norm off a best of 5e-11,
+        # below 100 * eps, so the loop ends and restores the second iterate
+        ctx, s0 = build_random_level(
+            5500, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
-        assert newton._frame(ctx, s) is not s.frame
-        for a, b in zip(assemble_f_g(ctx, s, 0.1, 0.2), assemble_f_g(ctx, hand_built, 0.1, 0.2)):
-            assert np.array_equal(a, b)
-        assert converged(ctx, s, 1e-12) == converged(ctx, hand_built, 1e-12)
+        s = initial_state(ctx, s0.x)
+        norms, seen = iter([1.0, 1e-6, 5e-11, 1e-9]), []
+
+        def scripted(ctx, state, eps):
+            seen.append(state.x)
+            return False, next(norms)
+
+        monkeypatch.setattr(cascade, "converged", scripted)
+        assert cascade.newton_loop(ctx, s, form=form) == (False, 5e-11)
+        assert ctx.counters.newton_iterations == 3 and s.x is seen[2]
+        fresh = vars(newton._Frame(ctx, s))
+        assert vars(s.frame).keys() == fresh.keys()
+        for name, value in fresh.items():
+            assert np.array_equal(getattr(s.frame, name), value), name
+        assert np.array_equal(s.v_eq, ctx.a_eq @ s.x - ctx.b_eq)
