@@ -320,6 +320,8 @@ def project_inactive(state: CascadeState, s: IterateState, xi, counters):
         return 0
     rows, rhs = carry.matrix[mask], carry.rhs[mask]
     carry.remove(mask)
+    # s is spent once projected: later code reads its fields, never its
+    # frame, so the frame is left as built for the untrimmed rows
     s.lam_inact = s.lam_inact[~mask]
     v_star = rows @ s.x - rhs
     return _activate(state.chain, rows, rhs, v_star, counters)

@@ -1013,18 +1013,27 @@ class TestIterateFrame:
         ctx, s0 = build_random_level(
             seed + 5300, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
-        s = initial_state(ctx, s0.x)
         kept = []
 
-        def checked_iteration(ctx, state, form):
+        def keep(state):
             arrays = iterate_arrays(state)
             kept.append((arrays, copy.deepcopy(arrays)))
-            mehrotra_iteration(ctx, state, form)
+
+        def check():
             for arrays, reference in kept:
                 for a, b in zip(arrays, reference):
                     assert a.tobytes() == b.tobytes()
 
+        def checked_iteration(ctx, state, form):
+            # each iterate is kept as the step leaves it, so the next check
+            # also covers the convergence test the loop runs in between
+            mehrotra_iteration(ctx, state, form)
+            check()
+            keep(state)
+
         monkeypatch.setattr(cascade, "mehrotra_iteration", checked_iteration)
+        s = initial_state(ctx, s0.x)
+        keep(s)
         try:
             cascade.newton_loop(ctx, s, form=form)
         except MethodNotApplicable:
@@ -1033,9 +1042,12 @@ class TestIterateFrame:
             # every iterate of the abandoned run is still checked
             assert form == "classical"
             s = initial_state(ctx, s0.x)
+            keep(s)
             cascade.newton_loop(ctx, s, form="normal")
+        check()  # the last convergence test and the best-iterate restore
         assert ctx.counters.newton_iterations >= 3
-        assert len(kept) == ctx.counters.newton_iterations
+        # one start per run, one iterate per step; a step that raised kept none
+        assert len(kept) == ctx.counters.newton_iterations + 1
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
