@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -238,18 +238,18 @@ def _level_form(ctx):
 
 
 def newton_loop(ctx, s, form):
-    """Run the level to optimality; returns (converged, kkt_norm).
+    """Run the level to optimality from ``s``; returns (s, converged, kkt_norm).
 
     Every iteration is followed by the dual-free convergence test, and the
     loop tests once before its first step. Levels without barrier rows have
     a linear optimality system: unless the start is already optimal, they
     fail the first test, take one step and pass the second. Every step is
     taken in ``form``, the step form of ``mehrotra_iteration``. The iteration
-    cap applies per call, so active-set re-solves get a fresh budget. The
-    best iterate seen is kept, as a copy of the fields of ``s`` (a step
-    replaces the iterate's arrays), and the loop exits and restores it in two
-    ways near the numerical floor: when the residual has not improved for
-    six iterations, or, once the best norm is below ``100 * eps``, at once
+    cap applies per call, so active-set re-solves get a fresh budget. A step
+    returns a new iterate and leaves the old one as it was, so the loop
+    keeps the best iterate seen as it is. It exits and returns that iterate
+    in two ways near the numerical floor: when the residual has not improved
+    for six iterations, or, once the best norm is below ``100 * eps``, at once
     when a step throws the norm above ten times the best (a level thrown
     off the rounding floor so far almost never converges afterwards). It
     does the same when a diverging barrier variable overflows the step or
@@ -259,12 +259,12 @@ def newton_loop(ctx, s, form):
     cfg = ctx.config
     start = ctx.counters.newton_iterations
     conv, norm = converged(ctx, s, cfg.eps)
-    best_norm, best = norm, vars(s).copy()
+    best_norm, best = norm, s
     stalled = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
             try:
-                mehrotra_iteration(ctx, s, form)
+                s = mehrotra_iteration(ctx, s, form)
                 conv, norm = converged(ctx, s, cfg.eps)
             except NonFiniteError:
                 conv, norm = False, math.inf
@@ -273,7 +273,7 @@ def newton_loop(ctx, s, form):
                 norm = math.inf
                 break
             if norm < best_norm:
-                best_norm, best = norm, vars(s).copy()
+                best_norm, best = norm, s
                 stalled = 0
             elif best_norm < 100 * cfg.eps and norm > 10 * best_norm:
                 break
@@ -284,9 +284,8 @@ def newton_loop(ctx, s, form):
                 if stalled >= 6 and best_norm < 1e-8:
                     break
     if not conv and best_norm < norm:
-        vars(s).update(best)
-        norm = best_norm
-    return conv, norm
+        s, norm = best, best_norm
+    return s, conv, norm
 
 
 def _activate(chain, rows, rhs, v_star, counters, retained=None):
@@ -311,20 +310,19 @@ def project_inactive(state: CascadeState, s: IterateState, xi, counters):
 
     Saturation is judged on explicitly recomputed slacks; rows that are
     merely saturated without a significant multiplier stay carried.
+    Returns the rank the moved rows add and the multipliers of ``s`` for
+    the rows still carried.
     """
     carry = state.carry
     if carry.m == 0:
-        return 0
+        return 0, s.lam_inact
     mask = (carry.matrix @ s.x - carry.rhs < xi) & (s.lam_inact > xi)
     if not mask.any():
-        return 0
+        return 0, s.lam_inact
     rows, rhs = carry.matrix[mask], carry.rhs[mask]
     carry.remove(mask)
-    # s is spent once projected: later code reads its fields, never its
-    # frame, so the frame is left as built for the untrimmed rows
-    s.lam_inact = s.lam_inact[~mask]
     v_star = rows @ s.x - rhs
-    return _activate(state.chain, rows, rhs, v_star, counters)
+    return _activate(state.chain, rows, rhs, v_star, counters), s.lam_inact[~mask]
 
 
 def project_current(state, level, s, xi, counters, retained=None, residuals=None):
@@ -418,25 +416,22 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             # the interior point, also for a level whose active-set search
             # cycled or ran out, started from the search's last primal
             ctx = build_level_context(state, level, config, counters)
-            s = initial_state(ctx, x)
+            start = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
             try:
-                conv, norm = newton_loop(ctx, s, form=form)
+                s, conv, norm = newton_loop(ctx, start, form=form)
             except MethodNotApplicable:
                 # barrier weights can still make the quadratic term lose
                 # rank numerically; restart the level in the projected form
-                s = initial_state(ctx, x)
-                conv, norm = newton_loop(ctx, s, form="normal")
+                s, conv, norm = newton_loop(ctx, start, form="normal")
                 fell_back = True
             retained = ctx.stage1
         x = s.x
         sub = not conv
         all_converged = all_converged and conv
-        # the projection trims the carried duals of s; the walk needs them
-        walk_lam_inact = s.lam_inact
         residuals = _residuals(level, x)
 
-        rank_virtual = project_inactive(state, s, config.xi, counters)
+        rank_virtual, lam_inact = project_inactive(state, s, config.xi, counters)
         if rank_virtual:
             retained = None  # the basis moved
         rank_current = 0
@@ -467,11 +462,11 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         )
         level_reports.append(report)
 
-    # ctx, report and s still hold the last solved level: the trivial
-    # levels after an exhausted chain reassign none of them
+    # ctx, report, s and lam_inact still hold the last solved level: the
+    # trivial levels after an exhausted chain reassign none of them
     lam_act = np.zeros(0)
     if ctx.m_act:
-        lam_act = recover_equality_dual(ctx, replace(s, lam_inact=walk_lam_inact))
+        lam_act = recover_equality_dual(ctx, s)
         report.dual_evaluations += 1
     return SolveReport(
         method=config.method,
@@ -479,7 +474,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         x=x,
         converged=all_converged,
         levels=level_reports,
-        last_duals={"lam_act": lam_act, "lam_inact": s.lam_inact},
+        last_duals={"lam_act": lam_act, "lam_inact": lam_inact},
         wall_time_s=time.perf_counter() - t_start,
     )
 
@@ -548,8 +543,7 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
         ctx = build_level_context(state, pinned, config, counters)
         # interior restart per solve: warm-starting the barrier variables
         # from a previous boundary point jams the line search
-        s = initial_state(ctx, x)
-        conv, norm = newton_loop(ctx, s, config.step_form)
+        s, conv, norm = newton_loop(ctx, initial_state(ctx, x), config.step_form)
         x = s.x
 
         if counters.asm_iterations >= config.asm_max_iter:

@@ -12,9 +12,12 @@ and reads no earlier ones. Only the reported duals are recovered, by one
 walk over the chain (``recover_equality_dual``) that ``solve_hlsp`` makes
 at most once per solve.
 
-The products ``A @ x`` and the barrier weights of an iterate are computed
-once, when the iterate is made, into its ``_Frame``. The convergence test
-and the predictor and corrector of the next iteration all read them there.
+Iterates are values. A step returns a new ``IterateState`` and writes no
+field of the old one. The products ``A @ x`` and the barrier weights of an
+iterate are computed once, when ``_iterate`` makes it, into its ``_Frame``.
+The convergence test and the predictor and corrector of the next iteration
+all read them there. ``dataclasses.replace`` gives a state without a frame,
+whose products ``_frame`` computes when they are read.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class Counters:
         self.fact_shapes.append((int(rows), int(cols)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterateState:
     """Primal iterate with slacks and duals for one level's Newton loop.
 
@@ -67,10 +70,10 @@ class IterateState:
     implicit (lam_eq = -v_eq, lam_ineq = -v_ineq). No step reads the
     active-constraint duals, so the iterate holds none.
 
-    Arrays are replaced, never written in place: a step binds new arrays to
-    the fields and a new ``frame``, the products of the iterate that
-    ``initial_state`` and ``apply_step`` make. So a shallow copy of the
-    state is a snapshot of the iterate, frame included.
+    An iterate is a value: it is frozen, and no code writes its arrays in
+    place. A step returns a new iterate, built by ``_iterate`` with its
+    ``frame``, the products of the iterate. ``dataclasses.replace`` gives a
+    state without a frame.
     """
 
     x: np.ndarray
@@ -79,7 +82,7 @@ class IterateState:
     w_ineq: np.ndarray
     w_inact: np.ndarray
     lam_inact: np.ndarray
-    frame: object = field(default=None, repr=False, compare=False)
+    frame: object = field(init=False, default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -164,17 +167,23 @@ class LevelContext:
 
 def initial_state(ctx: LevelContext, x):
     """All-ones interior start; the primal is warm-started from the caller."""
-    x = np.asarray(x, dtype=float).copy()
-    ax_eq = ctx.a_eq @ x
-    s = IterateState(
-        x=x,
-        v_eq=ax_eq - ctx.b_eq,
+    return _iterate(
+        ctx,
+        np.asarray(x, dtype=float).copy(),
         v_ineq=-np.ones(ctx.m_ineq),
         w_ineq=np.ones(ctx.m_ineq),
         w_inact=np.ones(ctx.m_inact),
         lam_inact=np.ones(ctx.m_inact),
     )
-    s.frame = _Frame(ctx, s, ax_eq)
+
+
+def _iterate(ctx, x, v_ineq, w_ineq, w_inact, lam_inact):
+    """The iterate at these values, with its equality slack and frame."""
+    # keeping the equality slack consistent preserves the feasibility of
+    # the reduced system's right-hand side across iterations
+    ax_eq = ctx.a_eq @ x
+    s = IterateState(x, ax_eq - ctx.b_eq, v_ineq, w_ineq, w_inact, lam_inact)
+    object.__setattr__(s, "frame", _Frame(ctx, s, ax_eq))
     return s
 
 
@@ -223,7 +232,7 @@ class _Frame:
 
 
 def _frame(ctx, s):
-    """The iterate's frame; a hand-made state without one gets a fresh one."""
+    """The iterate's frame; a state without one gets its products fresh."""
     return _Frame(ctx, s) if s.frame is None else s.frame
 
 
@@ -258,18 +267,18 @@ def _dual_free_stationarity(ctx, s):
     return r
 
 
-def _partial_blocks(ctx, s, sigma_mu_ineq, sigma_mu_inact):
+def _partial_blocks(ctx, s):
     """The six blocks after stationarity; empty ones are left out."""
     fr = _frame(ctx, s)
     blocks = [fr.rhs_eq + s.v_eq]
     if ctx.m_ineq:
         blocks.append(fr.rhs_ineq + s.v_ineq + s.w_ineq)
-        blocks.append(s.w_ineq * s.v_ineq + sigma_mu_ineq)
+        blocks.append(s.w_ineq * s.v_ineq)
     if ctx.m_act:
         blocks.append(fr.rhs_act + ctx.v_act)
     if ctx.m_inact:
         blocks.append(fr.res_inact + s.w_inact)
-        blocks.append(s.lam_inact * s.w_inact - sigma_mu_inact)
+        blocks.append(s.lam_inact * s.w_inact)
     return blocks
 
 
@@ -420,23 +429,15 @@ def step_length(s, d: StepDirection, tau):
 
 
 def apply_step(ctx, s, d: StepDirection, alpha):
-    s.x = s.x + alpha * d.dx
-    if ctx.m_ineq:
-        s.v_ineq = s.v_ineq + alpha * d.dv_ineq
-        s.w_ineq = s.w_ineq + alpha * d.dw_ineq
-    if ctx.m_inact:
-        s.w_inact = s.w_inact + alpha * d.dw_inact
-        s.lam_inact = s.lam_inact + alpha * d.dlam_inact
-    _reframe(ctx, s)
-
-
-def _reframe(ctx, s):
-    """Recompute the equality slack and the frame after a step moved ``s``."""
-    # keeping the equality slack consistent preserves the feasibility of
-    # the reduced system's right-hand side across iterations
-    ax_eq = ctx.a_eq @ s.x
-    s.v_eq = ax_eq - ctx.b_eq
-    s.frame = _Frame(ctx, s, ax_eq)
+    """The new iterate ``alpha`` along ``d`` from ``s``."""
+    return _iterate(
+        ctx,
+        s.x + alpha * d.dx,
+        s.v_ineq + alpha * d.dv_ineq,
+        s.w_ineq + alpha * d.dw_ineq,
+        s.w_inact + alpha * d.dw_inact,
+        s.lam_inact + alpha * d.dlam_inact,
+    )
 
 
 def _centering(mu, mu_aff):
@@ -450,26 +451,24 @@ def _centering(mu, mu_aff):
 def mehrotra_iteration(ctx, s, form):
     """One predictor-corrector iteration; factorizes the system once.
 
-    The affine predictor fixes the centering parameters through the cube
-    rule, the corrector adds the affine cross products, and only the
-    corrector step is applied, at the length ``step_length`` picks. A
-    level without barrier rows is linear and one full step solves it: the
-    projected forms take the basic step on the retained equality
-    factorization.
+    Returns the new iterate. The affine predictor fixes the centering
+    parameters through the cube rule, the corrector adds the affine cross
+    products, and only the corrector step is applied, at the length
+    ``step_length`` picks. A level without barrier rows is linear and one
+    full step solves it: the projected forms take the basic step on the
+    retained equality factorization.
     """
     ctx.counters.newton_iterations += 1
     equality_only = ctx.m_ineq == 0 and ctx.m_inact == 0
     if equality_only and form in ("normal", "ls"):
         dz = ctx.equality_factorization().solve_basic(_frame(ctx, s).rhs_eq)
-        s.x = s.x + ctx.basis @ dz
-        _reframe(ctx, s)
-        return
+        x = s.x + ctx.basis @ dz
+        return _iterate(ctx, x, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact)
     tau = ctx.config.tau
     solve = _step_solver(ctx, s, form)
 
     if equality_only:
-        apply_step(ctx, s, solve(_EMPTY, _EMPTY), 1.0)
-        return
+        return apply_step(ctx, s, solve(_EMPTY, _EMPTY), 1.0)
 
     f_aff, g_aff = assemble_f_g(ctx, s, 0.0, 0.0)
     d_aff = solve(f_aff, g_aff)
@@ -494,7 +493,7 @@ def mehrotra_iteration(ctx, s, form):
     )
     f_cor, g_cor = assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=products)
     d = solve(f_cor, g_cor)
-    apply_step(ctx, s, d, step_length(s, d, tau))
+    return apply_step(ctx, s, d, step_length(s, d, tau))
 
 
 def _step_solver(ctx, s, form):
@@ -614,7 +613,7 @@ def converged(ctx, s, eps):
     duals. Returns (converged, norm); the norm is the partial norm when the
     early-out fires and ``hypot(partial, |g_r|)`` otherwise. Reads only.
     """
-    partial = np.concatenate(_partial_blocks(ctx, s, 0.0, 0.0))
+    partial = np.concatenate(_partial_blocks(ctx, s))
     pn = _norm(partial)
     if pn >= eps:
         return False, pn

@@ -7,6 +7,7 @@ module is expected to run in well under five minutes.
 
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -219,7 +220,7 @@ class TestCriterion5DualRecursion:
             lam_true = rng.uniform(-2, 2, ctx.m_act)
             ctx.a_eq = ctx.a_act.copy()
             ctx.b_eq = np.zeros(ctx.m_act)
-            s.v_eq = lam_true
+            s = replace(s, v_eq=lam_true)
             lam = recover_equality_dual(ctx, s)
             rhs = ctx.a_eq.T @ s.v_eq
             lam_ref = np.linalg.lstsq(ctx.a_act.T, rhs, rcond=None)[0]

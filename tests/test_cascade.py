@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlsp import cascade, newton
+from hlsp import cascade
 from hlsp.cascade import (
     CascadeState,
     InactiveCarry,
@@ -21,7 +22,13 @@ from hlsp.cascade import (
 from hlsp.config import METHODS, SolverConfig
 from hlsp.factorization import NonFiniteError, nullspace_update, rrqr
 from hlsp.fileio import problem_from_dict
-from hlsp.newton import Counters, converged, initial_state, recover_equality_dual
+from hlsp.newton import (
+    Counters,
+    IterateState,
+    converged,
+    initial_state,
+    recover_equality_dual,
+)
 from hlsp.oracle import brute_force_cascade, cascade_objectives
 from hlsp.problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
@@ -157,15 +164,6 @@ class TestSolveExamples:
 
 
 class TestProjections:
-    def _converged_level(self, p, config=None):
-        config = config or SolverConfig()
-        state = CascadeState.fresh(p.n)
-        counters = Counters()
-        ctx = build_level_context(state, p.levels[0], config, counters)
-        s = initial_state(ctx, np.zeros(p.n))
-        newton_loop(ctx, s, config.step_form)
-        return state, ctx, s, counters, config
-
     def test_no_activation_when_strictly_satisfied(self):
         p = HlspProblem(
             n=2,
@@ -178,8 +176,7 @@ class TestProjections:
         state = CascadeState.fresh(2)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
-        s = initial_state(ctx, np.zeros(2))
-        newton_loop(ctx, s, config.step_form)
+        s = newton_loop(ctx, initial_state(ctx, np.zeros(2)), config.step_form)[0]
         project_inactive(state, s, config.xi, counters)
         project_current(state, p.levels[0], s, config.xi, counters)
         # satisfied row carried, nothing active
@@ -187,8 +184,7 @@ class TestProjections:
         assert state.chain.n_r == 2  # no rank consumed
         # now solve level 2 and activate from the carry only if saturated
         ctx2 = build_level_context(state, p.levels[1], config, counters)
-        s2 = initial_state(ctx2, s.x)
-        newton_loop(ctx2, s2, config.step_form)
+        s2 = newton_loop(ctx2, initial_state(ctx2, s.x), config.step_form)[0]
         stages_before = len(state.chain.stages)
         project_inactive(state, s2, config.xi, counters)
         assert len(state.chain.stages) == stages_before  # x2 move ignores x1 >= -1
@@ -206,8 +202,8 @@ class TestProjections:
         s = S()
         s.x = np.array([1.0 + 1e-10, 3.0])
         s.lam_inact = np.array([0.3])
-        rank = project_inactive(state, s, config.xi, counters)
-        assert rank == 1
+        rank, lam_inact = project_inactive(state, s, config.xi, counters)
+        assert rank == 1 and lam_inact.shape == (0,)
         assert np.array_equal(state.chain.rows, [[1.0, 0.0]])
         assert state.carry.m == 0
         # the stored violation is the exact residual at activation time, so
@@ -226,9 +222,55 @@ class TestProjections:
         s = S()
         s.x = np.array([1.0 + 1e-10, 0.0])
         s.lam_inact = np.array([1e-10])
-        rank = project_inactive(state, s, config.xi, counters)
-        assert rank == 0
+        rank, lam_inact = project_inactive(state, s, config.xi, counters)
+        assert rank == 0 and lam_inact is s.lam_inact
         assert state.carry.m == 1
+
+    def test_projection_leaves_the_iterate_and_returns_the_carried_duals(self):
+        state = CascadeState.fresh(3)
+        state.carry.append(np.eye(3), np.array([-5.0, 1.0, -5.0]))
+        config, counters = SolverConfig(), Counters()
+        # the middle row is saturated with a significant dual
+        s = IterateState(
+            x=np.array([0.0, 1.0 + 1e-10, 0.0]),
+            v_eq=np.zeros(0),
+            v_ineq=np.zeros(0),
+            w_ineq=np.zeros(0),
+            w_inact=np.array([5.0, 1e-10, 5.0]),
+            lam_inact=np.array([0.2, 0.3, 0.4]),
+        )
+        arrays = {name: getattr(s, name) for name in ("x", "w_inact", "lam_inact")}
+        copies = {name: a.copy() for name, a in arrays.items()}
+        rank, lam_inact = project_inactive(state, s, config.xi, counters)
+        assert rank == 1 and state.carry.m == 2
+        for name, a in arrays.items():
+            assert getattr(s, name) is a and np.array_equal(a, copies[name]), name
+        assert np.array_equal(lam_inact, s.lam_inact[[True, False, True]])
+        assert lam_inact.shape == (state.carry.m,)
+
+    def test_last_duals_hold_the_rows_still_carried(self, monkeypatch):
+        # level 1 carries x1 <= 1 and x2 <= 5; level 2's x1 = 2 saturates
+        # the first, whose row moves into the chain
+        p = HlspProblem(
+            n=2,
+            levels=(
+                lvl(2, np.zeros((0, 2)), [], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -5.0]),
+                lvl(2, [[1.0, 0.0]], [2.0], np.zeros((0, 2)), []),
+            ),
+        )
+        real, seen = cascade.project_inactive, []
+
+        def recording(state, s, xi, counters):
+            out = real(state, s, xi, counters)
+            seen.append((out[1], state.carry.m))
+            return out
+
+        monkeypatch.setattr(cascade, "project_inactive", recording)
+        rep = solve_hlsp(p, SolverConfig())
+        assert [lv.rank_virtual for lv in rep.levels] == [0, 1]
+        lam_inact, carried = seen[-1]
+        assert carried == 1 and rep.last_duals["lam_inact"].shape == (1,)
+        assert rep.last_duals["lam_inact"] is lam_inact
 
     def test_violated_row_pinned_with_its_violation(self):
         p = two_sided_conflict()
@@ -236,9 +278,8 @@ class TestProjections:
         state = CascadeState.fresh(1)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
-        s = initial_state(ctx, np.zeros(1))
-        newton_loop(ctx, s, config.step_form)
-        assert project_inactive(state, s, config.xi, counters) == 0
+        s = newton_loop(ctx, initial_state(ctx, np.zeros(1)), config.step_form)[0]
+        assert project_inactive(state, s, config.xi, counters)[0] == 0
         assert project_current(state, p.levels[0], s, config.xi, counters) == 1
         # both inequalities are pinned, in level order, with their violations
         assert np.array_equal(state.chain.rows, [[1.0], [-1.0]])
@@ -269,7 +310,7 @@ class TestProjections:
             x=np.array([1.0, 0.2, -1.0, 0.0]),
             lam_inact=np.array([0.3]),
         )
-        assert project_inactive(state, s, config.xi, counters) == 1
+        assert project_inactive(state, s, config.xi, counters)[0] == 1
         assert np.array_equal(state.chain.rows[2:], [[0, 0, 1, 0]])
         assert_stacked(state.chain, [1.0, 0.5, -1.0], [0.0, 0.2 - 0.5, 0.0])
 
@@ -298,7 +339,7 @@ class TestProjections:
                 b = a @ s.x
                 state.carry.append(a, b)
                 s.lam_inact = np.ones(m)
-                assert project_inactive(state, s, config.xi, counters) == m
+                assert project_inactive(state, s, config.xi, counters)[0] == m
             expected.append((a, b, a @ s.x - b))
             if len(held) < 2:
                 ctx = build_level_context(state, level, config, counters)
@@ -665,7 +706,7 @@ class TestLinearLevelCost:
 
         def recording_loop(ctx, s, form):
             out = real_loop(ctx, s, form)
-            seen.append(s.x)
+            seen.append(out[0].x)
             return out
 
         monkeypatch.setattr(cascade, "newton_loop", recording_loop)
@@ -771,8 +812,7 @@ class TestInvariants:
         for li, level in enumerate(p.levels, 1):
             counters = Counters()
             ctx = build_level_context(state, level, config, counters)
-            s = initial_state(ctx, x)
-            newton_loop(ctx, s, config.step_form)
+            s = newton_loop(ctx, initial_state(ctx, x), config.step_form)[0]
             x = s.x
             project_inactive(state, s, config.xi, counters)
             if state.chain.n_r:
@@ -852,12 +892,10 @@ class TestLastDuals:
         state = CascadeState.fresh(p.n)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
-        s = initial_state(ctx, np.zeros(p.n))
-        newton_loop(ctx, s, config.step_form)
+        s = newton_loop(ctx, initial_state(ctx, np.zeros(p.n)), config.step_form)[0]
         project_current(state, p.levels[0], s, config.xi, counters, ctx.stage1)
         ctx = build_level_context(state, p.levels[1], config, counters)
-        s = initial_state(ctx, s.x)
-        newton_loop(ctx, s, config.step_form)
+        s = newton_loop(ctx, initial_state(ctx, s.x), config.step_form)[0]
         assert np.array_equal(s.x, rep.x)
         assert ctx.m_act == 2
         assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
@@ -963,27 +1001,23 @@ def scaled_rows_problem():
 class TestFloorExits:
     """``newton_loop``'s exits on a scripted sequence of KKT norms.
 
-    Iterate k carries k in ``x``, so the restored snapshot names itself.
+    Iterate k carries k in ``x``, so the returned iterate names itself.
     """
 
     def run(self, monkeypatch, norms):
         config = SolverConfig()
         ctx = SimpleNamespace(config=config, counters=Counters())
-        s = SimpleNamespace(
-            x=0, v_eq=None, v_ineq=None, w_ineq=None, w_inact=None,
-            lam_inact=None, frame=None,
-        )
 
         def scripted_step(ctx, s, form):
             ctx.counters.newton_iterations += 1
-            s.x += 1
+            return SimpleNamespace(x=s.x + 1)
 
         def scripted_norm(ctx, s, eps):
             return norms[s.x] < eps, norms[s.x]
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", scripted_step)
         monkeypatch.setattr(cascade, "converged", scripted_norm)
-        conv, norm = newton_loop(ctx, s, form="normal")
+        s, conv, norm = newton_loop(ctx, SimpleNamespace(x=0), form="normal")
         return conv, norm, ctx.counters.newton_iterations, s.x
 
     def test_rise_off_the_floor_ends_the_loop_at_the_best_iterate(self, monkeypatch):
@@ -1018,7 +1052,7 @@ class TestNonFiniteSteps:
     def test_overflowed_multiplier_ends_level_at_best_iterate(self, monkeypatch, form):
         # the third step starts from infinite multipliers: the ls step's
         # triangular solve rejects them, the normal step yields an Inf/NaN
-        # iterate; either way the loop stops and restores a finite iterate
+        # iterate; either way the loop stops and returns a finite iterate
         state = CascadeState.fresh(5)
         rng = np.random.default_rng(0)
         state.carry.append(rng.uniform(-1, 1, (3, 5)), rng.uniform(-2, -1, 3))
@@ -1031,8 +1065,7 @@ class TestNonFiniteSteps:
         def diverging(ctx, s, form):
             steps.append(form)
             if len(steps) == 3:
-                s.lam_inact = np.full_like(s.lam_inact, np.inf)
-                newton._reframe(ctx, s)
+                s = replace(s, lam_inact=np.full_like(s.lam_inact, np.inf))
             try:
                 return real(ctx, s, form)
             except NonFiniteError:
@@ -1040,7 +1073,7 @@ class TestNonFiniteSteps:
                 raise
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", diverging)
-        conv, norm = newton_loop(ctx, s, form=form)
+        s, conv, norm = newton_loop(ctx, s, form=form)
         assert len(steps) == 3 and raised == ([form] if form == "ls" else [])
         assert not conv
         assert np.isfinite(norm) and norm == converged(ctx, s, config.eps)[1]

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hlsp.newton import (
 from conftest import build_random_level
 
 
-def transcribed_kkt(ctx, s, lam_act, smu_i, smu_in):
+def transcribed_kkt(ctx, s, lam_act):
     """Independent straight-line transcription of the optimality blocks.
 
     Block order: stationarity at the active duals ``lam_act``, equality
@@ -47,10 +48,10 @@ def transcribed_kkt(ctx, s, lam_act, smu_i, smu_in):
     )
     k2 = ctx.b_eq - ctx.a_eq @ s.x + s.v_eq
     k3 = ctx.b_ineq - ctx.a_ineq @ s.x + s.v_ineq + s.w_ineq
-    k4 = s.w_ineq * s.v_ineq + smu_i * np.ones_like(s.v_ineq)
+    k4 = s.w_ineq * s.v_ineq
     k5 = ctx.b_act - ctx.a_act @ s.x + ctx.v_act
     k6 = ctx.b_inact - ctx.a_inact @ s.x + s.w_inact
-    k7 = s.lam_inact * s.w_inact - smu_in * np.ones_like(s.w_inact)
+    k7 = s.lam_inact * s.w_inact
     return np.concatenate([k1, k2, k3, k4, k5, k6, k7])
 
 
@@ -60,29 +61,25 @@ class TestKktResidual:
     def test_consistent_equality_optimum_is_zero(self):
         ctx, s = build_random_level(0, n=4, m_eq=2, m_ineq=0, m_inact=0, m_prior=0)
         x = np.linalg.lstsq(ctx.a_eq, ctx.b_eq, rcond=None)[0]
-        s.x = x
-        s.v_eq = ctx.a_eq @ x - ctx.b_eq
+        s = replace(s, x=x, v_eq=ctx.a_eq @ x - ctx.b_eq)
         conv, norm = converged(ctx, s, 1e-10)
         assert conv and norm < 1e-10
 
     def test_single_complementarity_block(self):
         ctx, s = build_random_level(1, n=3, m_eq=0, m_ineq=1, m_inact=0, m_prior=0)
-        s.w_ineq = np.array([1.0])
-        s.v_ineq = np.array([-1.0])
+        s = replace(s, w_ineq=np.array([1.0]), v_ineq=np.array([-1.0]))
         # blocks after stationarity: k2 (0 rows), k3 (1), then k4
-        assert newton._partial_blocks(ctx, s, 0.0, 0.0)[2][0] == -1.0
+        assert newton._partial_blocks(ctx, s)[2][0] == -1.0
         assert converged(ctx, s, np.inf)[1] >= 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_independent_transcription(self, seed):
         ctx, s = build_random_level(seed, n=5, m_eq=2, m_ineq=2, m_inact=2, m_prior=2)
         lam_act = recover_equality_dual(ctx, s)
-        smu_i, smu_in = 0.013, 0.007
-        partial = np.concatenate(newton._partial_blocks(ctx, s, smu_i, smu_in))
-        ref = transcribed_kkt(ctx, s, lam_act, smu_i, smu_in)
+        partial = np.concatenate(newton._partial_blocks(ctx, s))
+        ref = transcribed_kkt(ctx, s, lam_act)
         assert np.allclose(partial, ref[ctx.n:], atol=1e-14)
         # past the early-out the norm is the whole residual's at the walked duals
-        ref = transcribed_kkt(ctx, s, lam_act, 0.0, 0.0)
         _, norm = converged(ctx, s, np.inf)
         assert abs(norm - np.linalg.norm(ref)) < 1e-12 * max(1.0, norm)
 
@@ -206,8 +203,7 @@ class TestLsFormStep:
 
     def test_unit_weight_row_enters_unscaled(self):
         ctx, s = build_random_level(12, n=4, m_eq=1, m_ineq=0, m_inact=1, m_prior=0)
-        s.w_inact = np.array([1.0])
-        s.lam_inact = np.array([1.0])
+        s = replace(s, w_inact=np.array([1.0]), lam_inact=np.array([1.0]))
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         dz = _step_solver(ctx, s, "ls")(f, g).dz
         # weight sqrt(lam/w) = 1: the stacked system is [inact; eq] unweighted
@@ -300,23 +296,25 @@ class TestComponentSteps:
         rng = np.random.default_rng(16)
         # build a consistent KKT-satisfying state with matching centering
         x = rng.uniform(-1, 1, 4)
-        s.x = x
-        s.v_eq = ctx.a_eq @ x - ctx.b_eq
-        s.w_ineq = rng.uniform(0.5, 1.0, 2)
-        s.v_ineq = (ctx.a_ineq @ x - ctx.b_eq[:0].sum() - ctx.b_ineq) - s.w_ineq
-        s.w_inact = ctx.a_inact @ x - ctx.b_inact
-        s.w_inact = np.maximum(s.w_inact, 0.3)
+        w_ineq = rng.uniform(0.5, 1.0, 2)
+        w_inact = np.maximum(ctx.a_inact @ x - ctx.b_inact, 0.3)
         # make consistency rows exact
-        s.v_ineq = ctx.a_ineq @ x - ctx.b_ineq - s.w_ineq
-        smu_i = float(-(s.w_ineq * s.v_ineq)[0])
+        v_ineq = ctx.a_ineq @ x - ctx.b_ineq - w_ineq
+        smu_i = float(-(w_ineq * v_ineq)[0])
         # per-row products must equal -smu for k4 to vanish exactly
-        s.v_ineq = -smu_i / s.w_ineq
-        b_ineq_adj = ctx.a_ineq @ x - s.v_ineq - s.w_ineq
-        ctx.b_ineq = b_ineq_adj
-        b_inact_adj = ctx.a_inact @ x - s.w_inact
-        ctx.b_inact = b_inact_adj
-        smu_in = float((s.lam_inact * s.w_inact)[0])
-        s.lam_inact = smu_in / s.w_inact
+        v_ineq = -smu_i / w_ineq
+        ctx.b_ineq = ctx.a_ineq @ x - v_ineq - w_ineq
+        ctx.b_inact = ctx.a_inact @ x - w_inact
+        smu_in = float((s.lam_inact * w_inact)[0])
+        s = replace(
+            s,
+            x=x,
+            v_eq=ctx.a_eq @ x - ctx.b_eq,
+            v_ineq=v_ineq,
+            w_ineq=w_ineq,
+            w_inact=w_inact,
+            lam_inact=smu_in / w_inact,
+        )
         f, g = assemble_f_g(ctx, s, smu_i, smu_in)
         d = component_steps(ctx, s, np.zeros(ctx.basis.shape[1]), f, g)
         dv_eq = ctx.a_eq @ (s.x + d.dx) - ctx.b_eq - s.v_eq
@@ -488,8 +486,7 @@ class TestLineSearch:
 
     def test_single_blocking_ratio(self):
         ctx, s = build_random_level(19, n=3, m_eq=0, m_ineq=1, m_inact=0, m_prior=0)
-        s.w_ineq = np.array([1.0])
-        s.v_ineq = np.array([-5.0])
+        s = replace(s, w_ineq=np.array([1.0]), v_ineq=np.array([-5.0]))
         d = self._direction(s, dw_ineq=np.array([-2.0]))
         assert abs(line_search(s, d, 0.995) - 0.4975) < 1e-15
 
@@ -592,10 +589,7 @@ class TestStepLength:
             ctx, s0 = build_random_level(
                 seed + 7200, n=4, m_eq=1, m_ineq=m_ineq, m_inact=m_inact, m_prior=0
             )
-            s = initial_state(ctx, s0.x)
-            s.v_ineq, s.w_ineq = s0.v_ineq, s0.w_ineq
-            s.w_inact, s.lam_inact = s0.w_inact, s0.lam_inact
-            newton._reframe(ctx, s)
+            s = newton._iterate(ctx, s0.x, s0.v_ineq, s0.w_ineq, s0.w_inact, s0.lam_inact)
             d = random_direction(s, rng)
             alpha = newton.step_length(s, d, tau)
             ref, a_max, block, mate, mu = reference_step_length(s, d, tau)
@@ -660,7 +654,7 @@ class TestMehrotra:
     def test_equality_only_predictor_exact(self):
         ctx, s = build_random_level(20, n=5, m_eq=3, m_ineq=0, m_inact=0, m_prior=0)
         x0 = s.x
-        mehrotra_iteration(ctx, s, "normal")
+        s = mehrotra_iteration(ctx, s, "normal")
         # the full basic least-squares step, lifted by the basis
         dz = ctx.stage1.solve_basic(ctx.b_eq - ctx.a_eq @ x0)
         assert np.array_equal(s.x, x0 + ctx.basis @ dz)
@@ -691,7 +685,7 @@ class TestMehrotra:
     def test_sign_conditions_hold_after_every_iteration(self):
         ctx, s = build_random_level(22, n=5, m_eq=1, m_ineq=3, m_inact=2, m_prior=1)
         for _ in range(12):
-            mehrotra_iteration(ctx, s, "normal")
+            s = mehrotra_iteration(ctx, s, "normal")
             assert np.all(s.w_ineq >= 0)
             assert np.all(s.v_ineq <= 0)
             assert np.all(s.w_inact >= 0)
@@ -729,7 +723,7 @@ class TestMehrotra:
             conv, norm = converged(ctx, s, 1e-12)
             if conv:
                 break
-            mehrotra_iteration(ctx, s, "normal")
+            s = mehrotra_iteration(ctx, s, "normal")
         assert conv and norm < 1e-12
         assert abs(s.x[0] - 0.5) < 1e-9
         assert np.allclose(s.v_ineq, [-0.5, -0.5], atol=1e-9)
@@ -740,10 +734,10 @@ class TestMehrotra:
             conv, _ = converged(ctx, s, 1e-12)
             if conv:
                 break
-            mehrotra_iteration(ctx, s, "normal")
+            s = mehrotra_iteration(ctx, s, "normal")
         assert conv
         x = s.x
-        mehrotra_iteration(ctx, s, "normal")
+        s = mehrotra_iteration(ctx, s, "normal")
         assert np.linalg.norm(s.x - x) < 1e-8
 
 
@@ -806,7 +800,7 @@ class TestDualRecovery:
         lam_true = rng.uniform(-2, 2, ctx.m_act)
         ctx.a_eq = ctx.a_act.copy()
         ctx.b_eq = np.zeros(ctx.m_act)
-        s.v_eq = lam_true
+        s = replace(s, v_eq=lam_true)
         lam = recover_equality_dual(ctx, s)
         rhs = ctx.a_eq.T @ s.v_eq
         lam_ref = np.linalg.lstsq(ctx.a_act.T, rhs, rcond=None)[0]
@@ -826,7 +820,7 @@ class TestDualRecovery:
         lam_true = rng.uniform(-2, 2, ctx.m_act)
         ctx.a_eq = ctx.a_act.copy()
         ctx.b_eq = np.zeros(ctx.m_act)
-        s.v_eq = lam_true + rng.normal(size=ctx.m_act) * 1e-10
+        s = replace(s, v_eq=lam_true + rng.normal(size=ctx.m_act) * 1e-10)
         lam = recover_equality_dual(ctx, s)
         assert np.linalg.norm(lam - lam_true) < 1e-6
 
@@ -851,7 +845,7 @@ class TestConverged:
             conv, _ = converged(ctx, s, 1e-12)
             if conv:
                 break
-            mehrotra_iteration(ctx, s, "normal")
+            s = mehrotra_iteration(ctx, s, "normal")
         assert conv
 
     def test_partial_small_but_stationarity_large(self, monkeypatch):
@@ -860,8 +854,7 @@ class TestConverged:
         monkeypatch.setattr(newton, "recover_equality_dual", _no_walk)
         ctx, s = build_random_level(27, n=4, m_eq=2, m_ineq=0, m_inact=0, m_prior=1)
         x = np.linalg.lstsq(ctx.a_act, ctx.b_act + ctx.v_act, rcond=None)[0]
-        s.x = x
-        s.v_eq = ctx.a_eq @ x - ctx.b_eq
+        s = replace(s, x=x, v_eq=ctx.a_eq @ x - ctx.b_eq)
         conv, norm = converged(ctx, s, 1e-12)
         assert not conv
         assert norm > 1e-6
@@ -934,9 +927,9 @@ class TestChainBasisStationarity:
             ctx, s = build_random_level(seed + 4200, n=n, m_prior=0)
             ctx.a_act, ctx.b_act, ctx.v_act = chain.rows, chain.rhs, chain.v_star
             ctx.basis, ctx.stages = chain.basis, tuple(chain.stages)
-            s.v_eq = rng.uniform(-1, 1, ctx.m_eq)
+            s = replace(s, v_eq=rng.uniform(-1, 1, ctx.m_eq))
             r = ctx.a_eq.T @ s.v_eq + ctx.a_ineq.T @ s.v_ineq - ctx.a_inact.T @ s.lam_inact
-            k = transcribed_kkt(ctx, s, recover_equality_dual(ctx, s), 0.0, 0.0)
+            k = transcribed_kkt(ctx, s, recover_equality_dual(ctx, s))
             walked = np.linalg.norm(k[:n])
             tol = 1e-12 * max(1.0, np.linalg.norm(r))
             assert abs(np.linalg.norm(ctx.basis.T @ r) - walked) <= tol
@@ -1008,8 +1001,8 @@ class TestIterateFrame:
     def test_iterate_arrays_are_never_written_in_place(
         self, monkeypatch, seed, form, m_eq, m_ineq, m_inact
     ):
-        # newton_loop keeps a shallow copy of an earlier iterate as its best
-        # point; every iterate must keep its bits once a step has moved on
+        # newton_loop keeps an earlier iterate as its best point; every
+        # iterate must keep its bits once a step has moved on
         ctx, s0 = build_random_level(
             seed + 5300, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
@@ -1025,26 +1018,27 @@ class TestIterateFrame:
                     assert a.tobytes() == b.tobytes()
 
         def checked_iteration(ctx, state, form):
-            # each iterate is kept as the step leaves it, so the next check
+            # each iterate is kept as the step returns it, so the next check
             # also covers the convergence test the loop runs in between
-            mehrotra_iteration(ctx, state, form)
+            state = mehrotra_iteration(ctx, state, form)
             check()
             keep(state)
+            return state
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", checked_iteration)
-        s = initial_state(ctx, s0.x)
-        keep(s)
+        start = initial_state(ctx, s0.x)
+        keep(start)
         try:
-            cascade.newton_loop(ctx, s, form=form)
+            cascade.newton_loop(ctx, start, form=form)
         except MethodNotApplicable:
             # the classical quadratic term lost rank numerically: restart the
-            # level in the projected normal form, as solve_hlsp does, while
-            # every iterate of the abandoned run is still checked
+            # level from the same start in the projected normal form, as
+            # solve_hlsp does, while every iterate of the abandoned run is
+            # still checked
             assert form == "classical"
-            s = initial_state(ctx, s0.x)
-            keep(s)
-            cascade.newton_loop(ctx, s, form="normal")
-        check()  # the last convergence test and the best-iterate restore
+            keep(start)
+            cascade.newton_loop(ctx, start, form="normal")
+        check()  # the last convergence test and the best-iterate return
         assert ctx.counters.newton_iterations >= 3
         # one start per run, one iterate per step; a step that raised kept none
         assert len(kept) == ctx.counters.newton_iterations + 1
@@ -1063,13 +1057,14 @@ class TestIterateFrame:
         steps = []
 
         def checked_step(ctx, state, d, alpha):
-            step(ctx, state, d, alpha)
+            state = step(ctx, state, d, alpha)
             assert_stored_products_fresh(ctx, state)
             steps.append(alpha)
+            return state
 
         monkeypatch.setattr(newton, "apply_step", checked_step)
         for _ in range(4):
-            mehrotra_iteration(ctx, s, form)
+            s = mehrotra_iteration(ctx, s, form)
         assert len(steps) == 4
 
     @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
@@ -1077,7 +1072,7 @@ class TestIterateFrame:
         self, monkeypatch, form, m_eq, m_ineq, m_inact
     ):
         # scripted norms: the third step throws the norm off a best of 5e-11,
-        # below 100 * eps, so the loop ends and restores the second iterate
+        # below 100 * eps, so the loop ends and returns the second iterate
         ctx, s0 = build_random_level(
             5500, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
@@ -1089,10 +1084,31 @@ class TestIterateFrame:
             return False, next(norms)
 
         monkeypatch.setattr(cascade, "converged", scripted)
-        assert cascade.newton_loop(ctx, s, form=form) == (False, 5e-11)
+        s, conv, norm = cascade.newton_loop(ctx, s, form=form)
+        assert (conv, norm) == (False, 5e-11)
         assert ctx.counters.newton_iterations == 3 and s.x is seen[2]
         fresh = vars(newton._Frame(ctx, s))
         assert vars(s.frame).keys() == fresh.keys()
         for name, value in fresh.items():
             assert np.array_equal(getattr(s.frame, name), value), name
         assert np.array_equal(s.v_eq, ctx.a_eq @ s.x - ctx.b_eq)
+
+    @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
+    def test_iterates_are_frozen_and_replace_drops_the_frame(
+        self, form, m_eq, m_ineq, m_inact
+    ):
+        ctx, s0 = build_random_level(
+            5600, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
+        )
+        start = initial_state(ctx, s0.x)
+        stepped = mehrotra_iteration(ctx, start, form)
+        for s in (start, stepped):
+            for name in ("x", "v_eq", "lam_inact", "frame"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(s, name, getattr(s, name))
+        # a state moved by replace has no frame; its products are its own
+        moved = replace(start, x=start.x + 0.1)
+        frame, fresh = newton._frame(ctx, moved), vars(newton._Frame(ctx, moved))
+        assert moved.frame is None and vars(frame).keys() == fresh.keys()
+        for name, value in fresh.items():
+            assert np.array_equal(getattr(frame, name), value), name
