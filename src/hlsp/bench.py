@@ -10,7 +10,6 @@ forms' level-2 work falling while classical's second factorization grows.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from functools import partial
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .cascade import solve_hlsp
 from .config import SolverConfig
+from .fileio import save_json
 from .oracle import lexicographic_lsq_equality
 from .problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
@@ -200,9 +200,7 @@ def run_benchmark(spec, out_path=None):
     summary = time_ratio_summary(rows)
     if out_path is not None:
         write_table(rows, out_path)
-        with open(str(out_path) + ".summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        save_json(summary, str(out_path) + ".summary.json")
     return rows, summary
 
 

@@ -38,6 +38,10 @@ from .problem import (
     validate_problem,
 )
 
+# active-set changes one level's search may make before it hands the level
+# to the interior point
+ASM_MAX_ITER = 200
+
 
 class InvalidProblemError(ValueError):
     pass
@@ -253,15 +257,16 @@ def newton_loop(ctx, s, form):
     when a step throws the norm above ten times the best (a level thrown
     off the rounding floor so far almost never converges afterwards). It
     does the same when a diverging barrier variable overflows the step or
-    the residual to an Inf or a NaN, and the level ends unconverged; those
-    overflows are expected and raise no floating-point warning.
+    the residual to an Inf or a NaN, and the level ends unconverged. Those
+    overflows, and one in the start's residual, are expected and raise no
+    floating-point warning.
     """
     cfg = ctx.config
     start = ctx.counters.newton_iterations
-    conv, norm = converged(ctx, s, cfg.eps)
-    best_norm, best = norm, s
-    stalled = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        conv, norm = converged(ctx, s, cfg.eps)
+        best_norm, best = norm, s
+        stalled = 0
         while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
             try:
                 s = mehrotra_iteration(ctx, s, form)
@@ -546,7 +551,7 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
         s, conv, norm = newton_loop(ctx, initial_state(ctx, x), config.step_form)
         x = s.x
 
-        if counters.asm_iterations >= config.asm_max_iter:
+        if counters.asm_iterations >= ASM_MAX_ITER:
             return ctx, s, None, norm
         residuals = ineq.matrix @ x - ineq.rhs
         inactive_rows = [j for j in range(ineq.m) if j not in active]

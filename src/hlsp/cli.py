@@ -60,10 +60,6 @@ def _parser():
                        help="activation threshold (default %(default)s)")
     solve.add_argument("--max-iter", type=int, default=defaults.max_iter,
                        help="Newton iteration cap per level (default %(default)s)")
-    solve.add_argument("--tau", type=float, default=defaults.tau,
-                       help="cap of the corrector step as a fraction of the "
-                       "ratio-test bound, in (0, 1); Mehrotra's rule picks "
-                       "the step below it (default %(default)s)")
     solve.add_argument("--out", default=None, help="report path (default stdout)")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
@@ -89,7 +85,6 @@ def _config_from_args(args):
         eps=args.eps,
         xi=args.xi,
         max_iter=args.max_iter,
-        tau=args.tau,
     )
 
 

@@ -17,8 +17,6 @@ class SolverConfig:
     eps: float = 1e-12
     xi: float = 1e-8
     max_iter: int = 50
-    tau: float = 0.999
-    asm_max_iter: int = 200
     warm_start_x: object = None
     warm_active_sets: object = None
 
@@ -29,9 +27,7 @@ class SolverConfig:
         checks = [
             ("eps", _is_real(self.eps) and 0.0 < self.eps < math.inf, positive),
             ("xi", _is_real(self.xi) and 0.0 < self.xi < math.inf, positive),
-            ("tau", _is_real(self.tau) and 0.0 < self.tau < 1.0, "a number in (0, 1)"),
             ("max_iter", _is_int(self.max_iter) and self.max_iter >= 0, count),
-            ("asm_max_iter", _is_int(self.asm_max_iter) and self.asm_max_iter >= 0, count),
             (
                 "warm_active_sets",
                 self.warm_active_sets is None or _is_active_sets(self.warm_active_sets),

@@ -119,9 +119,7 @@ def load_problem(path):
 
 
 def save_problem(problem: HlspProblem, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_json(problem_to_dict(problem), path)
 
 
 def save_json(data, path):

@@ -35,6 +35,8 @@ STEP_TOL = 1e-15
 # the corrector steps at least this share of the ratio test's bound, and
 # leaves its blocking pair at 1 - GAMMA_F of the full step's mean product
 GAMMA_F = 0.95
+# the corrector steps at most this share of the ratio test's bound
+TAU = 0.999
 
 
 class MethodNotApplicable(RuntimeError):
@@ -296,26 +298,6 @@ def _sqrt_weights(fr):
     return np.sqrt(fr.wt_inact), np.sqrt(fr.wt_ineq)
 
 
-def classical_factorize(ctx, s):
-    fr = _frame(ctx, s)
-    c = ctx.a_eq.T @ ctx.a_eq
-    if ctx.m_ineq:
-        c = c + (ctx.a_ineq * fr.wt_ineq[:, None]).T @ ctx.a_ineq
-    if ctx.m_inact:
-        c = c + (ctx.a_inact * fr.wt_inact[:, None]).T @ ctx.a_inact
-    fact_c = rrqr(c, tol=STEP_TOL, counter=ctx.counters)
-    if fact_c.rank < ctx.n:
-        raise MethodNotApplicable(
-            f"quadratic term is rank {fact_c.rank} < {ctx.n}; "
-            "classical normal equations need it nonsingular"
-        )
-    fact_m = None
-    if ctx.m_act:
-        m = ctx.a_act @ fact_c.solve_basic(ctx.a_act.T)
-        fact_m = rrqr(m, counter=ctx.counters)
-    return fact_c, fact_m
-
-
 def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
     """Recover the eliminated variable steps from the reduced step."""
     fr = _frame(ctx, s)
@@ -393,10 +375,10 @@ def step_length(s, d: StepDirection, tau):
     stops where the blocking entry, times the present value of its
     complementarity partner, equals ``(1 - GAMMA_F)`` times mu(a_max), the
     mean complementarity product at the full step a_max, and is clamped
-    to ``[GAMMA_F * a_max, min(1, tau * a_max)]``. So ``tau`` is the cap,
-    and with ``tau <= GAMMA_F`` the step is ``line_search``'s
-    ``min(1, tau * a_max)``. A target that is not finite, or a partner at
-    zero, leaves the cap.
+    to ``[GAMMA_F * a_max, min(1, tau * a_max)]``. So ``tau`` (``TAU`` in
+    a solve) is the cap, and with ``tau <= GAMMA_F`` the step is
+    ``line_search``'s ``min(1, tau * a_max)``. A target that is not finite,
+    or a partner at zero, leaves the cap.
     """
     a_max, k, val, dval = _ratio_test(s, d)
     if not math.isfinite(a_max):
@@ -464,7 +446,6 @@ def mehrotra_iteration(ctx, s, form):
         dz = ctx.equality_factorization().solve_basic(_frame(ctx, s).rhs_eq)
         x = s.x + ctx.basis @ dz
         return _iterate(ctx, x, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact)
-    tau = ctx.config.tau
     solve = _step_solver(ctx, s, form)
 
     if equality_only:
@@ -493,50 +474,25 @@ def mehrotra_iteration(ctx, s, form):
     )
     f_cor, g_cor = assemble_f_g(ctx, s, smu_ineq, smu_inact, cross=products)
     d = solve(f_cor, g_cor)
-    return apply_step(ctx, s, d, step_length(s, d, tau))
+    return apply_step(ctx, s, d, step_length(s, d, TAU))
 
 
 def _step_solver(ctx, s, form):
     """Factorize the level's Newton system once in the given step form.
 
     Returns ``solve(f_vec, g_vec) -> StepDirection``, which reuses the
-    factorization for the affine predictor and the centered corrector.
-    ``"normal"`` factors the null-space-projected quadratic term, ``"ls"``
-    stages the square-root-weighted barrier rows over the retained
-    factorization of the projected equality block, and ``"classical"``
-    factors the full-space quadratic term and the active-constraint
-    product. Its solve finds the new active duals from the Schur complement
-    system, ``M lam = -r2 - A_act C^-1 r1``, and steps by
-    ``C^-1 (r1 + A_act^T lam)``.
+    factorization for the affine predictor and the centered corrector. The
+    projected forms' solvers return the reduced step ``dz``, the classical
+    form's the full-space step ``dx``.
     """
-    fr = _frame(ctx, s)
-    if form == "classical":
-        fact_c, fact_m = classical_factorize(ctx, s)
-        r1_eq = ctx.a_eq.T @ fr.rhs_eq
-        if ctx.m_act:
-            neg_r2 = -(fr.ax_act - ctx.b_act - ctx.v_act)
-
-        def solve(f_vec, g_vec):
-            r1 = r1_eq
-            if ctx.m_ineq:
-                r1 = r1 + ctx.a_ineq.T @ g_vec
-            if ctx.m_inact:
-                r1 = r1 + ctx.a_inact.T @ f_vec
-            if ctx.m_act:
-                lam = fact_m.solve_basic(neg_r2 - ctx.a_act @ fact_c.solve_basic(r1))
-                r1 = r1 + ctx.a_act.T @ lam
-            return component_steps(ctx, s, None, f_vec, g_vec, dx=fact_c.solve_basic(r1))
-
-        return solve
-    if form not in ("normal", "ls"):
-        raise ValueError(f"unknown step form {form!r}")
-    if form == "normal":
-        solve_dz = _normal_solver(ctx, fr)
-    else:
-        solve_dz = _ls_solver(ctx, fr)
+    make, full_space = _SOLVERS[form]
+    solve_step = make(ctx, _frame(ctx, s))
 
     def solve(f_vec, g_vec):
-        return component_steps(ctx, s, solve_dz(f_vec, g_vec), f_vec, g_vec)
+        step = solve_step(f_vec, g_vec)
+        if full_space:
+            return component_steps(ctx, s, None, f_vec, g_vec, dx=step)
+        return component_steps(ctx, s, step, f_vec, g_vec)
 
     return solve
 
@@ -582,6 +538,51 @@ def _ls_solver(ctx, fr):
         return staged.solve_basic(rhs_top, fr.rhs_eq)
 
     return solve
+
+
+def _classical_solver(ctx, fr):
+    """Factor the full-space quadratic term and the Schur complement once.
+
+    The solve finds the new active duals from ``M lam = -r2 - A_act C^-1 r1``
+    and steps by ``C^-1 (r1 + A_act^T lam)``.
+    """
+    c = ctx.a_eq.T @ ctx.a_eq
+    if ctx.m_ineq:
+        c = c + (ctx.a_ineq * fr.wt_ineq[:, None]).T @ ctx.a_ineq
+    if ctx.m_inact:
+        c = c + (ctx.a_inact * fr.wt_inact[:, None]).T @ ctx.a_inact
+    fact_c = rrqr(c, tol=STEP_TOL, counter=ctx.counters)
+    if fact_c.rank < ctx.n:
+        raise MethodNotApplicable(
+            f"quadratic term is rank {fact_c.rank} < {ctx.n}; "
+            "classical normal equations need it nonsingular"
+        )
+    if ctx.m_act:
+        m = ctx.a_act @ fact_c.solve_basic(ctx.a_act.T)
+        fact_m = rrqr(m, counter=ctx.counters)
+        neg_r2 = -(fr.ax_act - ctx.b_act - ctx.v_act)
+    r1_eq = ctx.a_eq.T @ fr.rhs_eq
+
+    def solve(f_vec, g_vec):
+        r1 = r1_eq
+        if ctx.m_ineq:
+            r1 = r1 + ctx.a_ineq.T @ g_vec
+        if ctx.m_inact:
+            r1 = r1 + ctx.a_inact.T @ f_vec
+        if ctx.m_act:
+            lam = fact_m.solve_basic(neg_r2 - ctx.a_act @ fact_c.solve_basic(r1))
+            r1 = r1 + ctx.a_act.T @ lam
+        return fact_c.solve_basic(r1)
+
+    return solve
+
+
+# each step form's solver builder, and whether it returns the full-space dx
+_SOLVERS = {
+    "normal": (_normal_solver, False),
+    "ls": (_ls_solver, False),
+    "classical": (_classical_solver, True),
+}
 
 
 def recover_equality_dual(ctx, s):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from hlsp.bench import equality_sweep_problem
-from hlsp.cascade import hybrid_solve, solve_hlsp
+from hlsp.cascade import ASM_MAX_ITER, hybrid_solve, solve_hlsp
 from hlsp.config import SolverConfig
 from hlsp.factorization import rrqr, staged_rrqr
 from hlsp.newton import (
@@ -403,10 +403,8 @@ class TestCriterion9IllConditionedRobustness:
             if rep.converged:
                 converged += 1
                 iteration_counts.append(sum(lv.iterations for lv in rep.levels))
-            hyb = hybrid_solve(
-                problem, SolverConfig(method="nf-ipm-asm", asm_max_iter=200)
-            )
-            if any(lv.asm_iterations >= 200 for lv in hyb.levels):
+            hyb = hybrid_solve(problem, SolverConfig(method="nf-ipm-asm"))
+            if any(lv.asm_iterations >= ASM_MAX_ITER for lv in hyb.levels):
                 asm_capped += 1
         ratio = (
             max(iteration_counts) / min(iteration_counts)

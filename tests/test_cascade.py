@@ -569,13 +569,14 @@ class TestAsm:
         assert np.allclose(pure.objectives, hyb.objectives, atol=1e-6)
 
     @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
-    def test_exhausted_search_hands_level_to_interior_point(self, method):
+    def test_exhausted_search_hands_level_to_interior_point(self, method, monkeypatch):
         # with no search budget every level with inequalities goes to the
         # interior point after the first inner solve
+        monkeypatch.setattr(cascade, "ASM_MAX_ITER", 0)
         for seed in range(8):
             p = asm_problem(seed)
             pure = solve_hlsp(p, SolverConfig(method="nf-ipm"))
-            rep = solve_hlsp(p, SolverConfig(method=method, asm_max_iter=0))
+            rep = solve_hlsp(p, SolverConfig(method=method))
             assert all(lv.asm_iterations == 0 for lv in rep.levels)
             assert np.allclose(pure.objectives, rep.objectives, atol=1e-6)
 
@@ -1047,6 +1048,22 @@ class TestNonFiniteSteps:
         if rep.config["method"].endswith("-asm"):
             ref = solve_hlsp(p, SolverConfig(method="nf-ipm"))
             assert np.allclose(rep.objectives, ref.objectives, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_start_residual_returns_a_report(self, method):
+        # the -asm search starts an inner solve whose first convergence test
+        # overflows on the 1e150 row, before any step is taken
+        p = problem_from_dict(
+            {
+                "n": 2,
+                "levels": [
+                    {"A_e": [[1e150, 0]], "b_e": [1e150], "A_i": [[1e-150, 1]], "b_i": [0]},
+                    {"A_e": [[1, 1]], "b_e": [0], "A_i": [], "b_i": []},
+                ],
+            }
+        )
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert len(rep.levels) == 2 and np.isfinite(rep.x).all()
 
     @pytest.mark.parametrize("form", ["normal", "ls"])
     def test_overflowed_multiplier_ends_level_at_best_iterate(self, monkeypatch, form):

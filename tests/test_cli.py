@@ -258,10 +258,6 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "method,flag,value",
         [
-            ("ls-ipm", "--tau", "1.5"),
-            ("ls-ipm", "--tau", "nan"),
-            ("nf-ipm", "--tau", "-1"),
-            ("classical", "--tau", "-1"),
             ("nf-ipm", "--eps", "-1"),
             ("nf-ipm", "--xi", "-1"),
             ("nf-ipm", "--max-iter", "-3"),
@@ -274,6 +270,16 @@ class TestSolveCommand:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_step_cap_is_not_a_flag(self, problem_file, capsys):
+        # the corrector's step cap is the constant newton.TAU
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--tau" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(problem_file), "--tau", "0.5"])
+        assert exc.value.code == EXIT_INVALID
 
 
 class TestGenCommand:
@@ -427,6 +433,8 @@ class TestBenchCommand:
             {"equality_sweep": {"n": 4, "seed": "x"}},
             {"config": {"density_threshold": 0.4}},
             {"config": {"rank_tol": 1e-6}},
+            {"config": {"tau": 0.999}},
+            {"config": {"asm_max_iter": 200}},
             {"config": {"max_iter": True}},
             {"seeds": [True], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
             {"seeds": [0.5], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
@@ -456,6 +464,8 @@ class TestBenchCommand:
             "string-sweep-seed",
             "removed-density-threshold",
             "removed-rank-tol",
+            "removed-tau",
+            "removed-asm-max-iter",
             "bool-max-iter",
             "bool-seed",
             "fraction-seed",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hlsp import cascade, newton
 from hlsp.config import SolverConfig
 
 
@@ -9,9 +10,9 @@ def test_documented_defaults():
     assert cfg.eps == 1e-12
     assert cfg.xi == 1e-8
     assert cfg.max_iter == 50
-    assert cfg.tau == 0.999
-    assert cfg.asm_max_iter == 200
     assert cfg.method == "nf-ipm"
+    assert newton.TAU == 0.999
+    assert cascade.ASM_MAX_ITER == 200
 
 
 def test_rejects_unknown_method():
@@ -32,15 +33,15 @@ def test_step_form_mapping():
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("tau", 0.0),
-        ("tau", 1.0),
-        ("tau", float("nan")),
+        ("xi", 0.0),
+        ("xi", float("inf")),
+        ("eps", "1e-12"),
         ("eps", 0.0),
         ("xi", -1e-8),
         ("eps", float("inf")),
         ("xi", float("nan")),
         ("max_iter", -1),
-        ("asm_max_iter", -1),
+        ("max_iter", "3"),
         ("warm_active_sets", 5),
         ("warm_active_sets", [(0, 1)]),
         ("warm_active_sets", {1: 3}),
@@ -53,11 +54,8 @@ def test_step_form_mapping():
         # counts are integers and values are real numbers, neither a bool
         ("max_iter", 2.5),
         ("max_iter", True),
-        ("asm_max_iter", 3.0),
-        ("asm_max_iter", False),
         ("eps", True),
         ("xi", True),
-        ("tau", "0.5"),
     ],
 )
 def test_rejects_out_of_range_setting(field, value):
@@ -65,15 +63,16 @@ def test_rejects_out_of_range_setting(field, value):
         SolverConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["rank_tol", "solve_tol"])
+@pytest.mark.parametrize("field", ["rank_tol", "solve_tol", "tau", "asm_max_iter"])
 def test_rank_tolerances_are_not_settings(field):
-    # the rank cuts are constants of the factorization and the Newton step
+    # the rank cuts, the corrector's step cap (newton.TAU) and the active-set
+    # search budget (cascade.ASM_MAX_ITER) are constants of the code
     with pytest.raises(TypeError, match=field):
         SolverConfig(**{field: 1e-8})
 
 
 def test_accepts_edge_settings():
-    cfg = SolverConfig(tau=0.5, max_iter=0, asm_max_iter=0)
+    cfg = SolverConfig(max_iter=0)
     assert cfg.max_iter == 0
-    SolverConfig(eps=np.float64(1e-10), tau=np.float32(0.9), max_iter=np.int64(3))
+    SolverConfig(eps=np.float64(1e-10), xi=np.float32(1e-6), max_iter=np.int64(3))
     SolverConfig(warm_active_sets={1: np.arange(2), 2: (), 3: range(1)})

@@ -1,0 +1,72 @@
+"""The FOUND corpus: instances CHANGES.md records as solved wrongly.
+
+Each ``found/*.json`` holds a problem and its ``brute_force_cascade``
+objectives. A method that still misses one carries an xfail naming its
+FOUND line; a strict one turns a fix into an XPASS, so the fix is seen.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hlsp.cascade import solve_hlsp
+from hlsp.config import METHODS, SolverConfig
+from hlsp.fileio import problem_from_dict
+from hlsp.oracle import brute_force_cascade, cascade_objectives
+
+CORPUS = Path(__file__).parent / "found"
+INSTANCES = ("row_and_multiple", "conflicting_pair", "scaled")
+OBJECTIVE_TOL = 1e-6
+
+ROW_AND_MULTIPLE = "FOUND: ls-ipm returns a level-2 objective of 20.0"
+RULE_GREW_LS_ASM = "FOUND: ls-ipm-asm's level-2 objective grew to 1.29e15 under the step rule"
+TWICE_THE_OPTIMUM = "FOUND: the -asm methods return twice the optimal level-2 objective"
+SCALED_LEVEL_1 = "FOUND: on scaled.json nf-ipm's level-1 point is not optimal"
+ASM_DRIFT = "FOUND: the -asm search's first inner solve pins nothing; rounding decides"
+LS_SCALED = "FOUND: on scaled.json ls-ipm is 2.9e-6 off the oracle"
+
+# (instance, method) -> (strict, reason)
+MISSES = {
+    ("row_and_multiple", "ls-ipm"): (True, ROW_AND_MULTIPLE),
+    ("row_and_multiple", "ls-ipm-asm"): (True, RULE_GREW_LS_ASM),
+    ("conflicting_pair", "nf-ipm-asm"): (True, TWICE_THE_OPTIMUM),
+    ("conflicting_pair", "ls-ipm-asm"): (True, TWICE_THE_OPTIMUM),
+    ("scaled", "nf-ipm"): (True, SCALED_LEVEL_1),
+    # classical falls back to the normal form on every level here
+    ("scaled", "classical"): (True, SCALED_LEVEL_1),
+    ("scaled", "nf-ipm-asm"): (False, ASM_DRIFT),
+    ("scaled", "ls-ipm-asm"): (False, ASM_DRIFT),
+    # within three times the tolerance
+    ("scaled", "ls-ipm"): (False, LS_SCALED),
+}
+
+
+def load(name):
+    data = json.loads((CORPUS / f"{name}.json").read_text())
+    return problem_from_dict(data["problem"]), data["objectives"]
+
+
+def cases():
+    for name in INSTANCES:
+        for method in METHODS:
+            miss = MISSES.get((name, method))
+            marks = () if miss is None else pytest.mark.xfail(
+                raises=AssertionError, strict=miss[0], reason=miss[1]
+            )
+            yield pytest.param(name, method, marks=marks, id=f"{name}-{method}")
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_stored_objectives_are_the_oracle(name):
+    problem, objectives = load(name)
+    expected = cascade_objectives(problem, brute_force_cascade(problem)[1])
+    assert np.allclose(objectives, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,method", cases())
+def test_method_matches_the_oracle(name, method):
+    problem, objectives = load(name)
+    rep = solve_hlsp(problem, SolverConfig(method=method))
+    assert np.allclose(rep.objectives, objectives, rtol=0.0, atol=OBJECTIVE_TOL)

@@ -633,16 +633,16 @@ class TestStepLength:
         assert [a.tobytes() for a in arrays] == before
 
     def test_config_tau_at_or_below_the_floor_keeps_the_fixed_fraction(self, monkeypatch):
-        # every corrector step of a level solved with tau = 0.5 is min(1, 0.5 a_max)
-        cfg = SolverConfig(tau=0.5)
-        ctx, s0 = build_random_level(7500, n=5, m_eq=1, m_ineq=3, m_inact=2, m_prior=1, config=cfg)
+        # every corrector step of a level solved with TAU = 0.5 is min(1, 0.5 a_max)
+        monkeypatch.setattr(newton, "TAU", 0.5)
+        ctx, s0 = build_random_level(7500, n=5, m_eq=1, m_ineq=3, m_inact=2, m_prior=1)
         s = initial_state(ctx, s0.x)
         rule = newton.step_length
         calls = []
 
         def checked(state, d, tau):
             alpha = rule(state, d, tau)
-            calls.append(same_bits(alpha, line_search(state, d, tau)))
+            calls.append(tau == 0.5 and same_bits(alpha, line_search(state, d, tau)))
             return alpha
 
         monkeypatch.setattr(newton, "step_length", checked)
