@@ -261,12 +261,24 @@ class TestSolveCommand:
             ("nf-ipm", "--eps", "-1"),
             ("nf-ipm", "--xi", "-1"),
             ("nf-ipm", "--max-iter", "-3"),
+            ("ls-ipm", "--tau", "1.5"),
+            ("ls-ipm", "--tau", "nan"),
+            ("nf-ipm", "--tau", "-1"),
+            ("classical", "--tau", "-1"),
         ],
     )
     def test_out_of_range_setting_is_invalid(
         self, problem_file, capsys, method, flag, value
     ):
-        code = main(["solve", str(problem_file), "--method", method, flag, value])
+        argv = ["solve", str(problem_file), "--method", method, flag, value]
+        if flag == "--tau":
+            # the step cap is the constant newton.TAU: the parser rejects the flag
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_INVALID
+            assert f"unrecognized arguments: --tau {value}" in capsys.readouterr().err
+            return
+        code = main(argv)
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

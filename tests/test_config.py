@@ -56,10 +56,20 @@ def test_step_form_mapping():
         ("max_iter", True),
         ("eps", True),
         ("xi", True),
+        # the step cap and the active-set budget are constants of the code
+        # (newton.TAU, cascade.ASM_MAX_ITER): any value is an unknown field
+        ("tau", 0.0),
+        ("tau", 1.0),
+        ("tau", float("nan")),
+        ("tau", "0.5"),
+        ("asm_max_iter", -1),
+        ("asm_max_iter", 3.0),
+        ("asm_max_iter", False),
     ],
 )
 def test_rejects_out_of_range_setting(field, value):
-    with pytest.raises(ValueError, match=field):
+    error = TypeError if field in ("tau", "asm_max_iter") else ValueError
+    with pytest.raises(error, match=field):
         SolverConfig(**{field: value})
 
 
