@@ -224,21 +224,20 @@ def build_level_context(state: CascadeState, level, config, counters):
 def _level_form(ctx):
     """Step form for the level; classical needs a nonsingular quadratic term.
 
-    The term's rank equals the rank of the stacked level and carried rows
-    (the barrier weights are positive diagonals), so applicability is
-    structural and probed once; a rank lost to rounding inside the Newton
-    loop is caught by ``solve_hlsp``. A level without rows of its own or
-    carried ones has nothing to factorize and is not probed; one with
-    fewer rows than variables is singular without a probe. Returns
+    The term's rank is at most the number of stacked level and carried
+    rows, so a level with fewer rows than variables takes the projected
+    normal form at once, and one without rows has nothing to factorize and
+    keeps its form. Every other level starts classical, and the first
+    Cholesky factorization of its quadratic term is the applicability test:
+    a breakdown or a pivot at rounding level raises ``MethodNotApplicable``,
+    and ``solve_hlsp`` restarts the level in the normal form. Returns
     (form, fell_back).
     """
     cfg = ctx.config
     m = ctx.m_eq + ctx.m_ineq + ctx.m_inact
-    if cfg.step_form != "classical" or m == 0:
-        return cfg.step_form, False
-    if m < ctx.n or rrqr(np.vstack([ctx.a_eq, ctx.a_ineq, ctx.a_inact])).rank < ctx.n:
+    if cfg.step_form == "classical" and 0 < m < ctx.n:
         return "normal", True
-    return "classical", False
+    return cfg.step_form, False
 
 
 def newton_loop(ctx, s, form):
@@ -372,9 +371,13 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
 
     The single entry point for every method: the ``-asm`` methods run the
     active-set search on levels with inequalities, the others the
-    interior point alone. The active-constraint duals in ``last_duals``
-    take one chain walk, made after the cascade for the last level solved
-    and counted in that level's ``dual_evaluations``.
+    interior point alone. A ``classical`` level whose quadratic term has no
+    Cholesky factor, at its first iteration or a later one, restarts from
+    its start in the projected normal form and reports ``method_fallback``;
+    its counters keep the abandoned iterations and factorizations. The
+    active-constraint duals in ``last_duals`` take one chain walk, made
+    after the cascade for the last level solved and counted in that
+    level's ``dual_evaluations``.
     """
     config = config if config is not None else SolverConfig()
     violations = validate_problem(problem)
@@ -426,8 +429,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             try:
                 s, conv, norm = newton_loop(ctx, start, form=form)
             except MethodNotApplicable:
-                # barrier weights can still make the quadratic term lose
-                # rank numerically; restart the level in the projected form
+                # the quadratic term has no Cholesky factor, at the first
+                # iteration or once barrier weights made it lose rank
+                # numerically; restart the level in the projected form
                 s, conv, norm = newton_loop(ctx, start, form="normal")
                 fell_back = True
             retained = ctx.stage1

@@ -1,4 +1,4 @@
-"""Rank-revealing QR kernels and null-space bases.
+"""Rank-revealing QR and Cholesky kernels, and null-space bases.
 
 Q factors are never formed explicitly. They are kept as a sequence of
 LAPACK compact-reflector blocks, the ``(v, tau)`` output of xGEQRF or
@@ -7,7 +7,10 @@ column-pivoted QR of Quintana-Orti, Sun & Bischof (1998). The staged
 factorization reuses a constant bottom block that was factorized once and
 only refactorizes the rows stacked on top of it, in two LAPACK calls: one
 xGEQRF of the columns the retained factor already pivoted, then one xGEQP3
-of the block that remains.
+of the block that remains. The Cholesky kernels factor the symmetric
+matrices of the range-space step: xPOTRF a positive definite one, and
+xPSTRF, the pivoted Cholesky of Higham (2002, ch. 10), a semidefinite one
+up to its numerical rank.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr, dpotrf, dpstrf, dtrtrs
 
 DEFAULT_RANK_TOL = 1e-10
 # LAPACK block size assumed when sizing work arrays
@@ -211,6 +214,85 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, scale_rows=None):
     if counter is not None:
         counter.count_factorization(m, k)
     return Rrqr(q, r, qr[:rank, rank:].copy(), perm, rank, (m, k))
+
+
+@dataclass
+class Cholesky:
+    """Cholesky factor ``A[p][:, p] = R^T R`` over the pivot rows ``p`` of A.
+
+    ``pivots`` is ``slice(None)`` for an unpivoted factor of full rank;
+    a pivoted factor of rank r lists the r rows it kept, in pivot order.
+    """
+
+    r: np.ndarray
+    pivots: object
+    shape: tuple
+
+    @property
+    def rank(self):
+        return self.r.shape[0]
+
+    def forward(self, b):
+        """``R^-T b[p]`` for a vector or a matrix with one row per row of A."""
+        return _trsolve(self.r, np.asarray(b, dtype=float)[self.pivots], trans="T")
+
+    def back(self, y):
+        """The x with ``x[p] = R^-1 y`` and every other component 0."""
+        x = np.zeros((self.shape[0],) + np.shape(y)[1:])
+        x[self.pivots] = _trsolve(self.r, y)
+        return x
+
+    def solve_basic(self, rhs):
+        """Basic solution of ``A x = rhs``: the non-pivot components at zero."""
+        if not self.rank:
+            return np.zeros(np.shape(rhs))
+        return self.back(self.forward(rhs))
+
+
+def cholesky(matrix, tol=DEFAULT_RANK_TOL, counter=None):
+    """Cholesky factor of a symmetric positive definite matrix (LAPACK xPOTRF).
+
+    Reads the upper triangle. Raises ``LinAlgError`` when the factorization
+    breaks down, or a pivot ``R_jj^2`` is not above ``tol`` times the
+    largest diagonal entry, which an Inf or a NaN on the diagonal never is.
+    The factorization is counted before that is decided.
+    """
+    a = np.asarray(matrix, dtype=float)
+    k = a.shape[0]
+    c, info = dpotrf(a, lower=0, clean=1)
+    if counter is not None:
+        counter.count_factorization(k, k)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    least = float(np.min(c.diagonal()))
+    if info > 0 or not least * least > tol * float(np.max(a.diagonal())):
+        raise LinAlgError(
+            f"not positive definite to {tol:g} of the largest diagonal entry"
+        )
+    return Cholesky(c, slice(None), (k, k))
+
+
+def pivoted_cholesky(matrix, tol=DEFAULT_RANK_TOL, counter=None):
+    """Pivoted Cholesky of a symmetric semidefinite matrix (LAPACK xPSTRF).
+
+    Reads the upper triangle. The factorization stops at the first pivot
+    at or below ``tol`` times the largest diagonal entry. The rows it
+    leaves are dependent on the pivot rows to that tolerance, and the
+    basic solve sets their components to zero. A diagonal that is not
+    finite raises ``NonFiniteError``, as a triangular solve on it would.
+    """
+    a = np.asarray(matrix, dtype=float)
+    k = a.shape[0]
+    top = float(np.max(a.diagonal()))
+    if not np.isfinite(top):
+        raise NonFiniteError("array must not contain infs or NaNs")
+    c, piv, rank, info = dpstrf(a, tol=tol * top, lower=0)
+    if counter is not None:
+        counter.count_factorization(k, k)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpstrf")
+    r = _zero_below_diagonal(c[:rank, :rank].copy())
+    return Cholesky(r, np.subtract(piv[:rank], 1, dtype=int), (k, k))
 
 
 def nullspace_update(basis, f: Rrqr):

@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from .factorization import rrqr, staged_rrqr
+from .factorization import cholesky, pivoted_cholesky, rrqr, staged_rrqr
 
 PIVOT_CLAMP = 1e-30
 # rank cut of the per-iteration step factorizations, relative to their scale
@@ -40,7 +41,7 @@ TAU = 0.999
 
 
 class MethodNotApplicable(RuntimeError):
-    """The classical normal equations need a full-rank quadratic term."""
+    """The classical step's quadratic term has no Cholesky factor."""
 
 
 class SingularWeightError(RuntimeError):
@@ -543,23 +544,30 @@ def _ls_solver(ctx, fr):
 def _classical_solver(ctx, fr):
     """Factor the full-space quadratic term and the Schur complement once.
 
-    The solve finds the new active duals from ``M lam = -r2 - A_act C^-1 r1``
-    and steps by ``C^-1 (r1 + A_act^T lam)``.
+    The range-space step of Nocedal & Wright (2006, section 16.2): the
+    quadratic term C = U^T U by Cholesky, whose breakdown or tiny pivot
+    raises ``MethodNotApplicable``, and with W = U^-T A_act^T the Schur
+    complement M = W^T W = A_act C^-1 A_act^T by pivoted Cholesky. The
+    solve finds the new active duals from ``M lam = -r2 - W^T U^-T r1``
+    and steps by ``U^-1 (U^-T r1 + W lam) = C^-1 (r1 + A_act^T lam)``.
+    Dependent active rows leave M semidefinite; their duals are set to 0,
+    which leaves ``A_act^T lam``, and so the step, as it is.
     """
     c = ctx.a_eq.T @ ctx.a_eq
     if ctx.m_ineq:
         c = c + (ctx.a_ineq * fr.wt_ineq[:, None]).T @ ctx.a_ineq
     if ctx.m_inact:
         c = c + (ctx.a_inact * fr.wt_inact[:, None]).T @ ctx.a_inact
-    fact_c = rrqr(c, tol=STEP_TOL, counter=ctx.counters)
-    if fact_c.rank < ctx.n:
+    try:
+        fact_c = cholesky(c, tol=STEP_TOL, counter=ctx.counters)
+    except LinAlgError as exc:
         raise MethodNotApplicable(
-            f"quadratic term is rank {fact_c.rank} < {ctx.n}; "
+            f"quadratic term has no Cholesky factor ({exc}); "
             "classical normal equations need it nonsingular"
-        )
+        ) from None
     if ctx.m_act:
-        m = ctx.a_act @ fact_c.solve_basic(ctx.a_act.T)
-        fact_m = rrqr(m, counter=ctx.counters)
+        w = fact_c.forward(ctx.a_act.T)
+        fact_m = pivoted_cholesky(w.T @ w, counter=ctx.counters)
         neg_r2 = -(fr.ax_act - ctx.b_act - ctx.v_act)
     r1_eq = ctx.a_eq.T @ fr.rhs_eq
 
@@ -569,10 +577,10 @@ def _classical_solver(ctx, fr):
             r1 = r1 + ctx.a_ineq.T @ g_vec
         if ctx.m_inact:
             r1 = r1 + ctx.a_inact.T @ f_vec
+        t = fact_c.forward(r1)
         if ctx.m_act:
-            lam = fact_m.solve_basic(neg_r2 - ctx.a_act @ fact_c.solve_basic(r1))
-            r1 = r1 + ctx.a_act.T @ lam
-        return fact_c.solve_basic(r1)
+            t = t + w @ fact_m.solve_basic(neg_r2 - w.T @ t)
+        return fact_c.back(t)
 
     return solve
 

@@ -15,6 +15,7 @@ def build_random_level(
     m_inact=2,
     m_prior=2,
     prior_stages=1,
+    prior_dependent=0,
     config=None,
 ):
     """Random mid-solve snapshot of one level with valid sign conditions.
@@ -22,7 +23,10 @@ def build_random_level(
     Prior levels are materialized as chain stages so the active stack, the
     null-space basis and the dual recursion are all real. The primal is
     placed on the active constraints so the augmented system's secondary
-    right-hand side vanishes, as the cascade maintains it.
+    right-hand side vanishes, as the cascade maintains it. The last
+    ``prior_dependent`` rows of each prior stage, with their right-hand
+    sides and violations, are combinations of its other rows, as restated
+    rows are in a cascade.
     """
     rng = np.random.default_rng(seed)
     config = config or SolverConfig()
@@ -31,6 +35,11 @@ def build_random_level(
         rows = rng.uniform(-1, 1, (m_prior, n))
         rhs = rng.uniform(-1, 1, m_prior)
         v_star = rng.uniform(-0.5, 0.0, m_prior)
+        if prior_dependent:
+            base = m_prior - prior_dependent
+            mix = rng.uniform(-1, 1, (prior_dependent, base))
+            rows[base:], rhs[base:] = mix @ rows[:base], mix @ rhs[:base]
+            v_star[base:] = mix @ v_star[:base]
         fact = rrqr(rows @ chain.basis)
         chain.extend(rows, rhs, v_star, fact)
     a_act, b_act, v_act = chain.rows, chain.rhs, chain.v_star

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlsp import cascade
+from hlsp import cascade, newton
 from hlsp.cascade import (
     CascadeState,
     InactiveCarry,
@@ -766,7 +766,7 @@ class TestClassicalMethod:
         counted_rrqr = cascade.rrqr
 
         def rrqr(matrix, *args, counter=None, **kwargs):
-            if counter is None:  # only the probe goes uncounted
+            if counter is None:  # an uncounted call would be a probe
                 probes.append(np.shape(matrix))
             return counted_rrqr(matrix, *args, counter=counter, **kwargs)
 
@@ -796,6 +796,45 @@ class TestClassicalMethod:
         _, v_o = brute_force_cascade(problem)
         gaps = np.abs(np.array(rep.objectives) - cascade_objectives(problem, v_o))
         assert np.all(gaps < 1e-6)
+
+
+# levels with at least as many rows as variables, where classical runs,
+# falls back at its first Cholesky factorization, or loses rank later
+COUNTED_PROBLEMS = (
+    random_hlsp(5, 4, [(2, 3, 0, "feasible"), (4, 0, 0, "feasible")]),
+    random_hlsp(17, 5, [(5, 0, 2, "feasible"), (2, 2, 0, "mixed"), (5, 0, 0, "feasible")]),
+    random_hlsp(41, 6, [(1, 3, 0, "feasible"), (2, 4, 0, "infeasible"), (6, 0, 1, "feasible")]),
+) + NUMERICALLY_SINGULAR
+# every binding of a factorization kernel that a solve calls
+KERNEL_SITES = (
+    (cascade, "rrqr"),
+    (newton, "rrqr"),
+    (newton, "staged_rrqr"),
+    (newton, "cholesky"),
+    (newton, "pivoted_cholesky"),
+)
+
+
+class TestCountedWork:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_factorization_is_counted(self, monkeypatch, method):
+        counters = []
+
+        def counted(kernel):
+            def call(matrix, *args, counter=None, **kwargs):
+                if np.size(matrix):
+                    counters.append(counter)
+                return kernel(matrix, *args, counter=counter, **kwargs)
+
+            return call
+
+        for module, name in KERNEL_SITES:
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        for problem in COUNTED_PROBLEMS:
+            counters.clear()
+            rep = solve_hlsp(problem, SolverConfig(method=method))
+            assert all(c is not None for c in counters)
+            assert len(counters) == sum(lv.factorizations for lv in rep.levels)
 
 
 class TestInvariants:

@@ -5,13 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from numpy.linalg import LinAlgError
+
 from hlsp.factorization import (
     DEFAULT_RANK_TOL,
+    NonFiniteError,
     _trsolve,
+    cholesky,
     nullspace_update,
+    pivoted_cholesky,
     rrqr,
     staged_rrqr,
 )
+from hlsp.newton import Counters
 
 
 def formed_nullspace(f):
@@ -168,6 +174,63 @@ def eliminate_column(col):
     """Zero col[1:] against col[0] as stage 2 of a staged factorization."""
     col = np.asarray(col, dtype=float)
     return staged_rrqr(col[1:, None], rrqr(col[:1, None]))
+
+
+def gram(seed, m, rank):
+    """A random m x m symmetric semidefinite matrix of the given rank."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1, 1, (rank, m))
+    return w.T @ w
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solves_positive_definite_system(self, seed):
+        a = gram(seed, 6, 8)
+        b = np.random.default_rng(seed).uniform(-1, 1, 6)
+        f = cholesky(a)
+        assert np.allclose(f.r.T @ f.r, a, atol=1e-13)
+        assert np.allclose(f.solve_basic(b), np.linalg.solve(a, b), atol=1e-10)
+        assert np.allclose(f.back(f.forward(a)), np.eye(6), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.ones((2, 2)), -np.eye(3), np.diag([1.0, 1e-16]), np.diag([np.inf, 1.0]),
+         np.diag([np.nan, 1.0])],
+        ids=["singular", "negative", "tiny-pivot", "inf", "nan"],
+    )
+    def test_no_factor_raises_and_is_counted(self, a):
+        counter = Counters()
+        with pytest.raises(LinAlgError):
+            cholesky(a, tol=1e-15, counter=counter)
+        assert counter.fact_shapes == [a.shape]
+
+    def test_pivot_at_the_tolerance_is_kept(self):
+        assert cholesky(np.diag([1.0, 1e-14]), tol=1e-15).rank == 2
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize("m,rank", [(6, 6), (9, 8), (7, 3)])
+    def test_basic_solution_of_consistent_system(self, m, rank):
+        a = gram(m + rank, m, rank)
+        x_true = np.random.default_rng(rank).uniform(-1, 1, m)
+        counter = Counters()
+        f = pivoted_cholesky(a, counter=counter)
+        assert f.rank == rank and counter.fact_shapes == [(m, m)]
+        x = f.solve_basic(a @ x_true)
+        assert np.allclose(a @ x, a @ x_true, atol=1e-10)
+        # the rows left out of the pivots get zero components
+        assert np.count_nonzero(x) <= rank
+        p = f.pivots
+        assert np.allclose(f.r.T @ f.r, a[np.ix_(p, p)], atol=1e-13)
+
+    def test_zero_matrix_has_rank_zero(self):
+        f = pivoted_cholesky(np.zeros((3, 3)))
+        assert f.rank == 0 and np.array_equal(f.solve_basic(np.ones(3)), np.zeros(3))
+
+    def test_non_finite_diagonal_raises(self):
+        with pytest.raises(NonFiniteError):
+            pivoted_cholesky(np.diag([np.inf, 1.0]))
 
 
 class TestSparseColumnElimination:

@@ -17,7 +17,9 @@ from hlsp.fileio import problem_from_dict
 from hlsp.oracle import brute_force_cascade, cascade_objectives
 
 CORPUS = Path(__file__).parent / "found"
-INSTANCES = ("row_and_multiple", "conflicting_pair", "scaled")
+# carried_pair: small_oracle seed 613 problem 55, whose level 2 has only the
+# carried pair of level 1 as barrier rows
+INSTANCES = ("row_and_multiple", "conflicting_pair", "scaled", "carried_pair")
 OBJECTIVE_TOL = 1e-6
 
 ROW_AND_MULTIPLE = "FOUND: ls-ipm returns a level-2 objective of 20.0"

@@ -246,6 +246,35 @@ class TestClassicalStep:
         dx_nf = ctx.basis @ dz
         assert np.allclose(dx_cl, dx_nf, atol=1e-8 * max(1, np.linalg.norm(dx_nf)))
 
+    def test_dependent_active_rows_leave_the_step_as_it_is(self, monkeypatch):
+        # two prior stages of 3 rows, each of rank 2, as eq_chain stacks 9
+        # rows of rank 8 per level: the Schur complement is semidefinite
+        n, m_act = 6, 6
+        ctx, s = build_random_level(
+            32, n=n, m_eq=4, m_ineq=2, m_inact=2, m_prior=3, prior_stages=2,
+            prior_dependent=1, config=SolverConfig(method="classical"),
+        )
+        assert ctx.m_act == m_act and np.linalg.matrix_rank(ctx.a_act) == 4
+        ranks, kernel = [], newton.pivoted_cholesky
+
+        def pivoted_cholesky(matrix, *args, **kwargs):
+            fact = kernel(matrix, *args, **kwargs)
+            ranks.append(fact.rank)
+            return fact
+
+        monkeypatch.setattr(newton, "pivoted_cholesky", pivoted_cholesky)
+        f, g = assemble_f_g(ctx, s, 0.003, 0.004)
+        dx_cl = _step_solver(ctx, s, "classical")(f, g).dx
+        assert ranks == [4]
+        dx_nf = ctx.basis @ _step_solver(ctx, s, "normal")(f, g).dz
+        scale = max(1.0, np.linalg.norm(dx_nf))
+        assert np.linalg.norm(dx_cl - dx_nf) <= 1e-8 * scale
+        for _ in range(3):
+            before = len(ctx.counters.fact_shapes)
+            s = mehrotra_iteration(ctx, s, "classical")
+            assert ctx.counters.fact_shapes[before:] == [(n, n), (m_act, m_act)]
+        assert ranks == [4] * 4
+
     def test_singular_quadratic_term_rejected(self):
         cfg = SolverConfig(method="classical")
         ctx, s = build_random_level(
