@@ -1,19 +1,20 @@
-"""Hierarchy driver: cascades one Newton solve per priority level.
+"""Hierarchy driver: cascades one solve per priority level.
 
 After a level converges, carried inactive constraints that are saturated
 with a significant dual move into a virtual priority level, and the
 level's own equalities plus its violated inequalities are pinned at their
 optimal violations. Both activations extend the null-space chain, so every
-later level sees fewer free variables. The hybrid variant searches each
-level's active set explicitly while the carried constraints stay enforced
-through the barrier.
+later level sees fewer free variables. The ``-asm`` methods solve each
+level by a barrier-free primal active-set method instead of the interior
+point: one equality-constrained least-squares step in the chain basis per
+working set, the carried constraints held as hard rows.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,23 +25,26 @@ from .newton import (
     IterateState,
     LevelContext,
     MethodNotApplicable,
+    boundary_state,
     converged,
     initial_state,
     mehrotra_iteration,
     recover_equality_dual,
 )
 from .problem import (
-    ConstraintBlock,
     HlspProblem,
-    Level,
     bound_row_flags,
     tag_bound_rows,
     validate_problem,
 )
 
-# active-set changes one level's search may make before it hands the level
-# to the interior point
+# working-set changes an active-set level solve may make: this many, and as
+# many again per hundred rows the level can move (its inequality and
+# carried rows)
 ASM_MAX_ITER = 200
+# a row blocks an active-set step only when the step lowers its residual by
+# more than this share of |row| (|x| + |step|); a smaller fall is rounding
+FALL_TOL = 1e-13
 
 
 class InvalidProblemError(ValueError):
@@ -247,8 +251,7 @@ def newton_loop(ctx, s, form):
     loop tests once before its first step. Levels without barrier rows have
     a linear optimality system: unless the start is already optimal, they
     fail the first test, take one step and pass the second. Every step is
-    taken in ``form``, the step form of ``mehrotra_iteration``. The iteration
-    cap applies per call, so active-set re-solves get a fresh budget. A step
+    taken in ``form``, the step form of ``mehrotra_iteration``. A step
     returns a new iterate and leaves the old one as it was, so the loop
     keeps the best iterate seen as it is. It exits and returns that iterate
     in two ways near the numerical floor: when the residual has not improved
@@ -369,11 +372,12 @@ def _level_objective(r_eq, r_ineq):
 def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     """Resolve the hierarchy level by level with the configured method.
 
-    The single entry point for every method: the ``-asm`` methods run the
-    active-set search on levels with inequalities, the others the
-    interior point alone. A ``classical`` level whose quadratic term has no
-    Cholesky factor, at its first iteration or a later one, restarts from
-    its start in the projected normal form and reports ``method_fallback``;
+    The single entry point for every method: the ``-asm`` methods solve
+    every level by ``asm_level_feasibility``, which runs no Newton
+    iteration, and the others by the interior point. Both ``-asm`` methods
+    run the same level solve. A ``classical`` level whose quadratic term
+    has no Cholesky factor, at its first iteration or a later one, restarts
+    from its start in the projected normal form and reports ``method_fallback``;
     its counters keep the abandoned iterations and factorizations. The
     active-constraint duals in ``last_duals`` take one chain walk, made
     after the cascade for the last level solved and counted in that
@@ -414,15 +418,11 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         m_inact_seen = state.carry.m
 
         fell_back = False
-        conv, retained = None, None
-        if config.uses_asm and level.inequalities.m > 0:
+        if config.uses_asm:
             ctx, s, conv, norm = asm_level_feasibility(
                 state, level, x, config, counters, warm_sets.get(idx, ())
             )
-            x = s.x
-        if conv is None:
-            # the interior point, also for a level whose active-set search
-            # cycled or ran out, started from the search's last primal
+        else:
             ctx = build_level_context(state, level, config, counters)
             start = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
@@ -434,7 +434,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 # numerically; restart the level in the projected form
                 s, conv, norm = newton_loop(ctx, start, form="normal")
                 fell_back = True
-            retained = ctx.stage1
+        retained = ctx.stage1
         x = s.x
         sub = not conv
         all_converged = all_converged and conv
@@ -525,52 +525,117 @@ def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
 
 
 def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
-    """Active-set search for one level's feasible or optimal infeasible point.
+    """Barrier-free primal active-set solve of one level from ``x``.
 
-    Inequalities of the level enter the objective only while active: each
-    inner Newton solve takes the equalities plus the active rows as its
-    equality block, so ``build_level_context`` refactorizes the active stack
-    after every add and every remove. The carried constraints of the higher
-    levels stay enforced through the barrier inside every inner solve.
-    Returns (ctx, s, conv, norm) of the last inner solve. A repeated active
-    set or an exhausted iteration budget ends the search with ``conv`` None
-    and its last primal in ``s.x``, from which ``solve_hlsp`` runs the
-    interior point on the level.
+    The working set holds level inequality rows pinned at their violation,
+    which join the equalities as objective rows, and carried rows held
+    tight. It starts from the level rows violated at ``x``, the carried
+    rows within ``xi`` of their bound and the rows of ``warm_set``. Each
+    working set takes one equality-constrained least-squares step in the
+    chain basis (``_working_set_step``). The ratio test over the rows
+    outside the set stops the step at the first row it would violate, and
+    that row joins the set. A full step ends at the set's minimizer, where
+    the multipliers decide: ``-r`` for a pinned row, the transposed solve
+    for a tight one. The most negative leaves the set, and none negative
+    ends the level (Nocedal & Wright, *Numerical Optimization*, 2006,
+    Alg. 16.3). From the first working set that repeats, the lowest-index
+    negative row leaves instead (Bland's rule). Every join and leave is
+    one ``asm_iterations``; a level whose budget of them is spent ends at
+    its last point, which is feasible, sub-converged.
+
+    Returns (ctx, s, conv, norm). ``ctx`` is the level's context with the
+    final pinned rows moved into its equality block, ``s`` the
+    ``boundary_state`` at the last point and ``conv`` and ``norm`` the
+    convergence test there. No Newton iteration runs. ``ctx.stage1`` is the
+    level's equality factorization when no row is pinned at the end and a
+    step made it, and None otherwise.
     """
-    eq, ineq = level.equalities, level.inequalities
-    active = [int(j) for j in warm_set]
-    seen_sets = {frozenset(active)}
-    no_rows = ConstraintBlock.empty(state.chain.n)
+    ctx = build_level_context(state, level, config, counters)
+    m = ctx.m_ineq
+    rows = np.vstack([ctx.a_ineq, ctx.a_inact])
+    rhs = np.concatenate([ctx.b_ineq, ctx.b_inact])
+    norms = np.linalg.norm(rows, axis=1)
+    res = rows @ x - rhs
+    work = res < 0.0
+    work[m:] = res[m:] < config.xi
+    work[np.asarray(warm_set, dtype=int)] = True
+    budget = ASM_MAX_ITER * (100 + rhs.size) // 100
+    seen, bland, spent = set(), False, False
     while True:
-        pinned = Level(
-            equalities=ConstraintBlock(
-                np.vstack([eq.matrix, ineq.matrix[active]]),
-                np.concatenate([eq.rhs, ineq.rhs[active]]),
-            ),
-            inequalities=no_rows,
-        )
-        ctx = build_level_context(state, pinned, config, counters)
-        # interior restart per solve: warm-starting the barrier variables
-        # from a previous boundary point jams the line search
-        s, conv, norm = newton_loop(ctx, initial_state(ctx, x), config.step_form)
-        x = s.x
-
-        if counters.asm_iterations >= ASM_MAX_ITER:
-            return ctx, s, None, norm
-        residuals = ineq.matrix @ x - ineq.rhs
-        inactive_rows = [j for j in range(ineq.m) if j not in active]
-        violated = [j for j in inactive_rows if residuals[j] < -config.xi]
-        satisfied = [j for j in active if residuals[j] >= config.xi]
-        if violated:
-            active.append(min(violated, key=lambda r: (residuals[r], r)))
-        elif satisfied:
-            # a positive residual on an active row means the row would be
-            # satisfied without being pinned: drop the most over-satisfied
-            active.remove(max(satisfied, key=lambda r: (residuals[r], -r)))
+        key = work.tobytes()
+        bland = bland or key in seen
+        seen.add(key)
+        x, p, (a, b, proj), fact = _working_set_step(ctx, x, work[:m], work[m:])
+        res = rows @ x - rhs
+        ap = rows @ p
+        scale = np.linalg.norm(x) + np.linalg.norm(p)
+        falls = np.flatnonzero(~work & (ap < -FALL_TOL * scale * norms))
+        ratios = np.maximum(res[falls], 0.0) / -ap[falls]
+        alpha = min(1.0, float(ratios.min(initial=1.0)))
+        x = x + alpha * p
+        res = rows @ x - rhs
+        lam = np.where(work, -res, 0.0)
+        if fact is not None:
+            lam[m:][work[m:]] = fact.solve_transpose_basic(proj.T @ (a @ x - b))
+        if alpha < 1.0:
+            change = int(falls[ratios.argmin()])
         else:
-            return ctx, s, conv, norm
+            leave = np.flatnonzero(work & (lam < -config.eps))
+            if leave.size == 0:
+                break
+            change = int(leave[0] if bland else leave[lam[leave].argmin()])
+        if counters.asm_iterations >= budget:
+            spent = True
+            break
+        work[change] = not work[change]
         counters.asm_iterations += 1
-        key = frozenset(active)
-        if key in seen_sets:
-            return ctx, s, None, norm
-        seen_sets.add(key)
+
+    pin = work[:m]
+    if pin.any():
+        keep = ~pin
+        ctx = replace(
+            ctx,
+            a_eq=a,
+            b_eq=b,
+            proj_eq=proj,
+            a_ineq=ctx.a_ineq[keep],
+            b_ineq=ctx.b_ineq[keep],
+            proj_ineq=ctx.proj_ineq[keep],
+            stage1=None,
+            eq_gram=None,
+        )
+    s = boundary_state(ctx, x, np.maximum(lam[m:], 0.0))
+    conv, norm = converged(ctx, s, config.eps)
+    return ctx, s, conv and not spent, norm
+
+
+def _working_set_step(ctx, x, pin, tight):
+    """One working set's equality-constrained least-squares step from ``x``.
+
+    The objective rows are the level's equalities and its ``pin`` rows. An
+    RRQR of the ``tight`` carried rows in the chain basis gives a
+    correction that puts them at their right-hand side and the null space
+    the step keeps; an RRQR of the objective rows in that null space gives
+    the basic least-squares step. Without tight rows the null space is the
+    chain basis, and without pinned rows the objective's RRQR is the
+    context's equality factorization. Returns (x, p, (a, b, proj), fact):
+    the corrected start, the step, the objective rows with their
+    right-hand side and their projection into the chain basis, and the
+    tight rows' RRQR (None without any).
+    """
+    a, b, proj = ctx.a_eq, ctx.b_eq, ctx.proj_eq
+    if pin.any():
+        a = np.vstack([a, ctx.a_ineq[pin]])
+        b = np.concatenate([b, ctx.b_ineq[pin]])
+        proj = np.vstack([proj, ctx.proj_ineq[pin]])
+    if not tight.any():
+        fact = ctx.equality_factorization() if a is ctx.a_eq else rrqr(
+            proj, counter=ctx.counters, scale_rows=a
+        )
+        return x, ctx.basis @ fact.solve_basic(b - a @ x), (a, b, proj), None
+    c = ctx.a_inact[tight]
+    fact = rrqr(ctx.proj_inact[tight], counter=ctx.counters, scale_rows=c)
+    x = x + ctx.basis @ fact.solve_basic(ctx.b_inact[tight] - c @ x)
+    free = rrqr(nullspace_update(proj, fact), counter=ctx.counters, scale_rows=a)
+    p = nullspace_update(ctx.basis, fact) @ free.solve_basic(b - a @ x)
+    return x, p, (a, b, proj), fact

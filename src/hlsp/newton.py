@@ -180,6 +180,23 @@ def initial_state(ctx: LevelContext, x):
     )
 
 
+def boundary_state(ctx, x, lam_inact):
+    """The barrier-free iterate at ``x`` of an active-set level solve.
+
+    Each inequality residual ``r`` splits into ``v = min(r, 0)`` and
+    ``w = max(r, 0)``, the carried slacks are the carried residuals, and
+    ``lam_inact`` holds the carried multipliers. A tight row's slack can be
+    zero, and then its barrier weight ``lam_inact / w_inact`` in the frame
+    is not finite; the convergence test reads no barrier weight.
+    """
+    r = ctx.a_ineq @ x - ctx.b_ineq
+    w_inact = ctx.a_inact @ x - ctx.b_inact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _iterate(
+            ctx, x, np.minimum(r, 0.0), np.maximum(r, 0.0), w_inact, lam_inact
+        )
+
+
 def _iterate(ctx, x, v_ineq, w_ineq, w_inact, lam_inact):
     """The iterate at these values, with its equality slack and frame."""
     # keeping the equality slack consistent preserves the feasibility of

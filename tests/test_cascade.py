@@ -519,11 +519,22 @@ def test_level_context_factorizes_nothing_up_front(method):
     assert counters.factorizations == 0
 
 
+def carried_row_blocks():
+    """Level 1 carries x <= 1; level 2 pulls x to (2, 0)."""
+    return HlspProblem(
+        n=2,
+        levels=(
+            lvl(2, np.zeros((0, 2)), [], [[-1.0, 0.0]], [-1.0]),
+            lvl(2, np.eye(2), [2.0, 0.0], np.zeros((0, 2)), []),
+        ),
+    )
+
+
 class TestAsm:
-    def test_feasible_start_zero_set_changes(self):
-        # equalities pin the solution at a point where every inequality
-        # already holds, so the initial solve is the last one
-        p = HlspProblem(
+    @staticmethod
+    def pinned_point_problem():
+        """x = (1, 1) by its equalities, with x >= 0.5, y >= 0.5, x + y >= 1.5."""
+        return HlspProblem(
             n=2,
             levels=(
                 lvl(
@@ -535,16 +546,39 @@ class TestAsm:
                 ),
             ),
         )
-        rep = hybrid_solve(p, SolverConfig(method="nf-ipm-asm"))
+
+    def test_feasible_start_zero_set_changes(self):
+        # from the optimum, where every inequality holds, no row is violated
+        # and the first working set's step is zero
+        config = SolverConfig(method="nf-ipm-asm", warm_start_x=[1.0, 1.0])
+        rep = hybrid_solve(self.pinned_point_problem(), config)
         assert rep.levels[0].asm_iterations == 0
         assert rep.converged
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-9)
 
+    def test_rows_violated_at_the_start_leave_one_at_a_time(self):
+        # at x = 0 all three rows are violated and pinned. Their minimizer is
+        # (0.75, 0.75), where rows 0 and 1 hold with r = 0.25: row 0 leaves
+        # (the tie goes to the lower index). The next minimizers are
+        # (0.9, 0.7), where row 1 leaves with r = 0.2, and (5/6, 5/6), where
+        # row 2 leaves with r = 1/6; the last set's minimizer is (1, 1)
+        p = self.pinned_point_problem()
+        rep = hybrid_solve(p, SolverConfig(method="nf-ipm-asm"))
+        assert rep.levels[0].asm_iterations == 3
+        assert rep.levels[0].iterations == 0
+        assert rep.converged
+        assert np.allclose(rep.x, [1.0, 1.0], atol=1e-12)
+        # four working sets, one RRQR each; the last is the equality block,
+        # which the projection reuses
+        assert rep.levels[0].fact_shapes == [(5, 2), (4, 2), (3, 2), (2, 2)]
+
     def test_conflicting_bounds_both_activate(self):
+        # x >= 1 is violated at 0 and pinned; the step to x = 1 is blocked at
+        # once by x <= 0, which joins, and the pair's minimizer is 0.5
         p = two_sided_conflict()
         rep = hybrid_solve(p, SolverConfig(method="ls-ipm-asm"))
         assert abs(rep.x[0] - 0.5) < 1e-8
-        assert rep.levels[0].asm_iterations == 2
+        assert rep.levels[0].asm_iterations == 1
 
     def test_warm_start_with_true_active_set(self):
         p = two_sided_conflict()
@@ -568,17 +602,91 @@ class TestAsm:
         hyb = hybrid_solve(p, SolverConfig(method="nf-ipm-asm"))
         assert np.allclose(pure.objectives, hyb.objectives, atol=1e-6)
 
+    def test_blocking_carried_row_joins(self):
+        # the step from 0 to (2, 0) meets level 1's x <= 1 halfway; the row
+        # joins with multiplier 1 and moves to a virtual level
+        rep = solve_hlsp(carried_row_blocks(), SolverConfig(method="nf-ipm-asm"))
+        lv = rep.levels[1]
+        assert (lv.asm_iterations, lv.rank_virtual, lv.sub_converged) == (1, 1, False)
+        assert np.allclose(rep.x, [1.0, 0.0], atol=1e-12)
+        assert lv.objective == pytest.approx(0.5)
+
+    def test_negative_carried_multiplier_leaves(self):
+        # both carried bounds x >= 0 and y >= 0 are tight at 0 and start in
+        # the set. Against the pull to (1, -1) the first has multiplier -1 and
+        # leaves, the second keeps 1 and moves to a virtual level
+        p = HlspProblem(
+            n=2,
+            levels=(
+                lvl(2, np.zeros((0, 2)), [], np.eye(2), [0.0, 0.0]),
+                lvl(2, np.eye(2), [1.0, -1.0], np.zeros((0, 2)), []),
+            ),
+        )
+        rep = solve_hlsp(p, SolverConfig(method="ls-ipm-asm"))
+        lv = rep.levels[1]
+        assert (lv.asm_iterations, lv.rank_virtual, lv.sub_converged) == (1, 1, False)
+        assert np.allclose(rep.x, [1.0, 0.0], atol=1e-12)
+        assert lv.objective == pytest.approx(0.5)
+
+    def test_repeated_set_switches_to_blands_rule_and_ends(self, monkeypatch):
+        # level 1 holds two of its rows twice and ends with one such pair
+        # tight. With the rounding guard of the ratio test off, a step of
+        # rounding size lets the row of the pair that just left join again,
+        # so a working set repeats; the search switches to Bland's rule
+        # there, and the level ends converged at the guarded solve's objective
+        pair = [
+            [0.32051591394044565, 0.7507649632885589],
+            [0.943841836004762, 0.6300829036052695],
+        ]
+        third = [[0.7119363942389763, -0.14068147920315077]]
+        b_pair = [0.26911615586539406, -0.18960165819492392]
+        task = [
+            [0.8082393522392939, 0.6946256829368573],
+            [0.8806586475596325, 0.6572970909819831],
+        ]
+        p = HlspProblem(
+            n=2,
+            levels=(
+                lvl(2, np.zeros((0, 2)), [], pair + third + pair,
+                    b_pair + [-0.5256946537266571] + b_pair),
+                lvl(2, [[1.0, 0.0]], [-0.5699040715658903],
+                    task, [0.649301998993821, -0.6749133201474018]),
+            ),
+        )
+        guarded = solve_hlsp(p, SolverConfig(method="nf-ipm-asm"))
+        sets, step = [], cascade._working_set_step
+
+        def recorded(ctx, x, pin, tight):
+            sets.append((ctx.counters, pin.tobytes(), tight.tobytes()))
+            return step(ctx, x, pin, tight)
+
+        monkeypatch.setattr(cascade, "FALL_TOL", 0.0)
+        monkeypatch.setattr(cascade, "_working_set_step", recorded)
+        rep = solve_hlsp(p, SolverConfig(method="nf-ipm-asm"))
+        level_2 = [key[1:] for key in sets if key[0] is sets[-1][0]]
+        assert len(set(level_2)) < len(level_2)
+        assert rep.converged
+        assert rep.levels[1].asm_iterations == len(level_2) - 1
+        assert np.allclose(rep.objectives, guarded.objectives, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
-    def test_exhausted_search_hands_level_to_interior_point(self, method, monkeypatch):
-        # with no search budget every level with inequalities goes to the
-        # interior point after the first inner solve
+    def test_spent_budget_ends_levels_feasible_and_sub_converged(self, method, monkeypatch):
+        # with no budget a level ends where its first working set's step
+        # stops: here feasible at x <= 1, which may not join
         monkeypatch.setattr(cascade, "ASM_MAX_ITER", 0)
+        rep = solve_hlsp(carried_row_blocks(), SolverConfig(method=method))
+        lv = rep.levels[1]
+        assert (lv.asm_iterations, lv.iterations, lv.sub_converged) == (0, 0, True)
+        assert np.allclose(rep.x, [1.0, 0.0], atol=1e-12)
+        cut = 0
         for seed in range(8):
             p = asm_problem(seed)
-            pure = solve_hlsp(p, SolverConfig(method="nf-ipm"))
             rep = solve_hlsp(p, SolverConfig(method=method))
-            assert all(lv.asm_iterations == 0 for lv in rep.levels)
-            assert np.allclose(pure.objectives, rep.objectives, atol=1e-6)
+            best = solve_hlsp(p, SolverConfig(method="nf-ipm")).levels[0].objective
+            assert all(lv.asm_iterations == lv.iterations == 0 for lv in rep.levels)
+            assert rep.levels[0].objective >= best - 1e-9
+            cut += sum(lv.sub_converged for lv in rep.levels)
+        assert cut > 0
 
     @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
     def test_every_active_stack_is_factorized(self, method):
@@ -596,7 +704,7 @@ class TestAsm:
             state, p.levels[0], np.zeros(1), config, counters, ()
         )
         assert conv
-        assert ctx.m_eq == 2  # the last inner solve pinned both rows
+        assert ctx.m_eq == 2  # the final working set pins both rows
         assert abs(s.x[0] - 0.5) < 1e-8
         # both rows are pinned at their optimal violations
         assert np.allclose(ctx.a_eq @ s.x - ctx.b_eq, [-0.5, -0.5], atol=1e-8)
@@ -1001,9 +1109,8 @@ class TestKnownStalls:
 def scaled_rows_problem():
     """Inequality rows scaled over 1e-6 to 1e6 (CI's ``scaled.json``).
 
-    In the last inner solve of the ``-asm`` search on level 3 a carried
-    multiplier diverges to about 1e208 while its slack falls to 1e-42, and
-    the KKT residual overflows.
+    The interior point's barrier weights span many decades here, and the
+    active-set solve holds its tight carried rows at a zero slack.
     """
     return problem_from_dict(
         {
@@ -1090,8 +1197,9 @@ class TestNonFiniteSteps:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_start_residual_returns_a_report(self, method):
-        # the -asm search starts an inner solve whose first convergence test
-        # overflows on the 1e150 row, before any step is taken
+        # the interior point's first convergence test overflows on the 1e150
+        # row, before any step is taken; the active-set solve tests only
+        # the point it ends at
         p = problem_from_dict(
             {
                 "n": 2,

@@ -179,9 +179,9 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("method", [*METHODS, "oracle"])
     def test_scaled_rows_raise_no_floating_point_warning(self, tmp_path, method):
-        # a barrier that diverges in an inner -asm solve overflows its
-        # residual; the level ends at its best finite iterate, and a leaked
-        # RuntimeWarning would turn into exit 5 under -W error
+        # rows scaled over 1e±6: the interior point's barrier weights span
+        # many decades, and the -asm solve holds tight carried rows at a zero
+        # slack; a leaked RuntimeWarning would turn into exit 5 under -W error
         path = tmp_path / "scaled.json"
         path.write_text(json.dumps(SCALED_PROBLEM))
         with warnings.catch_warnings():

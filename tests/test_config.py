@@ -76,7 +76,7 @@ def test_rejects_out_of_range_setting(field, value):
 @pytest.mark.parametrize("field", ["rank_tol", "solve_tol", "tau", "asm_max_iter"])
 def test_rank_tolerances_are_not_settings(field):
     # the rank cuts, the corrector's step cap (newton.TAU) and the active-set
-    # search budget (cascade.ASM_MAX_ITER) are constants of the code
+    # budget (cascade.ASM_MAX_ITER) are constants of the code
     with pytest.raises(TypeError, match=field):
         SolverConfig(**{field: 1e-8})
 
