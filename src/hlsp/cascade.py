@@ -4,10 +4,13 @@ After a level converges, carried inactive constraints that are saturated
 with a significant dual move into a virtual priority level, and the
 level's own equalities plus its violated inequalities are pinned at their
 optimal violations. Both activations extend the null-space chain, so every
-later level sees fewer free variables. The ``-asm`` methods solve each
-level by a barrier-free primal active-set method instead of the interior
-point: one equality-constrained least-squares step in the chain basis per
-working set, the carried constraints held as hard rows.
+later level sees fewer free variables. A barrier-free primal active-set
+method, one equality-constrained least-squares step in the chain basis per
+working set with the carried constraints held as hard rows, solves every
+level of the ``-asm`` methods. It also finishes every level with barrier
+rows of the interior-point methods (crossover): their Newton loop runs such
+a level only down to a KKT norm of ``HANDOVER``, and the active-set method
+takes over from that point, so the level ends on a checked active set.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .config import SolverConfig
 from .factorization import NonFiniteError, Rrqr, nullspace_update, rrqr
 from .newton import (
+    HANDOVER,
     Counters,
     IterateState,
     LevelContext,
@@ -244,35 +248,30 @@ def _level_form(ctx):
     return cfg.step_form, False
 
 
-def newton_loop(ctx, s, form):
-    """Run the level to optimality from ``s``; returns (s, converged, kkt_norm).
+def newton_loop(ctx, s, form, tol):
+    """Run the level from ``s`` to a KKT norm below ``tol``.
 
-    Every iteration is followed by the dual-free convergence test, and the
-    loop tests once before its first step. Levels without barrier rows have
-    a linear optimality system: unless the start is already optimal, they
-    fail the first test, take one step and pass the second. Every step is
-    taken in ``form``, the step form of ``mehrotra_iteration``. A step
-    returns a new iterate and leaves the old one as it was, so the loop
-    keeps the best iterate seen as it is. It exits and returns that iterate
-    in two ways near the numerical floor: when the residual has not improved
-    for six iterations, or, once the best norm is below ``100 * eps``, at once
-    when a step throws the norm above ten times the best (a level thrown
-    off the rounding floor so far almost never converges afterwards). It
-    does the same when a diverging barrier variable overflows the step or
-    the residual to an Inf or a NaN, and the level ends unconverged. Those
-    overflows, and one in the start's residual, are expected and raise no
-    floating-point warning.
+    Returns (s, converged, kkt_norm). Every iteration is followed by the
+    dual-free convergence test at ``tol``, and the loop tests once before
+    its first step. Levels without barrier rows have a linear optimality
+    system: unless the start is already optimal, they fail the first test,
+    take one step and pass the second. Every step is taken in ``form``, the
+    step form of ``mehrotra_iteration``. A step returns a new iterate and
+    leaves the old one as it was, so the loop keeps the best iterate seen
+    as it is. It ends unconverged at the iteration cap, or when a diverging
+    barrier variable overflows the step or the residual to an Inf or a NaN,
+    and returns that best iterate. Those overflows, and one in the start's
+    residual, are expected and raise no floating-point warning.
     """
     cfg = ctx.config
     start = ctx.counters.newton_iterations
     with np.errstate(over="ignore", invalid="ignore"):
-        conv, norm = converged(ctx, s, cfg.eps)
+        conv, norm = converged(ctx, s, tol)
         best_norm, best = norm, s
-        stalled = 0
         while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
             try:
                 s = mehrotra_iteration(ctx, s, form)
-                conv, norm = converged(ctx, s, cfg.eps)
+                conv, norm = converged(ctx, s, tol)
             except NonFiniteError:
                 conv, norm = False, math.inf
             if not math.isfinite(norm):
@@ -281,18 +280,26 @@ def newton_loop(ctx, s, form):
                 break
             if norm < best_norm:
                 best_norm, best = norm, s
-                stalled = 0
-            elif best_norm < 100 * cfg.eps and norm > 10 * best_norm:
-                break
-            else:
-                # early phases converge non-monotonically; only treat repeated
-                # non-improvement as floor-bouncing once the residual is tiny
-                stalled += 1
-                if stalled >= 6 and best_norm < 1e-8:
-                    break
     if not conv and best_norm < norm:
         s, norm = best, best_norm
     return s, conv, norm
+
+
+def _onto_chain(ctx, x):
+    """``x`` moved onto the pinned rows of the context's chain stages.
+
+    One forward walk over the stages, the mirror of
+    ``recover_equality_dual``: each stage's retained factorization gives
+    the basic step that puts its rows at ``rhs + v_star``, taken in the
+    basis before the stage, which the earlier stages' rows annihilate. So
+    no stage undoes an earlier one, and no factorization is made.
+    """
+    end = 0
+    for st in ctx.stages:
+        start, end = end, end + st.rows.shape[0]
+        target = ctx.b_act[start:end] + ctx.v_act[start:end]
+        x = x + st.basis_before @ st.fact.solve_basic(target - st.rows @ x)
+    return x
 
 
 def _activate(chain, rows, rhs, v_star, counters, retained=None):
@@ -378,10 +385,15 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     run the same level solve. A ``classical`` level whose quadratic term
     has no Cholesky factor, at its first iteration or a later one, restarts
     from its start in the projected normal form and reports ``method_fallback``;
-    its counters keep the abandoned iterations and factorizations. The
-    active-constraint duals in ``last_duals`` take one chain walk, made
-    after the cascade for the last level solved and counted in that
-    level's ``dual_evaluations``.
+    its counters keep the abandoned iterations and factorizations. A level
+    with barrier rows (its own inequalities or carried rows) leaves the
+    interior point at a KKT norm of ``HANDOVER``, or ``eps`` when that is
+    larger, and ``asm_level_feasibility`` finishes it from there: its
+    convergence test at ``eps`` decides ``sub_converged``, and its
+    working-set changes count as ``asm_iterations``. A level without
+    barrier rows takes its one Newton step alone. The active-constraint
+    duals in ``last_duals`` take one chain walk, made after the cascade for
+    the last level solved and counted in that level's ``dual_evaluations``.
     """
     config = config if config is not None else SolverConfig()
     violations = validate_problem(problem)
@@ -418,22 +430,29 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         m_inact_seen = state.carry.m
 
         fell_back = False
+        ctx = build_level_context(state, level, config, counters)
         if config.uses_asm:
-            ctx, s, conv, norm = asm_level_feasibility(
-                state, level, x, config, counters, warm_sets.get(idx, ())
-            )
+            ctx, s, conv, norm = asm_level_feasibility(ctx, x, warm_sets.get(idx, ()))
         else:
-            ctx = build_level_context(state, level, config, counters)
             start = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
+            barrier = ctx.m_ineq + ctx.m_inact > 0
+            tol = max(HANDOVER, config.eps) if barrier else config.eps
             try:
-                s, conv, norm = newton_loop(ctx, start, form=form)
+                s, conv, norm = newton_loop(ctx, start, form, tol)
             except MethodNotApplicable:
                 # the quadratic term has no Cholesky factor, at the first
                 # iteration or once barrier weights made it lose rank
                 # numerically; restart the level in the projected form
-                s, conv, norm = newton_loop(ctx, start, form="normal")
-                fell_back = True
+                form, fell_back = "normal", True
+                s, conv, norm = newton_loop(ctx, start, form, tol)
+            if barrier:
+                # crossover: the active-set step finishes the level from the
+                # hand-over point. It moves x in the chain basis only, so a
+                # point that classical's full-space steps left off the
+                # chain's pinned rows is walked back onto them first
+                x = _onto_chain(ctx, s.x) if form == "classical" else s.x
+                ctx, s, conv, norm = asm_level_feasibility(ctx, x)
         retained = ctx.stage1
         x = s.x
         sub = not conv
@@ -524,13 +543,17 @@ def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
     return solve_hlsp(problem, config)
 
 
-def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
+def asm_level_feasibility(ctx, x, warm_set=()):
     """Barrier-free primal active-set solve of one level from ``x``.
 
-    The working set holds level inequality rows pinned at their violation,
-    which join the equalities as objective rows, and carried rows held
-    tight. It starts from the level rows violated at ``x``, the carried
-    rows within ``xi`` of their bound and the rows of ``warm_set``. Each
+    ``ctx`` is the level's context, which the caller built: a solve by an
+    ``-asm`` method starts from the inherited ``x``, and the crossover of
+    the interior-point methods from the Newton loop's hand-over point,
+    reusing the factorizations the loop cached on ``ctx``. The working set
+    holds level inequality rows pinned at their violation, which join the
+    equalities as objective rows, and carried rows held tight. It starts
+    from the level rows violated at ``x``, the carried rows within ``xi``
+    of their bound and the rows of ``warm_set``. Each
     working set takes one equality-constrained least-squares step in the
     chain basis (``_working_set_step``). The ratio test over the rows
     outside the set stops the step at the first row it would violate, and
@@ -550,7 +573,7 @@ def asm_level_feasibility(state, level, x, config, counters, warm_set=()):
     level's equality factorization when no row is pinned at the end and a
     step made it, and None otherwise.
     """
-    ctx = build_level_context(state, level, config, counters)
+    config, counters = ctx.config, ctx.counters
     m = ctx.m_ineq
     rows = np.vstack([ctx.a_ineq, ctx.a_inact])
     rhs = np.concatenate([ctx.b_ineq, ctx.b_inact])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ from hlsp.cascade import (
 )
 from hlsp.config import METHODS, SolverConfig
 from hlsp.factorization import NonFiniteError, nullspace_update, rrqr
-from hlsp.fileio import problem_from_dict
+from hlsp.fileio import load_problem, problem_from_dict
 from hlsp.newton import (
     Counters,
     IterateState,
@@ -140,11 +141,22 @@ class TestSolveExamples:
             solve_hlsp(HlspProblem(n=3, levels=(level,)))
 
     def test_iteration_cap_marks_sub_converged(self):
-        p = random_hlsp(5, 4, [(1, 3, 0, "mixed")])
-        rep = solve_hlsp(p, SolverConfig(method="nf-ipm", max_iter=2))
+        # the active-set step finishes a capped barrier level, so the cap
+        # shows only where that step falls short too: scaled.json's level 1,
+        # whose rank decision drops its two small conflicting rows
+        config = SolverConfig(method="nf-ipm", max_iter=2)
+        rep = solve_hlsp(scaled_rows_problem(), config)
         assert rep.levels[0].sub_converged
         assert not rep.converged
         assert rep.levels[0].iterations <= 2
+
+    def test_capped_barrier_level_is_finished_by_the_active_set_step(self):
+        p = random_hlsp(5, 4, [(1, 3, 0, "mixed")])
+        rep = solve_hlsp(p, SolverConfig(method="nf-ipm", max_iter=2))
+        assert rep.levels[0].iterations == 2
+        assert rep.converged
+        full = solve_hlsp(p, SolverConfig(method="nf-ipm"))
+        assert np.allclose(rep.objectives, full.objectives, rtol=0.0, atol=1e-12)
 
     def test_warm_start_primal(self):
         p = random_hlsp(8, 4, [(2, 0, 0, "feasible")])
@@ -176,7 +188,8 @@ class TestProjections:
         state = CascadeState.fresh(2)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
-        s = newton_loop(ctx, initial_state(ctx, np.zeros(2)), config.step_form)[0]
+        start = initial_state(ctx, np.zeros(2))
+        s = newton_loop(ctx, start, config.step_form, config.eps)[0]
         project_inactive(state, s, config.xi, counters)
         project_current(state, p.levels[0], s, config.xi, counters)
         # satisfied row carried, nothing active
@@ -184,7 +197,9 @@ class TestProjections:
         assert state.chain.n_r == 2  # no rank consumed
         # now solve level 2 and activate from the carry only if saturated
         ctx2 = build_level_context(state, p.levels[1], config, counters)
-        s2 = newton_loop(ctx2, initial_state(ctx2, s.x), config.step_form)[0]
+        s2 = newton_loop(
+            ctx2, initial_state(ctx2, s.x), config.step_form, config.eps
+        )[0]
         stages_before = len(state.chain.stages)
         project_inactive(state, s2, config.xi, counters)
         assert len(state.chain.stages) == stages_before  # x2 move ignores x1 >= -1
@@ -278,7 +293,8 @@ class TestProjections:
         state = CascadeState.fresh(1)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
-        s = newton_loop(ctx, initial_state(ctx, np.zeros(1)), config.step_form)[0]
+        start = initial_state(ctx, np.zeros(1))
+        s = newton_loop(ctx, start, config.step_form, config.eps)[0]
         assert project_inactive(state, s, config.xi, counters)[0] == 0
         assert project_current(state, p.levels[0], s, config.xi, counters) == 1
         # both inequalities are pinned, in level order, with their violations
@@ -700,9 +716,8 @@ class TestAsm:
         config = SolverConfig(method="nf-ipm-asm")
         state = CascadeState.fresh(1)
         counters = Counters()
-        ctx, s, conv, norm = asm_level_feasibility(
-            state, p.levels[0], np.zeros(1), config, counters, ()
-        )
+        ctx = build_level_context(state, p.levels[0], config, counters)
+        ctx, s, conv, norm = asm_level_feasibility(ctx, np.zeros(1))
         assert conv
         assert ctx.m_eq == 2  # the final working set pins both rows
         assert abs(s.x[0] - 0.5) < 1e-8
@@ -813,8 +828,8 @@ class TestLinearLevelCost:
         seen = []
         real_loop = cascade.newton_loop
 
-        def recording_loop(ctx, s, form):
-            out = real_loop(ctx, s, form)
+        def recording_loop(ctx, s, form, tol):
+            out = real_loop(ctx, s, form, tol)
             seen.append(out[0].x)
             return out
 
@@ -960,7 +975,8 @@ class TestInvariants:
         for li, level in enumerate(p.levels, 1):
             counters = Counters()
             ctx = build_level_context(state, level, config, counters)
-            s = newton_loop(ctx, initial_state(ctx, x), config.step_form)[0]
+            start = initial_state(ctx, x)
+            s = newton_loop(ctx, start, config.step_form, config.eps)[0]
             x = s.x
             project_inactive(state, s, config.xi, counters)
             if state.chain.n_r:
@@ -1036,14 +1052,20 @@ class TestLastDuals:
         p = level2_exhausts_chain()
         config = SolverConfig(method=method)
         rep = solve_hlsp(p, config)
-        # replay the cascade to level 2's final iterate
+        # replay the cascade to level 2's final iterate: level 1 is linear,
+        # level 2 has a barrier row, so its Newton loop hands over at
+        # HANDOVER and the active-set step finishes it
         state = CascadeState.fresh(p.n)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
-        s = newton_loop(ctx, initial_state(ctx, np.zeros(p.n)), config.step_form)[0]
+        start = initial_state(ctx, np.zeros(p.n))
+        s = newton_loop(ctx, start, config.step_form, config.eps)[0]
         project_current(state, p.levels[0], s, config.xi, counters, ctx.stage1)
         ctx = build_level_context(state, p.levels[1], config, counters)
-        s = newton_loop(ctx, initial_state(ctx, s.x), config.step_form)[0]
+        assert ctx.m_ineq == 1
+        start = initial_state(ctx, s.x)
+        s = newton_loop(ctx, start, config.step_form, newton.HANDOVER)[0]
+        ctx, s = asm_level_feasibility(ctx, s.x)[:2]
         assert np.array_equal(s.x, rep.x)
         assert ctx.m_act == 2
         assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
@@ -1145,41 +1167,82 @@ def scaled_rows_problem():
     )
 
 
-class TestFloorExits:
+class TestCrossover:
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    def test_only_barrier_levels_hand_over(self, monkeypatch, method):
+        # an equality level, then a level with a barrier row; the chain is
+        # exhausted before level 3
+        tols, real_loop = [], cascade.newton_loop
+
+        def recording_loop(ctx, s, form, tol):
+            tols.append((ctx.m_ineq + ctx.m_inact > 0, tol))
+            return real_loop(ctx, s, form, tol)
+
+        monkeypatch.setattr(cascade, "newton_loop", recording_loop)
+        rep = solve_hlsp(level2_exhausts_chain(), SolverConfig(method=method))
+        assert tols == [(False, rep.config["eps"]), (True, newton.HANDOVER)]
+        assert rep.converged
+
+    def test_classical_hand_over_point_is_walked_onto_the_chain(self, monkeypatch):
+        # small_oracle seed 0 problem 92: classical's full-space steps leave
+        # level 2's hand-over point 8e-9 off level 1's pinned rows, which no
+        # step in the chain basis repairs
+        p = load_problem(Path(__file__).parent / "data" / "classical_off_chain.json")
+        states, fresh = [], cascade.CascadeState.fresh.__func__
+
+        def recording_fresh(cls, n):
+            states.append(fresh(cls, n))
+            return states[-1]
+
+        monkeypatch.setattr(cascade.CascadeState, "fresh", classmethod(recording_fresh))
+        config = SolverConfig(method="classical")
+        rep = solve_hlsp(p, config)
+        assert not any(lv.sub_converged or lv.method_fallback for lv in rep.levels)
+        chain = states[0].chain
+        assert chain.rhs.size
+        drift = chain.rows @ rep.x - chain.rhs - chain.v_star
+        assert np.abs(drift).max() < config.eps
+
+
+class TestLoopExits:
     """``newton_loop``'s exits on a scripted sequence of KKT norms.
 
     Iterate k carries k in ``x``, so the returned iterate names itself.
     """
 
-    def run(self, monkeypatch, norms):
-        config = SolverConfig()
+    def run(self, monkeypatch, norms, tol=1e-12, max_iter=50):
+        config = SolverConfig(max_iter=max_iter)
         ctx = SimpleNamespace(config=config, counters=Counters())
 
         def scripted_step(ctx, s, form):
             ctx.counters.newton_iterations += 1
             return SimpleNamespace(x=s.x + 1)
 
-        def scripted_norm(ctx, s, eps):
-            return norms[s.x] < eps, norms[s.x]
+        def scripted_norm(ctx, s, tol):
+            return norms[s.x] < tol, norms[s.x]
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", scripted_step)
         monkeypatch.setattr(cascade, "converged", scripted_norm)
-        s, conv, norm = newton_loop(ctx, SimpleNamespace(x=0), form="normal")
+        s, conv, norm = newton_loop(ctx, SimpleNamespace(x=0), "normal", tol)
         return conv, norm, ctx.counters.newton_iterations, s.x
 
-    def test_rise_off_the_floor_ends_the_loop_at_the_best_iterate(self, monkeypatch):
-        # best 5e-11 is below 100 * eps; a 4x rise is tolerated, a 12x rise
-        # over the best (not over the last norm) ends the loop at once
-        norms = [1.0, 1e-6, 5e-11, 2e-10, 6e-10, 1e-13]
+    def test_stops_at_its_tolerance(self, monkeypatch):
+        # the hand-over tolerance ends the loop at the first norm below it
+        norms = [1.0, 1e-6, 5e-8, 1e-13]
+        assert self.run(monkeypatch, norms, tol=newton.HANDOVER) == (True, 5e-8, 2, 2)
+
+    def test_non_finite_norm_ends_the_loop_at_the_best_iterate(self, monkeypatch):
+        norms = [1.0, 1e-6, 5e-11, 2e-10, np.inf, 1e-13]
         assert self.run(monkeypatch, norms) == (False, 5e-11, 4, 2)
 
-    def test_same_rise_above_the_gate_continues(self, monkeypatch):
-        norms = [1.0, 1e-6, 2e-10, 3e-9, 5e-13]
-        assert self.run(monkeypatch, norms) == (True, 5e-13, 4, 4)
+    def test_rise_off_the_floor_runs_on(self, monkeypatch):
+        # a 12x rise over a best below 100 * eps ends nothing
+        norms = [1.0, 1e-6, 5e-11, 2e-10, 6e-10, 1e-13]
+        assert self.run(monkeypatch, norms) == (True, 1e-13, 5, 5)
 
-    def test_patience_still_ends_a_flat_tail(self, monkeypatch):
-        norms = [1.0, 1e-6, 5e-11] + [8e-11] * 10
-        assert self.run(monkeypatch, norms) == (False, 5e-11, 8, 2)
+    def test_cap_ends_a_flat_tail_at_the_best_iterate(self, monkeypatch):
+        norms = [1.0, 1e-6, 5e-11] + [8e-11] * 60
+        assert self.run(monkeypatch, norms) == (False, 5e-11, 50, 2)
 
 
 # the overflows are the subject of these tests; newton_loop silences them,
@@ -1237,7 +1300,7 @@ class TestNonFiniteSteps:
                 raise
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", diverging)
-        s, conv, norm = newton_loop(ctx, s, form=form)
+        s, conv, norm = newton_loop(ctx, s, form, config.eps)
         assert len(steps) == 3 and raised == ([form] if form == "ls" else [])
         assert not conv
         assert np.isfinite(norm) and norm == converged(ctx, s, config.eps)[1]

@@ -137,9 +137,10 @@ class TestSolveCommand:
         assert [lv["method_fallback"] for lv in report["levels"]] == [False, False]
 
     def test_sub_converged_status(self, tmp_path):
-        p = random_hlsp(11, 4, [(1, 3, 0, "mixed")])
-        path = tmp_path / "p.json"
-        save_problem(p, path)
+        # a capped level that the active-set step cannot finish either:
+        # level 1 of the scaled problem, whose rank decision drops two rows
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(SCALED_PROBLEM))
         code = main(["solve", str(path), "--method", "nf-ipm", "--max-iter", "1"])
         assert code == EXIT_SUB_CONVERGED
 

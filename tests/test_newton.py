@@ -675,7 +675,7 @@ class TestStepLength:
             return alpha
 
         monkeypatch.setattr(newton, "step_length", checked)
-        cascade.newton_loop(ctx, s, form="normal")
+        cascade.newton_loop(ctx, s, "normal", ctx.config.eps)
         assert len(calls) >= 5 and all(calls)
 
 
@@ -1058,7 +1058,7 @@ class TestIterateFrame:
         start = initial_state(ctx, s0.x)
         keep(start)
         try:
-            cascade.newton_loop(ctx, start, form=form)
+            cascade.newton_loop(ctx, start, form, ctx.config.eps)
         except MethodNotApplicable:
             # the classical quadratic term lost rank numerically: restart the
             # level from the same start in the projected normal form, as
@@ -1066,7 +1066,7 @@ class TestIterateFrame:
             # still checked
             assert form == "classical"
             keep(start)
-            cascade.newton_loop(ctx, start, form="normal")
+            cascade.newton_loop(ctx, start, "normal", ctx.config.eps)
         check()  # the last convergence test and the best-iterate return
         assert ctx.counters.newton_iterations >= 3
         # one start per run, one iterate per step; a step that raised kept none
@@ -1096,24 +1096,27 @@ class TestIterateFrame:
             s = mehrotra_iteration(ctx, s, form)
         assert len(steps) == 4
 
+    @pytest.mark.parametrize("last", [1e-9, math.inf], ids=["cap", "non-finite"])
     @pytest.mark.parametrize("form,m_eq,m_ineq,m_inact", FRAME_LEVELS)
-    def test_floor_exit_leaves_the_best_iterate_with_its_own_frame(
-        self, monkeypatch, form, m_eq, m_ineq, m_inact
+    def test_exit_returns_best_with_frame(
+        self, monkeypatch, form, m_eq, m_ineq, m_inact, last
     ):
-        # scripted norms: the third step throws the norm off a best of 5e-11,
-        # below 100 * eps, so the loop ends and returns the second iterate
+        # scripted norms: the third step ends the loop, at the cap of three
+        # iterations or on a non-finite norm, and the loop returns the second
+        # iterate, its best
         ctx, s0 = build_random_level(
             5500, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
+        ctx.config = replace(ctx.config, max_iter=3)
         s = initial_state(ctx, s0.x)
-        norms, seen = iter([1.0, 1e-6, 5e-11, 1e-9]), []
+        norms, seen = iter([1.0, 1e-6, 5e-11, last]), []
 
-        def scripted(ctx, state, eps):
+        def scripted(ctx, state, tol):
             seen.append(state.x)
             return False, next(norms)
 
         monkeypatch.setattr(cascade, "converged", scripted)
-        s, conv, norm = cascade.newton_loop(ctx, s, form=form)
+        s, conv, norm = cascade.newton_loop(ctx, s, form, ctx.config.eps)
         assert (conv, norm) == (False, 5e-11)
         assert ctx.counters.newton_iterations == 3 and s.x is seen[2]
         fresh = vars(newton._Frame(ctx, s))
