@@ -10,7 +10,8 @@ working set with the carried constraints held as hard rows, solves every
 level of the ``-asm`` methods. It also finishes every level with barrier
 rows of the interior-point methods (crossover): their Newton loop runs such
 a level only down to a KKT norm of ``HANDOVER``, and the active-set method
-takes over from that point, so the level ends on a checked active set.
+takes over from that point, with the working set that the iterate's
+complementarity pairs split off, so the level ends on a checked active set.
 """
 
 from __future__ import annotations
@@ -344,9 +345,9 @@ def project_current(state, level, s, xi, counters, retained=None, residuals=None
 
     The active set holds every equality row plus the inequalities violated
     beyond the activation threshold, stored with their optimal violations.
-    ``retained`` is the factorization of the projected equality block in
-    the current basis, when the caller has one; it is reused when nothing
-    but the equalities activates. ``residuals`` are the level's
+    ``retained`` is a pair (rows, fact) when the caller has one: ``fact``
+    factorizes ``rows`` projected into the current basis, and it is reused
+    when those are the rows that activate. ``residuals`` are the level's
     ``_residuals`` at ``s.x``, when the caller has them.
     """
     eq, ineq = level.equalities, level.inequalities
@@ -359,9 +360,11 @@ def project_current(state, level, s, xi, counters, retained=None, residuals=None
             rows = np.vstack([eq.matrix, ineq.matrix[viol]])
             rhs = np.concatenate([eq.rhs, ineq.rhs[viol]])
             v_star = np.concatenate([r_eq, r_ineq[viol]])
-            retained = None
         state.carry.append(ineq.matrix[~viol], ineq.rhs[~viol])
-    return _activate(state.chain, rows, rhs, v_star, counters, retained)
+    fact = None
+    if retained is not None and np.array_equal(rows, retained[0]):
+        fact = retained[1]
+    return _activate(state.chain, rows, rhs, v_star, counters, fact)
 
 
 def _residuals(level, x):
@@ -388,9 +391,11 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     its counters keep the abandoned iterations and factorizations. A level
     with barrier rows (its own inequalities or carried rows) leaves the
     interior point at a KKT norm of ``HANDOVER``, or ``eps`` when that is
-    larger, and ``asm_level_feasibility`` finishes it from there: its
-    convergence test at ``eps`` decides ``sub_converged``, and its
-    working-set changes count as ``asm_iterations``. A level without
+    larger, and ``asm_level_feasibility`` finishes it from there, walked
+    back onto the chain's pinned rows (``_onto_chain``) and seeded by the
+    iterate's complementarity pairs (``_split_seed``): its convergence
+    test at ``eps`` decides ``sub_converged``, and its working-set changes
+    count as ``asm_iterations``. A level without
     barrier rows takes its one Newton step alone. The active-constraint
     duals in ``last_duals`` take one chain walk, made after the cascade for
     the last level solved and counted in that level's ``dual_evaluations``.
@@ -432,7 +437,8 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         fell_back = False
         ctx = build_level_context(state, level, config, counters)
         if config.uses_asm:
-            ctx, s, conv, norm = asm_level_feasibility(ctx, x, warm_sets.get(idx, ()))
+            work = _residual_seed(ctx, x, warm_sets.get(idx, ()))
+            ctx, s, conv, norm = asm_level_feasibility(ctx, x, work)
         else:
             start = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
@@ -448,12 +454,12 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 s, conv, norm = newton_loop(ctx, start, form, tol)
             if barrier:
                 # crossover: the active-set step finishes the level from the
-                # hand-over point. It moves x in the chain basis only, so a
-                # point that classical's full-space steps left off the
-                # chain's pinned rows is walked back onto them first
-                x = _onto_chain(ctx, s.x) if form == "classical" else s.x
-                ctx, s, conv, norm = asm_level_feasibility(ctx, x)
-        retained = ctx.stage1
+                # hand-over point, walked back onto the chain's pinned rows
+                # (the step moves x in the chain basis only), with the
+                # working set the iterate's complementarity pairs split off
+                x = _onto_chain(ctx, s.x)
+                ctx, s, conv, norm = asm_level_feasibility(ctx, x, _split_seed(s))
+        retained = None if ctx.stage1 is None else (ctx.a_eq, ctx.stage1)
         x = s.x
         sub = not conv
         all_converged = all_converged and conv
@@ -543,7 +549,32 @@ def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
     return solve_hlsp(problem, config)
 
 
-def asm_level_feasibility(ctx, x, warm_set=()):
+def _residual_seed(ctx, x, warm_set=()):
+    """An ``-asm`` level's first working set, from the signs at ``x``.
+
+    The level rows violated at ``x``, the carried rows within ``xi`` of
+    their bound and the level rows of ``warm_set``.
+    """
+    work = np.concatenate(
+        [ctx.a_ineq @ x - ctx.b_ineq < 0.0, ctx.a_inact @ x - ctx.b_inact < ctx.config.xi]
+    )
+    work[np.asarray(warm_set, dtype=int)] = True
+    return work
+
+
+def _split_seed(s):
+    """The crossover's first working set, from the iterate's pairs.
+
+    A level row is pinned where its violation outweighs its slack,
+    ``-v > w``, and a carried row is held tight where its multiplier
+    outweighs its slack, ``lam > w``: the interior point's guess of the
+    optimal partition (Mehrotra & Ye, *Math. Programming*, 1993), which
+    its residual signs give only near the optimum.
+    """
+    return np.concatenate([-s.v_ineq > s.w_ineq, s.lam_inact > s.w_inact])
+
+
+def asm_level_feasibility(ctx, x, work):
     """Barrier-free primal active-set solve of one level from ``x``.
 
     ``ctx`` is the level's context, which the caller built: a solve by an
@@ -551,9 +582,10 @@ def asm_level_feasibility(ctx, x, warm_set=()):
     the interior-point methods from the Newton loop's hand-over point,
     reusing the factorizations the loop cached on ``ctx``. The working set
     holds level inequality rows pinned at their violation, which join the
-    equalities as objective rows, and carried rows held tight. It starts
-    from the level rows violated at ``x``, the carried rows within ``xi``
-    of their bound and the rows of ``warm_set``. Each
+    equalities as objective rows, and carried rows held tight. ``work``
+    is the first one, a boolean mask over the level's inequality rows and
+    then its carried rows: ``_residual_seed`` for an ``-asm`` method,
+    ``_split_seed`` for the crossover. Each
     working set takes one equality-constrained least-squares step in the
     chain basis (``_working_set_step``). The ratio test over the rows
     outside the set stops the step at the first row it would violate, and
@@ -569,26 +601,25 @@ def asm_level_feasibility(ctx, x, warm_set=()):
     Returns (ctx, s, conv, norm). ``ctx`` is the level's context with the
     final pinned rows moved into its equality block, ``s`` the
     ``boundary_state`` at the last point and ``conv`` and ``norm`` the
-    convergence test there. No Newton iteration runs. ``ctx.stage1`` is the
-    level's equality factorization when no row is pinned at the end and a
-    step made it, and None otherwise.
+    convergence test there. No Newton iteration runs. ``ctx.stage1`` is an
+    RRQR of its equality block in the chain basis, which the projection can
+    reuse, or None: the last step's when the final set pins rows and holds
+    none tight, the level's equality factorization when the final set pins
+    none and a step made it.
     """
     config, counters = ctx.config, ctx.counters
     m = ctx.m_ineq
     rows = np.vstack([ctx.a_ineq, ctx.a_inact])
     rhs = np.concatenate([ctx.b_ineq, ctx.b_inact])
     norms = np.linalg.norm(rows, axis=1)
-    res = rows @ x - rhs
-    work = res < 0.0
-    work[m:] = res[m:] < config.xi
-    work[np.asarray(warm_set, dtype=int)] = True
+    work = np.array(work, dtype=bool)
     budget = ASM_MAX_ITER * (100 + rhs.size) // 100
     seen, bland, spent = set(), False, False
     while True:
         key = work.tobytes()
         bland = bland or key in seen
         seen.add(key)
-        x, p, (a, b, proj), fact = _working_set_step(ctx, x, work[:m], work[m:])
+        x, p, (a, b, proj, a_fact), fact = _working_set_step(ctx, x, work[:m], work[m:])
         res = rows @ x - rhs
         ap = rows @ p
         scale = np.linalg.norm(x) + np.linalg.norm(p)
@@ -624,7 +655,7 @@ def asm_level_feasibility(ctx, x, warm_set=()):
             a_ineq=ctx.a_ineq[keep],
             b_ineq=ctx.b_ineq[keep],
             proj_ineq=ctx.proj_ineq[keep],
-            stage1=None,
+            stage1=a_fact,
             eq_gram=None,
         )
     s = boundary_state(ctx, x, np.maximum(lam[m:], 0.0))
@@ -641,10 +672,11 @@ def _working_set_step(ctx, x, pin, tight):
     the step keeps; an RRQR of the objective rows in that null space gives
     the basic least-squares step. Without tight rows the null space is the
     chain basis, and without pinned rows the objective's RRQR is the
-    context's equality factorization. Returns (x, p, (a, b, proj), fact):
-    the corrected start, the step, the objective rows with their
-    right-hand side and their projection into the chain basis, and the
-    tight rows' RRQR (None without any).
+    context's equality factorization. Returns (x, p, (a, b, proj, a_fact),
+    fact): the corrected start, the step, the objective rows with their
+    right-hand side, their projection into the chain basis and its RRQR
+    (None with tight rows, whose null space the step's RRQR is made in),
+    and the tight rows' RRQR (None without any).
     """
     a, b, proj = ctx.a_eq, ctx.b_eq, ctx.proj_eq
     if pin.any():
@@ -655,10 +687,10 @@ def _working_set_step(ctx, x, pin, tight):
         fact = ctx.equality_factorization() if a is ctx.a_eq else rrqr(
             proj, counter=ctx.counters, scale_rows=a
         )
-        return x, ctx.basis @ fact.solve_basic(b - a @ x), (a, b, proj), None
+        return x, ctx.basis @ fact.solve_basic(b - a @ x), (a, b, proj, fact), None
     c = ctx.a_inact[tight]
     fact = rrqr(ctx.proj_inact[tight], counter=ctx.counters, scale_rows=c)
     x = x + ctx.basis @ fact.solve_basic(ctx.b_inact[tight] - c @ x)
     free = rrqr(nullspace_update(proj, fact), counter=ctx.counters, scale_rows=a)
     p = nullspace_update(ctx.basis, fact) @ free.solve_basic(b - a @ x)
-    return x, p, (a, b, proj), fact
+    return x, p, (a, b, proj, None), fact

@@ -40,7 +40,7 @@ GAMMA_F = 0.95
 TAU = 0.999
 # KKT norm at which a level with barrier rows leaves the Newton loop for
 # the active-set step that finishes it
-HANDOVER = 1e-7
+HANDOVER = 1e-5
 
 
 class MethodNotApplicable(RuntimeError):

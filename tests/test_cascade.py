@@ -707,9 +707,10 @@ class TestAsm:
     @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
     def test_every_active_stack_is_factorized(self, method):
         # the empty stack needs none, then one RRQR per non-empty active
-        # stack ([x >= 1], then both rows) and one for the projection
+        # stack ([x >= 1], then both rows); the projection pins the final
+        # stack's two rows and reuses its RRQR
         rep = solve_hlsp(two_sided_conflict(), SolverConfig(method=method))
-        assert rep.levels[0].fact_shapes == [(1, 1), (2, 1), (2, 1)]
+        assert rep.levels[0].fact_shapes == [(1, 1), (2, 1)]
 
     def test_asm_level_feasibility_direct(self):
         p = two_sided_conflict()
@@ -717,7 +718,8 @@ class TestAsm:
         state = CascadeState.fresh(1)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
-        ctx, s, conv, norm = asm_level_feasibility(ctx, np.zeros(1))
+        x = np.zeros(1)
+        ctx, s, conv, norm = asm_level_feasibility(ctx, x, cascade._residual_seed(ctx, x))
         assert conv
         assert ctx.m_eq == 2  # the final working set pins both rows
         assert abs(s.x[0] - 0.5) < 1e-8
@@ -1054,18 +1056,20 @@ class TestLastDuals:
         rep = solve_hlsp(p, config)
         # replay the cascade to level 2's final iterate: level 1 is linear,
         # level 2 has a barrier row, so its Newton loop hands over at
-        # HANDOVER and the active-set step finishes it
+        # HANDOVER and the active-set step finishes it from the hand-over
+        # point walked onto the chain, seeded by the iterate's split
         state = CascadeState.fresh(p.n)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         start = initial_state(ctx, np.zeros(p.n))
         s = newton_loop(ctx, start, config.step_form, config.eps)[0]
-        project_current(state, p.levels[0], s, config.xi, counters, ctx.stage1)
+        project_current(state, p.levels[0], s, config.xi, counters, (ctx.a_eq, ctx.stage1))
         ctx = build_level_context(state, p.levels[1], config, counters)
         assert ctx.m_ineq == 1
         start = initial_state(ctx, s.x)
         s = newton_loop(ctx, start, config.step_form, newton.HANDOVER)[0]
-        ctx, s = asm_level_feasibility(ctx, s.x)[:2]
+        x = cascade._onto_chain(ctx, s.x)
+        ctx, s = asm_level_feasibility(ctx, x, cascade._split_seed(s))[:2]
         assert np.array_equal(s.x, rep.x)
         assert ctx.m_act == 2
         assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
@@ -1183,11 +1187,85 @@ class TestCrossover:
         assert tols == [(False, rep.config["eps"]), (True, newton.HANDOVER)]
         assert rep.converged
 
-    def test_classical_hand_over_point_is_walked_onto_the_chain(self, monkeypatch):
-        # small_oracle seed 0 problem 92: classical's full-space steps leave
-        # level 2's hand-over point 8e-9 off level 1's pinned rows, which no
-        # step in the chain basis repairs
-        p = load_problem(Path(__file__).parent / "data" / "classical_off_chain.json")
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    def test_crossover_starts_from_the_split_not_the_signs(self, monkeypatch, method):
+        # level 2 holds x >= 2 and x >= 0.6 and carries level 1's x <= 1.
+        # At its scripted hand-over point x = 0.5 the residual signs pin
+        # both level rows (r = -1.5, -0.1) and leave the carried row free
+        # (slack 0.5). The pairs pin x >= 2 (-v = 1.5 > w = 0), leave
+        # x >= 0.6 free (-v = 0.01 < w = 0.5) and hold x <= 1 tight
+        # (lam = 1 > w = 1e-3): the level's optimal set, so no row changes
+        p = HlspProblem(
+            n=1,
+            levels=(
+                lvl(1, np.zeros((0, 1)), [], [[-1.0]], [-1.0]),
+                lvl(1, np.zeros((0, 1)), [], [[1.0], [1.0]], [2.0, 0.6]),
+            ),
+        )
+        hand_over = IterateState(
+            x=np.array([0.5]),
+            v_eq=np.zeros(0),
+            v_ineq=np.array([-1.5, -0.01]),
+            w_ineq=np.array([0.0, 0.5]),
+            w_inact=np.array([1e-3]),
+            lam_inact=np.array([1.0]),
+        )
+        real_loop, step, sets = cascade.newton_loop, cascade._working_set_step, []
+
+        def scripted_loop(ctx, s, form, tol):
+            if ctx.m_inact:
+                return hand_over, False, 1.0
+            return real_loop(ctx, s, form, tol)
+
+        def recorded(ctx, x, pin, tight):
+            sets.append((ctx.counters, pin.tolist(), tight.tolist()))
+            return step(ctx, x, pin, tight)
+
+        monkeypatch.setattr(cascade, "newton_loop", scripted_loop)
+        monkeypatch.setattr(cascade, "_working_set_step", recorded)
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert [key[1:] for key in sets if key[0] is sets[-1][0]] == [([True, False], [True])]
+        assert rep.levels[1].asm_iterations == 0
+        assert rep.converged
+        assert np.allclose(rep.x, [1.0], atol=1e-12)
+        assert rep.levels[1].objective == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm"])
+    def test_signs_need_a_change_where_the_split_needs_none(self, monkeypatch, method):
+        # small_oracle seed 1 problem 92: seeded by the residual signs at
+        # level 2's hand-over point, the active-set step makes one change to
+        # reach the optimum that the split's working set already holds
+        p = load_problem(Path(__file__).parent / "data" / "signs_need_a_change.json")
+        config = SolverConfig(method=method)
+        split = solve_hlsp(p, config)
+        real = cascade.asm_level_feasibility
+
+        def by_signs(ctx, x, work):
+            return real(ctx, x, cascade._residual_seed(ctx, x))
+
+        monkeypatch.setattr(cascade, "asm_level_feasibility", by_signs)
+        signs = solve_hlsp(p, config)
+        assert [lv.asm_iterations for lv in split.levels] == [0, 0]
+        assert [lv.asm_iterations for lv in signs.levels] == [0, 1]
+        assert split.converged and signs.converged
+        assert np.allclose(split.objectives, signs.objectives, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "method,data",
+        [
+            ("classical", "classical_off_chain"),
+            ("nf-ipm", "projected_off_chain"),
+            ("ls-ipm", "projected_off_chain"),
+        ],
+    )
+    def test_hand_over_point_is_walked_onto_the_chain(self, monkeypatch, method, data):
+        # level 2's hand-over point is off level 1's pinned rows by more than
+        # eps, which no step in the chain basis repairs. classical_off_chain
+        # is small_oracle seed 0 problem 92, where classical's full-space
+        # steps leave it 7.1e-12 off; projected_off_chain is seed 58
+        # problem 7, where the rounding of the projected forms' steps in the
+        # chain basis leaves it 1.8e-12 (nf-ipm) and 1.4e-12 (ls-ipm) off
+        p = load_problem(Path(__file__).parent / "data" / f"{data}.json")
         states, fresh = [], cascade.CascadeState.fresh.__func__
 
         def recording_fresh(cls, n):
@@ -1195,7 +1273,7 @@ class TestCrossover:
             return states[-1]
 
         monkeypatch.setattr(cascade.CascadeState, "fresh", classmethod(recording_fresh))
-        config = SolverConfig(method="classical")
+        config = SolverConfig(method=method)
         rep = solve_hlsp(p, config)
         assert not any(lv.sub_converged or lv.method_fallback for lv in rep.levels)
         chain = states[0].chain
@@ -1228,8 +1306,9 @@ class TestLoopExits:
 
     def test_stops_at_its_tolerance(self, monkeypatch):
         # the hand-over tolerance ends the loop at the first norm below it
-        norms = [1.0, 1e-6, 5e-8, 1e-13]
-        assert self.run(monkeypatch, norms, tol=newton.HANDOVER) == (True, 5e-8, 2, 2)
+        tol = newton.HANDOVER
+        norms = [1.0, 10 * tol, tol / 2, 1e-13]
+        assert self.run(monkeypatch, norms, tol=tol) == (True, tol / 2, 2, 2)
 
     def test_non_finite_norm_ends_the_loop_at_the_best_iterate(self, monkeypatch):
         norms = [1.0, 1e-6, 5e-11, 2e-10, np.inf, 1e-13]
