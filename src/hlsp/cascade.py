@@ -9,9 +9,10 @@ method, one equality-constrained least-squares step in the chain basis per
 working set with the carried constraints held as hard rows, solves every
 level of the ``-asm`` methods. It also finishes every level with barrier
 rows of the interior-point methods (crossover): their Newton loop runs such
-a level only down to a KKT norm of ``HANDOVER``, and the active-set method
-takes over from that point, with the working set that the iterate's
-complementarity pairs split off, so the level ends on a checked active set.
+a level only down to a KKT norm of ``HANDOVER``, or until the iterate's
+complementarity split has settled, and the active-set method takes over
+from that point, with the working set that the pairs split off, so the
+level ends on a checked active set.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .config import SolverConfig
 from .factorization import NonFiniteError, Rrqr, nullspace_update, rrqr
 from .newton import (
     HANDOVER,
+    SETTLED,
     Counters,
     IterateState,
     LevelContext,
@@ -256,19 +258,25 @@ def newton_loop(ctx, s, form, tol):
     dual-free convergence test at ``tol``, and the loop tests once before
     its first step. Levels without barrier rows have a linear optimality
     system: unless the start is already optimal, they fail the first test,
-    take one step and pass the second. Every step is taken in ``form``, the
-    step form of ``mehrotra_iteration``. A step returns a new iterate and
-    leaves the old one as it was, so the loop keeps the best iterate seen
-    as it is. It ends unconverged at the iteration cap, or when a diverging
-    barrier variable overflows the step or the residual to an Inf or a NaN,
-    and returns that best iterate. Those overflows, and one in the start's
+    take one step and pass the second. A level with barrier rows also
+    stops, converged, at the first iterate whose norm is below ``SETTLED``
+    and whose complementarity split (``_split_seed``) is the previous
+    iterate's: the partition guess the active-set step starts from has
+    settled. Every step is taken in ``form``, the step form of
+    ``mehrotra_iteration``. A step returns a new iterate and leaves the old
+    one as it was, so the loop keeps the best iterate seen as it is. It
+    ends unconverged at the iteration cap, or when a diverging barrier
+    variable overflows the step or the residual to an Inf or a NaN, and
+    returns that best iterate. Those overflows, and one in the start's
     residual, are expected and raise no floating-point warning.
     """
     cfg = ctx.config
     start = ctx.counters.newton_iterations
+    barrier = ctx.m_ineq + ctx.m_inact > 0
     with np.errstate(over="ignore", invalid="ignore"):
         conv, norm = converged(ctx, s, tol)
         best_norm, best = norm, s
+        split = _split_seed(s) if barrier else None
         while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
             try:
                 s = mehrotra_iteration(ctx, s, form)
@@ -281,6 +289,9 @@ def newton_loop(ctx, s, form, tol):
                 break
             if norm < best_norm:
                 best_norm, best = norm, s
+            if barrier:
+                before, split = split, _split_seed(s)
+                conv = conv or (norm < SETTLED and np.array_equal(split, before))
     if not conv and best_norm < norm:
         s, norm = best, best_norm
     return s, conv, norm
@@ -320,13 +331,16 @@ def _activate(chain, rows, rhs, v_star, counters, retained=None):
     return fact.rank
 
 
-def project_inactive(state: CascadeState, s: IterateState, xi, counters):
+def project_inactive(state: CascadeState, s: IterateState, xi, counters, retained=None):
     """Move saturated, dual-active carried rows into a virtual level.
 
     Saturation is judged on explicitly recomputed slacks; rows that are
     merely saturated without a significant multiplier stay carried.
-    Returns the rank the moved rows add and the multipliers of ``s`` for
-    the rows still carried.
+    ``retained`` is a pair (mask, fact) when the caller has one: ``fact``
+    factorizes the carried rows of ``mask`` projected into the current
+    basis, and it is reused when those are the rows that move. Returns the
+    rank the moved rows add and the multipliers of ``s`` for the rows still
+    carried.
     """
     carry = state.carry
     if carry.m == 0:
@@ -337,7 +351,10 @@ def project_inactive(state: CascadeState, s: IterateState, xi, counters):
     rows, rhs = carry.matrix[mask], carry.rhs[mask]
     carry.remove(mask)
     v_star = rows @ s.x - rhs
-    return _activate(state.chain, rows, rhs, v_star, counters), s.lam_inact[~mask]
+    fact = None
+    if retained is not None and np.array_equal(mask, retained[0]):
+        fact = retained[1]
+    return _activate(state.chain, rows, rhs, v_star, counters, fact), s.lam_inact[~mask]
 
 
 def project_current(state, level, s, xi, counters, retained=None, residuals=None):
@@ -391,7 +408,8 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     its counters keep the abandoned iterations and factorizations. A level
     with barrier rows (its own inequalities or carried rows) leaves the
     interior point at a KKT norm of ``HANDOVER``, or ``eps`` when that is
-    larger, and ``asm_level_feasibility`` finishes it from there, walked
+    larger, or at a settled split below ``SETTLED`` (``newton_loop``), and
+    ``asm_level_feasibility`` finishes it from there, walked
     back onto the chain's pinned rows (``_onto_chain``) and seeded by the
     iterate's complementarity pairs (``_split_seed``): its convergence
     test at ``eps`` decides ``sub_converged``, and its working-set changes
@@ -435,10 +453,11 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         m_inact_seen = state.carry.m
 
         fell_back = False
+        held = None
         ctx = build_level_context(state, level, config, counters)
         if config.uses_asm:
             work = _residual_seed(ctx, x, warm_sets.get(idx, ()))
-            ctx, s, conv, norm = asm_level_feasibility(ctx, x, work)
+            ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, work)
         else:
             start = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
@@ -458,20 +477,24 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 # (the step moves x in the chain basis only), with the
                 # working set the iterate's complementarity pairs split off
                 x = _onto_chain(ctx, s.x)
-                ctx, s, conv, norm = asm_level_feasibility(ctx, x, _split_seed(s))
-        retained = None if ctx.stage1 is None else (ctx.a_eq, ctx.stage1)
+                ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, _split_seed(s))
+        tight, current = held or ((None, None), (ctx.a_eq, ctx.stage1))
         x = s.x
         sub = not conv
         all_converged = all_converged and conv
         residuals = _residuals(level, x)
 
-        rank_virtual, lam_inact = project_inactive(state, s, config.xi, counters)
-        if rank_virtual:
-            retained = None  # the basis moved
+        stages = len(state.chain.stages)
+        rank_virtual, lam_inact = project_inactive(state, s, config.xi, counters, tight)
+        moved = state.chain.stages[-1].fact if len(state.chain.stages) > stages else None
+        if moved is not tight[1]:
+            # the objective rows' RRQR was made in the basis that the tight
+            # rows' RRQR leaves, and the chain's basis is now another one
+            current = None
         rank_current = 0
         if state.chain.n_r:
             rank_current = project_current(
-                state, level, s, config.xi, counters, retained, residuals
+                state, level, s, config.xi, counters, current, residuals
             )
         objective, v_norm = _level_objective(*residuals)
         report = LevelReport(
@@ -598,14 +621,14 @@ def asm_level_feasibility(ctx, x, work):
     one ``asm_iterations``; a level whose budget of them is spent ends at
     its last point, which is feasible, sub-converged.
 
-    Returns (ctx, s, conv, norm). ``ctx`` is the level's context with the
-    final pinned rows moved into its equality block, ``s`` the
+    Returns (ctx, s, conv, norm, held). ``ctx`` is the level's context with
+    the final pinned rows moved into its equality block, ``s`` the
     ``boundary_state`` at the last point and ``conv`` and ``norm`` the
-    convergence test there. No Newton iteration runs. ``ctx.stage1`` is an
-    RRQR of its equality block in the chain basis, which the projection can
-    reuse, or None: the last step's when the final set pins rows and holds
-    none tight, the level's equality factorization when the final set pins
-    none and a step made it.
+    convergence test there. No Newton iteration runs. ``held`` is the last
+    step's pair of RRQRs for the projections to reuse: (tight, fact), the
+    final set's tight mask over the carried rows with their RRQR in the
+    chain basis (None without any), and (rows, fact), the objective rows
+    with their RRQR in the basis that the tight rows leave.
     """
     config, counters = ctx.config, ctx.counters
     m = ctx.m_ineq
@@ -655,12 +678,12 @@ def asm_level_feasibility(ctx, x, work):
             a_ineq=ctx.a_ineq[keep],
             b_ineq=ctx.b_ineq[keep],
             proj_ineq=ctx.proj_ineq[keep],
-            stage1=a_fact,
+            stage1=None,
             eq_gram=None,
         )
     s = boundary_state(ctx, x, np.maximum(lam[m:], 0.0))
     conv, norm = converged(ctx, s, config.eps)
-    return ctx, s, conv and not spent, norm
+    return ctx, s, conv and not spent, norm, ((work[m:], fact), (a, a_fact))
 
 
 def _working_set_step(ctx, x, pin, tight):
@@ -674,9 +697,9 @@ def _working_set_step(ctx, x, pin, tight):
     chain basis, and without pinned rows the objective's RRQR is the
     context's equality factorization. Returns (x, p, (a, b, proj, a_fact),
     fact): the corrected start, the step, the objective rows with their
-    right-hand side, their projection into the chain basis and its RRQR
-    (None with tight rows, whose null space the step's RRQR is made in),
-    and the tight rows' RRQR (None without any).
+    right-hand side, their projection into the chain basis and their RRQR
+    in the null space of the tight rows, and the tight rows' RRQR (None
+    without any).
     """
     a, b, proj = ctx.a_eq, ctx.b_eq, ctx.proj_eq
     if pin.any():
@@ -693,4 +716,4 @@ def _working_set_step(ctx, x, pin, tight):
     x = x + ctx.basis @ fact.solve_basic(ctx.b_inact[tight] - c @ x)
     free = rrqr(nullspace_update(proj, fact), counter=ctx.counters, scale_rows=a)
     p = nullspace_update(ctx.basis, fact) @ free.solve_basic(b - a @ x)
-    return x, p, (a, b, proj, None), fact
+    return x, p, (a, b, proj, free), fact

@@ -41,6 +41,9 @@ TAU = 0.999
 # KKT norm at which a level with barrier rows leaves the Newton loop for
 # the active-set step that finishes it
 HANDOVER = 1e-5
+# below this KKT norm such a level leaves earlier, at the first iterate
+# whose complementarity split is the previous iterate's
+SETTLED = 1e-3
 
 
 class MethodNotApplicable(RuntimeError):

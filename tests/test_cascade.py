@@ -275,8 +275,8 @@ class TestProjections:
         )
         real, seen = cascade.project_inactive, []
 
-        def recording(state, s, xi, counters):
-            out = real(state, s, xi, counters)
+        def recording(state, s, xi, counters, retained=None):
+            out = real(state, s, xi, counters, retained)
             seen.append((out[1], state.carry.m))
             return out
 
@@ -712,6 +712,43 @@ class TestAsm:
         rep = solve_hlsp(two_sided_conflict(), SolverConfig(method=method))
         assert rep.levels[0].fact_shapes == [(1, 1), (2, 1)]
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tight_carried_row_activates_without_an_rrqr(self, monkeypatch, method):
+        # level 1 carries x1 <= 1 and x2 <= 5; level 2's x = (2, 3) holds the
+        # first tight. The last step's RRQR of the tight row moves it into the
+        # chain, and its RRQR of the equalities in that row's null space pins
+        # them: the activation factorizes nothing
+        p = HlspProblem(
+            n=2,
+            levels=(
+                lvl(2, np.zeros((0, 2)), [], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -5.0]),
+                lvl(2, np.eye(2), [2.0, 3.0], np.zeros((0, 2)), []),
+            ),
+        )
+        made, phase = [], [None]
+
+        def recording_rrqr(*args, **kwargs):
+            made.append(phase[0])
+            return rrqr(*args, **kwargs)
+
+        def in_phase(name, real):
+            def wrapped(*args):
+                phase[0] = name
+                try:
+                    return real(*args)
+                finally:
+                    phase[0] = None
+
+            return wrapped
+
+        monkeypatch.setattr(cascade, "rrqr", recording_rrqr)
+        for name in ("project_inactive", "project_current"):
+            monkeypatch.setattr(cascade, name, in_phase(name, getattr(cascade, name)))
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert [(lv.rank_virtual, lv.rank_current) for lv in rep.levels] == [(0, 0), (1, 1)]
+        assert made and not any(made)
+        assert rep.converged and np.allclose(rep.x, [1.0, 3.0], atol=1e-12)
+
     def test_asm_level_feasibility_direct(self):
         p = two_sided_conflict()
         config = SolverConfig(method="nf-ipm-asm")
@@ -719,7 +756,7 @@ class TestAsm:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         x = np.zeros(1)
-        ctx, s, conv, norm = asm_level_feasibility(ctx, x, cascade._residual_seed(ctx, x))
+        ctx, s, conv, norm, _ = asm_level_feasibility(ctx, x, cascade._residual_seed(ctx, x))
         assert conv
         assert ctx.m_eq == 2  # the final working set pins both rows
         assert abs(s.x[0] - 0.5) < 1e-8
@@ -1233,7 +1270,7 @@ class TestCrossover:
     @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm"])
     def test_signs_need_a_change_where_the_split_needs_none(self, monkeypatch, method):
         # small_oracle seed 1 problem 92: seeded by the residual signs at
-        # level 2's hand-over point, the active-set step makes one change to
+        # level 2's hand-over point, the active-set step makes two changes to
         # reach the optimum that the split's working set already holds
         p = load_problem(Path(__file__).parent / "data" / "signs_need_a_change.json")
         config = SolverConfig(method=method)
@@ -1246,7 +1283,7 @@ class TestCrossover:
         monkeypatch.setattr(cascade, "asm_level_feasibility", by_signs)
         signs = solve_hlsp(p, config)
         assert [lv.asm_iterations for lv in split.levels] == [0, 0]
-        assert [lv.asm_iterations for lv in signs.levels] == [0, 1]
+        assert [lv.asm_iterations for lv in signs.levels] == [0, 2]
         assert split.converged and signs.converged
         assert np.allclose(split.objectives, signs.objectives, rtol=0.0, atol=1e-12)
 
@@ -1286,11 +1323,17 @@ class TestLoopExits:
     """``newton_loop``'s exits on a scripted sequence of KKT norms.
 
     Iterate k carries k in ``x``, so the returned iterate names itself.
+    The level has a barrier row unless ``m_ineq`` is 0, and ``splits[k]``
+    is iterate k's complementarity split; by default it changes at every
+    iterate, so only the tolerance, the cap and a non-finite norm can end
+    the loop.
     """
 
-    def run(self, monkeypatch, norms, tol=1e-12, max_iter=50):
+    def run(self, monkeypatch, norms, tol=1e-12, max_iter=50, splits=None, m_ineq=1):
         config = SolverConfig(max_iter=max_iter)
-        ctx = SimpleNamespace(config=config, counters=Counters())
+        ctx = SimpleNamespace(config=config, counters=Counters(), m_ineq=m_ineq, m_inact=0)
+        if splits is None:
+            splits = [[k % 2 == 0] for k in range(len(norms))]
 
         def scripted_step(ctx, s, form):
             ctx.counters.newton_iterations += 1
@@ -1301,6 +1344,7 @@ class TestLoopExits:
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", scripted_step)
         monkeypatch.setattr(cascade, "converged", scripted_norm)
+        monkeypatch.setattr(cascade, "_split_seed", lambda s: np.array(splits[s.x]))
         s, conv, norm = newton_loop(ctx, SimpleNamespace(x=0), "normal", tol)
         return conv, norm, ctx.counters.newton_iterations, s.x
 
@@ -1309,6 +1353,30 @@ class TestLoopExits:
         tol = newton.HANDOVER
         norms = [1.0, 10 * tol, tol / 2, 1e-13]
         assert self.run(monkeypatch, norms, tol=tol) == (True, tol / 2, 2, 2)
+
+    def test_settled_split_below_settled_ends_the_loop(self, monkeypatch):
+        # the split holds from the start; above SETTLED that ends nothing,
+        # and the first iterate below it ends the loop short of HANDOVER
+        settled, tol = newton.SETTLED, newton.HANDOVER
+        norms = [1.0, 2 * settled, settled / 2, tol / 2]
+        splits = [[True, False]] * 4
+        run = self.run(monkeypatch, norms, tol=tol, splits=splits)
+        assert run == (True, settled / 2, 2, 2)
+
+    def test_changing_split_below_settled_runs_on(self, monkeypatch):
+        # below SETTLED the split changes at three iterates, then holds
+        settled, tol = newton.SETTLED, newton.HANDOVER
+        norms = [1.0, settled / 2, settled / 4, settled / 8, settled / 16]
+        splits = [[True, False], [True, True], [True, False], [False, False], [False, False]]
+        run = self.run(monkeypatch, norms, tol=tol, splits=splits)
+        assert run == (True, settled / 16, 4, 4)
+
+    def test_level_without_barrier_rows_ignores_the_split(self, monkeypatch):
+        # a linear level has no split: only its tolerance ends the loop
+        norms = [1.0, newton.SETTLED / 2, newton.SETTLED / 4, 1e-13]
+        splits = [[]] * 4
+        run = self.run(monkeypatch, norms, splits=splits, m_ineq=0)
+        assert run == (True, 1e-13, 3, 3)
 
     def test_non_finite_norm_ends_the_loop_at_the_best_iterate(self, monkeypatch):
         norms = [1.0, 1e-6, 5e-11, 2e-10, np.inf, 1e-13]

@@ -31,12 +31,10 @@ INSTANCES = (
 )
 OBJECTIVE_TOL = 1e-6
 
-ROW_AND_MULTIPLE = "FOUND: ls-ipm returns a level-2 objective of 20.0"
 SCALED_LEVEL_1 = "FOUND: on scaled.json nf-ipm's level-1 point is not optimal"
 
 # (instance, method) -> (strict, reason)
 MISSES = {
-    ("row_and_multiple", "ls-ipm"): (True, ROW_AND_MULTIPLE),
     ("scaled", "nf-ipm"): (True, SCALED_LEVEL_1),
     # classical falls back to the normal form on every level here
     ("scaled", "classical"): (True, SCALED_LEVEL_1),
