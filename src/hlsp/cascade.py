@@ -9,10 +9,10 @@ method, one equality-constrained least-squares step in the chain basis per
 working set with the carried constraints held as hard rows, solves every
 level of the ``-asm`` methods. It also finishes every level with barrier
 rows of the interior-point methods (crossover): their Newton loop runs such
-a level only down to a KKT norm of ``HANDOVER``, or until the iterate's
-complementarity split has settled, and the active-set method takes over
-from that point, with the working set that the pairs split off, so the
-level ends on a checked active set.
+a level until the iterate's complementarity split has settled below a KKT
+norm of ``SETTLED``, and the active-set method takes over from that point,
+with the working set that the pairs split off, so the level ends on a
+checked active set.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from .config import SolverConfig
 from .factorization import NonFiniteError, Rrqr, nullspace_update, rrqr
 from .newton import (
-    HANDOVER,
     SETTLED,
     Counters,
     IterateState,
@@ -52,6 +51,9 @@ ASM_MAX_ITER = 200
 # a row blocks an active-set step only when the step lowers its residual by
 # more than this share of |row| (|x| + |step|); a smaller fall is rounding
 FALL_TOL = 1e-13
+# activation threshold: a level row violated beyond it is pinned, and a
+# carried row within it of its bound, with a multiplier above it, is active
+XI = 1e-8
 
 
 class InvalidProblemError(ValueError):
@@ -251,16 +253,16 @@ def _level_form(ctx):
     return cfg.step_form, False
 
 
-def newton_loop(ctx, s, form, tol):
-    """Run the level from ``s`` to a KKT norm below ``tol``.
+def newton_loop(ctx, s, form):
+    """Run the level from ``s`` to a KKT norm below ``eps``.
 
     Returns (s, converged, kkt_norm). Every iteration is followed by the
-    dual-free convergence test at ``tol``, and the loop tests once before
+    dual-free convergence test at ``eps``, and the loop tests once before
     its first step. Levels without barrier rows have a linear optimality
     system: unless the start is already optimal, they fail the first test,
-    take one step and pass the second. A level with barrier rows also
-    stops, converged, at the first iterate whose norm is below ``SETTLED``
-    and whose complementarity split (``_split_seed``) is the previous
+    take one step and pass the second. A level with barrier rows stops,
+    converged, at the first iterate whose norm is below ``SETTLED`` and
+    whose complementarity split (``_split_seed``) is the previous
     iterate's: the partition guess the active-set step starts from has
     settled. Every step is taken in ``form``, the step form of
     ``mehrotra_iteration``. A step returns a new iterate and leaves the old
@@ -274,13 +276,13 @@ def newton_loop(ctx, s, form, tol):
     start = ctx.counters.newton_iterations
     barrier = ctx.m_ineq + ctx.m_inact > 0
     with np.errstate(over="ignore", invalid="ignore"):
-        conv, norm = converged(ctx, s, tol)
+        conv, norm = converged(ctx, s, cfg.eps)
         best_norm, best = norm, s
         split = _split_seed(s) if barrier else None
         while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
             try:
                 s = mehrotra_iteration(ctx, s, form)
-                conv, norm = converged(ctx, s, tol)
+                conv, norm = converged(ctx, s, cfg.eps)
             except NonFiniteError:
                 conv, norm = False, math.inf
             if not math.isfinite(norm):
@@ -331,7 +333,7 @@ def _activate(chain, rows, rhs, v_star, counters, retained=None):
     return fact.rank
 
 
-def project_inactive(state: CascadeState, s: IterateState, xi, counters, retained=None):
+def project_inactive(state: CascadeState, s: IterateState, counters, retained=None):
     """Move saturated, dual-active carried rows into a virtual level.
 
     Saturation is judged on explicitly recomputed slacks; rows that are
@@ -345,7 +347,7 @@ def project_inactive(state: CascadeState, s: IterateState, xi, counters, retaine
     carry = state.carry
     if carry.m == 0:
         return 0, s.lam_inact
-    mask = (carry.matrix @ s.x - carry.rhs < xi) & (s.lam_inact > xi)
+    mask = (carry.matrix @ s.x - carry.rhs < XI) & (s.lam_inact > XI)
     if not mask.any():
         return 0, s.lam_inact
     rows, rhs = carry.matrix[mask], carry.rhs[mask]
@@ -357,7 +359,7 @@ def project_inactive(state: CascadeState, s: IterateState, xi, counters, retaine
     return _activate(state.chain, rows, rhs, v_star, counters, fact), s.lam_inact[~mask]
 
 
-def project_current(state, level, s, xi, counters, retained=None, residuals=None):
+def project_current(state, level, s, counters, retained=None, residuals=None):
     """Pin the level's active set and carry its satisfied inequalities.
 
     The active set holds every equality row plus the inequalities violated
@@ -372,7 +374,7 @@ def project_current(state, level, s, xi, counters, retained=None, residuals=None
     # C order, as the stack below returns it, so the products keep their bits
     rows, rhs, v_star = np.ascontiguousarray(eq.matrix), eq.rhs, r_eq
     if ineq.m:
-        viol = r_ineq < -xi
+        viol = r_ineq < -XI
         if viol.any():
             rows = np.vstack([eq.matrix, ineq.matrix[viol]])
             rhs = np.concatenate([eq.rhs, ineq.rhs[viol]])
@@ -407,13 +409,13 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     from its start in the projected normal form and reports ``method_fallback``;
     its counters keep the abandoned iterations and factorizations. A level
     with barrier rows (its own inequalities or carried rows) leaves the
-    interior point at a KKT norm of ``HANDOVER``, or ``eps`` when that is
-    larger, or at a settled split below ``SETTLED`` (``newton_loop``), and
-    ``asm_level_feasibility`` finishes it from there, walked
-    back onto the chain's pinned rows (``_onto_chain``) and seeded by the
-    iterate's complementarity pairs (``_split_seed``): its convergence
-    test at ``eps`` decides ``sub_converged``, and its working-set changes
-    count as ``asm_iterations``. A level without
+    interior point once its complementarity split has settled below
+    ``SETTLED``, at ``eps``, at the iteration cap or at a non-finite
+    iterate (``newton_loop``), and ``asm_level_feasibility`` finishes it
+    from there, walked back onto the chain's pinned rows (``_onto_chain``)
+    and seeded by the iterate's complementarity pairs (``_split_seed``):
+    its convergence test at ``eps`` decides ``sub_converged``, and its
+    working-set changes count as ``asm_iterations``. A level without
     barrier rows takes its one Newton step alone. The active-constraint
     duals in ``last_duals`` take one chain walk, made after the cascade for
     the last level solved and counted in that level's ``dual_evaluations``.
@@ -461,17 +463,15 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         else:
             start = initial_state(ctx, x)
             form, fell_back = _level_form(ctx)
-            barrier = ctx.m_ineq + ctx.m_inact > 0
-            tol = max(HANDOVER, config.eps) if barrier else config.eps
             try:
-                s, conv, norm = newton_loop(ctx, start, form, tol)
+                s, conv, norm = newton_loop(ctx, start, form)
             except MethodNotApplicable:
                 # the quadratic term has no Cholesky factor, at the first
                 # iteration or once barrier weights made it lose rank
                 # numerically; restart the level in the projected form
                 form, fell_back = "normal", True
-                s, conv, norm = newton_loop(ctx, start, form, tol)
-            if barrier:
+                s, conv, norm = newton_loop(ctx, start, form)
+            if ctx.m_ineq + ctx.m_inact > 0:
                 # crossover: the active-set step finishes the level from the
                 # hand-over point, walked back onto the chain's pinned rows
                 # (the step moves x in the chain basis only), with the
@@ -485,7 +485,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         residuals = _residuals(level, x)
 
         stages = len(state.chain.stages)
-        rank_virtual, lam_inact = project_inactive(state, s, config.xi, counters, tight)
+        rank_virtual, lam_inact = project_inactive(state, s, counters, tight)
         moved = state.chain.stages[-1].fact if len(state.chain.stages) > stages else None
         if moved is not tight[1]:
             # the objective rows' RRQR was made in the basis that the tight
@@ -493,9 +493,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             current = None
         rank_current = 0
         if state.chain.n_r:
-            rank_current = project_current(
-                state, level, s, config.xi, counters, current, residuals
-            )
+            rank_current = project_current(state, level, s, counters, current, residuals)
         objective, v_norm = _level_objective(*residuals)
         report = LevelReport(
             level=idx,
@@ -575,11 +573,11 @@ def hybrid_solve(problem: HlspProblem, config: SolverConfig = None):
 def _residual_seed(ctx, x, warm_set=()):
     """An ``-asm`` level's first working set, from the signs at ``x``.
 
-    The level rows violated at ``x``, the carried rows within ``xi`` of
+    The level rows violated at ``x``, the carried rows within ``XI`` of
     their bound and the level rows of ``warm_set``.
     """
     work = np.concatenate(
-        [ctx.a_ineq @ x - ctx.b_ineq < 0.0, ctx.a_inact @ x - ctx.b_inact < ctx.config.xi]
+        [ctx.a_ineq @ x - ctx.b_ineq < 0.0, ctx.a_inact @ x - ctx.b_inact < XI]
     )
     work[np.asarray(warm_set, dtype=int)] = True
     return work

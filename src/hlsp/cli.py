@@ -56,8 +56,6 @@ def _parser():
     )
     solve.add_argument("--eps", type=float, default=defaults.eps,
                        help="optimality threshold (default %(default)s)")
-    solve.add_argument("--xi", type=float, default=defaults.xi,
-                       help="activation threshold (default %(default)s)")
     solve.add_argument("--max-iter", type=int, default=defaults.max_iter,
                        help="Newton iteration cap per level (default %(default)s)")
     solve.add_argument("--out", default=None, help="report path (default stdout)")
@@ -83,7 +81,6 @@ def _config_from_args(args):
     return SolverConfig(
         method=args.method,
         eps=args.eps,
-        xi=args.xi,
         max_iter=args.max_iter,
     )
 

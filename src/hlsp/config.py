@@ -15,7 +15,6 @@ METHODS = ("nf-ipm", "ls-ipm", "nf-ipm-asm", "ls-ipm-asm", "classical")
 class SolverConfig:
     method: str = "nf-ipm"
     eps: float = 1e-12
-    xi: float = 1e-8
     max_iter: int = 50
     warm_start_x: object = None
     warm_active_sets: object = None
@@ -26,7 +25,6 @@ class SolverConfig:
         positive, count = "a positive finite number", "an integer >= 0"
         checks = [
             ("eps", _is_real(self.eps) and 0.0 < self.eps < math.inf, positive),
-            ("xi", _is_real(self.xi) and 0.0 < self.xi < math.inf, positive),
             ("max_iter", _is_int(self.max_iter) and self.max_iter >= 0, count),
             (
                 "warm_active_sets",

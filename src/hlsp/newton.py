@@ -38,11 +38,9 @@ STEP_TOL = 1e-15
 GAMMA_F = 0.95
 # the corrector steps at most this share of the ratio test's bound
 TAU = 0.999
-# KKT norm at which a level with barrier rows leaves the Newton loop for
-# the active-set step that finishes it
-HANDOVER = 1e-5
-# below this KKT norm such a level leaves earlier, at the first iterate
-# whose complementarity split is the previous iterate's
+# a level with barrier rows leaves the Newton loop for the active-set step
+# that finishes it at the first iterate below this KKT norm whose
+# complementarity split is the previous iterate's
 SETTLED = 1e-3
 
 

@@ -189,19 +189,17 @@ class TestProjections:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         start = initial_state(ctx, np.zeros(2))
-        s = newton_loop(ctx, start, config.step_form, config.eps)[0]
-        project_inactive(state, s, config.xi, counters)
-        project_current(state, p.levels[0], s, config.xi, counters)
+        s = newton_loop(ctx, start, config.step_form)[0]
+        project_inactive(state, s, counters)
+        project_current(state, p.levels[0], s, counters)
         # satisfied row carried, nothing active
         assert state.carry.m == 1
         assert state.chain.n_r == 2  # no rank consumed
         # now solve level 2 and activate from the carry only if saturated
         ctx2 = build_level_context(state, p.levels[1], config, counters)
-        s2 = newton_loop(
-            ctx2, initial_state(ctx2, s.x), config.step_form, config.eps
-        )[0]
+        s2 = newton_loop(ctx2, initial_state(ctx2, s.x), config.step_form)[0]
         stages_before = len(state.chain.stages)
-        project_inactive(state, s2, config.xi, counters)
+        project_inactive(state, s2, counters)
         assert len(state.chain.stages) == stages_before  # x2 move ignores x1 >= -1
         assert state.carry.m == 1
 
@@ -217,7 +215,7 @@ class TestProjections:
         s = S()
         s.x = np.array([1.0 + 1e-10, 3.0])
         s.lam_inact = np.array([0.3])
-        rank, lam_inact = project_inactive(state, s, config.xi, counters)
+        rank, lam_inact = project_inactive(state, s, counters)
         assert rank == 1 and lam_inact.shape == (0,)
         assert np.array_equal(state.chain.rows, [[1.0, 0.0]])
         assert state.carry.m == 0
@@ -237,7 +235,7 @@ class TestProjections:
         s = S()
         s.x = np.array([1.0 + 1e-10, 0.0])
         s.lam_inact = np.array([1e-10])
-        rank, lam_inact = project_inactive(state, s, config.xi, counters)
+        rank, lam_inact = project_inactive(state, s, counters)
         assert rank == 0 and lam_inact is s.lam_inact
         assert state.carry.m == 1
 
@@ -256,7 +254,7 @@ class TestProjections:
         )
         arrays = {name: getattr(s, name) for name in ("x", "w_inact", "lam_inact")}
         copies = {name: a.copy() for name, a in arrays.items()}
-        rank, lam_inact = project_inactive(state, s, config.xi, counters)
+        rank, lam_inact = project_inactive(state, s, counters)
         assert rank == 1 and state.carry.m == 2
         for name, a in arrays.items():
             assert getattr(s, name) is a and np.array_equal(a, copies[name]), name
@@ -275,8 +273,8 @@ class TestProjections:
         )
         real, seen = cascade.project_inactive, []
 
-        def recording(state, s, xi, counters, retained=None):
-            out = real(state, s, xi, counters, retained)
+        def recording(state, s, counters, retained=None):
+            out = real(state, s, counters, retained)
             seen.append((out[1], state.carry.m))
             return out
 
@@ -294,9 +292,9 @@ class TestProjections:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         start = initial_state(ctx, np.zeros(1))
-        s = newton_loop(ctx, start, config.step_form, config.eps)[0]
-        assert project_inactive(state, s, config.xi, counters)[0] == 0
-        assert project_current(state, p.levels[0], s, config.xi, counters) == 1
+        s = newton_loop(ctx, start, config.step_form)[0]
+        assert project_inactive(state, s, counters)[0] == 0
+        assert project_current(state, p.levels[0], s, counters) == 1
         # both inequalities are pinned, in level order, with their violations
         assert np.array_equal(state.chain.rows, [[1.0], [-1.0]])
         assert np.allclose(state.chain.v_star, [-0.5, -0.5], atol=1e-8)
@@ -318,7 +316,7 @@ class TestProjections:
         # second inequality is satisfied and carried
         level = lvl(4, [[1, 0, 0, 0]], [1.0], [[0, 1, 0, 0], [0, 0, 1, 0]], [0.5, -1.0])
         s = SimpleNamespace(x=np.array([1.0, 0.2, 0.0, 0.0]))
-        assert project_current(state, level, s, config.xi, counters) == 2
+        assert project_current(state, level, s, counters) == 2
         assert np.array_equal(state.chain.rows, [[1, 0, 0, 0], [0, 1, 0, 0]])
         assert_stacked(state.chain, [1.0, 0.5], [0.0, 0.2 - 0.5])
         # the carried row saturates with a significant dual
@@ -326,7 +324,7 @@ class TestProjections:
             x=np.array([1.0, 0.2, -1.0, 0.0]),
             lam_inact=np.array([0.3]),
         )
-        assert project_inactive(state, s, config.xi, counters)[0] == 1
+        assert project_inactive(state, s, counters)[0] == 1
         assert np.array_equal(state.chain.rows[2:], [[0, 0, 1, 0]])
         assert_stacked(state.chain, [1.0, 0.5, -1.0], [0.0, 0.2 - 0.5, 0.0])
 
@@ -349,13 +347,13 @@ class TestProjections:
             a, b = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)
             if kind == "real":
                 level = lvl(n, a, b, np.zeros((0, n)), [])
-                assert project_current(state, level, s, config.xi, counters) == m
+                assert project_current(state, level, s, counters) == m
             else:
                 # carried rows saturated at x, with significant duals
                 b = a @ s.x
                 state.carry.append(a, b)
                 s.lam_inact = np.ones(m)
-                assert project_inactive(state, s, config.xi, counters)[0] == m
+                assert project_inactive(state, s, counters)[0] == m
             expected.append((a, b, a @ s.x - b))
             if len(held) < 2:
                 ctx = build_level_context(state, level, config, counters)
@@ -867,8 +865,8 @@ class TestLinearLevelCost:
         seen = []
         real_loop = cascade.newton_loop
 
-        def recording_loop(ctx, s, form, tol):
-            out = real_loop(ctx, s, form, tol)
+        def recording_loop(ctx, s, form):
+            out = real_loop(ctx, s, form)
             seen.append(out[0].x)
             return out
 
@@ -1015,11 +1013,11 @@ class TestInvariants:
             counters = Counters()
             ctx = build_level_context(state, level, config, counters)
             start = initial_state(ctx, x)
-            s = newton_loop(ctx, start, config.step_form, config.eps)[0]
+            s = newton_loop(ctx, start, config.step_form)[0]
             x = s.x
-            project_inactive(state, s, config.xi, counters)
+            project_inactive(state, s, counters)
             if state.chain.n_r:
-                project_current(state, level, s, config.xi, counters)
+                project_current(state, level, s, counters)
             if state.chain.n_r == 0:
                 break
         chain = state.chain
@@ -1092,19 +1090,19 @@ class TestLastDuals:
         config = SolverConfig(method=method)
         rep = solve_hlsp(p, config)
         # replay the cascade to level 2's final iterate: level 1 is linear,
-        # level 2 has a barrier row, so its Newton loop hands over at
-        # HANDOVER and the active-set step finishes it from the hand-over
-        # point walked onto the chain, seeded by the iterate's split
+        # level 2 has a barrier row, so its Newton loop hands over once the
+        # iterate's split has settled, and the active-set step finishes it
+        # from the hand-over point walked onto the chain, seeded by that split
         state = CascadeState.fresh(p.n)
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         start = initial_state(ctx, np.zeros(p.n))
-        s = newton_loop(ctx, start, config.step_form, config.eps)[0]
-        project_current(state, p.levels[0], s, config.xi, counters, (ctx.a_eq, ctx.stage1))
+        s = newton_loop(ctx, start, config.step_form)[0]
+        project_current(state, p.levels[0], s, counters, (ctx.a_eq, ctx.stage1))
         ctx = build_level_context(state, p.levels[1], config, counters)
         assert ctx.m_ineq == 1
         start = initial_state(ctx, s.x)
-        s = newton_loop(ctx, start, config.step_form, newton.HANDOVER)[0]
+        s = newton_loop(ctx, start, config.step_form)[0]
         x = cascade._onto_chain(ctx, s.x)
         ctx, s = asm_level_feasibility(ctx, x, cascade._split_seed(s))[:2]
         assert np.array_equal(s.x, rep.x)
@@ -1212,16 +1210,24 @@ class TestCrossover:
     @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
     def test_only_barrier_levels_hand_over(self, monkeypatch, method):
         # an equality level, then a level with a barrier row; the chain is
-        # exhausted before level 3
-        tols, real_loop = [], cascade.newton_loop
+        # exhausted before level 3. Both loops test at eps, and only the
+        # barrier level goes on to the active-set step
+        loops, crossed, real_loop = [], [], cascade.newton_loop
+        real_asm = cascade.asm_level_feasibility
 
-        def recording_loop(ctx, s, form, tol):
-            tols.append((ctx.m_ineq + ctx.m_inact > 0, tol))
-            return real_loop(ctx, s, form, tol)
+        def recording_loop(ctx, s, form):
+            loops.append((ctx.m_ineq + ctx.m_inact > 0, ctx.config.eps))
+            return real_loop(ctx, s, form)
+
+        def recording_asm(ctx, x, work):
+            crossed.append(len(loops))
+            return real_asm(ctx, x, work)
 
         monkeypatch.setattr(cascade, "newton_loop", recording_loop)
+        monkeypatch.setattr(cascade, "asm_level_feasibility", recording_asm)
         rep = solve_hlsp(level2_exhausts_chain(), SolverConfig(method=method))
-        assert tols == [(False, rep.config["eps"]), (True, newton.HANDOVER)]
+        assert loops == [(False, rep.config["eps"]), (True, rep.config["eps"])]
+        assert crossed == [2]
         assert rep.converged
 
     @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
@@ -1249,10 +1255,10 @@ class TestCrossover:
         )
         real_loop, step, sets = cascade.newton_loop, cascade._working_set_step, []
 
-        def scripted_loop(ctx, s, form, tol):
+        def scripted_loop(ctx, s, form):
             if ctx.m_inact:
                 return hand_over, False, 1.0
-            return real_loop(ctx, s, form, tol)
+            return real_loop(ctx, s, form)
 
         def recorded(ctx, x, pin, tight):
             sets.append((ctx.counters, pin.tolist(), tight.tolist()))
@@ -1298,8 +1304,9 @@ class TestCrossover:
     def test_hand_over_point_is_walked_onto_the_chain(self, monkeypatch, method, data):
         # level 2's hand-over point is off level 1's pinned rows by more than
         # eps, which no step in the chain basis repairs. classical_off_chain
-        # is small_oracle seed 0 problem 92, where classical's full-space
-        # steps leave it 7.1e-12 off; projected_off_chain is seed 58
+        # is random_hlsp(199698783, 5, [(4, 2, 0, "feasible"), (0, 6, 0,
+        # "infeasible")]), whose level 2 classical steps in the full space
+        # and leaves 1.3e-8 off; projected_off_chain is small_oracle seed 58
         # problem 7, where the rounding of the projected forms' steps in the
         # chain basis leaves it 1.8e-12 (nf-ipm) and 1.4e-12 (ls-ipm) off
         p = load_problem(Path(__file__).parent / "data" / f"{data}.json")
@@ -1325,12 +1332,12 @@ class TestLoopExits:
     Iterate k carries k in ``x``, so the returned iterate names itself.
     The level has a barrier row unless ``m_ineq`` is 0, and ``splits[k]``
     is iterate k's complementarity split; by default it changes at every
-    iterate, so only the tolerance, the cap and a non-finite norm can end
-    the loop.
+    iterate, so only ``eps``, the cap and a non-finite norm can end the
+    loop.
     """
 
-    def run(self, monkeypatch, norms, tol=1e-12, max_iter=50, splits=None, m_ineq=1):
-        config = SolverConfig(max_iter=max_iter)
+    def run(self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, m_ineq=1):
+        config = SolverConfig(eps=eps, max_iter=max_iter)
         ctx = SimpleNamespace(config=config, counters=Counters(), m_ineq=m_ineq, m_inact=0)
         if splits is None:
             splits = [[k % 2 == 0] for k in range(len(norms))]
@@ -1345,31 +1352,37 @@ class TestLoopExits:
         monkeypatch.setattr(cascade, "mehrotra_iteration", scripted_step)
         monkeypatch.setattr(cascade, "converged", scripted_norm)
         monkeypatch.setattr(cascade, "_split_seed", lambda s: np.array(splits[s.x]))
-        s, conv, norm = newton_loop(ctx, SimpleNamespace(x=0), "normal", tol)
+        s, conv, norm = newton_loop(ctx, SimpleNamespace(x=0), "normal")
         return conv, norm, ctx.counters.newton_iterations, s.x
 
     def test_stops_at_its_tolerance(self, monkeypatch):
-        # the hand-over tolerance ends the loop at the first norm below it
-        tol = newton.HANDOVER
-        norms = [1.0, 10 * tol, tol / 2, 1e-13]
-        assert self.run(monkeypatch, norms, tol=tol) == (True, tol / 2, 2, 2)
+        # the config's eps ends the loop at the first norm below it
+        eps = 1e-9
+        norms = [1.0, 10 * eps, eps / 2, 1e-13]
+        assert self.run(monkeypatch, norms, eps=eps) == (True, eps / 2, 2, 2)
 
     def test_settled_split_below_settled_ends_the_loop(self, monkeypatch):
         # the split holds from the start; above SETTLED that ends nothing,
-        # and the first iterate below it ends the loop short of HANDOVER
-        settled, tol = newton.SETTLED, newton.HANDOVER
-        norms = [1.0, 2 * settled, settled / 2, tol / 2]
+        # and the first iterate below it ends the loop short of eps
+        settled = newton.SETTLED
+        norms = [1.0, 2 * settled, settled / 2, 1e-13]
         splits = [[True, False]] * 4
-        run = self.run(monkeypatch, norms, tol=tol, splits=splits)
+        run = self.run(monkeypatch, norms, splits=splits)
         assert run == (True, settled / 2, 2, 2)
 
     def test_changing_split_below_settled_runs_on(self, monkeypatch):
         # below SETTLED the split changes at three iterates, then holds
-        settled, tol = newton.SETTLED, newton.HANDOVER
+        settled = newton.SETTLED
         norms = [1.0, settled / 2, settled / 4, settled / 8, settled / 16]
         splits = [[True, False], [True, True], [True, False], [False, False], [False, False]]
-        run = self.run(monkeypatch, norms, tol=tol, splits=splits)
+        run = self.run(monkeypatch, norms, splits=splits)
         assert run == (True, settled / 16, 4, 4)
+
+    def test_split_that_never_settles_runs_to_eps(self, monkeypatch):
+        # a barrier level whose split changes at every iterate has no other
+        # exit short of eps: it runs past a norm of 1e-6 and stops below eps
+        norms = [1.0, 1e-3, 1e-6, 1e-9, 5e-11, 1e-13]
+        assert self.run(monkeypatch, norms) == (True, 1e-13, 5, 5)
 
     def test_level_without_barrier_rows_ignores_the_split(self, monkeypatch):
         # a linear level has no split: only its tolerance ends the loop
@@ -1447,7 +1460,7 @@ class TestNonFiniteSteps:
                 raise
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", diverging)
-        s, conv, norm = newton_loop(ctx, s, form, config.eps)
+        s, conv, norm = newton_loop(ctx, s, form)
         assert len(steps) == 3 and raised == ([form] if form == "ls" else [])
         assert not conv
         assert np.isfinite(norm) and norm == converged(ctx, s, config.eps)[1]

@@ -272,12 +272,13 @@ class TestSolveCommand:
         self, problem_file, capsys, method, flag, value
     ):
         argv = ["solve", str(problem_file), "--method", method, flag, value]
-        if flag == "--tau":
-            # the step cap is the constant newton.TAU: the parser rejects the flag
+        if flag in ("--tau", "--xi"):
+            # the step cap and the activation threshold are the constants
+            # newton.TAU and cascade.XI: the parser rejects the flag
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == EXIT_INVALID
-            assert f"unrecognized arguments: --tau {value}" in capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
             return
         code = main(argv)
         assert code == EXIT_INVALID
@@ -285,11 +286,13 @@ class TestSolveCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_step_cap_is_not_a_flag(self, problem_file, capsys):
-        # the corrector's step cap is the constant newton.TAU
+        # the corrector's step cap is the constant newton.TAU, and the
+        # activation threshold the constant cascade.XI
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])
         assert exc.value.code == EXIT_OK
-        assert "--tau" not in capsys.readouterr().out
+        help_text = capsys.readouterr().out
+        assert "--tau" not in help_text and "--xi" not in help_text
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(problem_file), "--tau", "0.5"])
         assert exc.value.code == EXIT_INVALID
@@ -448,6 +451,7 @@ class TestBenchCommand:
             {"config": {"rank_tol": 1e-6}},
             {"config": {"tau": 0.999}},
             {"config": {"asm_max_iter": 200}},
+            {"config": {"xi": 1e-8}},
             {"config": {"max_iter": True}},
             {"seeds": [True], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
             {"seeds": [0.5], "instances": [{"n": 4, "levels": [[1, 1, 0, "mixed"]]}]},
@@ -479,6 +483,7 @@ class TestBenchCommand:
             "removed-rank-tol",
             "removed-tau",
             "removed-asm-max-iter",
+            "removed-xi",
             "bool-max-iter",
             "bool-seed",
             "fraction-seed",

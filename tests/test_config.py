@@ -8,11 +8,11 @@ from hlsp.config import SolverConfig
 def test_documented_defaults():
     cfg = SolverConfig()
     assert cfg.eps == 1e-12
-    assert cfg.xi == 1e-8
     assert cfg.max_iter == 50
     assert cfg.method == "nf-ipm"
     assert newton.TAU == 0.999
     assert cascade.ASM_MAX_ITER == 200
+    assert cascade.XI == 1e-8
 
 
 def test_rejects_unknown_method():
@@ -56,8 +56,9 @@ def test_step_form_mapping():
         ("max_iter", True),
         ("eps", True),
         ("xi", True),
-        # the step cap and the active-set budget are constants of the code
-        # (newton.TAU, cascade.ASM_MAX_ITER): any value is an unknown field
+        # the step cap, the active-set budget and the activation threshold
+        # are constants of the code (newton.TAU, cascade.ASM_MAX_ITER,
+        # cascade.XI): any value is an unknown field
         ("tau", 0.0),
         ("tau", 1.0),
         ("tau", float("nan")),
@@ -68,15 +69,16 @@ def test_step_form_mapping():
     ],
 )
 def test_rejects_out_of_range_setting(field, value):
-    error = TypeError if field in ("tau", "asm_max_iter") else ValueError
+    error = TypeError if field in ("tau", "asm_max_iter", "xi") else ValueError
     with pytest.raises(error, match=field):
         SolverConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["rank_tol", "solve_tol", "tau", "asm_max_iter"])
+@pytest.mark.parametrize("field", ["rank_tol", "solve_tol", "tau", "asm_max_iter", "xi"])
 def test_rank_tolerances_are_not_settings(field):
-    # the rank cuts, the corrector's step cap (newton.TAU) and the active-set
-    # budget (cascade.ASM_MAX_ITER) are constants of the code
+    # the rank cuts, the corrector's step cap (newton.TAU), the active-set
+    # budget (cascade.ASM_MAX_ITER) and the activation threshold (cascade.XI)
+    # are constants of the code
     with pytest.raises(TypeError, match=field):
         SolverConfig(**{field: 1e-8})
 
@@ -84,5 +86,6 @@ def test_rank_tolerances_are_not_settings(field):
 def test_accepts_edge_settings():
     cfg = SolverConfig(max_iter=0)
     assert cfg.max_iter == 0
-    SolverConfig(eps=np.float64(1e-10), xi=np.float32(1e-6), max_iter=np.int64(3))
+    SolverConfig(eps=np.float64(1e-10), max_iter=np.int64(3))
+    SolverConfig(eps=np.float32(1e-6))
     SolverConfig(warm_active_sets={1: np.arange(2), 2: (), 3: range(1)})

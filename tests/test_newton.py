@@ -675,7 +675,7 @@ class TestStepLength:
             return alpha
 
         monkeypatch.setattr(newton, "step_length", checked)
-        cascade.newton_loop(ctx, s, "normal", ctx.config.eps)
+        cascade.newton_loop(ctx, s, "normal")
         assert len(calls) >= 5 and all(calls)
 
 
@@ -1061,7 +1061,7 @@ class TestIterateFrame:
         start = initial_state(ctx, s0.x)
         keep(start)
         try:
-            cascade.newton_loop(ctx, start, form, ctx.config.eps)
+            cascade.newton_loop(ctx, start, form)
         except MethodNotApplicable:
             # the classical quadratic term lost rank numerically: restart the
             # level from the same start in the projected normal form, as
@@ -1069,7 +1069,7 @@ class TestIterateFrame:
             # still checked
             assert form == "classical"
             keep(start)
-            cascade.newton_loop(ctx, start, "normal", ctx.config.eps)
+            cascade.newton_loop(ctx, start, "normal")
         check()  # the last convergence test and the best-iterate return
         assert ctx.counters.newton_iterations >= 3
         # one start per run, one iterate per step; a step that raised kept none
@@ -1120,7 +1120,7 @@ class TestIterateFrame:
             return False, next(norms)
 
         monkeypatch.setattr(cascade, "converged", scripted)
-        s, conv, norm = cascade.newton_loop(ctx, s, form, ctx.config.eps)
+        s, conv, norm = cascade.newton_loop(ctx, s, form)
         assert (conv, norm) == (False, 0.1)
         assert ctx.counters.newton_iterations == 3 and s.x is seen[2]
         fresh = vars(newton._Frame(ctx, s))
