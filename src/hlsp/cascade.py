@@ -34,6 +34,7 @@ from .newton import (
     boundary_state,
     converged,
     initial_state,
+    kkt_test,
     mehrotra_iteration,
     recover_equality_dual,
 )
@@ -234,11 +235,11 @@ def build_level_context(state: CascadeState, level, config, counters):
     )
 
 
-def _level_form(ctx):
-    """Step form for the level; classical needs a nonsingular quadratic term.
+def _level_form(config, m, n):
+    """Step form for a level of ``m`` level and carried rows in ``n`` variables.
 
-    The term's rank is at most the number of stacked level and carried
-    rows, so a level with fewer rows than variables takes the projected
+    Classical needs a nonsingular quadratic term, whose rank is at most
+    ``m``. So a level with fewer rows than variables takes the projected
     normal form at once, and one without rows has nothing to factorize and
     keeps its form. Every other level starts classical, and the first
     Cholesky factorization of its quadratic term is the applicability test:
@@ -246,11 +247,9 @@ def _level_form(ctx):
     and ``solve_hlsp`` restarts the level in the normal form. Returns
     (form, fell_back).
     """
-    cfg = ctx.config
-    m = ctx.m_eq + ctx.m_ineq + ctx.m_inact
-    if cfg.step_form == "classical" and 0 < m < ctx.n:
+    if config.step_form == "classical" and 0 < m < n:
         return "normal", True
-    return cfg.step_form, False
+    return config.step_form, False
 
 
 def newton_loop(ctx, s, form):
@@ -258,11 +257,13 @@ def newton_loop(ctx, s, form):
 
     Returns (s, converged, kkt_norm). Every iteration is followed by the
     dual-free convergence test at ``eps``, and the loop tests once before
-    its first step. Levels without barrier rows have a linear optimality
-    system: unless the start is already optimal, they fail the first test,
-    take one step and pass the second. A level with barrier rows stops,
-    converged, at the first iterate whose norm is below ``SETTLED`` and
-    whose complementarity split (``_split_seed``) is the previous
+    its first step. A level without barrier rows has a linear optimality
+    system: unless the start is already optimal, it fails the first test,
+    takes one step and passes the second. ``solve_hlsp`` runs such a level
+    here only in the classical form; in the projected forms it is
+    ``linear_level``'s, which keeps these exits. A level with barrier rows
+    stops, converged, at the first iterate whose norm is below ``SETTLED``
+    and whose complementarity split (``_split_seed``) is the previous
     iterate's: the partition guess the active-set step starts from has
     settled. Every step is taken in ``form``, the step form of
     ``mehrotra_iteration``. A step returns a new iterate and leaves the old
@@ -297,6 +298,64 @@ def newton_loop(ctx, s, form):
     if not conv and best_norm < norm:
         s, norm = best, best_norm
     return s, conv, norm
+
+
+def linear_level(chain, level, x, config, counters):
+    """Solve a level without barrier rows in a projected form; extend the chain.
+
+    The level's optimality system is linear, and the projected forms'
+    Newton step on it is the basic step ``x + B dz``: ``dz`` solves ``A_eq B
+    dz = b_eq - A_eq x`` in the least-squares sense on one counted RRQR of
+    ``A_eq B``, with B the chain basis. The routine keeps ``newton_loop``'s
+    exits: the KKT test at ``eps`` (``kkt_test``, the arithmetic of
+    ``converged``) runs before the first step and after every step, at most
+    ``max_iter`` steps are taken, and a step that meets an Inf or a NaN ends
+    the level at the best point seen, with no floating-point warning. An
+    optimal start takes no step. The rows then extend the chain at their
+    residual ``A_eq x - b_eq``, on the step's RRQR or, without a step, on
+    one made for the extension.
+
+    Returns (x, conv, norm, rank, r): the level's point, its verdict and
+    KKT norm, the rank its rows add and their residual at ``x``.
+    """
+    a, b = level.equalities.matrix, level.equalities.rhs
+    basis, act, act_rhs, act_v = chain.basis, chain.rows, chain.rhs, chain.v_star
+
+    def test(x):
+        # the frame's products and converged's blocks, in their order
+        ax = a @ x
+        r, rhs = ax - b, b - ax
+        blocks = [rhs + r]
+        if act_rhs.size:
+            blocks.append((act_rhs - act @ x) + act_v)
+        conv, norm = kkt_test(
+            np.concatenate(blocks), config.eps, lambda: basis.T @ (a.T @ r)
+        )
+        return conv, norm, r, rhs
+
+    fact, start = None, counters.newton_iterations
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv, norm, r, rhs = test(x)
+        best_norm, best = norm, (x, r)
+        while not conv and counters.newton_iterations - start < config.max_iter:
+            counters.newton_iterations += 1
+            try:
+                if fact is None:
+                    fact = rrqr(a @ basis, counter=counters, scale_rows=a)
+                x = x + basis @ fact.solve_basic(rhs)
+                conv, norm, r, rhs = test(x)
+            except NonFiniteError:
+                conv, norm = False, math.inf
+            if not math.isfinite(norm):
+                norm = math.inf
+                break
+            if norm < best_norm:
+                best_norm, best = norm, (x, r)
+    if not conv and best_norm < norm:
+        (x, r), norm = best, best_norm
+    # C order, as project_current stores a level's rows
+    rank = _activate(chain, np.ascontiguousarray(a), b, r, counters, fact)
+    return x, conv, norm, rank, r
 
 
 def _onto_chain(ctx, x):
@@ -416,9 +475,14 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     and seeded by the iterate's complementarity pairs (``_split_seed``):
     its convergence test at ``eps`` decides ``sub_converged``, and its
     working-set changes count as ``asm_iterations``. A level without
-    barrier rows takes its one Newton step alone. The active-constraint
-    duals in ``last_duals`` take one chain walk, made after the cascade for
-    the last level solved and counted in that level's ``dual_evaluations``.
+    barrier rows whose step form is projected, in ``nf-ipm`` and
+    ``ls-ipm`` and where classical takes the normal form, is
+    ``linear_level``'s: basic steps on one RRQR, with no context, iterate
+    or projection. Classical's other linear levels take their range-space
+    step in ``newton_loop``. The active-constraint duals in ``last_duals``
+    take one chain walk, made after the cascade for the last level solved
+    and counted in that level's ``dual_evaluations``; a context is built
+    for a linear level only then (``_linear_walk``).
     """
     config = config if config is not None else SolverConfig()
     violations = validate_problem(problem)
@@ -454,15 +518,17 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         n_r_before = state.chain.n_r
         m_inact_seen = state.carry.m
 
-        fell_back = False
-        held = None
-        ctx = build_level_context(state, level, config, counters)
+        held = ctx = None
+        m_barrier = level.inequalities.m + m_inact_seen
+        linear = m_barrier == 0
+        form, fell_back = _level_form(config, level.equalities.m + m_barrier, n)
         if config.uses_asm:
+            ctx = build_level_context(state, level, config, counters)
             work = _residual_seed(ctx, x, warm_sets.get(idx, ()))
             ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, work)
-        else:
+        elif form == "classical" or not linear:
+            ctx = build_level_context(state, level, config, counters)
             start = initial_state(ctx, x)
-            form, fell_back = _level_form(ctx)
             try:
                 s, conv, norm = newton_loop(ctx, start, form)
             except MethodNotApplicable:
@@ -470,30 +536,47 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 # iteration or once barrier weights made it lose rank
                 # numerically; restart the level in the projected form
                 form, fell_back = "normal", True
-                s, conv, norm = newton_loop(ctx, start, form)
-            if ctx.m_ineq + ctx.m_inact > 0:
+                if linear:
+                    ctx = None
+                else:
+                    s, conv, norm = newton_loop(ctx, start, form)
+            if not linear:
                 # crossover: the active-set step finishes the level from the
                 # hand-over point, walked back onto the chain's pinned rows
                 # (the step moves x in the chain basis only), with the
                 # working set the iterate's complementarity pairs split off
                 x = _onto_chain(ctx, s.x)
                 ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, _split_seed(s))
-        tight, current = held or ((None, None), (ctx.a_eq, ctx.stage1))
-        x = s.x
+        if ctx is None:
+            # a linear level in a projected form: no context and no iterate
+            k = len(state.chain.stages)
+            x, conv, norm, rank_current, r_eq = linear_level(
+                state.chain, level, x, config, counters
+            )
+            walk = (k, level, x, r_eq)
+            residuals = (r_eq, level.inequalities.rhs)
+            rank_virtual, lam_inact = 0, np.zeros(0)
+        else:
+            x = s.x
+            residuals = _residuals(level, x)
+            # classical's linear levels end without a held factorization
+            tight, current = held or ((None, None), None)
+            stages = len(state.chain.stages)
+            rank_virtual, lam_inact = project_inactive(state, s, counters, tight)
+            moved = None
+            if len(state.chain.stages) > stages:
+                moved = state.chain.stages[-1].fact
+            if moved is not tight[1]:
+                # the objective rows' RRQR was made in the basis that the
+                # tight rows' RRQR leaves, and the chain's basis is now another
+                current = None
+            rank_current = 0
+            if state.chain.n_r:
+                rank_current = project_current(
+                    state, level, s, counters, current, residuals
+                )
         sub = not conv
         all_converged = all_converged and conv
-        residuals = _residuals(level, x)
-
-        stages = len(state.chain.stages)
-        rank_virtual, lam_inact = project_inactive(state, s, counters, tight)
-        moved = state.chain.stages[-1].fact if len(state.chain.stages) > stages else None
-        if moved is not tight[1]:
-            # the objective rows' RRQR was made in the basis that the tight
-            # rows' RRQR leaves, and the chain's basis is now another one
-            current = None
-        rank_current = 0
-        if state.chain.n_r:
-            rank_current = project_current(state, level, s, counters, current, residuals)
         objective, v_norm = _level_objective(*residuals)
         report = LevelReport(
             level=idx,
@@ -517,10 +600,13 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         )
         level_reports.append(report)
 
-    # ctx, report, s and lam_inact still hold the last solved level: the
-    # trivial levels after an exhausted chain reassign none of them
+    # ctx, s, report, lam_inact and a linear level's walk still hold the
+    # last solved level: the trivial levels after an exhausted chain
+    # reassign none of them
     lam_act = np.zeros(0)
-    if ctx.m_act:
+    if ctx is None and walk[0]:
+        ctx, s = _linear_walk(state.chain, *walk, config, counters)
+    if ctx is not None and ctx.m_act:
         lam_act = recover_equality_dual(ctx, s)
         report.dual_evaluations += 1
     return SolveReport(
@@ -532,6 +618,43 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         last_duals={"lam_act": lam_act, "lam_inact": lam_inact},
         wall_time_s=time.perf_counter() - t_start,
     )
+
+
+def _linear_walk(chain, k, level, x, r_eq, config, counters):
+    """The context and iterate the final dual walk reads for a linear level.
+
+    The level was solved when the chain held its first ``k`` stages, and
+    ``r_eq`` is its equality residual at ``x``, the walk's ``v_eq``.
+    The walk reads the level's equality rows and those stages, so the
+    context holds no projection, no carried row and no factorization.
+    """
+    stages = tuple(chain.stages[:k])
+    m_act = sum(st.rows.shape[0] for st in stages)
+    basis = chain.stages[k].basis_before if len(chain.stages) > k else chain.basis
+    none = np.zeros((0, chain.n))
+    eq, ineq = level.equalities, level.inequalities
+    ctx = LevelContext(
+        n=chain.n,
+        basis=basis,
+        a_eq=eq.matrix,
+        b_eq=eq.rhs,
+        a_ineq=ineq.matrix,
+        b_ineq=ineq.rhs,
+        a_act=chain.rows[:m_act],
+        b_act=chain.rhs[:m_act],
+        v_act=chain.v_star[:m_act],
+        a_inact=none,
+        b_inact=np.zeros(0),
+        proj_eq=None,
+        proj_ineq=None,
+        proj_inact=None,
+        stage1=None,
+        stages=stages,
+        counters=counters,
+        config=config,
+    )
+    empty = np.zeros(0)
+    return ctx, IterateState(x, r_eq, empty, empty, empty, empty)
 
 
 def _warm_start_x(config, n):

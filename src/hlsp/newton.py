@@ -109,9 +109,10 @@ class LevelContext:
     Projected blocks share the remaining-variable column count. The
     factorization of the projected equality block, ``stage1``, is made on
     first read by ``equality_factorization`` and then reused: by the
-    least-squares form, by both projected forms on levels without barrier
-    rows and, when the active set turns out to be the equalities alone, by
-    the null-space projection. Levels that read none of these make none.
+    least-squares form and, as the objective rows' factorization of a
+    working set without pinned rows, by the active-set step and the
+    null-space projection after it. Levels that read none of these make
+    none.
     ``stages`` are the chain stages in force when the context was built;
     their rows stack into ``a_act``. ``eq_gram``, the constant term
     ``proj_eq.T @ proj_eq`` of the reduced quadratic term, is made likewise
@@ -459,18 +460,14 @@ def mehrotra_iteration(ctx, s, form):
     parameters through the cube rule, the corrector adds the affine cross
     products, and only the corrector step is applied, at the length
     ``step_length`` picks. A level without barrier rows is linear and one
-    full step solves it: the projected forms take the basic step on the
-    retained equality factorization.
+    full step solves it. ``solve_hlsp`` sends such a level here only in the
+    classical form; in the projected forms ``cascade.linear_level`` takes
+    its basic steps without an iterate.
     """
     ctx.counters.newton_iterations += 1
-    equality_only = ctx.m_ineq == 0 and ctx.m_inact == 0
-    if equality_only and form in ("normal", "ls"):
-        dz = ctx.equality_factorization().solve_basic(_frame(ctx, s).rhs_eq)
-        x = s.x + ctx.basis @ dz
-        return _iterate(ctx, x, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact)
     solve = _step_solver(ctx, s, form)
 
-    if equality_only:
+    if ctx.m_ineq == 0 and ctx.m_inact == 0:
         return apply_step(ctx, s, solve(_EMPTY, _EMPTY), 1.0)
 
     f_aff, g_aff = assemble_f_g(ctx, s, 0.0, 0.0)
@@ -640,14 +637,22 @@ def converged(ctx, s, eps):
     The basis annihilates every active row, so the projected stationarity
     ``g_r = basis.T @ r`` of the dual-free block r needs no active dual; its
     norm is that of the stationarity block at ``recover_equality_dual``'s
-    duals. Returns (converged, norm); the norm is the partial norm when the
-    early-out fires and ``hypot(partial, |g_r|)`` otherwise. Reads only.
+    duals. Returns ``kkt_test``'s (converged, norm). Reads only.
     """
     partial = np.concatenate(_partial_blocks(ctx, s))
+    return kkt_test(partial, eps, lambda: ctx.basis.T @ _dual_free_stationarity(ctx, s))
+
+
+def kkt_test(partial, eps, g_r):
+    """The KKT verdict on the stacked partial blocks and the stationarity.
+
+    ``g_r()`` returns the projected stationarity; it is called only when
+    the partial norm is below ``eps``. Returns (converged, norm); the norm
+    is the partial norm when the early-out fires and ``hypot(partial,
+    |g_r|)`` otherwise.
+    """
     pn = _norm(partial)
     if pn >= eps:
         return False, pn
-    g_r = ctx.basis.T @ _dual_free_stationarity(ctx, s)
-    full = float(np.hypot(pn, _norm(g_r)))
+    full = float(np.hypot(pn, _norm(g_r())))
     return full < eps, full
-

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,9 +13,11 @@ from hlsp.cascade import (
     CascadeState,
     InactiveCarry,
     InvalidProblemError,
+    NullSpaceChain,
     asm_level_feasibility,
     build_level_context,
     hybrid_solve,
+    linear_level,
     newton_loop,
     project_current,
     project_inactive,
@@ -850,7 +853,76 @@ def linear_hierarchy(seed, identity):
     return with_regularizer(problem, seed) if identity else problem
 
 
+def paper_cascade(problem, x, max_iter=50, eps=1e-12):
+    """The paper's work per linear level, written out with the same kernels.
+
+    Each level is tested at its start; while the test fails and steps
+    remain, it takes one basic step on one RRQR of ``A_eq B`` and is tested
+    again. The test is ``converged``'s: the equality block and the chain's
+    pinned rows, then, below ``eps``, the stationarity in the chain basis.
+    The rows then extend the chain at their residual. Yields (x, norm,
+    steps, shape, n_r) per level solved: ``shape`` is the RRQR's and
+    ``n_r`` the basis width after the extension.
+    """
+    n = problem.n
+    basis, rows, rhs, v_star = np.eye(n), np.zeros((0, n)), np.zeros(0), np.zeros(0)
+
+    def test(a, b, x):
+        ax = a @ x
+        r = ax - b
+        partial = (b - ax) + r
+        if rhs.size:
+            partial = np.concatenate([partial, (rhs - rows @ x) + v_star])
+        norm = math.sqrt(partial.dot(partial))
+        if norm < eps:
+            g_r = basis.T @ (a.T @ r)
+            norm = float(np.hypot(norm, math.sqrt(g_r.dot(g_r))))
+        return norm, r
+
+    for level in problem.levels:
+        if basis.shape[1] == 0:
+            return
+        a, b = level.equalities.matrix, level.equalities.rhs
+        fact = rrqr(a @ basis, scale_rows=a)
+        norm, r = test(a, b, x)
+        steps = 0
+        while not norm < eps and steps < max_iter:
+            x = x + basis @ fact.solve_basic(b - a @ x)
+            steps += 1
+            norm, r = test(a, b, x)
+        basis = nullspace_update(basis, fact)
+        yield x, norm, steps, fact.shape, basis.shape[1]
+        rows, rhs = np.vstack([rows, a]), np.concatenate([rhs, b])
+        v_star = np.concatenate([v_star, r])
+
+
 class TestLinearLevelCost:
+    """``linear_level`` against ``paper_cascade``, bit for bit."""
+
+    def check(self, monkeypatch, problem, config, x0):
+        seen = []
+        real = cascade.linear_level
+
+        def recording(chain, level, x, config, counters):
+            out = real(chain, level, x, config, counters)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(cascade, "linear_level", recording)
+        report = solve_hlsp(problem, config)
+        solved = [lv for lv in report.levels if lv.kkt_norm is not None]
+        paper = list(paper_cascade(problem, x0, config.max_iter, config.eps))
+        assert len(seen) == len(solved) == len(paper)
+        for (x, norm, steps, shape, n_r), lv, x_solver in zip(paper, solved, seen):
+            assert np.array_equal(x_solver, x)
+            assert lv.kkt_norm == norm
+            assert lv.sub_converged == (not norm < config.eps)
+            assert lv.method_fallback == (config.method == "classical")
+            assert (lv.iterations, lv.factorizations, lv.fact_shapes) == (steps, 1, [shape])
+            assert lv.n_r_after == n_r == lv.n_r_before - lv.rank_current
+        assert np.array_equal(report.x, paper[-1][0])
+        return report
+
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize(
         "method,identity",
@@ -859,34 +931,34 @@ class TestLinearLevelCost:
     def test_one_rrqr_one_basic_step_one_extension(
         self, monkeypatch, seed, method, identity
     ):
-        # the paper's work per linear level, written out with the same
-        # kernels: the solver's x must match it bit for bit after each level
+        # every level but an optimal start takes one step and converges
         problem = linear_hierarchy(seed, identity)
-        seen = []
-        real_loop = cascade.newton_loop
+        config = SolverConfig(method=method)
+        report = self.check(monkeypatch, problem, config, np.zeros(problem.n))
+        assert report.converged
+        assert all(lv.iterations in (0, 1) for lv in report.levels)
 
-        def recording_loop(ctx, s, form):
-            out = real_loop(ctx, s, form)
-            seen.append(out[0].x)
-            return out
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    def test_no_step_keeps_x(self, monkeypatch, seed, method):
+        # max_iter = 0: every level is tested once, takes no step and makes
+        # its one RRQR for the chain extension
+        problem = linear_hierarchy(seed, method != "classical")
+        config = SolverConfig(method=method, max_iter=0)
+        report = self.check(monkeypatch, problem, config, np.zeros(problem.n))
+        assert np.array_equal(report.x, np.zeros(problem.n))
+        assert not report.converged
 
-        monkeypatch.setattr(cascade, "newton_loop", recording_loop)
-        report = solve_hlsp(problem, SolverConfig(method=method))
-        solved = [lv for lv in report.levels if lv.kkt_norm is not None]
-        assert len(seen) == len(solved)
-
-        x, basis = np.zeros(problem.n), np.eye(problem.n)
-        for level, lv, x_solver in zip(problem.levels, solved, seen):
-            a, b = level.equalities.matrix, level.equalities.rhs
-            fact = rrqr(a @ basis, scale_rows=a)
-            assert lv.iterations in (0, 1)
-            assert lv.method_fallback == (method == "classical")
-            if lv.iterations:
-                x = x + basis @ fact.solve_basic(b - a @ x)
-            assert np.array_equal(x_solver, x)
-            basis = nullspace_update(basis, fact)
-            assert lv.n_r_after == basis.shape[1]
-        assert np.array_equal(report.x, x)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    def test_optimal_warm_start_takes_no_step(self, monkeypatch, seed, method):
+        problem = linear_hierarchy(seed, method != "classical")
+        x = solve_hlsp(problem, SolverConfig(method=method)).x
+        config = SolverConfig(method=method, warm_start_x=x)
+        report = self.check(monkeypatch, problem, config, x)
+        steps = [lv.iterations for lv in report.levels if lv.kkt_norm is not None]
+        assert steps == [0] * len(steps)
+        assert np.array_equal(report.x, x) and report.converged
 
 
 # classical raises MethodNotApplicable inside the Newton loop on these
@@ -1095,19 +1167,38 @@ class TestLastDuals:
         # from the hand-over point walked onto the chain, seeded by that split
         state = CascadeState.fresh(p.n)
         counters = Counters()
-        ctx = build_level_context(state, p.levels[0], config, counters)
-        start = initial_state(ctx, np.zeros(p.n))
-        s = newton_loop(ctx, start, config.step_form)[0]
-        project_current(state, p.levels[0], s, counters, (ctx.a_eq, ctx.stage1))
+        x = linear_level(state.chain, p.levels[0], np.zeros(p.n), config, counters)[0]
         ctx = build_level_context(state, p.levels[1], config, counters)
         assert ctx.m_ineq == 1
-        start = initial_state(ctx, s.x)
+        start = initial_state(ctx, x)
         s = newton_loop(ctx, start, config.step_form)[0]
         x = cascade._onto_chain(ctx, s.x)
         ctx, s = asm_level_feasibility(ctx, x, cascade._split_seed(s))[:2]
         assert np.array_equal(s.x, rep.x)
         assert ctx.m_act == 2
         assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
+
+
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    def test_a_linear_last_level_walks_from_its_own_context(self, method):
+        # level 2 is linear and the last level solved: the walk reads a
+        # context of its rows under level 1's stage, made for the walk alone,
+        # and its residual as v_eq; it equals the walk from a full context
+        p = random_hlsp(43, 5, [(2, 0, 0, "feasible"), (2, 0, 1, "feasible")])
+        config = SolverConfig(method=method)
+        rep = solve_hlsp(p, config)
+        assert [lv.dual_evaluations for lv in rep.levels] == [0, 1]
+        state = CascadeState.fresh(p.n)
+        linear_level(state.chain, p.levels[0], np.zeros(p.n), config, Counters())
+        ctx = build_level_context(state, p.levels[1], config, Counters())
+        lam_act = recover_equality_dual(ctx, initial_state(ctx, rep.x))
+        assert lam_act.shape == (2,)
+        assert np.array_equal(rep.last_duals["lam_act"], lam_act)
+
+    def test_a_lone_linear_level_has_no_walk(self):
+        rep = solve_hlsp(random_hlsp(44, 5, [(2, 0, 0, "feasible")]), SolverConfig())
+        assert rep.levels[0].dual_evaluations == 0
+        assert rep.last_duals["lam_act"].shape == rep.last_duals["lam_inact"].shape == (0,)
 
 
 def carried_pair_problem():
@@ -1210,24 +1301,31 @@ class TestCrossover:
     @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
     def test_only_barrier_levels_hand_over(self, monkeypatch, method):
         # an equality level, then a level with a barrier row; the chain is
-        # exhausted before level 3. Both loops test at eps, and only the
-        # barrier level goes on to the active-set step
-        loops, crossed, real_loop = [], [], cascade.newton_loop
+        # exhausted before level 3. The equality level is linear_level's (in
+        # classical too, which takes the normal form on its two rows in four
+        # variables); only the barrier level runs the Newton loop, and only
+        # it goes on to the active-set step
+        calls, real_loop = [], cascade.newton_loop
+        real_linear = cascade.linear_level
         real_asm = cascade.asm_level_feasibility
 
+        def recording_linear(chain, level, x, config, counters):
+            calls.append(("linear", level.inequalities.m))
+            return real_linear(chain, level, x, config, counters)
+
         def recording_loop(ctx, s, form):
-            loops.append((ctx.m_ineq + ctx.m_inact > 0, ctx.config.eps))
+            calls.append(("newton", ctx.m_ineq + ctx.m_inact > 0))
             return real_loop(ctx, s, form)
 
         def recording_asm(ctx, x, work):
-            crossed.append(len(loops))
+            calls.append(("asm", len(calls)))
             return real_asm(ctx, x, work)
 
+        monkeypatch.setattr(cascade, "linear_level", recording_linear)
         monkeypatch.setattr(cascade, "newton_loop", recording_loop)
         monkeypatch.setattr(cascade, "asm_level_feasibility", recording_asm)
         rep = solve_hlsp(level2_exhausts_chain(), SolverConfig(method=method))
-        assert loops == [(False, rep.config["eps"]), (True, rep.config["eps"])]
-        assert crossed == [2]
+        assert calls == [("linear", 0), ("newton", True), ("asm", 2)]
         assert rep.converged
 
     @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
@@ -1399,6 +1497,72 @@ class TestLoopExits:
         # a 12x rise over a best below 100 * eps ends nothing
         norms = [1.0, 1e-6, 5e-11, 2e-10, 6e-10, 1e-13]
         assert self.run(monkeypatch, norms) == (True, 1e-13, 5, 5)
+
+    def test_cap_ends_a_flat_tail_at_the_best_iterate(self, monkeypatch):
+        norms = [1.0, 1e-6, 5e-11] + [8e-11] * 60
+        assert self.run(monkeypatch, norms) == (False, 5e-11, 50, 2)
+
+
+class TestLinearLevelExits:
+    """``linear_level`` keeps ``newton_loop``'s exits on scripted KKT norms.
+
+    Test k reads ``norms[k]``, and every step adds the basis times ones, so
+    iterate k of a fresh chain is ``k`` in every component and the returned
+    point names itself. ``raise_at`` makes that step's solve raise
+    ``NonFiniteError``.
+    """
+
+    def run(self, monkeypatch, norms, max_iter=50, raise_at=None):
+        n, tests, steps = 3, [], []
+        level = lvl(n, [[1.0, 2.0, 0.0]], [1.0], np.zeros((0, n)), [])
+        real_rrqr = cascade.rrqr
+
+        def scripted_test(partial, eps, g_r):
+            tests.append(partial)
+            return norms[len(tests) - 1] < eps, norms[len(tests) - 1]
+
+        def scripted_rrqr(matrix, **kwargs):
+            fact = real_rrqr(matrix, **kwargs)
+
+            def solve_basic(rhs):
+                steps.append(rhs)
+                if len(steps) == raise_at:
+                    raise NonFiniteError("scripted")
+                return np.ones(fact.ncols)
+
+            fact.solve_basic = solve_basic
+            return fact
+
+        monkeypatch.setattr(cascade, "kkt_test", scripted_test)
+        monkeypatch.setattr(cascade, "rrqr", scripted_rrqr)
+        chain, counters = NullSpaceChain(n), Counters()
+        config = SolverConfig(max_iter=max_iter)
+        x, conv, norm, rank, r = linear_level(chain, level, np.zeros(n), config, counters)
+        assert np.all(x == x[0])
+        assert np.array_equal(r, level.equalities.matrix @ x - level.equalities.rhs)
+        # the rows extend the chain at the returned point, on one RRQR
+        assert rank == 1 and np.array_equal(chain.v_star, r)
+        assert counters.factorizations == 1
+        return conv, norm, counters.newton_iterations, int(x[0])
+
+    def test_stops_at_its_tolerance(self, monkeypatch):
+        norms = [1.0, 1e-11, 5e-13, 1e-14]
+        assert self.run(monkeypatch, norms) == (True, 5e-13, 2, 2)
+
+    def test_optimal_start_takes_no_step(self, monkeypatch):
+        assert self.run(monkeypatch, [5e-13]) == (True, 5e-13, 0, 0)
+
+    def test_no_step_at_max_iter_zero(self, monkeypatch):
+        assert self.run(monkeypatch, [1.0], max_iter=0) == (False, 1.0, 0, 0)
+
+    def test_non_finite_norm_ends_at_the_best_iterate(self, monkeypatch):
+        norms = [1.0, 1e-6, 5e-11, 2e-10, np.inf, 1e-13]
+        assert self.run(monkeypatch, norms) == (False, 5e-11, 4, 2)
+
+    def test_non_finite_step_ends_at_the_best_iterate(self, monkeypatch):
+        # the third step's solve raises; it counts as an iteration
+        norms = [1.0, 5e-11, 1e-6, 1e-13]
+        assert self.run(monkeypatch, norms, raise_at=3) == (False, 5e-11, 3, 1)
 
     def test_cap_ends_a_flat_tail_at_the_best_iterate(self, monkeypatch):
         norms = [1.0, 1e-6, 5e-11] + [8e-11] * 60

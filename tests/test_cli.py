@@ -30,6 +30,14 @@ def problem_file(tmp_path):
     return path
 
 
+BIG_EQUALITY_PROBLEM = {
+    "n": 2,
+    "levels": [
+        {"A_e": [[1e150, 0]], "b_e": [1e150], "A_i": [], "b_i": []},
+        {"A_e": [[1, 1]], "b_e": [0], "A_i": [], "b_i": []},
+    ],
+}
+
 MASK_FIELDS = ("wall_time_s",)
 
 
@@ -190,6 +198,23 @@ class TestSolveCommand:
             code = main(["solve", str(path), "--method", method])
         expected = {"classical": {EXIT_METHOD}, "oracle": {EXIT_OK}}
         assert code in expected.get(method, {EXIT_OK, EXIT_SUB_CONVERGED})
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equality_only_overflow_keeps_its_report(self, tmp_path, capsys, method):
+        # the 1e150 row overflows level 1's first KKT test, before any step;
+        # the step solves both linear levels exactly, with no warning.
+        # classical takes the normal form on each one-row level (exit 4)
+        path = tmp_path / "big_eq.json"
+        path.write_text(json.dumps(BIG_EQUALITY_PROBLEM))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", str(path), "--method", method])
+        assert code == (EXIT_METHOD if method == "classical" else EXIT_OK)
+        report = json.loads(capsys.readouterr().out)
+        assert report["x"] == [1.0, -1.0]
+        assert [lv["kkt_norm"] for lv in report["levels"]] == [0.0, 0.0]
+        steps = 0 if method.endswith("-asm") else 1
+        assert [lv["iterations"] for lv in report["levels"]] == [steps, steps]
 
     def test_inconclusive_oracle_is_invalid(self, problem_file, monkeypatch, capsys):
         def inconclusive(problem):

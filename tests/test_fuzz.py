@@ -9,13 +9,16 @@ scaled by ``10 ** uniform(-4, 4)`` per row. Every method must return
 finite objectives on every problem (a leaked ``RuntimeWarning`` fails the
 suite). Where the rows are not scaled, every method must agree with
 ``nf-ipm-asm``; where they are, which levels end sub-converged depends on
-rounding, so nothing more is asserted.
+rounding. On every seed, no lower level may undo a higher one: each
+level's objective at the final ``x`` must not exceed the one its report
+holds. The pairs that still fail carry a strict xfail naming their FOUND
+line, as in ``test_found.py``.
 """
 
 import numpy as np
 import pytest
 
-from hlsp.cascade import solve_hlsp
+from hlsp.cascade import _level_objective, _residuals, solve_hlsp
 from hlsp.config import SolverConfig
 from hlsp.problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
@@ -24,6 +27,16 @@ IPM_METHODS = ("nf-ipm", "ls-ipm", "classical")
 REFERENCE = "nf-ipm-asm"
 # relative to the larger objective, and absolute below 1
 OBJECTIVE_RTOL = 1e-6
+
+UNDONE = "FOUND: on scaled fuzz seeds 170, 188 and 227 a lower level undoes level 1"
+# (seed, method) pairs whose final x raises a level's objective
+PRIORITY_MISSES = {
+    (170, "nf-ipm"),
+    (170, "ls-ipm"),
+    (170, "classical"),
+    (188, "nf-ipm"),
+    (227, "ls-ipm"),
+}
 
 
 def fuzz_problem(seed):
@@ -75,3 +88,22 @@ def test_every_method_solves_the_problem(seed):
         for level, (got, want) in enumerate(zip(objectives, ref), start=1):
             scale = max(1.0, abs(got), abs(want))
             assert abs(got - want) <= OBJECTIVE_RTOL * scale, (method, level, got, want)
+
+
+def priority_cases():
+    for seed in SEEDS:
+        for method in (REFERENCE, *IPM_METHODS):
+            marks = ()
+            if (seed, method) in PRIORITY_MISSES:
+                marks = pytest.mark.xfail(raises=AssertionError, strict=True, reason=UNDONE)
+            yield pytest.param(seed, method, marks=marks, id=f"{seed}-{method}")
+
+
+@pytest.mark.parametrize("seed,method", priority_cases())
+def test_no_level_undoes_a_higher_one(seed, method):
+    problem = fuzz_problem(seed)
+    rep = solve_hlsp(problem, SolverConfig(method=method))
+    for level, lv in zip(problem.levels, rep.levels):
+        at_x = _level_objective(*_residuals(level, rep.x))[0]
+        scale = max(1.0, abs(lv.objective))
+        assert at_x - lv.objective <= OBJECTIVE_RTOL * scale, (lv.level, lv.objective, at_x)
