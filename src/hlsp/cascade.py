@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .config import SolverConfig
-from .factorization import NonFiniteError, Rrqr, nullspace_update, rrqr
+from .factorization import ChainBasis, NonFiniteError, Rrqr, nullspace_update, rrqr
 from .newton import (
     SETTLED,
     Counters,
@@ -67,22 +67,23 @@ class Stage:
 
     rows: np.ndarray
     fact: Rrqr
-    basis_before: np.ndarray
+    basis_before: ChainBasis
 
 
 class NullSpaceChain:
     """Accumulated null-space basis of all activated constraint rows.
 
-    ``rows``, ``rhs`` and ``v_star`` stack the activated rows of every
-    stage in order; ``rows`` is a view of a buffer that ``extend`` fills
-    and doubles. It writes no filled row, so a level context may hold them.
-    Each stage removes exactly its rank from the basis columns, so the rank
-    consumed is ``n - n_r``.
+    ``basis`` is a ``ChainBasis``: each stage eliminates as many variables
+    as its rank, so the rank consumed is ``n - n_r``, and the basis stores
+    only the eliminated variables' rows. ``rows``, ``rhs`` and ``v_star``
+    stack the activated rows of every stage in order; ``rows`` is a view of
+    a buffer that ``extend`` fills and doubles. It writes no filled row, so
+    a level context may hold them.
     """
 
     def __init__(self, n):
         self.n = n
-        self.basis = np.eye(n)
+        self.basis = ChainBasis.identity(n)
         self.stages = []
         self.rows = np.zeros((0, n))
         self.rhs = np.zeros(0)
@@ -96,11 +97,12 @@ class NullSpaceChain:
     def extend(self, rows, rhs, v_star, fact):
         """Append a stage; the basis moves into the null space of ``fact``."""
         self.stages.append(Stage(rows=rows, fact=fact, basis_before=self.basis))
-        self.basis = nullspace_update(self.basis, fact)
+        self.basis = self.basis.extended(fact)
         filled, end = self.rhs.size, self.rhs.size + rows.shape[0]
         if end > len(self._rows):
             # a copy of the filled rows; held views keep the old buffer
-            self._rows = np.resize(self.rows, (max(end, 2 * filled), self.n))
+            self._rows = np.empty((max(end, 2 * filled), self.n))
+            self._rows[:filled] = self.rows
         self._rows[filled:end] = rows
         self.rows = self._rows[:end]
         self.rhs = np.concatenate([self.rhs, rhs])
@@ -474,9 +476,13 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     from there, walked back onto the chain's pinned rows (``_onto_chain``)
     and seeded by the iterate's complementarity pairs (``_split_seed``):
     its convergence test at ``eps`` decides ``sub_converged``, and its
-    working-set changes count as ``asm_iterations``. A level without
-    barrier rows whose step form is projected, in ``nf-ipm`` and
-    ``ls-ipm`` and where classical takes the normal form, is
+    working-set changes count as ``asm_iterations``. Its step assumes a
+    start on the carried rows, and the correction onto a guessed tight row
+    can leave one: where it ends violating a carried row by more than
+    ``XI`` that the level's start holds, the level is solved again from
+    its start as the ``-asm`` methods solve it, and both solves count. A
+    level without barrier rows whose step form is projected, in ``nf-ipm``
+    and ``ls-ipm`` and where classical takes the normal form, is
     ``linear_level``'s: basic steps on one RRQR, with no context, iterate
     or projection. Classical's other linear levels take their range-space
     step in ``newton_loop``. The active-constraint duals in ``last_duals``
@@ -545,8 +551,15 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 # hand-over point, walked back onto the chain's pinned rows
                 # (the step moves x in the chain basis only), with the
                 # working set the iterate's complementarity pairs split off
-                x = _onto_chain(ctx, s.x)
+                level_ctx, x = ctx, _onto_chain(ctx, s.x)
                 ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, _split_seed(s))
+                if _off_carried(ctx, s.x) and not _off_carried(ctx, start.x):
+                    # the guessed working set moved x off carried rows that
+                    # the level's start holds, and no later step repairs
+                    # that: solve the level from its start as -asm does
+                    x = start.x
+                    work = _residual_seed(level_ctx, x)
+                    ctx, s, conv, norm, held = asm_level_feasibility(level_ctx, x, work)
         if ctx is None:
             # a linear level in a projected form: no context and no iterate
             k = len(state.chain.stages)
@@ -706,6 +719,11 @@ def _residual_seed(ctx, x, warm_set=()):
     return work
 
 
+def _off_carried(ctx, x):
+    """Whether ``x`` violates a carried row of ``ctx`` by more than ``XI``."""
+    return bool((ctx.a_inact @ x - ctx.b_inact < -XI).any())
+
+
 def _split_seed(s):
     """The crossover's first working set, from the iterate's pairs.
 
@@ -836,5 +854,5 @@ def _working_set_step(ctx, x, pin, tight):
     fact = rrqr(ctx.proj_inact[tight], counter=ctx.counters, scale_rows=c)
     x = x + ctx.basis @ fact.solve_basic(ctx.b_inact[tight] - c @ x)
     free = rrqr(nullspace_update(proj, fact), counter=ctx.counters, scale_rows=a)
-    p = nullspace_update(ctx.basis, fact) @ free.solve_basic(b - a @ x)
+    p = ctx.basis.extended(fact) @ free.solve_basic(b - a @ x)
     return x, p, (a, b, proj, free), fact

@@ -298,16 +298,117 @@ def pivoted_cholesky(matrix, tol=DEFAULT_RANK_TOL, counter=None):
 def nullspace_update(basis, f: Rrqr):
     """``basis @ Z`` for the null-space basis Z = P [[-R^-1 T], [I]] of ``f``.
 
-    Z is never formed: the identity block selects the free columns of
+    For a dense ``basis``, such as a block already projected into the chain
+    basis; the chain basis itself extends by ``ChainBasis.extended``. Z is
+    never formed: the identity block selects the free columns of
     ``basis``, and only its ``rank`` pivot columns are multiplied, by
-    R^-1 T. For an n x k ``basis`` this costs n r (k - r) flops instead of
-    the n k (k - r) of the dense product.
+    R^-1 T. For an m x k ``basis`` this costs m r (k - r) flops instead of
+    the m k (k - r) of the dense product.
     """
     r = f.rank
     out = basis[:, f.perm[r:]]
     if r > 0 and out.shape[1] > 0:
         out = out - basis[:, f.perm[:r]] @ _trsolve(f.r, f.t)
     return out
+
+
+class ChainBasis:
+    """The n x n_r null-space basis B of a chain, in elimination form.
+
+    Each chain stage eliminates ``rank`` variables and writes them as
+    affine functions of the free ones: its RRQR's basis is the paper's
+    Z = P [[-R^-1 T], [I]], direct elimination (Björck, *Numerical Methods
+    for Least Squares Problems*, SIAM 1996, §5.1). So B has a unit row per
+    free variable, ``B[free[j], j] = 1``, and only the rows of the
+    eliminated variables, ``B[elim] = E``, are stored; every other entry is
+    0. ``order`` lists the variables as ``[elim, free]``. The products
+    ``M @ B``, ``B @ dz`` and ``B.T @ v`` read E and the index arrays, and
+    no dense B is formed (``np.asarray`` forms one). While B is the
+    identity, each product returns its operand itself. A basis is a value:
+    ``extended`` returns a new one.
+    """
+
+    # ndarray @ ChainBasis calls __rmatmul__ instead of converting it
+    __array_ufunc__ = None
+
+    def __init__(self, order, e):
+        n_e = e.shape[0]
+        self.order, self.e = order, e
+        self.elim, self.free = order[:n_e], order[n_e:]
+        self.shape = (order.size, order.size - n_e)
+        self._eye = not n_e and np.array_equal(order, np.arange(order.size))
+
+    @classmethod
+    def identity(cls, n):
+        return cls(np.arange(n), np.zeros((0, n)))
+
+    def __rmatmul__(self, m):
+        """``M @ B``: the free columns of M plus its eliminated ones times E."""
+        if self._eye:
+            return m
+        n_e = self.elim.size
+        g = m.take(self.order, axis=-1)
+        if not n_e:
+            return g
+        out = g[..., :n_e] @ self.e
+        out += g[..., n_e:]
+        return out
+
+    def __matmul__(self, dz):
+        """``B @ dz`` for a vector or a matrix of n_r rows."""
+        if self._eye:
+            return dz
+        out = np.empty((self.shape[0],) + np.shape(dz)[1:])
+        out[self.free] = dz
+        out[self.elim] = self.e @ dz
+        return out
+
+    @property
+    def T(self):
+        return _TransposedBasis(self)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape)
+        dense[self.free, np.arange(self.shape[1])] = 1.0
+        dense[self.elim] = self.e
+        return dense if dtype is None else dense.astype(dtype)
+
+    def extended(self, f: Rrqr):
+        """``B Z`` for the null-space basis Z of ``f``, an RRQR of ``M @ B``.
+
+        Z's pivot variables ``piv`` are eliminated, at ``-R^-1 T`` times the
+        kept ones ``keep``: E' = [E[:, keep] - E[:, piv] R^-1 T; -R^-1 T],
+        ``elim' = [elim, free[piv]]`` and ``free' = free[keep]``.
+        """
+        r = f.rank
+        piv, keep = f.perm[:r], f.perm[r:]
+        if not r:
+            e = self.e[:, keep]
+        elif keep.size:
+            w = _trsolve(f.r, f.t)
+            e = np.concatenate((self.e[:, keep] - self.e[:, piv] @ w, -w))
+        else:
+            e = np.zeros((self.elim.size + r, 0))
+        return ChainBasis(np.concatenate((self.elim, self.free[f.perm])), e)
+
+
+class _TransposedBasis:
+    """``B.T`` of a ``ChainBasis``, for the product ``B.T @ v``."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, basis):
+        self.basis = basis
+
+    def __matmul__(self, v):
+        b = self.basis
+        if b._eye:
+            return v
+        if not b.elim.size:
+            return v[b.free]
+        out = b.e.T @ v[b.elim]
+        out += v[b.free]
+        return out
 
 
 @dataclass

@@ -106,13 +106,15 @@ class StepDirection:
 class LevelContext:
     """Constant data of one level's Newton loop.
 
-    Projected blocks share the remaining-variable column count. The
-    factorization of the projected equality block, ``stage1``, is made on
-    first read by ``equality_factorization`` and then reused: by the
-    least-squares form and, as the objective rows' factorization of a
-    working set without pinned rows, by the active-set step and the
-    null-space projection after it. Levels that read none of these make
-    none.
+    ``basis`` is the chain's ``ChainBasis`` B when the level starts, which
+    stores only the rows of the eliminated variables; ``proj_eq``,
+    ``proj_ineq`` and ``proj_inact`` are the blocks times B, and they share
+    its remaining-variable column count n_r. The factorization of the
+    projected equality block, ``stage1``, is made on first read by
+    ``equality_factorization`` and then reused: by the least-squares form
+    and, as the objective rows' factorization of a working set without
+    pinned rows, by the active-set step and the null-space projection after
+    it. Levels that read none of these make none.
     ``stages`` are the chain stages in force when the context was built;
     their rows stack into ``a_act``. ``eq_gram``, the constant term
     ``proj_eq.T @ proj_eq`` of the reduced quadratic term, is made likewise
@@ -120,7 +122,7 @@ class LevelContext:
     """
 
     n: int
-    basis: np.ndarray
+    basis: object
     a_eq: np.ndarray
     b_eq: np.ndarray
     a_ineq: np.ndarray

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from hlsp.cascade import (
     solve_hlsp,
 )
 from hlsp.config import METHODS, SolverConfig
-from hlsp.factorization import NonFiniteError, nullspace_update, rrqr
+from hlsp.factorization import ChainBasis, NonFiniteError, rrqr
 from hlsp.fileio import load_problem, problem_from_dict
 from hlsp.newton import (
     Counters,
@@ -860,12 +861,14 @@ def paper_cascade(problem, x, max_iter=50, eps=1e-12):
     remain, it takes one basic step on one RRQR of ``A_eq B`` and is tested
     again. The test is ``converged``'s: the equality block and the chain's
     pinned rows, then, below ``eps``, the stationarity in the chain basis.
-    The rows then extend the chain at their residual. Yields (x, norm,
-    steps, shape, n_r) per level solved: ``shape`` is the RRQR's and
+    The rows then extend the chain at their residual, and the basis by the
+    elimination update, which keeps only the eliminated rows. Yields (x,
+    norm, steps, shape, n_r) per level solved: ``shape`` is the RRQR's and
     ``n_r`` the basis width after the extension.
     """
     n = problem.n
-    basis, rows, rhs, v_star = np.eye(n), np.zeros((0, n)), np.zeros(0), np.zeros(0)
+    basis = ChainBasis.identity(n)
+    rows, rhs, v_star = np.zeros((0, n)), np.zeros(0), np.zeros(0)
 
     def test(a, b, x):
         ax = a @ x
@@ -890,7 +893,7 @@ def paper_cascade(problem, x, max_iter=50, eps=1e-12):
             x = x + basis @ fact.solve_basic(b - a @ x)
             steps += 1
             norm, r = test(a, b, x)
-        basis = nullspace_update(basis, fact)
+        basis = basis.extended(fact)
         yield x, norm, steps, fact.shape, basis.shape[1]
         rows, rhs = np.vstack([rows, a]), np.concatenate([rhs, b])
         v_star = np.concatenate([v_star, r])
@@ -1390,6 +1393,32 @@ class TestCrossover:
         assert [lv.asm_iterations for lv in signs.levels] == [0, 2]
         assert split.converged and signs.converged
         assert np.allclose(split.objectives, signs.objectives, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    def test_crossover_off_the_carried_rows_restarts_from_the_start(
+        self, monkeypatch, method
+    ):
+        # found/three_carried_two_free.json, small_oracle seed 811 problem
+        # 142: level 3's split holds its three carried rows tight in two
+        # free directions, and the correction onto them leaves two of them
+        # violated. The level is solved again from its start, as the -asm
+        # methods solve it, and ends on the carried rows at their objectives
+        data = (Path(__file__).parent / "found" / "three_carried_two_free.json").read_text()
+        p = problem_from_dict(json.loads(data)["problem"])
+        asm = solve_hlsp(p, SolverConfig(method="nf-ipm-asm"))
+        real, ends = cascade.asm_level_feasibility, []
+
+        def recording(ctx, x, work):
+            out = real(ctx, x, work)
+            ends.append((ctx.m_inact, cascade._off_carried(out[0], out[1].x)))
+            return out
+
+        monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert ends[-2:] == [(3, True), (3, False)]
+        assert not any(off for _, off in ends[:-2])
+        assert rep.converged
+        assert np.allclose(rep.objectives, asm.objectives, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "method,data",

@@ -21,13 +21,18 @@ CORPUS = Path(__file__).parent / "found"
 # carried pair of level 1 as barrier rows; degenerate_vertex: ten rows
 # through one point of R^4, a third of them doubled, as level 1, and three
 # identity equalities with two mixed rows as level 2 (seed 7 of the
-# degenerate-vertex family in CHANGES.md)
+# degenerate-vertex family in CHANGES.md); three_carried_two_free:
+# small_oracle seed 811 problem 142, whose level 3 carries three rows of
+# level 2 into two free directions; the crossover's guessed working set
+# holds all three tight and leaves two violated, so the interior-point
+# methods solve that level again from its start
 INSTANCES = (
     "row_and_multiple",
     "conflicting_pair",
     "scaled",
     "carried_pair",
     "degenerate_vertex",
+    "three_carried_two_free",
 )
 OBJECTIVE_TOL = 1e-6
 

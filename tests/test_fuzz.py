@@ -31,10 +31,6 @@ OBJECTIVE_RTOL = 1e-6
 UNDONE = "FOUND: on scaled fuzz seeds 170, 188 and 227 a lower level undoes level 1"
 # (seed, method) pairs whose final x raises a level's objective
 PRIORITY_MISSES = {
-    (170, "nf-ipm"),
-    (170, "ls-ipm"),
-    (170, "classical"),
-    (188, "nf-ipm"),
     (227, "ls-ipm"),
 }
 

@@ -937,13 +937,88 @@ class TestChainExtension:
             after = [st.basis_before for st in stages[1:]] + [chain.basis]
             for j, (stage, basis) in enumerate(zip(stages, after)):
                 z = nullspace_update(np.eye(stage.fact.ncols), stage.fact)
-                dense = stage.basis_before @ z
+                dense = np.asarray(stage.basis_before) @ z
+                basis = np.asarray(basis)
                 assert basis.shape == dense.shape
                 assert np.linalg.norm(basis - dense) <= 1e-12 * np.linalg.norm(dense)
                 a_act = np.vstack([st.rows for st in stages[: j + 1]])
                 bound = 1e-12 * np.linalg.norm(a_act) * np.linalg.norm(basis)
                 assert np.linalg.norm(a_act @ basis) <= bound
         assert deficient >= 60
+
+
+def chains_with_every_stage_kind():
+    """``rank_deficient_chain``s, then a rank-0 stage and one that exhausts n_r.
+
+    The rank-0 stage restates active rows, so its projection is rounding
+    noise next to their scale and eliminates nothing; the last stage holds
+    more random rows than variables remain. Yields every chain in between.
+    """
+    for seed in range(60):
+        rng = np.random.default_rng(seed + 4400)
+        n = int(rng.integers(3, 11))
+        chain = rank_deficient_chain(rng, n, int(rng.integers(1, 5)))
+        if chain.n_r:
+            rows = rng.uniform(-1, 1, (2, chain.rows.shape[0])) @ chain.rows
+            fact = rrqr(rows @ chain.basis, scale_rows=rows)
+            assert fact.rank == 0
+            chain.extend(rows, np.zeros(2), np.zeros(2), fact)
+        yield rng, chain
+        if chain.n_r:
+            rows = rng.uniform(-1, 1, (chain.n_r + 1, n))
+            fact = rrqr(rows @ chain.basis)
+            chain.extend(rows, np.zeros(len(rows)), np.zeros(len(rows)), fact)
+            assert chain.n_r == 0
+            yield rng, chain
+
+
+class TestChainBasisFormat:
+    """The chain basis stores only its eliminated rows; its products are B's."""
+
+    def test_dense_form_has_unit_rows_at_free_and_e_at_elim(self):
+        exhausted = restated = 0
+        for _, chain in chains_with_every_stage_kind():
+            exhausted += chain.n_r == 0
+            restated += any(st.fact.rank == 0 for st in chain.stages)
+            for basis in [st.basis_before for st in chain.stages] + [chain.basis]:
+                n, n_r = basis.shape
+                dense = np.asarray(basis)
+                assert dense.shape == (n, n_r) == (basis.free.size + basis.elim.size, n_r)
+                assert np.array_equal(np.sort(np.r_[basis.free, basis.elim]), np.arange(n))
+                assert np.array_equal(dense[basis.free], np.eye(n_r))
+                assert np.array_equal(dense[basis.elim], basis.e)
+        # each of the 60 seeds ends exhausted; most chains hold a rank-0 stage
+        assert exhausted == 60 and restated >= 60
+
+    def test_products_equal_the_dense_ones(self):
+        for rng, chain in chains_with_every_stage_kind():
+            for basis in [st.basis_before for st in chain.stages] + [chain.basis]:
+                n, n_r = basis.shape
+                dense = np.asarray(basis)
+                m = rng.uniform(-1, 1, (3, n))
+                dz = rng.uniform(-1, 1, n_r)
+                dzs = rng.uniform(-1, 1, (n_r, 2))
+                v = rng.uniform(-1, 1, n)
+                for got, want in [
+                    (m @ basis, m @ dense),
+                    (basis @ dz, dense @ dz),
+                    (basis @ dzs, dense @ dzs),
+                    (basis.T @ v, dense.T @ v),
+                ]:
+                    assert got.shape == want.shape
+                    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_identity_returns_its_inputs(self):
+        rng = np.random.default_rng(4500)
+        chain = NullSpaceChain(5)
+        m, dz, v = rng.uniform(-1, 1, (3, 5)), rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
+        assert (m @ chain.basis) is m
+        assert (chain.basis @ dz) is dz
+        assert (chain.basis.T @ v) is v
+        assert np.array_equal(np.asarray(chain.basis), np.eye(5))
+        # a level-1 context projects nothing
+        ctx, _ = build_random_level(4501, n=5, m_prior=0)
+        assert ctx.basis.shape == (5, 5) and ctx.proj_eq is ctx.a_eq
 
 
 class TestChainBasisStationarity:
