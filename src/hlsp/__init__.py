@@ -1,10 +1,16 @@
 """Hierarchical least-squares programs solved by a null-space interior point.
 
 A problem is a stack of prioritized least-squares levels under linear
-equality and inequality constraints. Levels are resolved in order; each
-one is solved by a primal-dual Newton method projected into the null
-space of everything already decided, so lower levels cannot disturb
-higher ones.
+equality and inequality constraints. Levels are resolved in order, each
+in the null space of everything already decided, so lower levels cannot
+disturb higher ones. A level with inequality or carried rows runs a
+primal-dual interior-point Newton loop, and a primal active-set step
+finishes it on a checked active set; the ``-asm`` methods run that step
+alone, on every level. A level of equalities only is otherwise linear: a
+basic least-squares step on one rank-revealing QR solves it, or
+``classical``'s range-space step where that method keeps its own form.
+Each solved level pins its active rows, which extend the null-space
+chain for the levels below.
 """
 
 from .cascade import (

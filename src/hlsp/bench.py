@@ -4,7 +4,7 @@ Emits one delimiter-separated row per instance and method with work
 counters, timing medians over repeats, and the per-level remaining
 variable counts, plus a pairwise method time-ratio summary. The
 equality-only sweep over the first level's row count shows the projected
-forms' level-2 work falling while classical's second factorization grows.
+forms' level-2 work falling while classical's grows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ TABLE_COLUMNS = [
     "kkt_max",
     "n_r_per_level",
     "fact_work",
-    "second_fact_dims",
     "converged",
 ]
 
@@ -88,13 +87,6 @@ def _row(instance_name, method, seed, problem, config, repeats):
         times.append(time.perf_counter() - t0)
     levels = report.levels if config else []
     kkts = [lv.kkt_norm for lv in levels if lv.kkt_norm is not None]
-    # the classical form's second factorization per iteration is the
-    # active-row product; informational for crossover inspection
-    second_dims = []
-    if method == "classical" and len(levels) > 1:
-        shapes = levels[1].fact_shapes
-        if len(shapes) > 1:
-            second_dims = list(shapes[1])
     return {
         "instance": instance_name,
         "method": method,
@@ -107,7 +99,6 @@ def _row(instance_name, method, seed, problem, config, repeats):
         "kkt_max": max(kkts) if kkts else 0.0,
         "n_r_per_level": ";".join(str(lv.n_r_after) for lv in levels),
         "fact_work": _fact_work([sh for lv in levels for sh in lv.fact_shapes]),
-        "second_fact_dims": ";".join(map(str, second_dims)),
         "converged": report.converged if config else True,
     }
 

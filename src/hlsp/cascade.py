@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .newton import (
     IterateState,
     LevelContext,
     MethodNotApplicable,
+    _dual_free_stationarity,
     boundary_state,
     converged,
     initial_state,
@@ -230,7 +232,6 @@ def build_level_context(state: CascadeState, level, config, counters):
         proj_eq=a_eq @ basis,
         proj_ineq=a_ineq @ basis,
         proj_inact=state.carry.matrix @ basis,
-        stage1=None,
         stages=tuple(chain.stages),
         counters=counters,
         config=config,
@@ -254,52 +255,72 @@ def _level_form(config, m, n):
     return config.step_form, False
 
 
-def newton_loop(ctx, s, form):
-    """Run the level from ``s`` to a KKT norm below ``eps``.
+def _exit_loop(point, step, test, counters, config, split=None):
+    """Iterate one level from ``point`` to the first of its exits.
 
-    Returns (s, converged, kkt_norm). Every iteration is followed by the
-    dual-free convergence test at ``eps``, and the loop tests once before
-    its first step. A level without barrier rows has a linear optimality
-    system: unless the start is already optimal, it fails the first test,
-    takes one step and passes the second. ``solve_hlsp`` runs such a level
-    here only in the classical form; in the projected forms it is
-    ``linear_level``'s, which keeps these exits. A level with barrier rows
-    stops, converged, at the first iterate whose norm is below ``SETTLED``
-    and whose complementarity split (``_split_seed``) is the previous
-    iterate's: the partition guess the active-set step starts from has
-    settled. Every step is taken in ``form``, the step form of
-    ``mehrotra_iteration``. A step returns a new iterate and leaves the old
-    one as it was, so the loop keeps the best iterate seen as it is. It
-    ends unconverged at the iteration cap, or when a diverging barrier
-    variable overflows the step or the residual to an Inf or a NaN, and
-    returns that best iterate. Those overflows, and one in the start's
-    residual, are expected and raise no floating-point warning.
+    ``test(point)`` returns (converged, norm, tested): the verdict, the KKT
+    norm and the point with what the test computed at it. The test runs
+    before the first step and after every step; ``step`` receives tested
+    points, and the loop keeps and returns them. ``step(point)`` returns
+    the next point, leaving the old one as it was, and counts its
+    iteration in ``counters``, also when it raises ``NonFiniteError``.
+    With ``split``, the loop also ends converged at the first point whose
+    norm is below ``SETTLED`` and whose ``split(point)`` is the previous
+    point's. It ends unconverged after ``max_iter`` steps, or at a step
+    that raises ``NonFiniteError`` or gives a norm that is not finite, and
+    then returns the best point seen. Those overflows, and one in the
+    start's test, are expected and raise no floating-point warning.
+    Returns (point, converged, norm).
     """
-    cfg = ctx.config
-    start = ctx.counters.newton_iterations
-    barrier = ctx.m_ineq + ctx.m_inact > 0
+    start = counters.newton_iterations
     with np.errstate(over="ignore", invalid="ignore"):
-        conv, norm = converged(ctx, s, cfg.eps)
-        best_norm, best = norm, s
-        split = _split_seed(s) if barrier else None
-        while not conv and ctx.counters.newton_iterations - start < cfg.max_iter:
+        conv, norm, point = test(point)
+        best_norm, best = norm, point
+        seen = split(point) if split else None
+        while not conv and counters.newton_iterations - start < config.max_iter:
             try:
-                s = mehrotra_iteration(ctx, s, form)
-                conv, norm = converged(ctx, s, cfg.eps)
+                point = step(point)
+                conv, norm, point = test(point)
             except NonFiniteError:
                 conv, norm = False, math.inf
             if not math.isfinite(norm):
-                # the best iterate is finite; a NaN would compare as no worse
+                # the best point is finite; a NaN would compare as no worse
                 norm = math.inf
                 break
             if norm < best_norm:
-                best_norm, best = norm, s
-            if barrier:
-                before, split = split, _split_seed(s)
-                conv = conv or (norm < SETTLED and np.array_equal(split, before))
+                best_norm, best = norm, point
+            if split:
+                before, seen = seen, split(point)
+                conv = conv or (norm < SETTLED and np.array_equal(seen, before))
     if not conv and best_norm < norm:
-        s, norm = best, best_norm
-    return s, conv, norm
+        point, norm = best, best_norm
+    return point, conv, norm
+
+
+def newton_loop(ctx, s, form):
+    """Run the level from ``s`` to a KKT norm below ``eps``.
+
+    Returns (s, converged, kkt_norm). The steps are ``mehrotra_iteration``'s
+    in ``form``, the test is ``converged`` at ``eps``, and the exits are
+    ``_exit_loop``'s: the test before the first step, the iteration cap and
+    the best iterate at a non-finite one. A level without barrier rows has
+    a linear optimality system: unless the start is already optimal, it
+    fails the first test, takes one step and passes the second.
+    ``solve_hlsp`` runs such a level here only in the classical form. A
+    level with barrier rows also stops, converged, at the first iterate
+    whose norm is below ``SETTLED`` and whose complementarity split
+    (``_split_seed``) is the previous iterate's: the partition guess the
+    active-set step starts from has settled.
+    """
+    cfg = ctx.config
+    return _exit_loop(
+        s,
+        lambda s: mehrotra_iteration(ctx, s, form),
+        lambda s: (*converged(ctx, s, cfg.eps), s),
+        ctx.counters,
+        cfg,
+        _split_seed if ctx.m_ineq + ctx.m_inact else None,
+    )
 
 
 def linear_level(chain, level, x, config, counters):
@@ -308,20 +329,17 @@ def linear_level(chain, level, x, config, counters):
     The level's optimality system is linear, and the projected forms'
     Newton step on it is the basic step ``x + B dz``: ``dz`` solves ``A_eq B
     dz = b_eq - A_eq x`` in the least-squares sense on one counted RRQR of
-    ``A_eq B``, with B the chain basis. The routine keeps ``newton_loop``'s
-    exits: the KKT test at ``eps`` (``kkt_test``, the arithmetic of
-    ``converged``) runs before the first step and after every step, at most
-    ``max_iter`` steps are taken, and a step that meets an Inf or a NaN ends
-    the level at the best point seen, with no floating-point warning. An
-    optimal start takes no step. The rows then extend the chain at their
-    residual ``A_eq x - b_eq``, on the step's RRQR or, without a step, on
-    one made for the extension.
+    ``A_eq B``, with B the chain basis. The test is ``kkt_test`` at
+    ``eps`` on the blocks ``converged`` forms, and the exits are
+    ``_exit_loop``'s, as in ``newton_loop``: an optimal start takes no
+    step. ``_end_linear`` then ends the level, on the step's RRQR.
 
     Returns (x, conv, norm, rank, r): the level's point, its verdict and
     KKT norm, the rank its rows add and their residual at ``x``.
     """
     a, b = level.equalities.matrix, level.equalities.rhs
     basis, act, act_rhs, act_v = chain.basis, chain.rows, chain.rhs, chain.v_star
+    fact = None
 
     def test(x):
         # the frame's products and converged's blocks, in their order
@@ -333,31 +351,30 @@ def linear_level(chain, level, x, config, counters):
         conv, norm = kkt_test(
             np.concatenate(blocks), config.eps, lambda: basis.T @ (a.T @ r)
         )
-        return conv, norm, r, rhs
+        return conv, norm, (x, r, rhs)
 
-    fact, start = None, counters.newton_iterations
-    with np.errstate(over="ignore", invalid="ignore"):
-        conv, norm, r, rhs = test(x)
-        best_norm, best = norm, (x, r)
-        while not conv and counters.newton_iterations - start < config.max_iter:
-            counters.newton_iterations += 1
-            try:
-                if fact is None:
-                    fact = rrqr(a @ basis, counter=counters, scale_rows=a)
-                x = x + basis @ fact.solve_basic(rhs)
-                conv, norm, r, rhs = test(x)
-            except NonFiniteError:
-                conv, norm = False, math.inf
-            if not math.isfinite(norm):
-                norm = math.inf
-                break
-            if norm < best_norm:
-                best_norm, best = norm, (x, r)
-    if not conv and best_norm < norm:
-        (x, r), norm = best, best_norm
+    def step(point):
+        nonlocal fact
+        x, _, rhs = point
+        counters.newton_iterations += 1
+        if fact is None:
+            fact = rrqr(a @ basis, counter=counters, scale_rows=a)
+        return x + basis @ fact.solve_basic(rhs)
+
+    (x, r, _), conv, norm = _exit_loop(x, step, test, counters, config)
+    return x, conv, norm, _end_linear(chain, level, r, counters, fact), r
+
+
+def _end_linear(chain, level, r, counters, fact=None):
+    """End a linear level: pin its rows at their residual ``r``.
+
+    ``r`` is ``A_eq x - b_eq`` at the level's point, also its ``v_eq``.
+    The rows extend the chain on ``fact``, their RRQR in the chain basis,
+    or, without one, on one made here. Returns the rank they add.
+    """
+    eq = level.equalities
     # C order, as project_current stores a level's rows
-    rank = _activate(chain, np.ascontiguousarray(a), b, r, counters, fact)
-    return x, conv, norm, rank, r
+    return _activate(chain, np.ascontiguousarray(eq.matrix), eq.rhs, r, counters, fact)
 
 
 def _onto_chain(ctx, x):
@@ -377,17 +394,16 @@ def _onto_chain(ctx, x):
     return x
 
 
-def _activate(chain, rows, rhs, v_star, counters, retained=None):
+def _activate(chain, rows, rhs, v_star, counters, fact=None):
     """Extend the chain by the activated ``rows``; returns the rank they add.
 
-    ``retained`` is the factorization of the rows projected into the
-    current basis, when the caller has one. Otherwise they are projected
-    and factorized here, their rank judged against the scale of the
+    ``fact`` is the factorization of the rows projected into the current
+    basis, when the caller has one. Otherwise they are projected and
+    factorized here, their rank judged against the scale of the
     unprojected rows too.
     """
     if rows.shape[0] == 0:
         return 0
-    fact = retained
     if fact is None:
         fact = rrqr(rows @ chain.basis, counter=counters, scale_rows=rows)
     chain.extend(rows, rhs, v_star, fact)
@@ -414,9 +430,7 @@ def project_inactive(state: CascadeState, s: IterateState, counters, retained=No
     rows, rhs = carry.matrix[mask], carry.rhs[mask]
     carry.remove(mask)
     v_star = rows @ s.x - rhs
-    fact = None
-    if retained is not None and np.array_equal(mask, retained[0]):
-        fact = retained[1]
+    fact = retained[1] if retained and np.array_equal(mask, retained[0]) else None
     return _activate(state.chain, rows, rhs, v_star, counters, fact), s.lam_inact[~mask]
 
 
@@ -441,9 +455,7 @@ def project_current(state, level, s, counters, retained=None, residuals=None):
             rhs = np.concatenate([eq.rhs, ineq.rhs[viol]])
             v_star = np.concatenate([r_eq, r_ineq[viol]])
         state.carry.append(ineq.matrix[~viol], ineq.rhs[~viol])
-    fact = None
-    if retained is not None and np.array_equal(rows, retained[0]):
-        fact = retained[1]
+    fact = retained[1] if retained and np.array_equal(rows, retained[0]) else None
     return _activate(state.chain, rows, rhs, v_star, counters, fact)
 
 
@@ -480,15 +492,19 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     start on the carried rows, and the correction onto a guessed tight row
     can leave one: where it ends violating a carried row by more than
     ``XI`` that the level's start holds, the level is solved again from
-    its start as the ``-asm`` methods solve it, and both solves count. A
+    its start as the ``-asm`` methods solve it, and both solves count; the
+    level then ends in ``project_inactive`` and ``project_current``. A
     level without barrier rows whose step form is projected, in ``nf-ipm``
     and ``ls-ipm`` and where classical takes the normal form, is
-    ``linear_level``'s: basic steps on one RRQR, with no context, iterate
-    or projection. Classical's other linear levels take their range-space
-    step in ``newton_loop``. The active-constraint duals in ``last_duals``
-    take one chain walk, made after the cascade for the last level solved
-    and counted in that level's ``dual_evaluations``; a context is built
-    for a linear level only then (``_linear_walk``).
+    ``linear_level``'s: basic steps on one RRQR, with no context or
+    iterate. Classical's other linear levels take their range-space step
+    in ``newton_loop``. Every linear level outside the ``-asm`` methods
+    ends in ``_end_linear``, which pins its rows at their residual. Every
+    solved level records its walk: the chain stages in force and its
+    dual-free stationarity, ``A_eq^T r_eq`` on a linear level. The
+    active-constraint duals in ``last_duals`` are the last solved level's
+    walk (``recover_equality_dual``), taken once after the cascade and
+    counted in that level's ``dual_evaluations``.
     """
     config = config if config is not None else SolverConfig()
     violations = validate_problem(problem)
@@ -524,29 +540,23 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         n_r_before = state.chain.n_r
         m_inact_seen = state.carry.m
 
-        held = ctx = None
         m_barrier = level.inequalities.m + m_inact_seen
-        linear = m_barrier == 0
         form, fell_back = _level_form(config, level.equalities.m + m_barrier, n)
-        if config.uses_asm:
+        if m_barrier or config.uses_asm:
             ctx = build_level_context(state, level, config, counters)
-            work = _residual_seed(ctx, x, warm_sets.get(idx, ()))
-            ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, work)
-        elif form == "classical" or not linear:
-            ctx = build_level_context(state, level, config, counters)
-            start = initial_state(ctx, x)
-            try:
-                s, conv, norm = newton_loop(ctx, start, form)
-            except MethodNotApplicable:
-                # the quadratic term has no Cholesky factor, at the first
-                # iteration or once barrier weights made it lose rank
-                # numerically; restart the level in the projected form
-                form, fell_back = "normal", True
-                if linear:
-                    ctx = None
-                else:
+            if config.uses_asm:
+                work = _residual_seed(ctx, x, warm_sets.get(idx, ()))
+                ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, work)
+            else:
+                start = initial_state(ctx, x)
+                try:
                     s, conv, norm = newton_loop(ctx, start, form)
-            if not linear:
+                except MethodNotApplicable:
+                    # the quadratic term has no Cholesky factor, at the first
+                    # iteration or once barrier weights made it lose rank
+                    # numerically; restart the level in the projected form
+                    fell_back = True
+                    s, conv, norm = newton_loop(ctx, start, "normal")
                 # crossover: the active-set step finishes the level from the
                 # hand-over point, walked back onto the chain's pinned rows
                 # (the step moves x in the chain basis only), with the
@@ -560,20 +570,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                     x = start.x
                     work = _residual_seed(level_ctx, x)
                     ctx, s, conv, norm, held = asm_level_feasibility(level_ctx, x, work)
-        if ctx is None:
-            # a linear level in a projected form: no context and no iterate
-            k = len(state.chain.stages)
-            x, conv, norm, rank_current, r_eq = linear_level(
-                state.chain, level, x, config, counters
-            )
-            walk = (k, level, x, r_eq)
-            residuals = (r_eq, level.inequalities.rhs)
-            rank_virtual, lam_inact = 0, np.zeros(0)
-        else:
             x = s.x
             residuals = _residuals(level, x)
-            # classical's linear levels end without a held factorization
-            tight, current = held or ((None, None), None)
+            tight, current = held
             stages = len(state.chain.stages)
             rank_virtual, lam_inact = project_inactive(state, s, counters, tight)
             moved = None
@@ -588,7 +587,31 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 rank_current = project_current(
                     state, level, s, counters, current, residuals
                 )
-        sub = not conv
+            walk = ctx.stages, partial(_dual_free_stationarity, ctx, s)
+        else:
+            # a linear level: classical's range-space steps where it keeps
+            # the classical form, linear_level's basic steps otherwise, and
+            # one ending (_end_linear)
+            stages = tuple(state.chain.stages)
+            s = None
+            if form == "classical":
+                ctx = build_level_context(state, level, config, counters)
+                try:
+                    s, conv, norm = newton_loop(ctx, initial_state(ctx, x), form)
+                except MethodNotApplicable:
+                    fell_back = True
+            if s is None:
+                x, conv, norm, rank_current, r_eq = linear_level(
+                    state.chain, level, x, config, counters
+                )
+            else:
+                x, r_eq = s.x, s.v_eq
+                rank_current = _end_linear(state.chain, level, r_eq, counters)
+            residuals = (r_eq, level.inequalities.rhs)
+            rank_virtual, lam_inact = 0, np.zeros(0)
+            # the stationarity A_eq^T v_eq at v_eq = r_eq, evaluated only by
+            # the walk after the cascade
+            walk = stages, partial(np.matmul, level.equalities.matrix.T, r_eq)
         all_converged = all_converged and conv
         objective, v_norm = _level_objective(*residuals)
         report = LevelReport(
@@ -604,7 +627,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             factorizations=counters.factorizations,
             asm_iterations=counters.asm_iterations,
             kkt_norm=norm,
-            sub_converged=sub,
+            sub_converged=not conv,
             method_fallback=fell_back,
             v_star_norm=v_norm,
             objective=objective,
@@ -613,14 +636,12 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         )
         level_reports.append(report)
 
-    # ctx, s, report, lam_inact and a linear level's walk still hold the
-    # last solved level: the trivial levels after an exhausted chain
-    # reassign none of them
+    # report, lam_inact and walk still hold the last solved level: the
+    # trivial levels after an exhausted chain reassign none of them
     lam_act = np.zeros(0)
-    if ctx is None and walk[0]:
-        ctx, s = _linear_walk(state.chain, *walk, config, counters)
-    if ctx is not None and ctx.m_act:
-        lam_act = recover_equality_dual(ctx, s)
+    stages, stationarity = walk
+    if stages:
+        lam_act = recover_equality_dual(stages, stationarity())
         report.dual_evaluations += 1
     return SolveReport(
         method=config.method,
@@ -631,43 +652,6 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         last_duals={"lam_act": lam_act, "lam_inact": lam_inact},
         wall_time_s=time.perf_counter() - t_start,
     )
-
-
-def _linear_walk(chain, k, level, x, r_eq, config, counters):
-    """The context and iterate the final dual walk reads for a linear level.
-
-    The level was solved when the chain held its first ``k`` stages, and
-    ``r_eq`` is its equality residual at ``x``, the walk's ``v_eq``.
-    The walk reads the level's equality rows and those stages, so the
-    context holds no projection, no carried row and no factorization.
-    """
-    stages = tuple(chain.stages[:k])
-    m_act = sum(st.rows.shape[0] for st in stages)
-    basis = chain.stages[k].basis_before if len(chain.stages) > k else chain.basis
-    none = np.zeros((0, chain.n))
-    eq, ineq = level.equalities, level.inequalities
-    ctx = LevelContext(
-        n=chain.n,
-        basis=basis,
-        a_eq=eq.matrix,
-        b_eq=eq.rhs,
-        a_ineq=ineq.matrix,
-        b_ineq=ineq.rhs,
-        a_act=chain.rows[:m_act],
-        b_act=chain.rhs[:m_act],
-        v_act=chain.v_star[:m_act],
-        a_inact=none,
-        b_inact=np.zeros(0),
-        proj_eq=None,
-        proj_ineq=None,
-        proj_inact=None,
-        stage1=None,
-        stages=stages,
-        counters=counters,
-        config=config,
-    )
-    empty = np.zeros(0)
-    return ctx, IterateState(x, r_eq, empty, empty, empty, empty)
 
 
 def _warm_start_x(config, n):

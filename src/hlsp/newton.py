@@ -9,8 +9,9 @@ chain basis annihilates every active row, so the projected steps never
 see them and the convergence test measures stationarity in that basis.
 The classical step solves for the new active duals afresh in every solve
 and reads no earlier ones. Only the reported duals are recovered, by one
-walk over the chain (``recover_equality_dual``) that ``solve_hlsp`` makes
-at most once per solve.
+walk over the chain stages (``recover_equality_dual``) from the last
+solved level's dual-free stationarity, which ``solve_hlsp`` makes at most
+once per solve.
 
 Iterates are values. A step returns a new ``IterateState`` and writes no
 field of the old one. The products ``A @ x`` and the barrier weights of an
@@ -104,21 +105,22 @@ class StepDirection:
 
 @dataclass
 class LevelContext:
-    """Constant data of one level's Newton loop.
+    """Constant data of one level's Newton loop and active-set step.
 
     ``basis`` is the chain's ``ChainBasis`` B when the level starts, which
     stores only the rows of the eliminated variables; ``proj_eq``,
     ``proj_ineq`` and ``proj_inact`` are the blocks times B, and they share
-    its remaining-variable column count n_r. The factorization of the
-    projected equality block, ``stage1``, is made on first read by
+    its remaining-variable column count n_r. ``stages`` are the chain
+    stages in force when the context was built; their rows stack into
+    ``a_act``, and they are the stages ``recover_equality_dual`` walks for
+    the level. Two caches start empty. The factorization of the projected
+    equality block, ``stage1``, is made on first read by
     ``equality_factorization`` and then reused: by the least-squares form
     and, as the objective rows' factorization of a working set without
     pinned rows, by the active-set step and the null-space projection after
-    it. Levels that read none of these make none.
-    ``stages`` are the chain stages in force when the context was built;
-    their rows stack into ``a_act``. ``eq_gram``, the constant term
-    ``proj_eq.T @ proj_eq`` of the reduced quadratic term, is made likewise
-    on the normal form's first read.
+    it. ``eq_gram``, the constant term ``proj_eq.T @ proj_eq`` of the
+    reduced quadratic term, is made on the normal form's first read.
+    Levels that read neither make neither.
     """
 
     n: int
@@ -135,10 +137,10 @@ class LevelContext:
     proj_eq: np.ndarray
     proj_ineq: np.ndarray
     proj_inact: np.ndarray
-    stage1: object
     stages: tuple
     counters: Counters
     config: object
+    stage1: object = None
     eq_gram: np.ndarray = None
 
     def equality_factorization(self):
@@ -613,18 +615,21 @@ _SOLVERS = {
 }
 
 
-def recover_equality_dual(ctx, s):
+def recover_equality_dual(stages, r):
     """Active-constraint duals from the stationarity block set to zero.
 
-    Walks the context's chain stages backwards, reusing each stage's
-    retained factorization and subtracting the contributions of the stages
-    already resolved. Each stage's basic solve zeroes the pivot components
-    of the remainder, so the stationarity left at these duals has the norm
-    of ``basis.T @ r``, the quantity ``converged`` measures.
+    ``r`` is a level's dual-free stationarity ``A_eq^T v_eq + A_ineq^T
+    v_ineq - A_inact^T lam_inact`` (``A_eq^T v_eq`` alone on a linear
+    level), and ``stages`` the chain stages in force at that level. Walks
+    the stages backwards, reusing each stage's retained factorization and
+    subtracting the contributions of the stages already resolved. Each
+    stage's basic solve zeroes the pivot components of the remainder, so
+    the stationarity left at these duals has the norm of ``basis.T @ r``,
+    the quantity ``converged`` measures.
     """
-    remaining = _dual_free_stationarity(ctx, s)
+    remaining = r
     parts = []
-    for stage in reversed(ctx.stages):
+    for stage in reversed(stages):
         c = stage.basis_before.T @ remaining
         lam_j = stage.fact.solve_transpose_basic(c)
         parts.append(lam_j)

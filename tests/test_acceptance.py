@@ -16,6 +16,7 @@ from hlsp.cascade import ASM_MAX_ITER, hybrid_solve, solve_hlsp
 from hlsp.config import SolverConfig
 from hlsp.factorization import rrqr, staged_rrqr
 from hlsp.newton import (
+    _dual_free_stationarity,
     _step_solver,
     assemble_f_g,
     recover_equality_dual,
@@ -221,7 +222,7 @@ class TestCriterion5DualRecursion:
             ctx.a_eq = ctx.a_act.copy()
             ctx.b_eq = np.zeros(ctx.m_act)
             s = replace(s, v_eq=lam_true)
-            lam = recover_equality_dual(ctx, s)
+            lam = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
             rhs = ctx.a_eq.T @ s.v_eq
             lam_ref = np.linalg.lstsq(ctx.a_act.T, rhs, rcond=None)[0]
             scale = max(1.0, float(np.linalg.norm(lam_ref)))

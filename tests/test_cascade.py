@@ -30,6 +30,7 @@ from hlsp.fileio import load_problem, problem_from_dict
 from hlsp.newton import (
     Counters,
     IterateState,
+    _dual_free_stationarity,
     converged,
     initial_state,
     recover_equality_dual,
@@ -1179,14 +1180,15 @@ class TestLastDuals:
         ctx, s = asm_level_feasibility(ctx, x, cascade._split_seed(s))[:2]
         assert np.array_equal(s.x, rep.x)
         assert ctx.m_act == 2
-        assert np.array_equal(rep.last_duals["lam_act"], recover_equality_dual(ctx, s))
+        lam_act = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
+        assert np.array_equal(rep.last_duals["lam_act"], lam_act)
 
 
-    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_a_linear_last_level_walks_from_its_own_context(self, method):
-        # level 2 is linear and the last level solved: the walk reads a
-        # context of its rows under level 1's stage, made for the walk alone,
-        # and its residual as v_eq; it equals the walk from a full context
+        # level 2 is linear and the last level solved: the walk reads level
+        # 1's stage and the level's own stationarity A_eq^T r_eq, with its
+        # residual r_eq as v_eq; it equals the walk from a full context
         p = random_hlsp(43, 5, [(2, 0, 0, "feasible"), (2, 0, 1, "feasible")])
         config = SolverConfig(method=method)
         rep = solve_hlsp(p, config)
@@ -1194,7 +1196,8 @@ class TestLastDuals:
         state = CascadeState.fresh(p.n)
         linear_level(state.chain, p.levels[0], np.zeros(p.n), config, Counters())
         ctx = build_level_context(state, p.levels[1], config, Counters())
-        lam_act = recover_equality_dual(ctx, initial_state(ctx, rep.x))
+        s = initial_state(ctx, rep.x)
+        lam_act = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
         assert lam_act.shape == (2,)
         assert np.array_equal(rep.last_duals["lam_act"], lam_act)
 
@@ -1459,11 +1462,13 @@ class TestLoopExits:
     Iterate k carries k in ``x``, so the returned iterate names itself.
     The level has a barrier row unless ``m_ineq`` is 0, and ``splits[k]``
     is iterate k's complementarity split; by default it changes at every
-    iterate, so only ``eps``, the cap and a non-finite norm can end the
-    loop.
+    iterate, so only ``eps``, the cap and a non-finite norm or step can
+    end the loop. ``raise_at`` makes that step raise ``NonFiniteError``.
     """
 
-    def run(self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, m_ineq=1):
+    def run(
+        self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, m_ineq=1, raise_at=None
+    ):
         config = SolverConfig(eps=eps, max_iter=max_iter)
         ctx = SimpleNamespace(config=config, counters=Counters(), m_ineq=m_ineq, m_inact=0)
         if splits is None:
@@ -1471,6 +1476,8 @@ class TestLoopExits:
 
         def scripted_step(ctx, s, form):
             ctx.counters.newton_iterations += 1
+            if s.x + 1 == raise_at:
+                raise NonFiniteError("scripted")
             return SimpleNamespace(x=s.x + 1)
 
         def scripted_norm(ctx, s, tol):
@@ -1526,6 +1533,11 @@ class TestLoopExits:
         # a 12x rise over a best below 100 * eps ends nothing
         norms = [1.0, 1e-6, 5e-11, 2e-10, 6e-10, 1e-13]
         assert self.run(monkeypatch, norms) == (True, 1e-13, 5, 5)
+
+    def test_non_finite_step_ends_the_loop_at_the_best_iterate(self, monkeypatch):
+        # the third step raises; it counts as an iteration
+        norms = [1.0, 5e-11, 1e-6, 1e-13]
+        assert self.run(monkeypatch, norms, raise_at=3) == (False, 5e-11, 3, 1)
 
     def test_cap_ends_a_flat_tail_at_the_best_iterate(self, monkeypatch):
         norms = [1.0, 1e-6, 5e-11] + [8e-11] * 60

@@ -19,6 +19,7 @@ from hlsp.newton import (
     LevelContext,
     MethodNotApplicable,
     StepDirection,
+    _dual_free_stationarity,
     _step_solver,
     assemble_f_g,
     component_steps,
@@ -75,7 +76,7 @@ class TestKktResidual:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_independent_transcription(self, seed):
         ctx, s = build_random_level(seed, n=5, m_eq=2, m_ineq=2, m_inact=2, m_prior=2)
-        lam_act = recover_equality_dual(ctx, s)
+        lam_act = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
         partial = np.concatenate(newton._partial_blocks(ctx, s))
         ref = transcribed_kkt(ctx, s, lam_act)
         assert np.allclose(partial, ref[ctx.n:], atol=1e-14)
@@ -809,13 +810,13 @@ class TestDualRecovery:
             w_inact=np.zeros(0),
             lam_inact=np.zeros(0),
         )
-        lam = recover_equality_dual(ctx, s)
+        lam = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
         rhs = ctx.a_eq.T @ s.v_eq
         assert np.allclose(lam, rhs[:2], atol=1e-12)
 
     def test_no_priors_empty(self):
         ctx, s = build_random_level(24, n=3, m_eq=1, m_ineq=0, m_inact=0, m_prior=0)
-        lam = recover_equality_dual(ctx, s)
+        lam = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
         assert lam.size == 0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -831,7 +832,7 @@ class TestDualRecovery:
         ctx.a_eq = ctx.a_act.copy()
         ctx.b_eq = np.zeros(ctx.m_act)
         s = replace(s, v_eq=lam_true)
-        lam = recover_equality_dual(ctx, s)
+        lam = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
         rhs = ctx.a_eq.T @ s.v_eq
         lam_ref = np.linalg.lstsq(ctx.a_act.T, rhs, rcond=None)[0]
         scale = max(1.0, np.linalg.norm(lam_ref))
@@ -851,7 +852,7 @@ class TestDualRecovery:
         ctx.a_eq = ctx.a_act.copy()
         ctx.b_eq = np.zeros(ctx.m_act)
         s = replace(s, v_eq=lam_true + rng.normal(size=ctx.m_act) * 1e-10)
-        lam = recover_equality_dual(ctx, s)
+        lam = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
         assert np.linalg.norm(lam - lam_true) < 1e-6
 
 
@@ -1034,7 +1035,8 @@ class TestChainBasisStationarity:
             ctx.basis, ctx.stages = chain.basis, tuple(chain.stages)
             s = replace(s, v_eq=rng.uniform(-1, 1, ctx.m_eq))
             r = ctx.a_eq.T @ s.v_eq + ctx.a_ineq.T @ s.v_ineq - ctx.a_inact.T @ s.lam_inact
-            k = transcribed_kkt(ctx, s, recover_equality_dual(ctx, s))
+            lam_act = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
+            k = transcribed_kkt(ctx, s, lam_act)
             walked = np.linalg.norm(k[:n])
             tol = 1e-12 * max(1.0, np.linalg.norm(r))
             assert abs(np.linalg.norm(ctx.basis.T @ r) - walked) <= tol
