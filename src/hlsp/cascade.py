@@ -29,7 +29,6 @@ from .factorization import ChainBasis, NonFiniteError, Rrqr, nullspace_update, r
 from .newton import (
     SETTLED,
     Counters,
-    IterateState,
     LevelContext,
     MethodNotApplicable,
     _dual_free_stationarity,
@@ -218,7 +217,6 @@ def build_level_context(state: CascadeState, level, config, counters):
     a_eq = level.equalities.matrix
     a_ineq = level.inequalities.matrix
     return LevelContext(
-        n=chain.n,
         basis=basis,
         a_eq=a_eq,
         b_eq=level.equalities.rhs,
@@ -410,42 +408,43 @@ def _activate(chain, rows, rhs, v_star, counters, fact=None):
     return fact.rank
 
 
-def project_inactive(state: CascadeState, s: IterateState, counters, retained=None):
+def project_inactive(state: CascadeState, x, lam_inact, counters, retained=None):
     """Move saturated, dual-active carried rows into a virtual level.
 
-    Saturation is judged on explicitly recomputed slacks; rows that are
-    merely saturated without a significant multiplier stay carried.
-    ``retained`` is a pair (mask, fact) when the caller has one: ``fact``
-    factorizes the carried rows of ``mask`` projected into the current
-    basis, and it is reused when those are the rows that move. Returns the
-    rank the moved rows add and the multipliers of ``s`` for the rows still
-    carried.
+    ``x`` is the level's point and ``lam_inact`` the carried rows'
+    multipliers there. Saturation is judged on explicitly recomputed
+    slacks; rows that are merely saturated without a significant
+    multiplier stay carried. ``retained`` is a pair (mask, fact) when the
+    caller has one: ``fact`` factorizes the carried rows of ``mask``
+    projected into the current basis, and it is reused when those are the
+    rows that move. Returns the rank the moved rows add and the
+    multipliers of the rows still carried.
     """
     carry = state.carry
     if carry.m == 0:
-        return 0, s.lam_inact
-    mask = (carry.matrix @ s.x - carry.rhs < XI) & (s.lam_inact > XI)
+        return 0, lam_inact
+    mask = (carry.matrix @ x - carry.rhs < XI) & (lam_inact > XI)
     if not mask.any():
-        return 0, s.lam_inact
+        return 0, lam_inact
     rows, rhs = carry.matrix[mask], carry.rhs[mask]
     carry.remove(mask)
-    v_star = rows @ s.x - rhs
+    v_star = rows @ x - rhs
     fact = retained[1] if retained and np.array_equal(mask, retained[0]) else None
-    return _activate(state.chain, rows, rhs, v_star, counters, fact), s.lam_inact[~mask]
+    return _activate(state.chain, rows, rhs, v_star, counters, fact), lam_inact[~mask]
 
 
-def project_current(state, level, s, counters, retained=None, residuals=None):
+def project_current(state, level, residuals, counters, retained=None):
     """Pin the level's active set and carry its satisfied inequalities.
 
-    The active set holds every equality row plus the inequalities violated
-    beyond the activation threshold, stored with their optimal violations.
+    ``residuals`` are the level's ``_residuals`` at its point. The active
+    set holds every equality row plus the inequalities violated beyond the
+    activation threshold, stored with their optimal violations.
     ``retained`` is a pair (rows, fact) when the caller has one: ``fact``
     factorizes ``rows`` projected into the current basis, and it is reused
-    when those are the rows that activate. ``residuals`` are the level's
-    ``_residuals`` at ``s.x``, when the caller has them.
+    when those are the rows that activate.
     """
     eq, ineq = level.equalities, level.inequalities
-    r_eq, r_ineq = _residuals(level, s.x) if residuals is None else residuals
+    r_eq, r_ineq = residuals
     # C order, as the stack below returns it, so the products keep their bits
     rows, rhs, v_star = np.ascontiguousarray(eq.matrix), eq.rhs, r_eq
     if ineq.m:
@@ -474,27 +473,31 @@ def _level_objective(r_eq, r_ineq):
 def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     """Resolve the hierarchy level by level with the configured method.
 
-    The single entry point for every method: the ``-asm`` methods solve
-    every level by ``asm_level_feasibility``, which runs no Newton
-    iteration, and the others by the interior point. Both ``-asm`` methods
-    run the same level solve. A ``classical`` level whose quadratic term
-    has no Cholesky factor, at its first iteration or a later one, restarts
-    from its start in the projected normal form and reports ``method_fallback``;
-    its counters keep the abandoned iterations and factorizations. A level
-    with barrier rows (its own inequalities or carried rows) leaves the
-    interior point once its complementarity split has settled below
-    ``SETTLED``, at ``eps``, at the iteration cap or at a non-finite
-    iterate (``newton_loop``), and ``asm_level_feasibility`` finishes it
-    from there, walked back onto the chain's pinned rows (``_onto_chain``)
-    and seeded by the iterate's complementarity pairs (``_split_seed``):
-    its convergence test at ``eps`` decides ``sub_converged``, and its
-    working-set changes count as ``asm_iterations``. Its step assumes a
-    start on the carried rows, and the correction onto a guessed tight row
-    can leave one: where it ends violating a carried row by more than
-    ``XI`` that the level's start holds, the level is solved again from
-    its start as the ``-asm`` methods solve it, and both solves count; the
-    level then ends in ``project_inactive`` and ``project_current``. A
-    level without barrier rows whose step form is projected, in ``nf-ipm``
+    The single entry point for every method. Every level of the ``-asm``
+    methods, and every level with barrier rows (its own inequalities or
+    carried rows) of the others, ends in one ``asm_level_feasibility``
+    call; only the start and the first working set differ. The ``-asm``
+    methods, which both run the same level solve and no Newton iteration,
+    start from the inherited ``x`` with the working set its residual signs
+    give (``_residual_seed``). The interior-point methods first run
+    ``newton_loop`` until the complementarity split has settled below
+    ``SETTLED``, to ``eps``, to the iteration cap or to a non-finite
+    iterate. A ``classical`` level whose quadratic term has no Cholesky
+    factor, at its first iteration or a later one, restarts from its
+    start in the projected normal form and reports ``method_fallback``;
+    its counters keep the abandoned iterations and factorizations. The
+    active-set step then starts from the loop's point walked back onto the
+    chain's pinned rows (``_onto_chain``), seeded by the iterate's
+    complementarity pairs (``_split_seed``). Its convergence test at
+    ``eps`` decides ``sub_converged``, and its working-set changes count
+    as ``asm_iterations``. Its step assumes a start on the carried rows,
+    and the correction onto a guessed tight row can leave one: where an
+    interior-point crossover ends violating a carried row by more than
+    ``XI`` that the level's start holds, the same call runs once more from
+    the start, seeded as the ``-asm`` methods seed it, and both solves
+    count. The level then ends in ``project_inactive`` and
+    ``project_current`` at its point. A level without barrier rows whose
+    step form is projected, in ``nf-ipm``
     and ``ls-ipm`` and where classical takes the normal form, is
     ``linear_level``'s: basic steps on one RRQR, with no context or
     iterate. Classical's other linear levels take their range-space step
@@ -543,38 +546,39 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         m_barrier = level.inequalities.m + m_inact_seen
         form, fell_back = _level_form(config, level.equalities.m + m_barrier, n)
         if m_barrier or config.uses_asm:
-            ctx = build_level_context(state, level, config, counters)
+            level_ctx = build_level_context(state, level, config, counters)
+            start, restart = x, not config.uses_asm
             if config.uses_asm:
-                work = _residual_seed(ctx, x, warm_sets.get(idx, ()))
-                ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, work)
+                work = _residual_seed(level_ctx, x, warm_sets.get(idx, ()))
             else:
-                start = initial_state(ctx, x)
+                s = initial_state(level_ctx, x)
                 try:
-                    s, conv, norm = newton_loop(ctx, start, form)
+                    s, conv, norm = newton_loop(level_ctx, s, form)
                 except MethodNotApplicable:
                     # the quadratic term has no Cholesky factor, at the first
                     # iteration or once barrier weights made it lose rank
-                    # numerically; restart the level in the projected form
+                    # numerically; restart the level, from the start that s
+                    # still holds, in the projected form
                     fell_back = True
-                    s, conv, norm = newton_loop(ctx, start, "normal")
+                    s, conv, norm = newton_loop(level_ctx, s, "normal")
                 # crossover: the active-set step finishes the level from the
                 # hand-over point, walked back onto the chain's pinned rows
                 # (the step moves x in the chain basis only), with the
                 # working set the iterate's complementarity pairs split off
-                level_ctx, x = ctx, _onto_chain(ctx, s.x)
-                ctx, s, conv, norm, held = asm_level_feasibility(ctx, x, _split_seed(s))
-                if _off_carried(ctx, s.x) and not _off_carried(ctx, start.x):
-                    # the guessed working set moved x off carried rows that
-                    # the level's start holds, and no later step repairs
-                    # that: solve the level from its start as -asm does
-                    x = start.x
-                    work = _residual_seed(level_ctx, x)
-                    ctx, s, conv, norm, held = asm_level_feasibility(level_ctx, x, work)
+                x, work = _onto_chain(level_ctx, s.x), _split_seed(s)
+            while True:
+                ctx, s, conv, norm, held = asm_level_feasibility(level_ctx, x, work)
+                if not (restart and _off_carried(ctx, s.x) and not _off_carried(ctx, start)):
+                    break
+                # the guessed working set moved x off carried rows that the
+                # level's start holds, and no later step repairs that: solve
+                # the level from its start as -asm does
+                restart, x, work = False, start, _residual_seed(level_ctx, start)
             x = s.x
             residuals = _residuals(level, x)
             tight, current = held
             stages = len(state.chain.stages)
-            rank_virtual, lam_inact = project_inactive(state, s, counters, tight)
+            rank_virtual, lam_inact = project_inactive(state, x, s.lam_inact, counters, tight)
             moved = None
             if len(state.chain.stages) > stages:
                 moved = state.chain.stages[-1].fact
@@ -584,9 +588,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 current = None
             rank_current = 0
             if state.chain.n_r:
-                rank_current = project_current(
-                    state, level, s, counters, current, residuals
-                )
+                rank_current = project_current(state, level, residuals, counters, current)
             walk = ctx.stages, partial(_dual_free_stationarity, ctx, s)
         else:
             # a linear level: classical's range-space steps where it keeps

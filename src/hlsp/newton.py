@@ -95,7 +95,6 @@ class IterateState:
 
 @dataclass
 class StepDirection:
-    dz: np.ndarray
     dx: np.ndarray
     dv_ineq: np.ndarray
     dw_ineq: np.ndarray
@@ -108,7 +107,8 @@ class LevelContext:
     """Constant data of one level's Newton loop and active-set step.
 
     ``basis`` is the chain's ``ChainBasis`` B when the level starts, which
-    stores only the rows of the eliminated variables; ``proj_eq``,
+    stores only the rows of the eliminated variables; its shape is (n,
+    n_r) for n variables. ``proj_eq``,
     ``proj_ineq`` and ``proj_inact`` are the blocks times B, and they share
     its remaining-variable column count n_r. ``stages`` are the chain
     stages in force when the context was built; their rows stack into
@@ -123,7 +123,6 @@ class LevelContext:
     Levels that read neither make neither.
     """
 
-    n: int
     basis: object
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -325,11 +324,13 @@ def _sqrt_weights(fr):
     return np.sqrt(fr.wt_inact), np.sqrt(fr.wt_ineq)
 
 
-def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
-    """Recover the eliminated variable steps from the reduced step."""
+def component_steps(ctx, s, dx, f_vec, g_vec):
+    """The step direction from the full-space step ``dx`` of any form.
+
+    The slack and multiplier steps that the forms eliminate are recovered
+    from ``dx`` and the right-hand sides ``f_vec`` and ``g_vec``.
+    """
     fr = _frame(ctx, s)
-    if dx is None:
-        dx = ctx.basis @ dz
     x_new = s.x + dx
     if ctx.m_ineq:
         adx = ctx.a_ineq @ dx
@@ -345,7 +346,6 @@ def component_steps(ctx, s, dz, f_vec, g_vec, dx=None):
         dw_inact = np.zeros(0)
         dlam_inact = np.zeros(0)
     return StepDirection(
-        dz=dz,
         dx=dx,
         dv_ineq=dv_ineq,
         dw_ineq=dw_ineq,
@@ -358,10 +358,13 @@ def _ratio_test(s, d: StepDirection):
     """The fraction-to-boundary ratio test and its blocking entry.
 
     One ratio test over the four stacked nonnegative blocks (w_ineq,
-    -v_ineq, w_inact, lam_inact). A block whose ratios include a NaN sets
-    no bound at all. Returns ``(a_max, k, val, dval)``: the largest step
-    keeping every entry nonnegative, the stacked index of the entry that
-    blocks it (None when none does), and the stacked values and steps.
+    -v_ineq, w_inact, lam_inact). Only an entry whose step is negative can
+    block, so a NaN step entry never does. The values are finite: a solve
+    steps only from ``initial_state`` or from an iterate whose KKT norm,
+    which every one of the four blocks enters, was finite. Returns
+    ``(a_max, k, val, dval)``: the largest step keeping every entry
+    nonnegative, the stacked index of the entry that blocks it (None when
+    none does), and the stacked values and steps.
     """
     val = np.concatenate((s.w_ineq, -s.v_ineq, s.w_inact, s.lam_inact))
     dval = np.concatenate((d.dw_ineq, -d.dv_ineq, d.dw_inact, d.dlam_inact))
@@ -370,24 +373,14 @@ def _ratio_test(s, d: StepDirection):
     if ratios.size == 0:
         return math.inf, None, val, dval
     j = int(ratios.argmin())
-    a_max = float(ratios[j])
-    if a_max != a_max:
-        # a NaN ratio: drop every ratio of its block
-        sizes = (s.w_ineq.size, s.v_ineq.size, s.w_inact.size, s.lam_inact.size)
-        block = np.repeat(np.arange(4), sizes)[idx]
-        keep = ~np.isin(block, block[np.isnan(ratios)])
-        idx, ratios = idx[keep], ratios[keep]
-        if ratios.size == 0:
-            return math.inf, None, val, dval
-        j = int(ratios.argmin())
-        a_max = float(ratios[j])
-    return a_max, int(idx[j]), val, dval
+    return float(ratios[j]), int(idx[j]), val, dval
 
 
 def line_search(s, d: StepDirection, tau):
     """Largest fraction of the step keeping every sign condition valid.
 
-    ``tau`` times the ratio test's bound, capped at a full step.
+    ``tau`` times the ratio test's bound, capped at a full step; a step
+    that no entry blocks is taken in full.
     """
     a_max = _ratio_test(s, d)[0]
     if not math.isfinite(a_max):
@@ -504,20 +497,12 @@ def _step_solver(ctx, s, form):
     """Factorize the level's Newton system once in the given step form.
 
     Returns ``solve(f_vec, g_vec) -> StepDirection``, which reuses the
-    factorization for the affine predictor and the centered corrector. The
-    projected forms' solvers return the reduced step ``dz``, the classical
-    form's the full-space step ``dx``.
+    factorization for the affine predictor and the centered corrector.
+    Every form's solver returns the full-space step ``dx``; the projected
+    forms map their reduced step through the chain basis.
     """
-    make, full_space = _SOLVERS[form]
-    solve_step = make(ctx, _frame(ctx, s))
-
-    def solve(f_vec, g_vec):
-        step = solve_step(f_vec, g_vec)
-        if full_space:
-            return component_steps(ctx, s, None, f_vec, g_vec, dx=step)
-        return component_steps(ctx, s, step, f_vec, g_vec)
-
-    return solve
+    solve_step = _SOLVERS[form](ctx, _frame(ctx, s))
+    return lambda f, g: component_steps(ctx, s, solve_step(f, g), f, g)
 
 
 def _normal_solver(ctx, fr):
@@ -536,7 +521,7 @@ def _normal_solver(ctx, fr):
             rhs = rhs + ctx.proj_ineq.T @ g_vec
         if ctx.m_inact:
             rhs = rhs + ctx.proj_inact.T @ f_vec
-        return fact.solve_basic(rhs)
+        return ctx.basis @ fact.solve_basic(rhs)
 
     return solve
 
@@ -558,7 +543,7 @@ def _ls_solver(ctx, fr):
         rhs_top = np.zeros(len(top))
         np.divide(f_vec, sq_inact, out=rhs_top[:m_inact], where=live_inact)
         np.divide(g_vec, sq_ineq, out=rhs_top[m_inact:], where=live_ineq)
-        return staged.solve_basic(rhs_top, fr.rhs_eq)
+        return ctx.basis @ staged.solve_basic(rhs_top, fr.rhs_eq)
 
     return solve
 
@@ -607,12 +592,8 @@ def _classical_solver(ctx, fr):
     return solve
 
 
-# each step form's solver builder, and whether it returns the full-space dx
-_SOLVERS = {
-    "normal": (_normal_solver, False),
-    "ls": (_ls_solver, False),
-    "classical": (_classical_solver, True),
-}
+# each step form's solver builder; every solver returns the full-space dx
+_SOLVERS = {"normal": _normal_solver, "ls": _ls_solver, "classical": _classical_solver}
 
 
 def recover_equality_dual(stages, r):

@@ -59,7 +59,6 @@ def build_random_level(
     counters = Counters()
     basis = chain.basis
     ctx = LevelContext(
-        n=n,
         basis=basis,
         a_eq=a_eq,
         b_eq=b_eq,

@@ -15,6 +15,7 @@ from hlsp.cascade import (
     InactiveCarry,
     InvalidProblemError,
     NullSpaceChain,
+    _residuals,
     asm_level_feasibility,
     build_level_context,
     hybrid_solve,
@@ -195,8 +196,8 @@ class TestProjections:
         ctx = build_level_context(state, p.levels[0], config, counters)
         start = initial_state(ctx, np.zeros(2))
         s = newton_loop(ctx, start, config.step_form)[0]
-        project_inactive(state, s, counters)
-        project_current(state, p.levels[0], s, counters)
+        project_inactive(state, s.x, s.lam_inact, counters)
+        project_current(state, p.levels[0], _residuals(p.levels[0], s.x), counters)
         # satisfied row carried, nothing active
         assert state.carry.m == 1
         assert state.chain.n_r == 2  # no rank consumed
@@ -204,23 +205,16 @@ class TestProjections:
         ctx2 = build_level_context(state, p.levels[1], config, counters)
         s2 = newton_loop(ctx2, initial_state(ctx2, s.x), config.step_form)[0]
         stages_before = len(state.chain.stages)
-        project_inactive(state, s2, counters)
+        project_inactive(state, s2.x, s2.lam_inact, counters)
         assert len(state.chain.stages) == stages_before  # x2 move ignores x1 >= -1
         assert state.carry.m == 1
 
     def test_saturated_with_significant_dual_activates(self):
         state = CascadeState.fresh(2)
         state.carry.append(np.array([[1.0, 0.0]]), np.array([1.0]))
-        config = SolverConfig()
         counters = Counters()
-
-        class S:
-            pass
-
-        s = S()
-        s.x = np.array([1.0 + 1e-10, 3.0])
-        s.lam_inact = np.array([0.3])
-        rank, lam_inact = project_inactive(state, s, counters)
+        x = np.array([1.0 + 1e-10, 3.0])
+        rank, lam_inact = project_inactive(state, x, np.array([0.3]), counters)
         assert rank == 1 and lam_inact.shape == (0,)
         assert np.array_equal(state.chain.rows, [[1.0, 0.0]])
         assert state.carry.m == 0
@@ -231,17 +225,10 @@ class TestProjections:
     def test_accidentally_saturated_not_activated(self):
         state = CascadeState.fresh(2)
         state.carry.append(np.array([[1.0, 0.0]]), np.array([1.0]))
-        config = SolverConfig()
         counters = Counters()
-
-        class S:
-            pass
-
-        s = S()
-        s.x = np.array([1.0 + 1e-10, 0.0])
-        s.lam_inact = np.array([1e-10])
-        rank, lam_inact = project_inactive(state, s, counters)
-        assert rank == 0 and lam_inact is s.lam_inact
+        lam = np.array([1e-10])
+        rank, lam_inact = project_inactive(state, np.array([1.0 + 1e-10, 0.0]), lam, counters)
+        assert rank == 0 and lam_inact is lam
         assert state.carry.m == 1
 
     def test_projection_leaves_the_iterate_and_returns_the_carried_duals(self):
@@ -259,7 +246,7 @@ class TestProjections:
         )
         arrays = {name: getattr(s, name) for name in ("x", "w_inact", "lam_inact")}
         copies = {name: a.copy() for name, a in arrays.items()}
-        rank, lam_inact = project_inactive(state, s, counters)
+        rank, lam_inact = project_inactive(state, s.x, s.lam_inact, counters)
         assert rank == 1 and state.carry.m == 2
         for name, a in arrays.items():
             assert getattr(s, name) is a and np.array_equal(a, copies[name]), name
@@ -278,8 +265,8 @@ class TestProjections:
         )
         real, seen = cascade.project_inactive, []
 
-        def recording(state, s, counters, retained=None):
-            out = real(state, s, counters, retained)
+        def recording(state, x, lam_inact, counters, retained=None):
+            out = real(state, x, lam_inact, counters, retained)
             seen.append((out[1], state.carry.m))
             return out
 
@@ -298,8 +285,8 @@ class TestProjections:
         ctx = build_level_context(state, p.levels[0], config, counters)
         start = initial_state(ctx, np.zeros(1))
         s = newton_loop(ctx, start, config.step_form)[0]
-        assert project_inactive(state, s, counters)[0] == 0
-        assert project_current(state, p.levels[0], s, counters) == 1
+        assert project_inactive(state, s.x, s.lam_inact, counters)[0] == 0
+        assert project_current(state, p.levels[0], _residuals(p.levels[0], s.x), counters) == 1
         # both inequalities are pinned, in level order, with their violations
         assert np.array_equal(state.chain.rows, [[1.0], [-1.0]])
         assert np.allclose(state.chain.v_star, [-0.5, -0.5], atol=1e-8)
@@ -321,7 +308,7 @@ class TestProjections:
         # second inequality is satisfied and carried
         level = lvl(4, [[1, 0, 0, 0]], [1.0], [[0, 1, 0, 0], [0, 0, 1, 0]], [0.5, -1.0])
         s = SimpleNamespace(x=np.array([1.0, 0.2, 0.0, 0.0]))
-        assert project_current(state, level, s, counters) == 2
+        assert project_current(state, level, _residuals(level, s.x), counters) == 2
         assert np.array_equal(state.chain.rows, [[1, 0, 0, 0], [0, 1, 0, 0]])
         assert_stacked(state.chain, [1.0, 0.5], [0.0, 0.2 - 0.5])
         # the carried row saturates with a significant dual
@@ -329,7 +316,7 @@ class TestProjections:
             x=np.array([1.0, 0.2, -1.0, 0.0]),
             lam_inact=np.array([0.3]),
         )
-        assert project_inactive(state, s, counters)[0] == 1
+        assert project_inactive(state, s.x, s.lam_inact, counters)[0] == 1
         assert np.array_equal(state.chain.rows[2:], [[0, 0, 1, 0]])
         assert_stacked(state.chain, [1.0, 0.5, -1.0], [0.0, 0.2 - 0.5, 0.0])
 
@@ -352,13 +339,13 @@ class TestProjections:
             a, b = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)
             if kind == "real":
                 level = lvl(n, a, b, np.zeros((0, n)), [])
-                assert project_current(state, level, s, counters) == m
+                assert project_current(state, level, _residuals(level, s.x), counters) == m
             else:
                 # carried rows saturated at x, with significant duals
                 b = a @ s.x
                 state.carry.append(a, b)
                 s.lam_inact = np.ones(m)
-                assert project_inactive(state, s, counters)[0] == m
+                assert project_inactive(state, s.x, s.lam_inact, counters)[0] == m
             expected.append((a, b, a @ s.x - b))
             if len(held) < 2:
                 ctx = build_level_context(state, level, config, counters)
@@ -1091,9 +1078,9 @@ class TestInvariants:
             start = initial_state(ctx, x)
             s = newton_loop(ctx, start, config.step_form)[0]
             x = s.x
-            project_inactive(state, s, counters)
+            project_inactive(state, s.x, s.lam_inact, counters)
             if state.chain.n_r:
-                project_current(state, level, s, counters)
+                project_current(state, level, _residuals(level, s.x), counters)
             if state.chain.n_r == 0:
                 break
         chain = state.chain
@@ -1422,6 +1409,27 @@ class TestCrossover:
         assert not any(off for _, off in ends[:-2])
         assert rep.converged
         assert np.allclose(rep.objectives, asm.objectives, rtol=0.0, atol=1e-12)
+
+    def test_one_active_set_call_unless_the_crossover_restarts(self, monkeypatch):
+        # _off_carried is faked: every point but the level's start, x = 0, is
+        # off a carried row. The interior point's crossover then solves the
+        # barrier level again from its start; the -asm level solve does not
+        p = HlspProblem(
+            n=2, levels=(lvl(2, np.zeros((0, 2)), [], np.eye(2), [1.0, 1.0]),)
+        )
+        real, starts = cascade.asm_level_feasibility, []
+
+        def recording(ctx, x, work):
+            starts.append(x.copy())
+            return real(ctx, x, work)
+
+        monkeypatch.setattr(cascade, "_off_carried", lambda ctx, x: bool(x.any()))
+        monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
+        solve_hlsp(p, SolverConfig(method="nf-ipm"))
+        assert len(starts) == 2 and starts[0].any() and not starts[1].any()
+        starts.clear()
+        solve_hlsp(p, SolverConfig(method="nf-ipm-asm"))
+        assert len(starts) == 1 and not starts[0].any()
 
     @pytest.mark.parametrize(
         "method,data",

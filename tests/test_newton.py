@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hlsp import cascade
-from hlsp.cascade import NullSpaceChain
+from hlsp.cascade import NullSpaceChain, solve_hlsp
 from hlsp.config import SolverConfig
 from hlsp import newton
 from hlsp.factorization import nullspace_update, rrqr
+from hlsp.fileio import problem_from_dict
 from hlsp.newton import (
     Counters,
     IterateState,
@@ -31,6 +32,8 @@ from hlsp.newton import (
 )
 
 from conftest import build_random_level
+from test_found import INSTANCES, load
+from test_fuzz import SEEDS, fuzz_problem
 
 
 def transcribed_kkt(ctx, s, lam_act):
@@ -79,7 +82,7 @@ class TestKktResidual:
         lam_act = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
         partial = np.concatenate(newton._partial_blocks(ctx, s))
         ref = transcribed_kkt(ctx, s, lam_act)
-        assert np.allclose(partial, ref[ctx.n:], atol=1e-14)
+        assert np.allclose(partial, ref[ctx.basis.shape[0]:], atol=1e-14)
         # past the early-out the norm is the whole residual's at the walked duals
         _, norm = converged(ctx, s, np.inf)
         assert abs(norm - np.linalg.norm(ref)) < 1e-12 * max(1.0, norm)
@@ -116,8 +119,7 @@ class TestProjectedNormalStep:
     def test_equality_only_single_step_hits_least_squares(self):
         ctx, s = build_random_level(7, n=5, m_eq=3, m_ineq=0, m_inact=0, m_prior=0)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = _step_solver(ctx, s, "normal")(f, g).dz
-        x_new = s.x + ctx.basis @ dz
+        x_new = s.x + _step_solver(ctx, s, "normal")(f, g).dx
         x_ref = np.linalg.lstsq(ctx.a_eq, ctx.b_eq, rcond=None)[0]
         assert np.allclose(ctx.a_eq @ x_new, ctx.a_eq @ x_ref, atol=1e-10)
 
@@ -131,7 +133,6 @@ class TestProjectedNormalStep:
         config = SolverConfig()
         a_eq = np.array([[1.0, 1.0]])
         ctx = LevelContext(
-            n=n,
             basis=chain.basis,
             a_eq=a_eq,
             b_eq=np.array([5.0]),
@@ -159,8 +160,7 @@ class TestProjectedNormalStep:
             w_inact=np.zeros(0),
             lam_inact=np.zeros(0),
         )
-        dz = _step_solver(ctx, s, "normal")(np.zeros(0), np.zeros(0)).dz
-        dx = chain.basis @ dz
+        dx = _step_solver(ctx, s, "normal")(np.zeros(0), np.zeros(0)).dx
         assert abs(dx[0]) < 1e-12
         assert abs((x + dx)[1] - 4.0) < 1e-10
 
@@ -168,7 +168,7 @@ class TestProjectedNormalStep:
     def test_matches_dense_reduced_solve(self, seed):
         ctx, s = build_random_level(seed + 10, n=6, m_eq=2, m_ineq=3, m_inact=2, m_prior=2)
         f, g = assemble_f_g(ctx, s, 0.01, 0.02)
-        dz = _step_solver(ctx, s, "normal")(f, g).dz
+        dz = _step_solver(ctx, s, "normal")(f, g).dx[ctx.basis.free]
         wt_i = s.v_ineq / (s.v_ineq - s.w_ineq)
         wt_in = s.lam_inact / s.w_inact
         h = (
@@ -187,15 +187,14 @@ class TestProjectedNormalStep:
     def test_active_rows_unchanged_by_step(self):
         ctx, s = build_random_level(30, n=6, m_eq=2, m_ineq=2, m_inact=2, m_prior=3)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = _step_solver(ctx, s, "normal")(f, g).dz
-        dx = ctx.basis @ dz
+        dx = _step_solver(ctx, s, "normal")(f, g).dx
         assert np.linalg.norm(ctx.a_act @ dx) < 1e-10 * max(1, np.linalg.norm(dx))
 
 
 class TestLsFormStep:
     def test_equality_only_reduces_to_projected_least_squares(self):
         ctx, s = build_random_level(11, n=5, m_eq=3, m_ineq=0, m_inact=0, m_prior=1)
-        dz_ls = _step_solver(ctx, s, "ls")(np.zeros(0), np.zeros(0)).dz
+        dz_ls = _step_solver(ctx, s, "ls")(np.zeros(0), np.zeros(0)).dx[ctx.basis.free]
         rhs = ctx.b_eq - ctx.a_eq @ s.x
         dz_ref = np.linalg.lstsq(ctx.proj_eq, rhs, rcond=None)[0]
         assert np.linalg.norm(ctx.proj_eq @ dz_ls - rhs) <= (
@@ -206,7 +205,7 @@ class TestLsFormStep:
         ctx, s = build_random_level(12, n=4, m_eq=1, m_ineq=0, m_inact=1, m_prior=0)
         s = replace(s, w_inact=np.array([1.0]), lam_inact=np.array([1.0]))
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = _step_solver(ctx, s, "ls")(f, g).dz
+        dz = _step_solver(ctx, s, "ls")(f, g).dx[ctx.basis.free]
         # weight sqrt(lam/w) = 1: the stacked system is [inact; eq] unweighted
         stack = np.vstack([ctx.proj_inact, ctx.proj_eq])
         rhs = np.concatenate([f, ctx.b_eq - ctx.a_eq @ s.x])
@@ -219,8 +218,8 @@ class TestLsFormStep:
     def test_matches_projected_normal_step(self, seed):
         ctx, s = build_random_level(seed + 40, n=7, m_eq=2, m_ineq=3, m_inact=3, m_prior=2)
         f, g = assemble_f_g(ctx, s, 0.01, 0.005)
-        dz_nf = _step_solver(ctx, s, "normal")(f, g).dz
-        dz_ls = _step_solver(ctx, s, "ls")(f, g).dz
+        dz_nf = _step_solver(ctx, s, "normal")(f, g).dx[ctx.basis.free]
+        dz_ls = _step_solver(ctx, s, "ls")(f, g).dx[ctx.basis.free]
         scale = max(1.0, np.linalg.norm(dz_nf))
         assert np.linalg.norm(dz_nf - dz_ls) < 1e-8 * scale
 
@@ -243,8 +242,7 @@ class TestClassicalStep:
         )
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         dx_cl = _step_solver(ctx, s, "classical")(f, g).dx
-        dz = _step_solver(ctx, s, "normal")(f, g).dz
-        dx_nf = ctx.basis @ dz
+        dx_nf = _step_solver(ctx, s, "normal")(f, g).dx
         assert np.allclose(dx_cl, dx_nf, atol=1e-8 * max(1, np.linalg.norm(dx_nf)))
 
     def test_dependent_active_rows_leave_the_step_as_it_is(self, monkeypatch):
@@ -267,7 +265,7 @@ class TestClassicalStep:
         f, g = assemble_f_g(ctx, s, 0.003, 0.004)
         dx_cl = _step_solver(ctx, s, "classical")(f, g).dx
         assert ranks == [4]
-        dx_nf = ctx.basis @ _step_solver(ctx, s, "normal")(f, g).dz
+        dx_nf = _step_solver(ctx, s, "normal")(f, g).dx
         scale = max(1.0, np.linalg.norm(dx_nf))
         assert np.linalg.norm(dx_cl - dx_nf) <= 1e-8 * scale
         for _ in range(3):
@@ -346,7 +344,7 @@ class TestComponentSteps:
             lam_inact=smu_in / w_inact,
         )
         f, g = assemble_f_g(ctx, s, smu_i, smu_in)
-        d = component_steps(ctx, s, np.zeros(ctx.basis.shape[1]), f, g)
+        d = component_steps(ctx, s, np.zeros_like(s.x), f, g)
         dv_eq = ctx.a_eq @ (s.x + d.dx) - ctx.b_eq - s.v_eq
         for arr in (d.dx, dv_eq, d.dv_ineq, d.dw_ineq, d.dw_inact, d.dlam_inact):
             assert np.linalg.norm(arr) < 1e-10
@@ -354,8 +352,7 @@ class TestComponentSteps:
     def test_equality_only_components(self):
         ctx, s = build_random_level(17, n=4, m_eq=2, m_ineq=0, m_inact=0, m_prior=0)
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
-        dz = _step_solver(ctx, s, "normal")(f, g).dz
-        d = component_steps(ctx, s, dz, f, g)
+        d = component_steps(ctx, s, _step_solver(ctx, s, "normal")(f, g).dx, f, g)
         assert d.dv_ineq.size == 0 and d.dw_ineq.size == 0
         assert np.linalg.norm(d.dx) > 0
         # the step moves the equality slack the iterate resets from x
@@ -366,8 +363,7 @@ class TestComponentSteps:
         ctx, s = build_random_level(seed + 60, n=6, m_eq=2, m_ineq=3, m_inact=2, m_prior=2)
         smu_i, smu_in = 0.004, 0.006
         f, g = assemble_f_g(ctx, s, smu_i, smu_in)
-        dz = _step_solver(ctx, s, "normal")(f, g).dz
-        d = component_steps(ctx, s, dz, f, g)
+        d = component_steps(ctx, s, _step_solver(ctx, s, "normal")(f, g).dx, f, g)
         res = linearized_residual(ctx, s, d, smu_i, smu_in)
         scale = max(1.0, np.linalg.norm(d.dx))
         assert np.linalg.norm(res) < 1e-8 * scale
@@ -413,7 +409,6 @@ def ratio_test_pair(blocks, steps):
         lam_inact=lam_inact,
     )
     d = StepDirection(
-        dz=None,
         dx=np.zeros(1),
         dv_ineq=-steps[1],
         dw_ineq=steps[0],
@@ -425,7 +420,11 @@ def ratio_test_pair(blocks, steps):
 
 @st.composite
 def ratio_tests(draw):
-    """Interior states, with empty blocks, nonnegative steps and a NaN entry."""
+    """Interior states, with empty blocks, nonnegative steps and a NaN step entry.
+
+    Only steps hold a NaN: a solve reaches the ratio test only with finite
+    values (``TestRatioTestInputs``).
+    """
     sizes = [draw(st.integers(0, 4)), draw(st.integers(0, 4))]
     sizes = [sizes[0], sizes[0], sizes[1], sizes[1]]
     low = 0.0 if draw(st.booleans()) else -1e6
@@ -436,8 +435,7 @@ def ratio_tests(draw):
     filled = [i for i, m in enumerate(sizes) if m]
     if filled and draw(st.booleans()):
         i = draw(st.sampled_from(filled))
-        target = draw(st.sampled_from((blocks, steps)))
-        target[i][draw(st.integers(0, sizes[i] - 1))] = np.nan
+        steps[i][draw(st.integers(0, sizes[i] - 1))] = np.nan
     return blocks, steps, draw(st.floats(0.5, 1.0))
 
 
@@ -447,7 +445,6 @@ def same_bits(a, b):
 
 def random_direction(s, rng):
     return StepDirection(
-        dz=None,
         dx=np.zeros_like(s.x),
         dv_ineq=rng.uniform(-1, 1, s.v_ineq.shape),
         dw_ineq=rng.uniform(-1, 1, s.w_ineq.shape),
@@ -474,16 +471,12 @@ class TestLineSearch:
             # all steps nonnegative: nothing blocks
             ([np.ones(2), np.ones(2), np.ones(1), np.ones(1)],
              [np.zeros(2), np.ones(2), np.ones(1), np.zeros(1)], 1.0),
-            # a NaN ratio drops its block's bound whole: 1/8 does not count
-            ([np.array([1.0, np.nan]), np.ones(2), np.ones(1), np.array([2.0])],
-             [np.array([-8.0, -1.0]), np.ones(2), np.ones(1), np.array([-8.0])],
-             0.995 * 0.25),
             # a NaN step never blocks
             ([np.ones(2), np.ones(2), np.ones(1), np.ones(1)],
              [np.array([np.nan, -2.0]), np.ones(2), np.ones(1), np.ones(1)],
              0.995 * 0.5),
         ],
-        ids=["empty", "nonnegative", "nan_state", "nan_step"],
+        ids=["empty", "nonnegative", "nan_step"],
     )
     def test_edge_cases_match_per_block_loop(self, blocks, steps, expected):
         s, d = ratio_test_pair(blocks, steps)
@@ -494,7 +487,6 @@ class TestLineSearch:
     def _direction(self, s, **kw):
         z = lambda a: np.zeros_like(a)
         d = StepDirection(
-            dz=None,
             dx=np.zeros_like(s.x),
             dv_ineq=kw.get("dv_ineq", z(s.v_ineq)),
             dw_ineq=kw.get("dw_ineq", z(s.w_ineq)),
@@ -633,15 +625,6 @@ class TestStepLength:
                 interior += 1
         assert interior >= 5, interior
 
-    def test_a_nan_ratio_block_is_ignored(self):
-        # w_ineq holds a NaN: its block sets no bound, lam_inact blocks at 1/4;
-        # the NaN leaves mu(a_max) without a value, so the cap applies
-        s, d = ratio_test_pair(
-            [np.array([1.0, np.nan]), np.ones(2), np.ones(1), np.array([2.0])],
-            [np.array([-8.0, -1.0]), np.ones(2), np.ones(1), np.array([-8.0])],
-        )
-        assert newton.step_length(s, d, 0.999) == 0.999 * 0.25
-
     def test_a_partner_at_zero_takes_the_cap(self):
         # the blocking w_inact's multiplier is 0: no product reaches the target
         s, d = ratio_test_pair(
@@ -678,6 +661,44 @@ class TestStepLength:
         monkeypatch.setattr(newton, "step_length", checked)
         cascade.newton_loop(ctx, s, "normal")
         assert len(calls) >= 5 and all(calls)
+
+
+# a 1e150 row overflows the first convergence test of level 1
+BIG_ROW = {
+    "n": 2,
+    "levels": [
+        {"A_e": [[1e150, 0]], "b_e": [1e150], "A_i": [[1e-150, 1]], "b_i": [0]},
+        {"A_e": [[1, 1]], "b_e": [0], "A_i": [], "b_i": []},
+    ],
+}
+
+
+class TestRatioTestInputs:
+    """A solve hands the ratio test finite values only.
+
+    A solve steps only from ``initial_state``, whose nonnegative blocks are
+    all ones, or from an iterate whose KKT norm was finite. Each of
+    ``w_ineq``, ``v_ineq``, ``w_inact`` and ``lam_inact`` enters a block of
+    that norm, so the loop stops before it steps from a non-finite one, and
+    the ratio test needs no rule for a non-finite value.
+    """
+
+    def test_every_state_is_finite(self, monkeypatch):
+        real, finite = newton._ratio_test, []
+
+        def checked(s, d):
+            blocks = (s.w_ineq, s.v_ineq, s.w_inact, s.lam_inact)
+            finite.append(all(np.isfinite(b).all() for b in blocks))
+            return real(s, d)
+
+        monkeypatch.setattr(newton, "_ratio_test", checked)
+        problems = [fuzz_problem(seed) for seed in SEEDS if seed % 3 == 2]
+        problems += [load(name)[0] for name in INSTANCES]
+        problems.append(problem_from_dict(BIG_ROW))
+        for problem in problems:
+            for method in ("nf-ipm", "ls-ipm", "classical"):
+                solve_hlsp(problem, SolverConfig(method=method))
+        assert len(finite) > 1000 and finite.count(False) == 0
 
 
 class TestMehrotra:
@@ -730,7 +751,6 @@ class TestMehrotra:
         a_ineq = np.array([[1.0], [-1.0]])
         b_ineq = np.array([1.0, 0.0])
         ctx = LevelContext(
-            n=n,
             basis=chain.basis,
             a_eq=np.zeros((0, n)),
             b_eq=np.zeros(0),
@@ -782,7 +802,6 @@ class TestDualRecovery:
         chain.extend(rows, np.zeros(2), np.zeros(2), fact)
         a_eq = np.array([[0.5, 0.5, 0.5]])
         ctx = LevelContext(
-            n=n,
             basis=chain.basis,
             a_eq=a_eq,
             b_eq=np.array([1.0]),
