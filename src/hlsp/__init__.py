@@ -6,9 +6,10 @@ in the null space of everything already decided, so lower levels cannot
 disturb higher ones. A level with inequality or carried rows runs a
 primal-dual interior-point Newton loop, and a primal active-set step
 finishes it on a checked active set; the ``-asm`` methods run that step
-alone, on every level. A level of equalities only is otherwise linear: a
-basic least-squares step on one rank-revealing QR solves it, or
-``classical``'s range-space step where that method keeps its own form.
+alone, on every level. A level of equalities only is otherwise linear
+and never enters the Newton loop: one routine solves it, by a basic
+least-squares step on one rank-revealing QR, or by ``classical``'s
+range-space step where that method keeps its own form.
 Each solved level pins its active rows, which extend the null-space
 chain for the levels below.
 """

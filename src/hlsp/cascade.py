@@ -32,6 +32,7 @@ from .newton import (
     LevelContext,
     MethodNotApplicable,
     _dual_free_stationarity,
+    _range_space,
     boundary_state,
     converged,
     initial_state,
@@ -245,7 +246,7 @@ def _level_form(config, m, n):
     keeps its form. Every other level starts classical, and the first
     Cholesky factorization of its quadratic term is the applicability test:
     a breakdown or a pivot at rounding level raises ``MethodNotApplicable``,
-    and ``solve_hlsp`` restarts the level in the normal form. Returns
+    and ``_in_form`` restarts the level in the normal form. Returns
     (form, fell_back).
     """
     if config.step_form == "classical" and 0 < m < n:
@@ -296,19 +297,16 @@ def _exit_loop(point, step, test, counters, config, split=None):
 
 
 def newton_loop(ctx, s, form):
-    """Run the level from ``s`` to a KKT norm below ``eps``.
+    """Run a level with barrier rows from ``s`` to a KKT norm below ``eps``.
 
     Returns (s, converged, kkt_norm). The steps are ``mehrotra_iteration``'s
     in ``form``, the test is ``converged`` at ``eps``, and the exits are
     ``_exit_loop``'s: the test before the first step, the iteration cap and
-    the best iterate at a non-finite one. A level without barrier rows has
-    a linear optimality system: unless the start is already optimal, it
-    fails the first test, takes one step and passes the second.
-    ``solve_hlsp`` runs such a level here only in the classical form. A
-    level with barrier rows also stops, converged, at the first iterate
-    whose norm is below ``SETTLED`` and whose complementarity split
-    (``_split_seed``) is the previous iterate's: the partition guess the
-    active-set step starts from has settled.
+    the best iterate at a non-finite one. The loop also stops, converged,
+    at the first iterate whose norm is below ``SETTLED`` and whose
+    complementarity split (``_split_seed``) is the previous iterate's: the
+    partition guess the active-set step starts from has settled. A level
+    without barrier rows is ``linear_level``'s.
     """
     cfg = ctx.config
     return _exit_loop(
@@ -317,23 +315,30 @@ def newton_loop(ctx, s, form):
         lambda s: (*converged(ctx, s, cfg.eps), s),
         ctx.counters,
         cfg,
-        _split_seed if ctx.m_ineq + ctx.m_inact else None,
+        _split_seed,
     )
 
 
-def linear_level(chain, level, x, config, counters):
-    """Solve a level without barrier rows in a projected form; extend the chain.
+def linear_level(chain, level, x, config, counters, form):
+    """Solve a level without barrier rows; extend the chain by its rows.
 
-    The level's optimality system is linear, and the projected forms'
-    Newton step on it is the basic step ``x + B dz``: ``dz`` solves ``A_eq B
-    dz = b_eq - A_eq x`` in the least-squares sense on one counted RRQR of
-    ``A_eq B``, with B the chain basis. The test is ``kkt_test`` at
-    ``eps`` on the blocks ``converged`` forms, and the exits are
-    ``_exit_loop``'s, as in ``newton_loop``: an optimal start takes no
-    step. ``_end_linear`` then ends the level, on the step's RRQR.
+    The level's optimality system is linear, and one Newton step in
+    ``form`` solves it. In a projected form that is the basic step ``x + B
+    dz``: ``dz`` solves ``A_eq B dz = b_eq - A_eq x`` in the least-squares
+    sense on one counted RRQR of ``A_eq B``, with B the chain basis. In the
+    classical form it is ``x + C^-1 (r1 + A_act^T lam)``, the range-space
+    step (``newton._range_space``) with ``C = A_eq^T A_eq``, ``r1 = A_eq^T
+    (b_eq - A_eq x)`` and the chain's rows active, factorized afresh at
+    every step as a Newton iteration would; it raises
+    ``MethodNotApplicable`` where C has no Cholesky factor. The test is
+    ``kkt_test`` at ``eps`` on the blocks ``converged`` forms, and the
+    exits are ``_exit_loop``'s, as in ``newton_loop``: an optimal start
+    takes no step. The level's rows then extend the chain at their
+    residual, on the basic step's RRQR where one was made.
 
     Returns (x, conv, norm, rank, r): the level's point, its verdict and
-    KKT norm, the rank its rows add and their residual at ``x``.
+    KKT norm, the rank its rows add and their residual at ``x``, which is
+    also its ``v_eq``.
     """
     a, b = level.equalities.matrix, level.equalities.rhs
     basis, act, act_rhs, act_v = chain.basis, chain.rows, chain.rhs, chain.v_star
@@ -341,38 +346,46 @@ def linear_level(chain, level, x, config, counters):
 
     def test(x):
         # the frame's products and converged's blocks, in their order
-        ax = a @ x
+        ax, ax_act = a @ x, act @ x
         r, rhs = ax - b, b - ax
         blocks = [rhs + r]
         if act_rhs.size:
-            blocks.append((act_rhs - act @ x) + act_v)
+            blocks.append((act_rhs - ax_act) + act_v)
         conv, norm = kkt_test(
             np.concatenate(blocks), config.eps, lambda: basis.T @ (a.T @ r)
         )
-        return conv, norm, (x, r, rhs)
+        return conv, norm, (x, r, rhs, ax_act)
 
     def step(point):
         nonlocal fact
-        x, _, rhs = point
+        x, _, rhs, ax_act = point
         counters.newton_iterations += 1
+        if form == "classical":
+            solve = _range_space(a.T @ a, act, ax_act, act_rhs, act_v, counters)
+            return x + solve(a.T @ rhs)
         if fact is None:
             fact = rrqr(a @ basis, counter=counters, scale_rows=a)
         return x + basis @ fact.solve_basic(rhs)
 
-    (x, r, _), conv, norm = _exit_loop(x, step, test, counters, config)
-    return x, conv, norm, _end_linear(chain, level, r, counters, fact), r
-
-
-def _end_linear(chain, level, r, counters, fact=None):
-    """End a linear level: pin its rows at their residual ``r``.
-
-    ``r`` is ``A_eq x - b_eq`` at the level's point, also its ``v_eq``.
-    The rows extend the chain on ``fact``, their RRQR in the chain basis,
-    or, without one, on one made here. Returns the rank they add.
-    """
-    eq = level.equalities
+    (x, r, _, _), conv, norm = _exit_loop(x, step, test, counters, config)
     # C order, as project_current stores a level's rows
-    return _activate(chain, np.ascontiguousarray(eq.matrix), eq.rhs, r, counters, fact)
+    rank = _activate(chain, np.ascontiguousarray(a), b, r, counters, fact)
+    return x, conv, norm, rank, r
+
+
+def _in_form(run, form, fell_back):
+    """``run(form)``, restarted in the normal form where classical fails.
+
+    A classical level whose quadratic term has no Cholesky factor, at its
+    first step or a later one, raises ``MethodNotApplicable``; ``run``
+    then starts over, from the level's start, in the projected normal
+    form. The counters keep the abandoned work. Returns (``run``'s result,
+    fell_back), the second true also after a restart.
+    """
+    try:
+        return run(form), fell_back
+    except MethodNotApplicable:
+        return run("normal"), True
 
 
 def _onto_chain(ctx, x):
@@ -482,32 +495,29 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     give (``_residual_seed``). The interior-point methods first run
     ``newton_loop`` until the complementarity split has settled below
     ``SETTLED``, to ``eps``, to the iteration cap or to a non-finite
-    iterate. A ``classical`` level whose quadratic term has no Cholesky
-    factor, at its first iteration or a later one, restarts from its
-    start in the projected normal form and reports ``method_fallback``;
-    its counters keep the abandoned iterations and factorizations. The
-    active-set step then starts from the loop's point walked back onto the
-    chain's pinned rows (``_onto_chain``), seeded by the iterate's
-    complementarity pairs (``_split_seed``). Its convergence test at
-    ``eps`` decides ``sub_converged``, and its working-set changes count
-    as ``asm_iterations``. Its step assumes a start on the carried rows,
-    and the correction onto a guessed tight row can leave one: where an
-    interior-point crossover ends violating a carried row by more than
+    iterate. The active-set step then starts from the loop's point walked
+    back onto the chain's pinned rows (``_onto_chain``), seeded by the
+    iterate's complementarity pairs (``_split_seed``). Its convergence
+    test at ``eps`` decides ``sub_converged``, and its working-set changes
+    count as ``asm_iterations``. Its step assumes a start on the carried
+    rows, and the correction onto a guessed tight row can leave one: where
+    an interior-point crossover ends violating a carried row by more than
     ``XI`` that the level's start holds, the same call runs once more from
     the start, seeded as the ``-asm`` methods seed it, and both solves
     count. The level then ends in ``project_inactive`` and
-    ``project_current`` at its point. A level without barrier rows whose
-    step form is projected, in ``nf-ipm``
-    and ``ls-ipm`` and where classical takes the normal form, is
-    ``linear_level``'s: basic steps on one RRQR, with no context or
-    iterate. Classical's other linear levels take their range-space step
-    in ``newton_loop``. Every linear level outside the ``-asm`` methods
-    ends in ``_end_linear``, which pins its rows at their residual. Every
-    solved level records its walk: the chain stages in force and its
-    dual-free stationarity, ``A_eq^T r_eq`` on a linear level. The
-    active-constraint duals in ``last_duals`` are the last solved level's
-    walk (``recover_equality_dual``), taken once after the cascade and
-    counted in that level's ``dual_evaluations``.
+    ``project_current`` at its point. Every level without barrier rows
+    outside the ``-asm`` methods is ``linear_level``'s, in the level's step
+    form: basic steps on one RRQR, or classical's range-space steps, with
+    no context or iterate, and one ending that pins the level's rows at
+    their residual. A ``classical`` level whose quadratic term has no
+    Cholesky factor, at its first step or a later one, restarts from its
+    start in the projected normal form (``_in_form``) and reports
+    ``method_fallback``; its counters keep the abandoned iterations and
+    factorizations. Every solved level records its walk: the chain stages
+    in force and its dual-free stationarity, ``A_eq^T r_eq`` on a linear
+    level. The active-constraint duals in ``last_duals`` are the last
+    solved level's walk (``recover_equality_dual``), taken once after the
+    cascade and counted in that level's ``dual_evaluations``.
     """
     config = config if config is not None else SolverConfig()
     violations = validate_problem(problem)
@@ -551,16 +561,8 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             if config.uses_asm:
                 work = _residual_seed(level_ctx, x, warm_sets.get(idx, ()))
             else:
-                s = initial_state(level_ctx, x)
-                try:
-                    s, conv, norm = newton_loop(level_ctx, s, form)
-                except MethodNotApplicable:
-                    # the quadratic term has no Cholesky factor, at the first
-                    # iteration or once barrier weights made it lose rank
-                    # numerically; restart the level, from the start that s
-                    # still holds, in the projected form
-                    fell_back = True
-                    s, conv, norm = newton_loop(level_ctx, s, "normal")
+                run = partial(newton_loop, level_ctx, initial_state(level_ctx, x))
+                (s, conv, norm), fell_back = _in_form(run, form, fell_back)
                 # crossover: the active-set step finishes the level from the
                 # hand-over point, walked back onto the chain's pinned rows
                 # (the step moves x in the chain basis only), with the
@@ -591,24 +593,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 rank_current = project_current(state, level, residuals, counters, current)
             walk = ctx.stages, partial(_dual_free_stationarity, ctx, s)
         else:
-            # a linear level: classical's range-space steps where it keeps
-            # the classical form, linear_level's basic steps otherwise, and
-            # one ending (_end_linear)
             stages = tuple(state.chain.stages)
-            s = None
-            if form == "classical":
-                ctx = build_level_context(state, level, config, counters)
-                try:
-                    s, conv, norm = newton_loop(ctx, initial_state(ctx, x), form)
-                except MethodNotApplicable:
-                    fell_back = True
-            if s is None:
-                x, conv, norm, rank_current, r_eq = linear_level(
-                    state.chain, level, x, config, counters
-                )
-            else:
-                x, r_eq = s.x, s.v_eq
-                rank_current = _end_linear(state.chain, level, r_eq, counters)
+            run = partial(linear_level, state.chain, level, x, config, counters)
+            (x, conv, norm, rank_current, r_eq), fell_back = _in_form(run, form, fell_back)
             residuals = (r_eq, level.inequalities.rhs)
             rank_virtual, lam_inact = 0, np.zeros(0)
             # the stationarity A_eq^T v_eq at v_eq = r_eq, evaluated only by

@@ -16,6 +16,7 @@ up to its numerical rank.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +193,9 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, scale_rows=None):
     passes its unprojected rows as ``scale_rows``, and its pivots must then
     also exceed the floor ``tol`` times the largest row norm of those rows:
     relative to its own scale, a block of rounding noise would count as
-    full rank. Empty inputs yield rank 0.
+    full rank. Where the squared row norms overflow, the floor is taken on
+    the rows scaled by their largest entry, so huge rows keep their rank.
+    Empty inputs yield rank 0.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
@@ -205,8 +208,15 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, scale_rows=None):
     if scale_rows is not None:
         # the largest row norm, as np.linalg.norm(axis=1) computes each; the
         # square root is monotonic, so it may follow the max
-        sq = np.add.reduce(scale_rows * scale_rows, axis=1)
-        floor = tol * np.sqrt(np.maximum.reduce(sq, initial=0.0))
+        with np.errstate(over="ignore"):
+            sq = np.add.reduce(scale_rows * scale_rows, axis=1)
+        big, sq = 1.0, np.maximum.reduce(sq, initial=0.0)
+        if not math.isfinite(sq):
+            # the squares overflow (norms above about 1.3e154): square the
+            # rows scaled by their largest entry instead
+            big = np.max(np.abs(scale_rows))
+            sq = np.maximum.reduce(np.add.reduce((scale_rows / big) ** 2, axis=1))
+        floor = tol * big * np.sqrt(sq)
     qr, perm, tau, rank = _geqp3(a, tol, floor)
     q.add_reflectors(slice(0, m), qr[:, : tau.size], tau)
     # C order, as np.triu returned it: _trsolve's LAPACK call follows the layout

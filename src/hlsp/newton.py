@@ -1,17 +1,19 @@
-"""Newton machinery for one priority level.
+"""Newton machinery for one priority level with barrier rows.
 
 The level problem couples the current equality and inequality blocks with
 the carried inactive constraints of the higher levels, all projected into
 the accumulated null-space basis. One Newton iteration factorizes the
 system once and reuses the factorization for the affine predictor and the
-centered corrector. No iterate carries the active-constraint duals: the
-chain basis annihilates every active row, so the projected steps never
-see them and the convergence test measures stationarity in that basis.
-The classical step solves for the new active duals afresh in every solve
-and reads no earlier ones. Only the reported duals are recovered, by one
-walk over the chain stages (``recover_equality_dual``) from the last
-solved level's dual-free stationarity, which ``solve_hlsp`` makes at most
-once per solve.
+centered corrector. A level without inequality or carried rows never gets
+here: ``cascade.linear_level`` solves it, with the classical form's
+range-space kernel (``_range_space``) as its classical step. No iterate
+carries the active-constraint duals: the chain basis annihilates every
+active row, so the projected steps never see them and the convergence
+test measures stationarity in that basis. The classical step solves for
+the new active duals afresh in every solve and reads no earlier ones.
+Only the reported duals are recovered, by one walk over the chain stages
+(``recover_equality_dual``) from the last solved level's dual-free
+stationarity, which ``solve_hlsp`` makes at most once per solve.
 
 Iterates are values. A step returns a new ``IterateState`` and writes no
 field of the old one. The products ``A @ x`` and the barrier weights of an
@@ -228,7 +230,7 @@ class _Frame:
     """
 
     ax_act = rhs_act = _EMPTY
-    ax_ineq = rhs_ineq = slack_ineq = neg_axbw = w_axbw = neg_v_ineq = _EMPTY
+    ax_ineq = rhs_ineq = slack_ineq = neg_axbw = w_axbw = _EMPTY
     pivot = w_over_pivot = wt_ineq = _EMPTY
     ax_inact = res_inact = lam_res = wt_inact = _EMPTY
 
@@ -246,7 +248,6 @@ class _Frame:
             axbw = self.ax_ineq - ctx.b_ineq - w
             self.neg_axbw = -axbw
             self.w_axbw = w * axbw
-            self.neg_v_ineq = -v
             # diagonal v - w, kept strictly negative through boundary rounding
             self.pivot = np.minimum(v - w, -PIVOT_CLAMP)
             self.w_over_pivot = w / self.pivot
@@ -442,7 +443,17 @@ def apply_step(ctx, s, d: StepDirection, alpha):
     )
 
 
-def _centering(mu, mu_aff):
+def _centering(a, b, da, db, alpha):
+    """The centering target sigma * mu of one complementarity pair (a, b).
+
+    mu is the mean product ``a b`` and mu_aff the one at the affine step
+    ``alpha`` along (da, db); sigma is Mehrotra's cube rule (mu_aff / mu)^3,
+    clipped to [0, 1]. A pair without rows, or at mu <= 0, takes none.
+    """
+    if a.size == 0:
+        return 0.0
+    mu = float(a @ b / a.size)
+    mu_aff = float((a + alpha * da) @ (b + alpha * db) / a.size)
     if mu <= 0.0:
         return 0.0
     sigma = (mu_aff / mu) ** 3
@@ -456,33 +467,23 @@ def mehrotra_iteration(ctx, s, form):
     Returns the new iterate. The affine predictor fixes the centering
     parameters through the cube rule, the corrector adds the affine cross
     products, and only the corrector step is applied, at the length
-    ``step_length`` picks. A level without barrier rows is linear and one
-    full step solves it. ``solve_hlsp`` sends such a level here only in the
-    classical form; in the projected forms ``cascade.linear_level`` takes
-    its basic steps without an iterate.
+    ``step_length`` picks. The level has barrier rows: ``solve_hlsp``
+    solves a level without them in ``cascade.linear_level``, with no
+    iterate.
     """
     ctx.counters.newton_iterations += 1
     solve = _step_solver(ctx, s, form)
 
-    if ctx.m_ineq == 0 and ctx.m_inact == 0:
-        return apply_step(ctx, s, solve(_EMPTY, _EMPTY), 1.0)
-
     f_aff, g_aff = assemble_f_g(ctx, s, 0.0, 0.0)
     d_aff = solve(f_aff, g_aff)
     alpha_aff = line_search(s, d_aff, 1.0)
-
-    smu_ineq = 0.0
-    if ctx.m_ineq:
-        mu = float(_frame(ctx, s).neg_v_ineq @ s.w_ineq / ctx.m_ineq)
-        v_aff = s.v_ineq + alpha_aff * d_aff.dv_ineq
-        w_aff = s.w_ineq + alpha_aff * d_aff.dw_ineq
-        smu_ineq = _centering(mu, float(-v_aff @ w_aff / ctx.m_ineq))
-    smu_inact = 0.0
-    if ctx.m_inact:
-        mu = float(s.lam_inact @ s.w_inact / ctx.m_inact)
-        lam_aff = s.lam_inact + alpha_aff * d_aff.dlam_inact
-        w_aff = s.w_inact + alpha_aff * d_aff.dw_inact
-        smu_inact = _centering(mu, float(lam_aff @ w_aff / ctx.m_inact))
+    # (-v) + alpha (-dv) is -(v + alpha dv), bit for bit
+    smu_ineq = _centering(
+        -s.v_ineq, s.w_ineq, -d_aff.dv_ineq, d_aff.dw_ineq, alpha_aff
+    )
+    smu_inact = _centering(
+        s.lam_inact, s.w_inact, d_aff.dlam_inact, d_aff.dw_inact, alpha_aff
+    )
 
     products = (
         d_aff.dlam_inact * d_aff.dw_inact,
@@ -505,25 +506,31 @@ def _step_solver(ctx, s, form):
     return lambda f, g: component_steps(ctx, s, solve_step(f, g), f, g)
 
 
+def _weighted_gram(h, rows, weights):
+    """``h + (A wt)^T A`` summed over the row blocks ``A`` that have rows."""
+    for a, wt in zip(rows, weights):
+        if len(a):
+            h = h + (a * wt[:, None]).T @ a
+    return h
+
+
+def _transposed_sum(r, rows, vecs):
+    """``r + A^T v`` summed over the row blocks ``A`` that have rows."""
+    for a, v in zip(rows, vecs):
+        if len(a):
+            r = r + a.T @ v
+    return r
+
+
 def _normal_solver(ctx, fr):
     """Factor the reduced quadratic term once, solve for many right sides."""
-    h = ctx._equality_gram()
-    if ctx.m_ineq:
-        h = h + (ctx.proj_ineq * fr.wt_ineq[:, None]).T @ ctx.proj_ineq
-    if ctx.m_inact:
-        h = h + (ctx.proj_inact * fr.wt_inact[:, None]).T @ ctx.proj_inact
+    rows = ctx.proj_ineq, ctx.proj_inact
+    h = _weighted_gram(ctx._equality_gram(), rows, (fr.wt_ineq, fr.wt_inact))
     fact = rrqr(h, tol=STEP_TOL, counter=ctx.counters)
     rhs_eq = ctx.proj_eq.T @ fr.rhs_eq
-
-    def solve(f_vec, g_vec):
-        rhs = rhs_eq
-        if ctx.m_ineq:
-            rhs = rhs + ctx.proj_ineq.T @ g_vec
-        if ctx.m_inact:
-            rhs = rhs + ctx.proj_inact.T @ f_vec
-        return ctx.basis @ fact.solve_basic(rhs)
-
-    return solve
+    return lambda f, g: ctx.basis @ fact.solve_basic(
+        _transposed_sum(rhs_eq, rows, (g, f))
+    )
 
 
 def _ls_solver(ctx, fr):
@@ -549,47 +556,53 @@ def _ls_solver(ctx, fr):
 
 
 def _classical_solver(ctx, fr):
-    """Factor the full-space quadratic term and the Schur complement once.
+    """The range-space step on the full-space quadratic term.
 
-    The range-space step of Nocedal & Wright (2006, section 16.2): the
-    quadratic term C = U^T U by Cholesky, whose breakdown or tiny pivot
-    raises ``MethodNotApplicable``, and with W = U^-T A_act^T the Schur
-    complement M = W^T W = A_act C^-1 A_act^T by pivoted Cholesky. The
-    solve finds the new active duals from ``M lam = -r2 - W^T U^-T r1``
-    and steps by ``U^-1 (U^-T r1 + W lam) = C^-1 (r1 + A_act^T lam)``.
-    Dependent active rows leave M semidefinite; their duals are set to 0,
-    which leaves ``A_act^T lam``, and so the step, as it is.
+    The quadratic term is C = A_eq^T A_eq plus the barrier-weighted Gram
+    terms of the inequality and carried rows, and the step's right-hand
+    side is r1 = A_eq^T (b_eq - A_eq x) + A_ineq^T g + A_inact^T f;
+    ``_range_space`` factors C and the active rows' Schur complement once.
     """
-    c = ctx.a_eq.T @ ctx.a_eq
-    if ctx.m_ineq:
-        c = c + (ctx.a_ineq * fr.wt_ineq[:, None]).T @ ctx.a_ineq
-    if ctx.m_inact:
-        c = c + (ctx.a_inact * fr.wt_inact[:, None]).T @ ctx.a_inact
+    rows = ctx.a_ineq, ctx.a_inact
+    c = _weighted_gram(ctx.a_eq.T @ ctx.a_eq, rows, (fr.wt_ineq, fr.wt_inact))
+    step = _range_space(c, ctx.a_act, fr.ax_act, ctx.b_act, ctx.v_act, ctx.counters)
+    r1_eq = ctx.a_eq.T @ fr.rhs_eq
+    return lambda f, g: step(_transposed_sum(r1_eq, rows, (g, f)))
+
+
+def _range_space(c, a_act, ax_act, b_act, v_act, counters):
+    """Factor the quadratic term and the Schur complement once.
+
+    The range-space step of Nocedal & Wright (2006, section 16.2) with the
+    active rows ``a_act`` held at ``b_act + v_act``, where ``ax_act`` is
+    ``a_act x``: the quadratic term C = U^T U by Cholesky, whose breakdown
+    or tiny pivot raises ``MethodNotApplicable``, and with W = U^-T
+    A_act^T the Schur complement M = W^T W = A_act C^-1 A_act^T by pivoted
+    Cholesky. Returns ``step(r1)``, which finds the new active duals from
+    ``M lam = -r2 - W^T U^-T r1`` and steps by ``U^-1 (U^-T r1 + W lam) =
+    C^-1 (r1 + A_act^T lam)``. Dependent active rows leave M semidefinite;
+    their duals are set to 0, which leaves ``A_act^T lam``, and so the
+    step, as it is.
+    """
     try:
-        fact_c = cholesky(c, tol=STEP_TOL, counter=ctx.counters)
+        fact_c = cholesky(c, tol=STEP_TOL, counter=counters)
     except LinAlgError as exc:
         raise MethodNotApplicable(
             f"quadratic term has no Cholesky factor ({exc}); "
             "classical normal equations need it nonsingular"
         ) from None
-    if ctx.m_act:
-        w = fact_c.forward(ctx.a_act.T)
-        fact_m = pivoted_cholesky(w.T @ w, counter=ctx.counters)
-        neg_r2 = -(fr.ax_act - ctx.b_act - ctx.v_act)
-    r1_eq = ctx.a_eq.T @ fr.rhs_eq
+    if len(a_act):
+        w = fact_c.forward(a_act.T)
+        fact_m = pivoted_cholesky(w.T @ w, counter=counters)
+        neg_r2 = -(ax_act - b_act - v_act)
 
-    def solve(f_vec, g_vec):
-        r1 = r1_eq
-        if ctx.m_ineq:
-            r1 = r1 + ctx.a_ineq.T @ g_vec
-        if ctx.m_inact:
-            r1 = r1 + ctx.a_inact.T @ f_vec
+    def step(r1):
         t = fact_c.forward(r1)
-        if ctx.m_act:
+        if len(a_act):
             t = t + w @ fact_m.solve_basic(neg_r2 - w.T @ t)
         return fact_c.back(t)
 
-    return solve
+    return step
 
 
 # each step form's solver builder; every solver returns the full-space dx

@@ -39,6 +39,8 @@ from hlsp.newton import (
 from hlsp.oracle import brute_force_cascade, cascade_objectives
 from hlsp.problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
+from test_found import INSTANCES, load
+
 
 def lvl(n, ae, be, ai, bi):
     return Level(
@@ -894,8 +896,8 @@ class TestLinearLevelCost:
         seen = []
         real = cascade.linear_level
 
-        def recording(chain, level, x, config, counters):
-            out = real(chain, level, x, config, counters)
+        def recording(chain, level, x, config, counters, form):
+            out = real(chain, level, x, config, counters, form)
             seen.append(out[0])
             return out
 
@@ -1019,6 +1021,76 @@ class TestClassicalMethod:
         _, v_o = brute_force_cascade(problem)
         gaps = np.abs(np.array(rep.objectives) - cascade_objectives(problem, v_o))
         assert np.all(gaps < 1e-6)
+
+
+# CI's console-script instances: a level without rows, a level restating a
+# row of level 1, and a 1e150 equality row
+CI_INSTANCES = (
+    {
+        "n": 3,
+        "levels": [
+            {"A_e": [], "b_e": [], "A_i": [], "b_i": []},
+            {"A_e": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b_e": [0, 3, 1], "A_i": [], "b_i": []},
+        ],
+    },
+    {
+        "n": 3,
+        "levels": [
+            {"A_e": [[0.3, 0.8, 0.6], [-0.5, -0.4, 0.7]], "b_e": [-1.0, 0.6], "A_i": [], "b_i": []},
+            {"A_e": [[0.3, 0.8, 0.6]], "b_e": [-1.0], "A_i": [], "b_i": []},
+            {"A_e": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b_e": [0, 0, 0], "A_i": [], "b_i": []},
+        ],
+    },
+    {
+        "n": 2,
+        "levels": [
+            {"A_e": [[1e150, 0]], "b_e": [1e150], "A_i": [], "b_i": []},
+            {"A_e": [[1, 1]], "b_e": [0], "A_i": [], "b_i": []},
+        ],
+    },
+)
+
+
+def full_rank_last_level():
+    """Two equality levels, then 12 rows in the 12 variables.
+
+    Classical takes the normal form on the first two levels, which have
+    fewer rows than variables, and keeps its own form on the last.
+    """
+    specs = [(4, 0, 0, "feasible"), (3, 0, 0, "feasible"), (12, 0, 0, "feasible")]
+    return random_hlsp(0, 12, specs)
+
+
+class TestNewtonLoopLevels:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_newton_loop_sees_only_barrier_levels(self, monkeypatch, method):
+        real, calls = cascade.newton_loop, []
+
+        def checked(ctx, s, form):
+            assert ctx.m_ineq + ctx.m_inact > 0
+            calls.append(form)
+            return real(ctx, s, form)
+
+        monkeypatch.setattr(cascade, "newton_loop", checked)
+        problems = [load(name)[0] for name in INSTANCES]
+        data = sorted((Path(__file__).parent / "data").glob("*.json"))
+        problems += [load_problem(f) for f in data]
+        problems += [problem_from_dict(d) for d in CI_INSTANCES] + [full_rank_last_level()]
+        config = SolverConfig(method=method)
+        for p in problems:
+            solve_hlsp(p, config)
+        # the interior-point methods run it on the barrier levels there are
+        assert bool(calls) == (not config.uses_asm)
+
+    def test_classical_keeps_its_form_on_a_full_rank_linear_level(self):
+        rep = solve_hlsp(full_rank_last_level(), SolverConfig(method="classical"))
+        assert [lv.method_fallback for lv in rep.levels] == [True, True, False]
+        # one range-space step: the quadratic term's Cholesky factor and the
+        # Schur complement of the 7 pinned rows, then the chain extension
+        assert rep.levels[-1].fact_shapes == [(12, 12), (7, 7), (12, 5)]
+        assert rep.converged
+        nf = solve_hlsp(full_rank_last_level(), SolverConfig(method="nf-ipm"))
+        assert np.allclose(rep.x, nf.x, rtol=0.0, atol=1e-10)
 
 
 # levels with at least as many rows as variables, where classical runs,
@@ -1158,7 +1230,9 @@ class TestLastDuals:
         # from the hand-over point walked onto the chain, seeded by that split
         state = CascadeState.fresh(p.n)
         counters = Counters()
-        x = linear_level(state.chain, p.levels[0], np.zeros(p.n), config, counters)[0]
+        x = linear_level(
+            state.chain, p.levels[0], np.zeros(p.n), config, counters, "normal"
+        )[0]
         ctx = build_level_context(state, p.levels[1], config, counters)
         assert ctx.m_ineq == 1
         start = initial_state(ctx, x)
@@ -1181,7 +1255,7 @@ class TestLastDuals:
         rep = solve_hlsp(p, config)
         assert [lv.dual_evaluations for lv in rep.levels] == [0, 1]
         state = CascadeState.fresh(p.n)
-        linear_level(state.chain, p.levels[0], np.zeros(p.n), config, Counters())
+        linear_level(state.chain, p.levels[0], np.zeros(p.n), config, Counters(), "normal")
         ctx = build_level_context(state, p.levels[1], config, Counters())
         s = initial_state(ctx, rep.x)
         lam_act = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
@@ -1302,9 +1376,9 @@ class TestCrossover:
         real_linear = cascade.linear_level
         real_asm = cascade.asm_level_feasibility
 
-        def recording_linear(chain, level, x, config, counters):
+        def recording_linear(chain, level, x, config, counters, form):
             calls.append(("linear", level.inequalities.m))
-            return real_linear(chain, level, x, config, counters)
+            return real_linear(chain, level, x, config, counters, form)
 
         def recording_loop(ctx, s, form):
             calls.append(("newton", ctx.m_ineq + ctx.m_inact > 0))
@@ -1467,18 +1541,16 @@ class TestCrossover:
 class TestLoopExits:
     """``newton_loop``'s exits on a scripted sequence of KKT norms.
 
-    Iterate k carries k in ``x``, so the returned iterate names itself.
-    The level has a barrier row unless ``m_ineq`` is 0, and ``splits[k]``
-    is iterate k's complementarity split; by default it changes at every
-    iterate, so only ``eps``, the cap and a non-finite norm or step can
-    end the loop. ``raise_at`` makes that step raise ``NonFiniteError``.
+    Iterate k carries k in ``x``, so the returned iterate names itself,
+    and ``splits[k]`` is iterate k's complementarity split; by default it
+    changes at every iterate, so only ``eps``, the cap and a non-finite
+    norm or step can end the loop. ``raise_at`` makes that step raise
+    ``NonFiniteError``.
     """
 
-    def run(
-        self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, m_ineq=1, raise_at=None
-    ):
+    def run(self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, raise_at=None):
         config = SolverConfig(eps=eps, max_iter=max_iter)
-        ctx = SimpleNamespace(config=config, counters=Counters(), m_ineq=m_ineq, m_inact=0)
+        ctx = SimpleNamespace(config=config, counters=Counters())
         if splits is None:
             splits = [[k % 2 == 0] for k in range(len(norms))]
 
@@ -1526,12 +1598,21 @@ class TestLoopExits:
         norms = [1.0, 1e-3, 1e-6, 1e-9, 5e-11, 1e-13]
         assert self.run(monkeypatch, norms) == (True, 1e-13, 5, 5)
 
-    def test_level_without_barrier_rows_ignores_the_split(self, monkeypatch):
-        # a linear level has no split: only its tolerance ends the loop
+    def test_level_without_barrier_rows_ignores_the_split(self):
+        # a linear level's loop (linear_level's) has no split: below
+        # SETTLED only its tolerance ends it
         norms = [1.0, newton.SETTLED / 2, newton.SETTLED / 4, 1e-13]
-        splits = [[]] * 4
-        run = self.run(monkeypatch, norms, splits=splits, m_ineq=0)
-        assert run == (True, 1e-13, 3, 3)
+        counters = Counters()
+
+        def step(k):
+            counters.newton_iterations += 1
+            return k + 1
+
+        def test(k):
+            return norms[k] < 1e-12, norms[k], k
+
+        run = cascade._exit_loop(0, step, test, counters, SolverConfig())
+        assert (*run, counters.newton_iterations) == (3, True, 1e-13, 3)
 
     def test_non_finite_norm_ends_the_loop_at_the_best_iterate(self, monkeypatch):
         norms = [1.0, 1e-6, 5e-11, 2e-10, np.inf, 1e-13]
@@ -1586,7 +1667,9 @@ class TestLinearLevelExits:
         monkeypatch.setattr(cascade, "rrqr", scripted_rrqr)
         chain, counters = NullSpaceChain(n), Counters()
         config = SolverConfig(max_iter=max_iter)
-        x, conv, norm, rank, r = linear_level(chain, level, np.zeros(n), config, counters)
+        x, conv, norm, rank, r = linear_level(
+            chain, level, np.zeros(n), config, counters, "normal"
+        )
         assert np.all(x == x[0])
         assert np.array_equal(r, level.equalities.matrix @ x - level.equalities.rhs)
         # the rows extend the chain at the returned point, on one RRQR
@@ -1647,6 +1730,25 @@ class TestNonFiniteSteps:
         )
         rep = solve_hlsp(p, SolverConfig(method=method))
         assert len(rep.levels) == 2 and np.isfinite(rep.x).all()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rows_whose_squared_norm_overflows_keep_their_rank(self, method, scale):
+        # rrqr's rank floor squares the rows' norms; past about 1.3e154 that
+        # read inf and dropped every pivot, so each level kept x = 0
+        p = problem_from_dict(
+            {
+                "n": 2,
+                "levels": [
+                    {"A_e": [[scale, 0]], "b_e": [scale], "A_i": [], "b_i": []},
+                    {"A_e": [[1, 1]], "b_e": [0], "A_i": [], "b_i": []},
+                ],
+            }
+        )
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert np.array_equal(rep.x, [1.0, -1.0])
+        assert [lv.rank_current for lv in rep.levels] == [1, 1]
+        assert [lv.kkt_norm for lv in rep.levels] == [0.0, 0.0]
 
     @pytest.mark.parametrize("form", ["normal", "ls"])
     def test_overflowed_multiplier_ends_level_at_best_iterate(self, monkeypatch, form):

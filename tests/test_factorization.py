@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,6 +79,18 @@ class TestRrqr:
         unit_rows = np.eye(2, 4)
         assert rrqr(a, scale_rows=unit_rows).rank == 0
         assert rrqr(1e10 * a, scale_rows=unit_rows).rank == 2
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_floor_of_rows_whose_squares_overflow(self, scale):
+        # |row|^2 overflows past about 1.3e154; the floor must not, or it
+        # would drop every pivot
+        rows = np.array([[scale, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rrqr(rows[:1], scale_rows=rows[:1]).rank == 1
+            # the floor is 1e-10 of the largest row norm, as for finite squares
+            assert rrqr(1e-9 * rows, scale_rows=rows).rank == 1
+            assert rrqr(1e-11 * rows[:1], scale_rows=rows).rank == 0
 
     def test_tiny_scale_rank(self):
         # squared entries underflow; the rank scale must not

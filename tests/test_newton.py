@@ -703,10 +703,10 @@ class TestRatioTestInputs:
 
 class TestMehrotra:
     def test_equality_only_predictor_exact(self):
-        # a level without barrier rows takes one full step of the reduced
-        # normal equations, which ends on the least-squares fit. solve_hlsp
-        # runs such a level here only in the classical form: the projected
-        # forms' basic step is cascade.linear_level's (TestLinearLevelCost)
+        # without barrier rows the predictor and the corrector coincide and
+        # no ratio test blocks: one full step of the reduced normal
+        # equations ends on the least-squares fit. solve_hlsp sends such a
+        # level to cascade.linear_level instead (TestLinearLevelCost)
         ctx, s = build_random_level(20, n=5, m_eq=3, m_ineq=0, m_inact=0, m_prior=0)
         s = mehrotra_iteration(ctx, s, "normal")
         assert ctx.counters.newton_iterations == ctx.counters.factorizations == 1
@@ -1084,7 +1084,6 @@ def fresh_products(ctx, s):
         "slack_ineq": ctx.b_ineq - ctx.a_ineq @ s.x + s.w_ineq,
         "neg_axbw": -(ctx.a_ineq @ s.x - ctx.b_ineq - s.w_ineq),
         "w_axbw": s.w_ineq * (ctx.a_ineq @ s.x - ctx.b_ineq - s.w_ineq),
-        "neg_v_ineq": -s.v_ineq,
         "pivot": pivot,
         "w_over_pivot": s.w_ineq / pivot,
         "wt_ineq": s.v_ineq / pivot,
