@@ -12,7 +12,9 @@ rows of the interior-point methods (crossover): their Newton loop runs such
 a level until the iterate's complementarity split has settled below a KKT
 norm of ``SETTLED``, and the active-set method takes over from that point,
 with the working set that the pairs split off, so the level ends on a
-checked active set.
+checked active set. Above ``SETTLED``, a settled split whose pairs all
+identify their side of the partition hands over at once, where the
+active-set method converges from there.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .config import SolverConfig
 from .factorization import ChainBasis, NonFiniteError, Rrqr, nullspace_update, rrqr
 from .newton import (
+    DECISIVE,
     SETTLED,
     Counters,
     LevelContext,
@@ -254,7 +257,7 @@ def _level_form(config, m, n):
     return config.step_form, False
 
 
-def _exit_loop(point, step, test, counters, config, split=None):
+def _exit_loop(point, step, test, counters, config, hand_over=None):
     """Iterate one level from ``point`` to the first of its exits.
 
     ``test(point)`` returns (converged, norm, tested): the verdict, the KKT
@@ -263,20 +266,20 @@ def _exit_loop(point, step, test, counters, config, split=None):
     points, and the loop keeps and returns them. ``step(point)`` returns
     the next point, leaving the old one as it was, and counts its
     iteration in ``counters``, also when it raises ``NonFiniteError``.
-    With ``split``, the loop also ends converged at the first point whose
-    norm is below ``SETTLED`` and whose ``split(point)`` is the previous
-    point's. It ends unconverged after ``max_iter`` steps, or at a step
-    that raises ``NonFiniteError`` or gives a norm that is not finite, and
-    then returns the best point seen. Those overflows, and one in the
-    start's test, are expected and raise no floating-point warning.
-    Returns (point, converged, norm).
+    With ``hand_over``, the loop also ends converged after the first step
+    whose ``hand_over(previous point, point, norm)`` is true. It ends
+    unconverged after ``max_iter`` steps, or at a step that raises
+    ``NonFiniteError`` or gives a norm that is not finite, and then returns
+    the best point seen. Those overflows, and one in the start's test, are
+    expected and raise no floating-point warning. Returns (point,
+    converged, norm).
     """
     start = counters.newton_iterations
     with np.errstate(over="ignore", invalid="ignore"):
         conv, norm, point = test(point)
         best_norm, best = norm, point
-        seen = split(point) if split else None
         while not conv and counters.newton_iterations - start < config.max_iter:
+            before = point
             try:
                 point = step(point)
                 conv, norm, point = test(point)
@@ -288,9 +291,7 @@ def _exit_loop(point, step, test, counters, config, split=None):
                 break
             if norm < best_norm:
                 best_norm, best = norm, point
-            if split:
-                before, seen = seen, split(point)
-                conv = conv or (norm < SETTLED and np.array_equal(seen, before))
+            conv = conv or bool(hand_over and hand_over(before, point, norm))
     if not conv and best_norm < norm:
         point, norm = best, best_norm
     return point, conv, norm
@@ -299,24 +300,47 @@ def _exit_loop(point, step, test, counters, config, split=None):
 def newton_loop(ctx, s, form):
     """Run a level with barrier rows from ``s`` to a KKT norm below ``eps``.
 
-    Returns (s, converged, kkt_norm). The steps are ``mehrotra_iteration``'s
-    in ``form``, the test is ``converged`` at ``eps``, and the exits are
-    ``_exit_loop``'s: the test before the first step, the iteration cap and
-    the best iterate at a non-finite one. The loop also stops, converged,
-    at the first iterate whose norm is below ``SETTLED`` and whose
-    complementarity split (``_split_seed``) is the previous iterate's: the
-    partition guess the active-set step starts from has settled. A level
-    without barrier rows is ``linear_level``'s.
+    Returns (s, converged, kkt_norm, crossed). The steps are
+    ``mehrotra_iteration``'s in ``form``, the test is ``converged`` at
+    ``eps``, and the exits are ``_exit_loop``'s: the test before the first
+    step, the iteration cap and the best iterate at a non-finite one. The
+    loop also hands the level over, converged, at the first iterate whose
+    complementarity split (``_split_seed``) is the previous iterate's and
+    whose norm is below ``SETTLED``: the partition guess the active-set
+    step starts from has settled. At such an iterate above ``SETTLED``
+    whose pairs are all decisive (``_identified``), the partition is
+    identified early, and the active-set step runs there at once
+    (``_crossover``). Its result is ``crossed``, and the loop ends, only
+    where that step converges at ``eps`` on the carried rows; otherwise the
+    loop goes on, and the attempt's work stays counted. ``crossed`` is None
+    at every other exit. A level without barrier rows is
+    ``linear_level``'s.
     """
-    cfg = ctx.config
-    return _exit_loop(
+    cfg, crossed, split = ctx.config, None, _split_seed(s)
+
+    def hand_over(before, s, norm):
+        nonlocal crossed, split
+        held, split = split, _split_seed(s)
+        if not np.array_equal(split, held):
+            return False
+        if norm < SETTLED:
+            return True
+        if not _identified(before, s):
+            return False
+        out = _crossover(ctx, s)
+        if out[2] and not _off_carried(out[0], out[1].x):
+            crossed = out
+        return crossed is not None
+
+    s, conv, norm = _exit_loop(
         s,
         lambda s: mehrotra_iteration(ctx, s, form),
         lambda s: (*converged(ctx, s, cfg.eps), s),
         ctx.counters,
         cfg,
-        _split_seed,
+        hand_over,
     )
+    return s, conv, norm, crossed
 
 
 def linear_level(chain, level, x, config, counters, form):
@@ -488,8 +512,9 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
 
     The single entry point for every method. Every level of the ``-asm``
     methods, and every level with barrier rows (its own inequalities or
-    carried rows) of the others, ends in one ``asm_level_feasibility``
-    call; only the start and the first working set differ. The ``-asm``
+    carried rows) of the others, ends with the result of one
+    ``asm_level_feasibility`` call; only the start and the first working
+    set differ. The ``-asm``
     methods, which both run the same level solve and no Newton iteration,
     start from the inherited ``x`` with the working set its residual signs
     give (``_residual_seed``). The interior-point methods first run
@@ -497,7 +522,10 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     ``SETTLED``, to ``eps``, to the iteration cap or to a non-finite
     iterate. The active-set step then starts from the loop's point walked
     back onto the chain's pinned rows (``_onto_chain``), seeded by the
-    iterate's complementarity pairs (``_split_seed``). Its convergence
+    iterate's complementarity pairs (``_split_seed``): ``_crossover``. A
+    loop that handed over early, above ``SETTLED``, has run it already and
+    returns its converged result, which the level keeps; the attempts it
+    rejected before count in the level's report. Its convergence
     test at ``eps`` decides ``sub_converged``, and its working-set changes
     count as ``asm_iterations``. Its step assumes a start on the carried
     rows, and the correction onto a guessed tight row can leave one: where
@@ -557,25 +585,19 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
         form, fell_back = _level_form(config, level.equalities.m + m_barrier, n)
         if m_barrier or config.uses_asm:
             level_ctx = build_level_context(state, level, config, counters)
-            start, restart = x, not config.uses_asm
             if config.uses_asm:
                 work = _residual_seed(level_ctx, x, warm_sets.get(idx, ()))
+                out = asm_level_feasibility(level_ctx, x, work)
             else:
                 run = partial(newton_loop, level_ctx, initial_state(level_ctx, x))
-                (s, conv, norm), fell_back = _in_form(run, form, fell_back)
-                # crossover: the active-set step finishes the level from the
-                # hand-over point, walked back onto the chain's pinned rows
-                # (the step moves x in the chain basis only), with the
-                # working set the iterate's complementarity pairs split off
-                x, work = _onto_chain(level_ctx, s.x), _split_seed(s)
-            while True:
-                ctx, s, conv, norm, held = asm_level_feasibility(level_ctx, x, work)
-                if not (restart and _off_carried(ctx, s.x) and not _off_carried(ctx, start)):
-                    break
-                # the guessed working set moved x off carried rows that the
-                # level's start holds, and no later step repairs that: solve
-                # the level from its start as -asm does
-                restart, x, work = False, start, _residual_seed(level_ctx, start)
+                (s, _, _, crossed), fell_back = _in_form(run, form, fell_back)
+                out = crossed or _crossover(level_ctx, s)
+                if _off_carried(out[0], out[1].x) and not _off_carried(level_ctx, x):
+                    # the guessed working set moved x off carried rows that
+                    # the level's start holds, and no later step repairs
+                    # that: solve the level from its start as -asm does
+                    out = asm_level_feasibility(level_ctx, x, _residual_seed(level_ctx, x))
+            ctx, s, conv, norm, held = out
             x = s.x
             residuals = _residuals(level, x)
             tight, current = held
@@ -695,6 +717,34 @@ def _residual_seed(ctx, x, warm_set=()):
 def _off_carried(ctx, x):
     """Whether ``x`` violates a carried row of ``ctx`` by more than ``XI``."""
     return bool((ctx.a_inact @ x - ctx.b_inact < -XI).any())
+
+
+def _crossover(ctx, s):
+    """The active-set step that finishes a barrier level from iterate ``s``.
+
+    It starts from ``s.x`` walked back onto the chain's pinned rows (the
+    step moves x in the chain basis only), with the working set that the
+    iterate's complementarity pairs split off. Returns
+    ``asm_level_feasibility``'s result.
+    """
+    return asm_level_feasibility(ctx, _onto_chain(ctx, s.x), _split_seed(s))
+
+
+def _identified(before, s):
+    """Whether every complementarity pair is decisive from ``before`` to ``s``.
+
+    The pairs are (-v, w) for a level row and (lam, w) for a carried row.
+    Each member's ratio to its value at ``before`` tends to 1 on its own
+    side of the optimal partition and to 0 on the other (El-Bakry, Tapia &
+    Zhang, *SIAM Review*, 1994). A pair is decisive when one ratio is
+    within ``DECISIVE`` of 1 and the other below ``DECISIVE``; a level
+    without pairs has nothing left to identify.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.concatenate([s.v_ineq / before.v_ineq, s.lam_inact / before.lam_inact])
+        b = np.concatenate([s.w_ineq / before.w_ineq, s.w_inact / before.w_inact])
+    near_a, near_b = np.abs(a - 1.0) < DECISIVE, np.abs(b - 1.0) < DECISIVE
+    return bool(np.all((near_a & (b < DECISIVE)) | (near_b & (a < DECISIVE))))
 
 
 def _split_seed(s):

@@ -45,6 +45,11 @@ TAU = 0.999
 # that finishes it at the first iterate below this KKT norm whose
 # complementarity split is the previous iterate's
 SETTLED = 1e-3
+# above SETTLED, such an iterate tries the active-set step when every
+# complementarity pair is decisive: from the previous iterate, one member's
+# ratio is within this of 1 and the other's below it (El-Bakry, Tapia &
+# Zhang, SIAM Review, 1994)
+DECISIVE = 0.1
 
 
 class MethodNotApplicable(RuntimeError):

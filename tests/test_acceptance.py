@@ -281,9 +281,12 @@ class TestCriterion6StagedFactorization:
 
 class TestCriterion7LazyDual:
     def test_lazy_dual_economy(self):
+        # the sample is the first 30 qualifying solves, drawn from seed 2000
+        # upward: only a solve in which some level takes two or more Newton
+        # iterations counts, and an early hand-over makes those rarer
         checked = 0
         violations = 0
-        for seed in range(40):
+        for seed in range(400):
             rng = np.random.default_rng(seed + 2000)
             n = int(rng.integers(3, 8))
             specs = [
@@ -299,12 +302,14 @@ class TestCriterion7LazyDual:
             iters = sum(lv.iterations for lv in rep.levels)
             if not duals < iters:
                 violations += 1
+            if checked == 30:
+                break
         ok = violations == 0 and checked >= 30
         assert verdict(
             7,
             "dual evaluations stay strictly below Newton iterations",
             ok,
-            f"{checked} instances checked, {violations} violations",
+            f"{checked} instances checked in {seed + 1} seeds, {violations} violations",
         )
 
 

@@ -158,10 +158,24 @@ class TestSolveExamples:
         assert not rep.converged
         assert rep.levels[0].iterations <= 2
 
-    def test_capped_barrier_level_is_finished_by_the_active_set_step(self):
+    def test_capped_barrier_level_is_finished_by_the_active_set_step(self, monkeypatch):
+        # the pairs identify this level's partition at its first iterate,
+        # where the active-set step would end it; with that exit switched
+        # off it runs to the cap of two, and one active-set call finishes it
         p = random_hlsp(5, 4, [(1, 3, 0, "mixed")])
+        real, calls = cascade.asm_level_feasibility, []
+
+        def recording(ctx, x, work):
+            calls.append(x)
+            return real(ctx, x, work)
+
+        monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
+        early = solve_hlsp(p, SolverConfig(method="nf-ipm", max_iter=2))
+        assert early.levels[0].iterations == 1 and len(calls) == 1
+        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        calls.clear()
         rep = solve_hlsp(p, SolverConfig(method="nf-ipm", max_iter=2))
-        assert rep.levels[0].iterations == 2
+        assert rep.levels[0].iterations == 2 and len(calls) == 1
         assert rep.converged
         full = solve_hlsp(p, SolverConfig(method="nf-ipm"))
         assert np.allclose(rep.objectives, full.objectives, rtol=0.0, atol=1e-12)
@@ -1422,7 +1436,7 @@ class TestCrossover:
 
         def scripted_loop(ctx, s, form):
             if ctx.m_inact:
-                return hand_over, False, 1.0
+                return hand_over, False, 1.0, None
             return real_loop(ctx, s, form)
 
         def recorded(ctx, x, pin, tight):
@@ -1486,8 +1500,10 @@ class TestCrossover:
 
     def test_one_active_set_call_unless_the_crossover_restarts(self, monkeypatch):
         # _off_carried is faked: every point but the level's start, x = 0, is
-        # off a carried row. The interior point's crossover then solves the
-        # barrier level again from its start; the -asm level solve does not
+        # off a carried row. So every early active-set step from an iterate
+        # is rejected, and the interior point's crossover after the loop
+        # solves the barrier level again from its start; the -asm level
+        # solve does not
         p = HlspProblem(
             n=2, levels=(lvl(2, np.zeros((0, 2)), [], np.eye(2), [1.0, 1.0]),)
         )
@@ -1499,6 +1515,11 @@ class TestCrossover:
 
         monkeypatch.setattr(cascade, "_off_carried", lambda ctx, x: bool(x.any()))
         monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
+        solve_hlsp(p, SolverConfig(method="nf-ipm"))
+        assert len(starts) > 2 and all(x.any() for x in starts[:-1])
+        assert not starts[-1].any()
+        starts.clear()
+        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
         solve_hlsp(p, SolverConfig(method="nf-ipm"))
         assert len(starts) == 2 and starts[0].any() and not starts[1].any()
         starts.clear()
@@ -1538,6 +1559,57 @@ class TestCrossover:
         assert np.abs(drift).max() < config.eps
 
 
+def pairs(v=(), w=(), lam=(), w_inact=()):
+    """An iterate holding only the complementarity pairs."""
+    return IterateState(
+        x=np.zeros(1),
+        v_eq=np.zeros(0),
+        v_ineq=-np.array(v, dtype=float),
+        w_ineq=np.array(w, dtype=float),
+        w_inact=np.array(w_inact, dtype=float),
+        lam_inact=np.array(lam, dtype=float),
+    )
+
+
+class TestIdentified:
+    """``_identified`` on the ratios of each pair's members between iterates.
+
+    ``pairs`` takes -v for a level row, so every member is nonnegative.
+    """
+
+    def test_decisive_in_both_directions(self):
+        # the level row stays violated (-v keeps 0.95 of itself, w falls to
+        # 0.05 of itself); the carried row goes slack (lam falls to 0.02, w
+        # keeps 0.97)
+        before = pairs(v=[1.0], w=[1.0], lam=[2.0], w_inact=[1.0])
+        now = pairs(v=[0.95], w=[0.05], lam=[0.04], w_inact=[0.97])
+        assert cascade._identified(before, now)
+        # and the other way round: the level row goes slack, the carried
+        # row tight
+        now = pairs(v=[0.05], w=[0.95], lam=[1.9], w_inact=[0.02])
+        assert cascade._identified(before, now)
+
+    def test_degenerate_pair_is_not_decisive(self):
+        # both members of the level row fall: it is neither side's yet, and
+        # one such pair keeps the partition open
+        before = pairs(v=[1.0, 1.0], w=[1.0, 1.0])
+        assert not cascade._identified(before, pairs(v=[0.05, 0.95], w=[0.05, 0.05]))
+        assert cascade._identified(before, pairs(v=[0.05, 0.95], w=[0.95, 0.05]))
+
+    def test_a_member_short_of_either_limit_is_not_decisive(self):
+        before = pairs(lam=[1.0], w_inact=[1.0])
+        # one ratio near 1, the other only halved
+        assert not cascade._identified(before, pairs(lam=[0.95], w_inact=[0.5]))
+        # one ratio below DECISIVE, the other off 1 by more than DECISIVE
+        assert not cascade._identified(before, pairs(lam=[0.05], w_inact=[1.2]))
+        assert not cascade._identified(before, pairs(lam=[0.05], w_inact=[0.8]))
+        # a member at 0 has no ratio, and no warning is raised
+        assert not cascade._identified(pairs(v=[1.0], w=[0.0]), pairs(v=[0.95], w=[0.0]))
+
+    def test_no_pairs_leave_nothing_to_identify(self):
+        assert cascade._identified(pairs(), pairs())
+
+
 class TestLoopExits:
     """``newton_loop``'s exits on a scripted sequence of KKT norms.
 
@@ -1545,14 +1617,31 @@ class TestLoopExits:
     and ``splits[k]`` is iterate k's complementarity split; by default it
     changes at every iterate, so only ``eps``, the cap and a non-finite
     norm or step can end the loop. ``raise_at`` makes that step raise
-    ``NonFiniteError``.
+    ``NonFiniteError``. Every pair is decisive at the iterates that
+    ``crossovers`` names and nowhere else; ``crossovers[k]`` is the
+    scripted active-set step from iterate k, (converged, off a carried
+    row). ``self.attempts`` lists the iterates it ran from and
+    ``self.crossed`` holds the loop's crossover result.
     """
 
-    def run(self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, raise_at=None):
+    def run(
+        self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, raise_at=None,
+        crossovers=None,
+    ):
         config = SolverConfig(eps=eps, max_iter=max_iter)
         ctx = SimpleNamespace(config=config, counters=Counters())
         if splits is None:
             splits = [[k % 2 == 0] for k in range(len(norms))]
+        crossovers = crossovers or {}
+        self.attempts = []
+
+        def scripted_crossover(ctx, s):
+            self.attempts.append(s.x)
+            return ctx, SimpleNamespace(x=s.x), crossovers[s.x][0], 0.0, None
+
+        monkeypatch.setattr(cascade, "_identified", lambda before, s: s.x in crossovers)
+        monkeypatch.setattr(cascade, "_crossover", scripted_crossover)
+        monkeypatch.setattr(cascade, "_off_carried", lambda ctx, x: crossovers[x][1])
 
         def scripted_step(ctx, s, form):
             ctx.counters.newton_iterations += 1
@@ -1566,7 +1655,7 @@ class TestLoopExits:
         monkeypatch.setattr(cascade, "mehrotra_iteration", scripted_step)
         monkeypatch.setattr(cascade, "converged", scripted_norm)
         monkeypatch.setattr(cascade, "_split_seed", lambda s: np.array(splits[s.x]))
-        s, conv, norm = newton_loop(ctx, SimpleNamespace(x=0), "normal")
+        s, conv, norm, self.crossed = newton_loop(ctx, SimpleNamespace(x=0), "normal")
         return conv, norm, ctx.counters.newton_iterations, s.x
 
     def test_stops_at_its_tolerance(self, monkeypatch):
@@ -1583,6 +1672,91 @@ class TestLoopExits:
         splits = [[True, False]] * 4
         run = self.run(monkeypatch, norms, splits=splits)
         assert run == (True, settled / 2, 2, 2)
+
+    def test_identified_partition_above_settled_hands_over(self, monkeypatch):
+        # the split holds from iterate 1; above SETTLED iterate 1's pairs
+        # are not all decisive, and at iterate 2 they are: the active-set
+        # step from there converges on the carried rows and ends the loop
+        norms = [1.0, 0.5, 0.2, 0.1, 1e-13]
+        splits = [[True]] + [[False]] * 4
+        run = self.run(monkeypatch, norms, splits=splits, crossovers={2: (True, False)})
+        assert run == (True, 0.2, 2, 2)
+        assert self.attempts == [2] and self.crossed[1].x == 2
+
+    def test_rejected_crossover_runs_on(self, monkeypatch):
+        # the step from iterate 2 ends sub-converged and the one from
+        # iterate 3 off a carried row: the loop goes on to eps
+        norms = [1.0, 0.5, 0.2, 0.1, 1e-13]
+        splits = [[True]] + [[False]] * 4
+        crossovers = {2: (False, False), 3: (True, True)}
+        run = self.run(monkeypatch, norms, splits=splits, crossovers=crossovers)
+        assert run == (True, 1e-13, 4, 4)
+        assert self.attempts == [2, 3] and self.crossed is None
+
+    def test_decisive_pairs_need_a_settled_split(self, monkeypatch):
+        # every pair is decisive at every iterate, but the split changes at
+        # every one: no active-set step runs
+        norms = [1.0, 0.5, 0.2, 1e-13]
+        crossovers = {k: (True, False) for k in range(4)}
+        assert self.run(monkeypatch, norms, crossovers=crossovers) == (True, 1e-13, 3, 3)
+        assert self.attempts == [] and self.crossed is None
+
+    def test_below_settled_the_split_alone_hands_over(self, monkeypatch):
+        # below SETTLED a settled split ends the loop whatever the pairs
+        # say, and the active-set step runs after the loop, not in it
+        norms = [1.0, 0.5, newton.SETTLED / 2, 1e-13]
+        splits = [[True]] + [[False]] * 3
+        crossovers = {2: (True, False)}
+        run = self.run(monkeypatch, norms, splits=splits, crossovers=crossovers)
+        assert run == (True, newton.SETTLED / 2, 2, 2)
+        assert self.attempts == [] and self.crossed is None
+
+    def test_rejected_crossover_leaves_the_loop_as_it_was(self, monkeypatch):
+        # found/stalled_barrier.json with ls-ipm: level 2's barrier stalls at
+        # KKT norms of 1.4 to 12, and the active-set steps tried from its
+        # iterates whose pairs are all decisive end sub-converged. They leave
+        # every iterate, the best point and its norm bit for bit as they are
+        # with that exit switched off, and only their work is counted
+        p, objectives = load("stalled_barrier")
+        real_step, real_loop = cascade.mehrotra_iteration, cascade.newton_loop
+        real_crossover = cascade._crossover
+
+        def solve():
+            iterates, ends, attempts = [], [], []
+
+            def step(ctx, s, form):
+                s = real_step(ctx, s, form)
+                arrays = (s.x, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact)
+                iterates.append([a.tobytes() for a in arrays])
+                return s
+
+            def loop(ctx, s, form):
+                out = real_loop(ctx, s, form)
+                ends.append((out[0].x.tobytes(), out[1], out[2]))
+                return out
+
+            def crossover(ctx, s):
+                out = real_crossover(ctx, s)
+                attempts.append(out[2])
+                return out
+
+            monkeypatch.setattr(cascade, "mehrotra_iteration", step)
+            monkeypatch.setattr(cascade, "newton_loop", loop)
+            monkeypatch.setattr(cascade, "_crossover", crossover)
+            rep = solve_hlsp(p, SolverConfig(method="ls-ipm"))
+            return rep, iterates, ends, attempts
+
+        rep, iterates, ends, attempts = solve()
+        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        off, off_iterates, off_ends, off_attempts = solve()
+        assert iterates == off_iterates and ends == off_ends
+        assert rep.levels[1].iterations == off.levels[1].iterations == 50
+        # one crossover per level after the loop, and rejected ones before it
+        assert off_attempts == [True, True]
+        assert attempts.count(False) >= 1 and attempts[-1]
+        assert rep.levels[1].factorizations > off.levels[1].factorizations
+        assert np.array_equal(rep.x, off.x)
+        assert np.allclose(rep.objectives, objectives, rtol=0.0, atol=1e-6)
 
     def test_changing_split_below_settled_runs_on(self, monkeypatch):
         # below SETTLED the split changes at three iterates, then holds
@@ -1775,9 +1949,9 @@ class TestNonFiniteSteps:
                 raise
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", diverging)
-        s, conv, norm = newton_loop(ctx, s, form)
+        s, conv, norm, crossed = newton_loop(ctx, s, form)
         assert len(steps) == 3 and raised == ([form] if form == "ls" else [])
-        assert not conv
+        assert not conv and crossed is None
         assert np.isfinite(norm) and norm == converged(ctx, s, config.eps)[1]
         for values in (s.x, s.v_ineq, s.w_ineq, s.w_inact, s.lam_inact):
             assert np.isfinite(values).all()

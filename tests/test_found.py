@@ -25,7 +25,10 @@ CORPUS = Path(__file__).parent / "found"
 # small_oracle seed 811 problem 142, whose level 3 carries three rows of
 # level 2 into two free directions; the crossover's guessed working set
 # holds all three tight and leaves two violated, so the interior-point
-# methods solve that level again from its start
+# methods solve that level again from its start; stalled_barrier:
+# small_oracle seed 101 problem 62, whose level 2 ls-ipm runs to the
+# iteration cap at KKT norms of 1.4 to 12, where an active-set step from an
+# iterate whose pairs all look decisive ends sub-converged off the oracle
 INSTANCES = (
     "row_and_multiple",
     "conflicting_pair",
@@ -33,6 +36,7 @@ INSTANCES = (
     "carried_pair",
     "degenerate_vertex",
     "three_carried_two_free",
+    "stalled_barrier",
 )
 OBJECTIVE_TOL = 1e-6
 

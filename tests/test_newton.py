@@ -1151,9 +1151,11 @@ class TestIterateFrame:
             return state
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", checked_iteration)
-        # the settled-split exit ends some of these levels after two steps;
-        # without it the loop runs to eps and keeps more iterates
+        # the settled-split and identified-partition exits end some of these
+        # levels after one or two steps; without them the loop runs to eps
+        # and keeps more iterates
         monkeypatch.setattr(cascade, "SETTLED", 0.0)
+        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
         start = initial_state(ctx, s0.x)
         keep(start)
         try:
@@ -1203,7 +1205,8 @@ class TestIterateFrame:
         # scripted norms: the third step ends the loop, at the cap of three
         # iterations or on a non-finite norm, and the loop returns the second
         # iterate, its best; every norm is above newton.SETTLED, so a settled
-        # split ends nothing
+        # split ends nothing, and the early active-set step, whose test would
+        # read the scripted norms too, is switched off
         ctx, s0 = build_random_level(
             5500, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
@@ -1216,8 +1219,9 @@ class TestIterateFrame:
             return False, next(norms)
 
         monkeypatch.setattr(cascade, "converged", scripted)
-        s, conv, norm = cascade.newton_loop(ctx, s, form)
-        assert (conv, norm) == (False, 0.1)
+        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        s, conv, norm, crossed = cascade.newton_loop(ctx, s, form)
+        assert (conv, norm, crossed) == (False, 0.1, None)
         assert ctx.counters.newton_iterations == 3 and s.x is seen[2]
         fresh = vars(newton._Frame(ctx, s))
         assert vars(s.frame).keys() == fresh.keys()

@@ -12,8 +12,13 @@ Each tree digests its own ``src/hlsp``. The groups are
 A group's digest covers, solve by solve, ``x``, ``converged``, every
 ``LevelReport`` field but ``wall_time_s`` and ``last_duals``, or the
 exception name of a solve that raises. Floats enter by their hex form, so
-equal digests mean equal bits. The generators are imported, read only,
-from ``perfbench/harness.py`` and ``tests/test_fuzz.py``.
+equal digests mean equal bits. Next to each digest go the group's totals of
+the machine-independent counters, by their benchmark names: Newton
+iterations, factorizations, the ``fact_work`` flop proxy, dual evaluations
+and working-set changes (``asm_iterations``); a solve that raises adds
+none. The generators and the
+counters are imported, read only, from ``perfbench/harness.py`` and
+``tests/test_fuzz.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,7 +36,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-from harness import WORKLOADS  # noqa: E402
+from harness import WORKLOADS, counters  # noqa: E402
 from test_fuzz import SEEDS, fuzz_problem  # noqa: E402
 
 from hlsp.cascade import solve_hlsp  # noqa: E402
@@ -64,15 +70,17 @@ def _feed(h, value):
 
 
 def _feed_solve(h, problem, method):
+    """Hash one solve; returns its counters, empty for a solve that raises."""
     try:
         report = solve_hlsp(problem, SolverConfig(method=method))
     except Exception as exc:  # noqa: BLE001  the exception's name is the output
         _feed(h, f"raised {type(exc).__name__}")
-        return
+        return {}
     levels = [asdict(lv) for lv in report.levels]
     for lv in levels:
         del lv["wall_time_s"]
     _feed(h, [report.x, report.converged, levels, report.last_duals])
+    return counters(report)
 
 
 def _corpus():
@@ -98,10 +106,12 @@ def main():
     for name, methods, problems in groups():
         t0 = time.perf_counter()
         h = hashlib.sha1()
+        totals = Counter()
         for problem in problems:
             for method in methods:
-                _feed_solve(h, problem, method)
-        print(f"{h.hexdigest()}  {name}  ({time.perf_counter() - t0:.1f} s)")
+                totals.update(_feed_solve(h, problem, method))
+        counts = "  ".join(f"{key} {value}" for key, value in totals.items())
+        print(f"{h.hexdigest()}  {name}  ({time.perf_counter() - t0:.1f} s)  {counts}")
 
 
 if __name__ == "__main__":
