@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -50,9 +50,7 @@ class SolverConfig:
 
     def to_dict(self):
         """The settings for the report, without the warm-start inputs."""
-        settings = asdict(self)
-        del settings["warm_start_x"], settings["warm_active_sets"]
-        return settings
+        return {"method": self.method, "eps": self.eps, "max_iter": self.max_iter}
 
 
 def _is_real(value):

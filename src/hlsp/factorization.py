@@ -7,10 +7,15 @@ column-pivoted QR of Quintana-Orti, Sun & Bischof (1998). The staged
 factorization reuses a constant bottom block that was factorized once and
 only refactorizes the rows stacked on top of it, in two LAPACK calls: one
 xGEQRF of the columns the retained factor already pivoted, then one xGEQP3
-of the block that remains. The Cholesky kernels factor the symmetric
-matrices of the range-space step: xPOTRF a positive definite one, and
-xPSTRF, the pivoted Cholesky of Higham (2002, ch. 10), a semidefinite one
-up to its numerical rank.
+of the block that remains. Where the stack has full column rank beyond
+doubt, one xGEQRF of all its columns replaces both. The Cholesky kernels
+factor symmetric matrices: xPOTRF a positive definite one, such as the
+reduced Hessian of a full-rank normal-form step or the range-space
+step's quadratic term, and xPSTRF, the pivoted Cholesky of Higham (2002,
+ch. 10), a semidefinite one up to its numerical rank. Both unpivoted
+kernels keep a factor only where every squared pivot is above a share of
+the largest diagonal entry of ``H = R^T R`` (``UNPIVOTED`` for a Newton
+step), so a normal-form H and its least-squares stack pass the same test.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr, dpotrf, dpstrf, dtrtrs
 
 DEFAULT_RANK_TOL = 1e-10
+# an unpivoted factor of a Newton step is kept only where every squared
+# pivot R_jj^2 is above this share of the largest squared column norm of
+# the stack, the largest diagonal entry of H = R^T R
+UNPIVOTED = 1e-10
 # LAPACK block size assumed when sizing work arrays
 _NB = 32
 
@@ -226,6 +235,12 @@ def rrqr(matrix, tol=DEFAULT_RANK_TOL, counter=None, scale_rows=None):
     return Rrqr(q, r, qr[:rank, rank:].copy(), perm, rank, (m, k))
 
 
+def _full_rank(pivots, top, tol):
+    """Every squared pivot is above ``tol * top``; never so at an Inf or a NaN."""
+    least = float(np.min(np.abs(pivots)))
+    return least * least > tol * top
+
+
 @dataclass
 class Cholesky:
     """Cholesky factor ``A[p][:, p] = R^T R`` over the pivot rows ``p`` of A.
@@ -274,8 +289,7 @@ def cholesky(matrix, tol=DEFAULT_RANK_TOL, counter=None):
         counter.count_factorization(k, k)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    least = float(np.min(c.diagonal()))
-    if info > 0 or not least * least > tol * float(np.max(a.diagonal())):
+    if info > 0 or not _full_rank(c.diagonal(), float(np.max(a.diagonal())), tol):
         raise LinAlgError(
             f"not positive definite to {tol:g} of the largest diagonal entry"
         )
@@ -421,6 +435,19 @@ class _TransposedBasis:
         return out
 
 
+def _full_rank_qr(a):
+    """Unpivoted QR (xGEQRF) of ``a`` as ``(qr, tau)`` if it shows full column rank.
+
+    The test is ``cholesky``'s on ``a^T a``: every R_jj^2 above
+    ``UNPIVOTED`` times the largest squared column norm. Returns None
+    otherwise.
+    """
+    qr, tau, _, _ = dgeqrf(a)
+    with np.errstate(over="ignore"):
+        top = float(np.max(np.add.reduce(a * a, axis=0)))
+    return (qr, tau) if _full_rank(qr.diagonal(), top, UNPIVOTED) else None
+
+
 @dataclass
 class StagedFactorization:
     """Three-stage RRQR of a stack [B; A] over a prefactorized A.
@@ -428,9 +455,11 @@ class StagedFactorization:
     Stage 1 is the retained factorization A P1 = Q1 [R1 T1; 0 0] of the
     constant block. Stage 2 is one xGEQRF of the first r1 columns of
     [R1 T1; B P1], over all r1 + m_b rows; stage 3 is one xGEQP3 of the
-    bottom-right block that stage 2 leaves. ``stage23`` holds the
-    reflectors of both, ``triangular`` the combined (r1 + r3) square upper
-    factor, and ``col_order`` the column order of P1 with stage 3's pivots.
+    bottom-right block that stage 2 leaves. A stack of full column rank
+    may instead take both stages in one xGEQRF of all its columns.
+    ``stage23`` holds the reflectors of both, ``triangular`` the combined
+    (r1 + r3) square upper factor, and ``col_order`` the column order of
+    P1 with stage 3's pivots.
     """
 
     stage1: Rrqr
@@ -460,10 +489,14 @@ def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
     """Factorize the stack [B; A] reusing the retained RRQR of A.
 
     ``b_block`` rows sit on top of the already factorized constant block.
-    Stage 2 triangularizes the first r1 columns of [R1 T1; B P1] with one
-    xGEQRF and applies its reflectors to the trailing columns with xORMQR;
-    stage 3 is one column-pivoted xGEQP3 of the bottom-right block, with
-    rank decided by ``tol`` against its largest column norm.
+    Where the stack [R1 T1; B P1] has at least as many rows as columns,
+    one unpivoted xGEQRF of all of it is tried first, and kept where every
+    R_jj^2 is above ``UNPIVOTED`` times its largest squared column norm:
+    stages 2 and 3 without stage 3's pivots. Otherwise stage 2
+    triangularizes the first r1 columns with one xGEQRF and applies its
+    reflectors to the trailing columns with xORMQR, and stage 3 is one
+    column-pivoted xGEQP3 of the bottom-right block, with rank decided by
+    ``tol`` against its largest column norm.
     """
     b = np.asarray(b_block, dtype=float)
     if b.ndim != 2:
@@ -483,18 +516,25 @@ def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
     ops = OrthoTransform(r1 + m_b)
     pi, rank3 = np.arange(k - r1), 0
 
-    if m_b and r1:
-        qr, tau, _, _ = dgeqrf(work[:, :r1])
+    unpivoted = m_b and 0 < k <= r1 + m_b and _full_rank_qr(work)
+    if unpivoted:
+        qr, tau = unpivoted
         ops.add_reflectors(slice(0, None), qr, tau)
-        work[:, r1:] = _ormqr("T", qr, tau, work[:, r1:])
-        work[:, :r1] = qr
-        _zero_below_diagonal(work[:, :r1])
-    if m_b and k > r1:
-        qr, pi, tau, rank3 = _geqp3(work[r1:, r1:], tol)
-        ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
-        work[:r1, r1:] = work[:r1, r1:][:, pi]
-        work[r1:, r1:] = qr
-        _zero_below_diagonal(work[r1:, r1:])
+        work = _zero_below_diagonal(qr[:k].copy())
+        rank3 = k - r1
+    else:
+        if m_b and r1:
+            qr, tau, _, _ = dgeqrf(work[:, :r1])
+            ops.add_reflectors(slice(0, None), qr, tau)
+            work[:, r1:] = _ormqr("T", qr, tau, work[:, r1:])
+            work[:, :r1] = qr
+            _zero_below_diagonal(work[:, :r1])
+        if m_b and k > r1:
+            qr, pi, tau, rank3 = _geqp3(work[r1:, r1:], tol)
+            ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
+            work[:r1, r1:] = work[:r1, r1:][:, pi]
+            work[r1:, r1:] = qr
+            _zero_below_diagonal(work[r1:, r1:])
 
     rank = r1 + rank3
     col_order = np.concatenate([stage1.perm[:r1], stage1.perm[r1:][pi]]).astype(int)

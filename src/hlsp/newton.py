@@ -4,16 +4,21 @@ The level problem couples the current equality and inequality blocks with
 the carried inactive constraints of the higher levels, all projected into
 the accumulated null-space basis. One Newton iteration factorizes the
 system once and reuses the factorization for the affine predictor and the
-centered corrector. A level without inequality or carried rows never gets
-here: ``cascade.linear_level`` solves it, with the classical form's
-range-space kernel (``_range_space``) as its classical step. No iterate
-carries the active-constraint duals: the chain basis annihilates every
-active row, so the projected steps never see them and the convergence
-test measures stationarity in that basis. The classical step solves for
-the new active duals afresh in every solve and reads no earlier ones.
-Only the reported duals are recovered, by one walk over the chain stages
-(``recover_equality_dual``) from the last solved level's dual-free
-stationarity, which ``solve_hlsp`` makes at most once per solve.
+centered corrector. That factorization is unpivoted where the reduced
+Hessian H has full rank beyond doubt: one xPOTRF of H in the normal form,
+one xGEQRF of the weighted stack in the least-squares form, each kept
+only where every squared pivot clears ``UNPIVOTED`` times H's largest
+diagonal entry. Elsewhere it is rank-revealing, an RRQR of H or the
+staged RRQR of the stack. A level without inequality or carried rows
+never gets here: ``cascade.linear_level`` solves it, with the classical
+form's range-space kernel (``_range_space``) as its classical step. No
+iterate carries the active-constraint duals: the chain basis annihilates
+every active row, so the projected steps never see them and the
+convergence test measures stationarity in that basis. The classical
+step solves for the new active duals afresh in every solve and reads no
+earlier ones. Only the reported duals are recovered, by one walk over the
+chain stages (``recover_equality_dual``) from the last solved level's
+dual-free stationarity, which ``solve_hlsp`` makes at most once per solve.
 
 Iterates are values. A step returns a new ``IterateState`` and writes no
 field of the old one. The products ``A @ x`` and the barrier weights of an
@@ -31,10 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .factorization import cholesky, pivoted_cholesky, rrqr, staged_rrqr
+from .factorization import UNPIVOTED, cholesky, pivoted_cholesky, rrqr, staged_rrqr
 
 PIVOT_CLAMP = 1e-30
-# rank cut of the per-iteration step factorizations, relative to their scale
+# rank cut of the per-iteration rank-revealing step factorizations, relative
+# to their scale
 STEP_TOL = 1e-15
 # the corrector steps at least this share of the ratio test's bound, and
 # leaves its blocking pair at 1 - GAMMA_F of the full step's mean product
@@ -531,11 +537,26 @@ def _normal_solver(ctx, fr):
     """Factor the reduced quadratic term once, solve for many right sides."""
     rows = ctx.proj_ineq, ctx.proj_inact
     h = _weighted_gram(ctx._equality_gram(), rows, (fr.wt_ineq, fr.wt_inact))
-    fact = rrqr(h, tol=STEP_TOL, counter=ctx.counters)
+    fact = _hessian_factor(ctx, h)
     rhs_eq = ctx.proj_eq.T @ fr.rhs_eq
     return lambda f, g: ctx.basis @ fact.solve_basic(
         _transposed_sum(rhs_eq, rows, (g, f))
     )
+
+
+def _hessian_factor(ctx, h):
+    """One xPOTRF of the reduced Hessian where it shows full rank, else its RRQR.
+
+    A level with fewer equality, inequality and carried rows than the n_r
+    columns of H has a singular H, and goes straight to the RRQR. A failed
+    Cholesky attempt is counted as a factorization.
+    """
+    if ctx.m_eq + ctx.m_ineq + ctx.m_inact >= len(h):
+        try:
+            return cholesky(h, tol=UNPIVOTED, counter=ctx.counters)
+        except LinAlgError:
+            pass
+    return rrqr(h, tol=STEP_TOL, counter=ctx.counters)
 
 
 def _ls_solver(ctx, fr):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ def test_documented_defaults():
     assert newton.TAU == 0.999
     assert cascade.ASM_MAX_ITER == 200
     assert cascade.XI == 1e-8
+
+
+def test_report_settings_are_every_field_but_the_warm_start():
+    cfg = SolverConfig(
+        method="ls-ipm", eps=1e-9, max_iter=7,
+        warm_start_x=np.zeros(2), warm_active_sets={1: [0]},
+    )
+    settings = cfg.to_dict()
+    names = [f.name for f in fields(cfg) if not f.name.startswith("warm_")]
+    assert list(settings) == names
+    assert settings == {"method": "ls-ipm", "eps": 1e-9, "max_iter": 7}
 
 
 def test_rejects_unknown_method():

@@ -9,9 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from numpy.linalg import LinAlgError
 
+from hlsp import factorization
 from hlsp.factorization import (
     DEFAULT_RANK_TOL,
+    UNPIVOTED,
     NonFiniteError,
+    _full_rank_qr,
     _trsolve,
     cholesky,
     nullspace_update,
@@ -363,6 +366,87 @@ class TestStagedRrqr:
 PROPERTY = settings(max_examples=60, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+def staged_residuals(b, a, rng):
+    """The residual norms of the staged and of rrqr's basic solution of [b; a]."""
+    stack = np.vstack([b, a])
+    rhs = rng.uniform(-1, 1, len(stack))
+    x = staged_rrqr(b, rrqr(a)).solve_basic(rhs[: len(b)], rhs[len(b):])
+    x_ref = rrqr(stack).solve_basic(rhs)
+    return np.linalg.norm(stack @ x - rhs), np.linalg.norm(stack @ x_ref - rhs)
+
+
+class TestUnpivotedStack:
+    """``staged_rrqr`` keeps one xGEQRF of the whole stack where it has full rank."""
+
+    @pytest.fixture
+    def geqp3_calls(self, monkeypatch):
+        calls = []
+
+        def spy(a, *args):
+            calls.append(a.shape)
+            return geqp3(a, *args)
+
+        geqp3 = factorization._geqp3
+        monkeypatch.setattr(factorization, "_geqp3", spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_rank_stack_takes_one_geqrf(self, seed, geqp3_calls):
+        rng = np.random.default_rng(600 + seed)
+        a, b = rng.uniform(-1, 1, (2, 6)), rng.uniform(-1, 1, (6, 6))
+        s1 = rrqr(a)
+        geqp3_calls.clear()
+        staged = staged_rrqr(b, s1)
+        assert geqp3_calls == []
+        assert staged.rank == 6
+        assert np.array_equal(staged.col_order, s1.perm)
+        # one block of reflectors, over every row and column of the stack
+        [(rows, v, tau)] = staged.stage23.ops
+        assert rows == slice(0, None) and v.shape == (2 + 6, 6)
+        res, res_ref = staged_residuals(b, a, rng)
+        assert abs(res - res_ref) <= 1e-12 * res_ref
+
+    @pytest.mark.parametrize("case", ["short", "repeated-column"])
+    def test_rank_deficient_stack_takes_the_pivoted_path(self, case, geqp3_calls):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-1, 1, (2, 6))
+        # fewer weighted rows than columns, or a column restated in every row
+        b = rng.uniform(-1, 1, (3 if case == "short" else 6, 6))
+        if case == "repeated-column":
+            a[:, 5], b[:, 5] = a[:, 0], b[:, 0]
+        s1 = rrqr(a)
+        geqp3_calls.clear()
+        staged = staged_rrqr(b, s1)
+        assert geqp3_calls == [(len(b), 6 - s1.rank)]
+        assert staged.rank == 5
+        res, res_ref = staged_residuals(b, a, rng)
+        assert abs(res - res_ref) <= 1e-10 * max(1.0, res_ref)
+
+    def test_normal_and_least_squares_tests_accept_together(self):
+        rng = np.random.default_rng(31)
+        verdicts = []
+        while len(verdicts) < 200:
+            m, k = rng.integers(3, 10), rng.integers(1, 6)
+            k = min(k, m)
+            s = rng.uniform(-1, 1, (m, k)) * 10.0 ** rng.uniform(-3, 3, k)
+            # a last column near the span of the others, at a random distance
+            mix = rng.uniform(-1, 1, k - 1)
+            s[:, -1] = s[:, :-1] @ mix + s[:, -1] * 10.0 ** rng.uniform(-9, 0)
+            r = np.linalg.qr(s, mode="r")
+            ratio = np.min(np.diagonal(r) ** 2) / np.max(np.sum(s * s, axis=0))
+            if 1e-2 * UNPIVOTED < ratio < 1e2 * UNPIVOTED:
+                continue
+            try:
+                cholesky(s.T @ s, tol=UNPIVOTED)
+                normal = True
+            except LinAlgError:
+                normal = False
+            assert normal == (_full_rank_qr(s) is not None) == (ratio > UNPIVOTED)
+            verdicts.append(normal)
+        # the sample holds both verdicts
+        assert 20 < sum(verdicts) < 180
 
 
 def matrices(min_rows=0, min_cols=0):

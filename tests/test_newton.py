@@ -12,7 +12,7 @@ from hlsp import cascade
 from hlsp.cascade import NullSpaceChain, solve_hlsp
 from hlsp.config import SolverConfig
 from hlsp import newton
-from hlsp.factorization import nullspace_update, rrqr
+from hlsp.factorization import Cholesky, Rrqr, nullspace_update, rrqr
 from hlsp.fileio import problem_from_dict
 from hlsp.newton import (
     Counters,
@@ -189,6 +189,55 @@ class TestProjectedNormalStep:
         f, g = assemble_f_g(ctx, s, 0.0, 0.0)
         dx = _step_solver(ctx, s, "normal")(f, g).dx
         assert np.linalg.norm(ctx.a_act @ dx) < 1e-10 * max(1, np.linalg.norm(dx))
+
+
+class TestHessianFactor:
+    """The normal form factors H by xPOTRF where it has full rank, else by RRQR."""
+
+    def test_well_conditioned_h_takes_cholesky(self):
+        ctx, _ = build_random_level(50, n=6, m_eq=2, m_ineq=3, m_inact=2, m_prior=2)
+        h = ctx.proj_eq.T @ ctx.proj_eq + ctx.proj_ineq.T @ ctx.proj_ineq
+        fact = newton._hessian_factor(ctx, h)
+        assert isinstance(fact, Cholesky)
+        assert ctx.counters.fact_shapes == [h.shape]
+        rhs = np.random.default_rng(50).uniform(-1, 1, len(h))
+        ref = rrqr(h, tol=newton.STEP_TOL).solve_basic(rhs)
+        assert np.linalg.norm(fact.solve_basic(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_failed_pivot_falls_back_to_rrqr_and_is_counted(self):
+        ctx, _ = build_random_level(51, n=6, m_eq=2, m_ineq=3, m_inact=2, m_prior=2)
+        k = ctx.proj_eq.shape[1]
+        # one direction 1e-12 of the others: R_kk^2 is under UNPIVOTED
+        h = np.diag(np.r_[np.ones(k - 1), 1e-12])
+        fact = newton._hessian_factor(ctx, h)
+        assert isinstance(fact, Rrqr) and fact.rank == k
+        assert ctx.counters.fact_shapes == [h.shape, h.shape]
+
+    def test_fewer_rows_than_columns_skip_the_attempt(self):
+        ctx, _ = build_random_level(52, n=8, m_eq=1, m_ineq=2, m_inact=1, m_prior=0)
+        h = np.eye(8)
+        assert isinstance(newton._hessian_factor(ctx, h), Rrqr)
+        assert ctx.counters.fact_shapes == [h.shape]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_steps_match_the_rrqr_steps(self, seed, monkeypatch):
+        ctx, s = build_random_level(seed + 60, n=6, m_eq=2, m_ineq=3, m_inact=2, m_prior=2)
+        f, g = assemble_f_g(ctx, s, 0.01, 0.02)
+        factors = []
+        factor = newton._hessian_factor
+
+        def spy(c, h):
+            factors.append(factor(c, h))
+            return factors[-1]
+
+        monkeypatch.setattr(newton, "_hessian_factor", spy)
+        dx = _step_solver(ctx, s, "normal")(f, g).dx
+        assert isinstance(factors[0], Cholesky)
+        monkeypatch.setattr(
+            newton, "_hessian_factor", lambda c, h: rrqr(h, tol=newton.STEP_TOL)
+        )
+        dx_ref = _step_solver(ctx, s, "normal")(f, g).dx
+        assert np.linalg.norm(dx - dx_ref) <= 1e-12 * np.linalg.norm(dx_ref)
 
 
 class TestLsFormStep:
