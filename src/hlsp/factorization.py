@@ -496,7 +496,8 @@ def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
     triangularizes the first r1 columns with one xGEQRF and applies its
     reflectors to the trailing columns with xORMQR, and stage 3 is one
     column-pivoted xGEQP3 of the bottom-right block, with rank decided by
-    ``tol`` against its largest column norm.
+    ``tol`` against its largest column norm. A rejected xGEQRF counts as
+    one factorization of the call's shape, next to the call's own.
     """
     b = np.asarray(b_block, dtype=float)
     if b.ndim != 2:
@@ -516,7 +517,11 @@ def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
     ops = OrthoTransform(r1 + m_b)
     pi, rank3 = np.arange(k - r1), 0
 
-    unpivoted = m_b and 0 < k <= r1 + m_b and _full_rank_qr(work)
+    tried = m_b and 0 < k <= r1 + m_b
+    unpivoted = tried and _full_rank_qr(work)
+    if tried and not unpivoted and counter is not None:
+        # the rejected xGEQRF is counted, as a failed xPOTRF is
+        counter.count_factorization(m_b, k)
     if unpivoted:
         qr, tau = unpivoted
         ops.add_reflectors(slice(0, None), qr, tau)

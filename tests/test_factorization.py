@@ -398,8 +398,9 @@ class TestUnpivotedStack:
         a, b = rng.uniform(-1, 1, (2, 6)), rng.uniform(-1, 1, (6, 6))
         s1 = rrqr(a)
         geqp3_calls.clear()
-        staged = staged_rrqr(b, s1)
-        assert geqp3_calls == []
+        counter = Counters()
+        staged = staged_rrqr(b, s1, counter=counter)
+        assert geqp3_calls == [] and counter.fact_shapes == [(6, 6)]
         assert staged.rank == 6
         assert np.array_equal(staged.col_order, s1.perm)
         # one block of reflectors, over every row and column of the stack
@@ -418,9 +419,14 @@ class TestUnpivotedStack:
             a[:, 5], b[:, 5] = a[:, 0], b[:, 0]
         s1 = rrqr(a)
         geqp3_calls.clear()
-        staged = staged_rrqr(b, s1)
+        counter = Counters()
+        staged = staged_rrqr(b, s1, counter=counter)
         assert geqp3_calls == [(len(b), 6 - s1.rank)]
         assert staged.rank == 5
+        # a short stack tries no xGEQRF; a rejected one counts, as the
+        # staged factorization after it does
+        tries = [] if case == "short" else [(len(b), 6)]
+        assert counter.fact_shapes == tries + [(len(b), 6)]
         res, res_ref = staged_residuals(b, a, rng)
         assert abs(res - res_ref) <= 1e-10 * max(1.0, res_ref)
 
