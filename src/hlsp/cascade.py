@@ -12,9 +12,9 @@ rows of the interior-point methods (crossover): their Newton loop runs such
 a level until the iterate's complementarity split has settled below a KKT
 norm of ``SETTLED``, and the active-set method takes over from that point,
 with the working set that the pairs split off, so the level ends on a
-checked active set. Above ``SETTLED``, a settled split whose pairs all
-identify their side of the partition hands over at once, where the
-active-set method converges from there.
+checked active set. Earlier, where few of the pairs are still undecided,
+the active-set method is tried from the iterate with a budget of as many
+working-set changes, and the level ends there where it converges.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .config import SolverConfig
 from .factorization import ChainBasis, NonFiniteError, Rrqr, nullspace_update, rrqr
 from .newton import (
     DECISIVE,
+    GUESS_CAP,
+    GUESS_PER_STEP,
     SETTLED,
     Counters,
     LevelContext,
@@ -50,8 +52,8 @@ from .problem import (
     validate_problem,
 )
 
-# working-set changes an active-set level solve may make: this many, and as
-# many again per hundred rows the level can move (its inequality and
+# working-set changes one active-set call may make by default: this many,
+# and as many again per hundred rows the level can move (its inequality and
 # carried rows)
 ASM_MAX_ITER = 200
 # a row blocks an active-set step only when the step lowers its residual by
@@ -307,27 +309,34 @@ def newton_loop(ctx, s, form):
     loop also hands the level over, converged, at the first iterate whose
     complementarity split (``_split_seed``) is the previous iterate's and
     whose norm is below ``SETTLED``: the partition guess the active-set
-    step starts from has settled. At such an iterate above ``SETTLED``
-    whose pairs are all decisive (``_identified``), the partition is
-    identified early, and the active-set step runs there at once
-    (``_crossover``). Its result is ``crossed``, and the loop ends, only
-    where that step converges at ``eps`` on the carried rows; otherwise the
-    loop goes on, and the attempt's work stays counted. ``crossed`` is None
-    at every other exit. A level without barrier rows is
-    ``linear_level``'s.
+    step starts from has settled. At any other iterate after the k-th step
+    it counts the pairs that are not decisive from the previous iterate
+    (``_undecided``), u, and tries the active-set step there at once
+    (``_crossover``): with the full budget at a settled split with u = 0,
+    and with a budget of u changes where u <= min(``GUESS_PER_STEP`` k,
+    ``GUESS_CAP``). Its result is ``crossed``, and the loop ends, only where
+    that step converges at ``eps`` on the carried rows; otherwise the loop
+    goes on from the iterate as it was, and the attempt's work stays
+    counted. ``crossed`` is None at every other exit. A level without
+    barrier rows is ``linear_level``'s.
     """
-    cfg, crossed, split = ctx.config, None, _split_seed(s)
+    cfg, crossed, split, steps = ctx.config, None, _split_seed(s), 0
 
     def hand_over(before, s, norm):
-        nonlocal crossed, split
+        nonlocal crossed, split, steps
+        steps += 1
         held, split = split, _split_seed(s)
-        if not np.array_equal(split, held):
-            return False
-        if norm < SETTLED:
+        settled = np.array_equal(split, held)
+        if settled and norm < SETTLED:
             return True
-        if not _identified(before, s):
+        undecided = _undecided(before, s)
+        if settled and not undecided:
+            budget = None
+        elif undecided <= min(GUESS_PER_STEP * steps, GUESS_CAP):
+            budget = undecided
+        else:
             return False
-        out = _crossover(ctx, s)
+        out = _crossover(ctx, s, budget)
         if out[2] and not _off_carried(out[0], out[1].x):
             crossed = out
         return crossed is not None
@@ -513,20 +522,21 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     The single entry point for every method. Every level of the ``-asm``
     methods, and every level with barrier rows (its own inequalities or
     carried rows) of the others, ends with the result of one
-    ``asm_level_feasibility`` call; only the start and the first working
-    set differ. The ``-asm``
-    methods, which both run the same level solve and no Newton iteration,
-    start from the inherited ``x`` with the working set its residual signs
-    give (``_residual_seed``). The interior-point methods first run
+    ``asm_level_feasibility`` call with its full budget; only the start
+    and the first working set differ. The ``-asm`` methods, which both run
+    the same level solve and no Newton iteration, start from the inherited
+    ``x`` with the working set its residual signs give
+    (``_residual_seed``). The interior-point methods first run
     ``newton_loop`` until the complementarity split has settled below
     ``SETTLED``, to ``eps``, to the iteration cap or to a non-finite
     iterate. The active-set step then starts from the loop's point walked
     back onto the chain's pinned rows (``_onto_chain``), seeded by the
     iterate's complementarity pairs (``_split_seed``): ``_crossover``. A
-    loop that handed over early, above ``SETTLED``, has run it already and
+    loop that handed over early, at an iterate with few undecided pairs,
+    has run it already, possibly on a budget of as many changes, and
     returns its converged result, which the level keeps; the attempts it
-    rejected before count in the level's report. Its convergence
-    test at ``eps`` decides ``sub_converged``, and its working-set changes
+    rejected before count in the level's report. Its convergence test at
+    ``eps`` decides ``sub_converged``, and its working-set changes
     count as ``asm_iterations``. Its step assumes a start on the carried
     rows, and the correction onto a guessed tight row can leave one: where
     an interior-point crossover ends violating a carried row by more than
@@ -719,32 +729,34 @@ def _off_carried(ctx, x):
     return bool((ctx.a_inact @ x - ctx.b_inact < -XI).any())
 
 
-def _crossover(ctx, s):
+def _crossover(ctx, s, budget=None):
     """The active-set step that finishes a barrier level from iterate ``s``.
 
     It starts from ``s.x`` walked back onto the chain's pinned rows (the
     step moves x in the chain basis only), with the working set that the
-    iterate's complementarity pairs split off. Returns
+    iterate's complementarity pairs split off, and at most ``budget``
+    working-set changes where one is given. Returns
     ``asm_level_feasibility``'s result.
     """
-    return asm_level_feasibility(ctx, _onto_chain(ctx, s.x), _split_seed(s))
+    return asm_level_feasibility(ctx, _onto_chain(ctx, s.x), _split_seed(s), budget)
 
 
-def _identified(before, s):
-    """Whether every complementarity pair is decisive from ``before`` to ``s``.
+def _undecided(before, s):
+    """How many complementarity pairs are not decisive from ``before`` to ``s``.
 
     The pairs are (-v, w) for a level row and (lam, w) for a carried row.
     Each member's ratio to its value at ``before`` tends to 1 on its own
     side of the optimal partition and to 0 on the other (El-Bakry, Tapia &
     Zhang, *SIAM Review*, 1994). A pair is decisive when one ratio is
-    within ``DECISIVE`` of 1 and the other below ``DECISIVE``; a level
-    without pairs has nothing left to identify.
+    within ``DECISIVE`` of 1 and the other below ``DECISIVE``; at 0 the
+    iterate has identified the partition, also on a level without pairs.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.concatenate([s.v_ineq / before.v_ineq, s.lam_inact / before.lam_inact])
         b = np.concatenate([s.w_ineq / before.w_ineq, s.w_inact / before.w_inact])
     near_a, near_b = np.abs(a - 1.0) < DECISIVE, np.abs(b - 1.0) < DECISIVE
-    return bool(np.all((near_a & (b < DECISIVE)) | (near_b & (a < DECISIVE))))
+    decisive = (near_a & (b < DECISIVE)) | (near_b & (a < DECISIVE))
+    return a.size - int(np.count_nonzero(decisive))
 
 
 def _split_seed(s):
@@ -759,7 +771,7 @@ def _split_seed(s):
     return np.concatenate([-s.v_ineq > s.w_ineq, s.lam_inact > s.w_inact])
 
 
-def asm_level_feasibility(ctx, x, work):
+def asm_level_feasibility(ctx, x, work, budget=None):
     """Barrier-free primal active-set solve of one level from ``x``.
 
     ``ctx`` is the level's context, which the caller built: a solve by an
@@ -780,8 +792,10 @@ def asm_level_feasibility(ctx, x, work):
     ends the level (Nocedal & Wright, *Numerical Optimization*, 2006,
     Alg. 16.3). From the first working set that repeats, the lowest-index
     negative row leaves instead (Bland's rule). Every join and leave is
-    one ``asm_iterations``; a level whose budget of them is spent ends at
-    its last point, which is feasible, sub-converged.
+    one ``asm_iterations``. The call may make ``budget`` of them, by
+    default ``ASM_MAX_ITER`` and as many again per hundred level and
+    carried rows; a call that needs one more ends at its last point, which
+    is feasible, sub-converged.
 
     Returns (ctx, s, conv, norm, held). ``ctx`` is the level's context with
     the final pinned rows moved into its equality block, ``s`` the
@@ -798,7 +812,9 @@ def asm_level_feasibility(ctx, x, work):
     rhs = np.concatenate([ctx.b_ineq, ctx.b_inact])
     norms = np.linalg.norm(rows, axis=1)
     work = np.array(work, dtype=bool)
-    budget = ASM_MAX_ITER * (100 + rhs.size) // 100
+    if budget is None:
+        budget = ASM_MAX_ITER * (100 + rhs.size) // 100
+    budget += counters.asm_iterations
     seen, bland, spent = set(), False, False
     while True:
         key = work.tobytes()

@@ -56,6 +56,11 @@ SETTLED = 1e-3
 # ratio is within this of 1 and the other's below it (El-Bakry, Tapia &
 # Zhang, SIAM Review, 1994)
 DECISIVE = 0.1
+# any other iterate after the k-th Newton step tries it when at most
+# min(GUESS_PER_STEP k, GUESS_CAP) pairs are not decisive, and the attempt
+# may make as many working-set changes as there are such pairs
+GUESS_PER_STEP = 2
+GUESS_CAP = 8
 
 
 class MethodNotApplicable(RuntimeError):

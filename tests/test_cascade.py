@@ -159,20 +159,20 @@ class TestSolveExamples:
         assert rep.levels[0].iterations <= 2
 
     def test_capped_barrier_level_is_finished_by_the_active_set_step(self, monkeypatch):
-        # the pairs identify this level's partition at its first iterate,
-        # where the active-set step would end it; with that exit switched
-        # off it runs to the cap of two, and one active-set call finishes it
+        # an early active-set step from this level's first iterate ends it;
+        # with no pair ever decided, no early step runs, the level runs to
+        # the cap of two, and one active-set call finishes it
         p = random_hlsp(5, 4, [(1, 3, 0, "mixed")])
         real, calls = cascade.asm_level_feasibility, []
 
-        def recording(ctx, x, work):
+        def recording(ctx, x, work, budget=None):
             calls.append(x)
-            return real(ctx, x, work)
+            return real(ctx, x, work, budget)
 
         monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
         early = solve_hlsp(p, SolverConfig(method="nf-ipm", max_iter=2))
         assert early.levels[0].iterations == 1 and len(calls) == 1
-        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
         calls.clear()
         rep = solve_hlsp(p, SolverConfig(method="nf-ipm", max_iter=2))
         assert rep.levels[0].iterations == 2 and len(calls) == 1
@@ -768,6 +768,22 @@ class TestAsm:
         assert abs(s.x[0] - 0.5) < 1e-8
         # both rows are pinned at their optimal violations
         assert np.allclose(ctx.a_eq @ s.x - ctx.b_eq, [-0.5, -0.5], atol=1e-8)
+
+    @pytest.mark.parametrize("budget", [None, 0, 1, 2, 3])
+    def test_a_call_makes_at_most_its_budget_of_changes(self, budget):
+        # x = (5, 5) with x >= 0 both pinned at x = 0: the pinned rows pull
+        # the step to (2.5, 2.5), and each must leave, one change apiece. A
+        # call whose budget is short ends at its last point at the change it
+        # may not make, unconverged; the changes it made stay counted. The
+        # level's earlier changes do not draw on a call's budget
+        level = lvl(2, np.eye(2), [5.0, 5.0], np.eye(2), [0.0, 0.0])
+        counters = Counters(asm_iterations=1000)
+        ctx = build_level_context(CascadeState.fresh(2), level, SolverConfig(), counters)
+        _, s, conv, _, _ = asm_level_feasibility(ctx, np.zeros(2), [True, True], budget)
+        made = 2 if budget is None else min(budget, 2)
+        assert counters.asm_iterations - 1000 == made
+        assert conv == (made == 2)
+        assert np.allclose(s.x, [[2.5, 2.5], [5.0, 2.5], [5.0, 5.0]][made], atol=1e-12)
 
     @pytest.mark.parametrize("method", ["nf-ipm-asm", "ls-ipm-asm"])
     @pytest.mark.parametrize("seed", range(3))
@@ -1398,9 +1414,9 @@ class TestCrossover:
             calls.append(("newton", ctx.m_ineq + ctx.m_inact > 0))
             return real_loop(ctx, s, form)
 
-        def recording_asm(ctx, x, work):
+        def recording_asm(ctx, x, work, budget=None):
             calls.append(("asm", len(calls)))
-            return real_asm(ctx, x, work)
+            return real_asm(ctx, x, work, budget)
 
         monkeypatch.setattr(cascade, "linear_level", recording_linear)
         monkeypatch.setattr(cascade, "newton_loop", recording_loop)
@@ -1462,8 +1478,8 @@ class TestCrossover:
         split = solve_hlsp(p, config)
         real = cascade.asm_level_feasibility
 
-        def by_signs(ctx, x, work):
-            return real(ctx, x, cascade._residual_seed(ctx, x))
+        def by_signs(ctx, x, work, budget=None):
+            return real(ctx, x, cascade._residual_seed(ctx, x), budget)
 
         monkeypatch.setattr(cascade, "asm_level_feasibility", by_signs)
         signs = solve_hlsp(p, config)
@@ -1486,12 +1502,22 @@ class TestCrossover:
         asm = solve_hlsp(p, SolverConfig(method="nf-ipm-asm"))
         real, ends = cascade.asm_level_feasibility, []
 
-        def recording(ctx, x, work):
-            out = real(ctx, x, work)
+        def recording(ctx, x, work, budget=None):
+            out = real(ctx, x, work, budget)
             ends.append((ctx.m_inact, cascade._off_carried(out[0], out[1].x)))
             return out
 
         monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
+        rep = solve_hlsp(p, SolverConfig(method=method))
+        assert ends[-2:] == [(3, True), (3, False)]
+        # the early steps from level 3's iterates take the same guess and
+        # end off the carried rows too; the loop rejects them
+        assert all(m_inact == 3 for m_inact, off in ends[:-2] if off)
+        assert rep.converged
+        assert np.allclose(rep.objectives, asm.objectives, rtol=0.0, atol=1e-12)
+        # without them, no call before the last two ends off a carried row
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
+        ends.clear()
         rep = solve_hlsp(p, SolverConfig(method=method))
         assert ends[-2:] == [(3, True), (3, False)]
         assert not any(off for _, off in ends[:-2])
@@ -1509,9 +1535,9 @@ class TestCrossover:
         )
         real, starts = cascade.asm_level_feasibility, []
 
-        def recording(ctx, x, work):
+        def recording(ctx, x, work, budget=None):
             starts.append(x.copy())
-            return real(ctx, x, work)
+            return real(ctx, x, work, budget)
 
         monkeypatch.setattr(cascade, "_off_carried", lambda ctx, x: bool(x.any()))
         monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
@@ -1519,7 +1545,8 @@ class TestCrossover:
         assert len(starts) > 2 and all(x.any() for x in starts[:-1])
         assert not starts[-1].any()
         starts.clear()
-        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        # with no pair ever decided, no early step runs
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
         solve_hlsp(p, SolverConfig(method="nf-ipm"))
         assert len(starts) == 2 and starts[0].any() and not starts[1].any()
         starts.clear()
@@ -1572,7 +1599,8 @@ def pairs(v=(), w=(), lam=(), w_inact=()):
 
 
 class TestIdentified:
-    """``_identified`` on the ratios of each pair's members between iterates.
+    """``_undecided`` counts the pairs whose members' ratios between iterates
+    do not decide their side.
 
     ``pairs`` takes -v for a level row, so every member is nonnegative.
     """
@@ -1583,31 +1611,39 @@ class TestIdentified:
         # keeps 0.97)
         before = pairs(v=[1.0], w=[1.0], lam=[2.0], w_inact=[1.0])
         now = pairs(v=[0.95], w=[0.05], lam=[0.04], w_inact=[0.97])
-        assert cascade._identified(before, now)
+        assert cascade._undecided(before, now) == 0
         # and the other way round: the level row goes slack, the carried
         # row tight
         now = pairs(v=[0.05], w=[0.95], lam=[1.9], w_inact=[0.02])
-        assert cascade._identified(before, now)
+        assert cascade._undecided(before, now) == 0
 
     def test_degenerate_pair_is_not_decisive(self):
-        # both members of the level row fall: it is neither side's yet, and
-        # one such pair keeps the partition open
+        # both members of the level row fall: it is neither side's yet
         before = pairs(v=[1.0, 1.0], w=[1.0, 1.0])
-        assert not cascade._identified(before, pairs(v=[0.05, 0.95], w=[0.05, 0.05]))
-        assert cascade._identified(before, pairs(v=[0.05, 0.95], w=[0.95, 0.05]))
+        assert cascade._undecided(before, pairs(v=[0.05, 0.95], w=[0.05, 0.05])) == 1
+        assert cascade._undecided(before, pairs(v=[0.05, 0.95], w=[0.95, 0.05])) == 0
 
     def test_a_member_short_of_either_limit_is_not_decisive(self):
         before = pairs(lam=[1.0], w_inact=[1.0])
         # one ratio near 1, the other only halved
-        assert not cascade._identified(before, pairs(lam=[0.95], w_inact=[0.5]))
+        assert cascade._undecided(before, pairs(lam=[0.95], w_inact=[0.5])) == 1
         # one ratio below DECISIVE, the other off 1 by more than DECISIVE
-        assert not cascade._identified(before, pairs(lam=[0.05], w_inact=[1.2]))
-        assert not cascade._identified(before, pairs(lam=[0.05], w_inact=[0.8]))
+        assert cascade._undecided(before, pairs(lam=[0.05], w_inact=[1.2])) == 1
+        assert cascade._undecided(before, pairs(lam=[0.05], w_inact=[0.8])) == 1
         # a member at 0 has no ratio, and no warning is raised
-        assert not cascade._identified(pairs(v=[1.0], w=[0.0]), pairs(v=[0.95], w=[0.0]))
+        assert cascade._undecided(pairs(v=[1.0], w=[0.0]), pairs(v=[0.95], w=[0.0])) == 1
+
+    def test_counts_every_undecided_pair_of_both_blocks(self):
+        # two level rows and three carried rows; one level row and two
+        # carried rows are decisive
+        before = pairs(v=[1.0, 1.0], w=[1.0, 1.0], lam=[1.0] * 3, w_inact=[1.0] * 3)
+        now = pairs(
+            v=[0.95, 0.5], w=[0.05, 0.5], lam=[0.02, 0.97, 0.6], w_inact=[0.98, 0.01, 0.6]
+        )
+        assert cascade._undecided(before, now) == 2
 
     def test_no_pairs_leave_nothing_to_identify(self):
-        assert cascade._identified(pairs(), pairs())
+        assert cascade._undecided(pairs(), pairs()) == 0
 
 
 class TestLoopExits:
@@ -1617,29 +1653,33 @@ class TestLoopExits:
     and ``splits[k]`` is iterate k's complementarity split; by default it
     changes at every iterate, so only ``eps``, the cap and a non-finite
     norm or step can end the loop. ``raise_at`` makes that step raise
-    ``NonFiniteError``. Every pair is decisive at the iterates that
-    ``crossovers`` names and nowhere else; ``crossovers[k]`` is the
-    scripted active-set step from iterate k, (converged, off a carried
-    row). ``self.attempts`` lists the iterates it ran from and
-    ``self.crossed`` holds the loop's crossover result.
+    ``NonFiniteError``. ``undecided[k]`` is the number of pairs that are
+    not decisive at iterate k; by default it is 0 at the iterates that
+    ``crossovers`` names and 99 elsewhere, so no early active-set step
+    runs there. ``crossovers[k]`` is the scripted active-set step from
+    iterate k, (converged, off a carried row). ``self.attempts`` lists the
+    iterates it ran from with their budgets, and ``self.crossed`` holds
+    the loop's crossover result.
     """
 
     def run(
         self, monkeypatch, norms, eps=1e-12, max_iter=50, splits=None, raise_at=None,
-        crossovers=None,
+        crossovers=None, undecided=None,
     ):
         config = SolverConfig(eps=eps, max_iter=max_iter)
         ctx = SimpleNamespace(config=config, counters=Counters())
         if splits is None:
             splits = [[k % 2 == 0] for k in range(len(norms))]
         crossovers = crossovers or {}
+        if undecided is None:
+            undecided = [0 if k in crossovers else 99 for k in range(len(norms))]
         self.attempts = []
 
-        def scripted_crossover(ctx, s):
-            self.attempts.append(s.x)
+        def scripted_crossover(ctx, s, budget=None):
+            self.attempts.append((s.x, budget))
             return ctx, SimpleNamespace(x=s.x), crossovers[s.x][0], 0.0, None
 
-        monkeypatch.setattr(cascade, "_identified", lambda before, s: s.x in crossovers)
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: undecided[s.x])
         monkeypatch.setattr(cascade, "_crossover", scripted_crossover)
         monkeypatch.setattr(cascade, "_off_carried", lambda ctx, x: crossovers[x][1])
 
@@ -1676,12 +1716,13 @@ class TestLoopExits:
     def test_identified_partition_above_settled_hands_over(self, monkeypatch):
         # the split holds from iterate 1; above SETTLED iterate 1's pairs
         # are not all decisive, and at iterate 2 they are: the active-set
-        # step from there converges on the carried rows and ends the loop
+        # step from there, with the full budget, converges on the carried
+        # rows and ends the loop
         norms = [1.0, 0.5, 0.2, 0.1, 1e-13]
         splits = [[True]] + [[False]] * 4
         run = self.run(monkeypatch, norms, splits=splits, crossovers={2: (True, False)})
         assert run == (True, 0.2, 2, 2)
-        assert self.attempts == [2] and self.crossed[1].x == 2
+        assert self.attempts == [(2, None)] and self.crossed[1].x == 2
 
     def test_rejected_crossover_runs_on(self, monkeypatch):
         # the step from iterate 2 ends sub-converged and the one from
@@ -1691,15 +1732,44 @@ class TestLoopExits:
         crossovers = {2: (False, False), 3: (True, True)}
         run = self.run(monkeypatch, norms, splits=splits, crossovers=crossovers)
         assert run == (True, 1e-13, 4, 4)
-        assert self.attempts == [2, 3] and self.crossed is None
+        assert self.attempts == [(2, None), (3, None)] and self.crossed is None
 
-    def test_decisive_pairs_need_a_settled_split(self, monkeypatch):
+    def test_decisive_pairs_at_a_changing_split_allow_no_change(self, monkeypatch):
         # every pair is decisive at every iterate, but the split changes at
-        # every one: no active-set step runs
+        # every one: the active-set step runs with a budget of no change,
+        # and ends the loop where the split's working set is optimal
         norms = [1.0, 0.5, 0.2, 1e-13]
-        crossovers = {k: (True, False) for k in range(4)}
-        assert self.run(monkeypatch, norms, crossovers=crossovers) == (True, 1e-13, 3, 3)
-        assert self.attempts == [] and self.crossed is None
+        crossovers = {1: (False, False), 2: (True, False), 3: (True, False)}
+        run = self.run(monkeypatch, norms, crossovers=crossovers)
+        assert run == (True, 0.2, 2, 2)
+        assert self.attempts == [(1, 0), (2, 0)] and self.crossed[1].x == 2
+
+    def test_few_undecided_pairs_try_a_short_active_set_step(self, monkeypatch):
+        # after step k the step runs where at most min(2 k, 8) pairs are
+        # undecided, with that many changes: iterates 2 (4 of 4), 4 (8 of
+        # 8) and 7 (8 of 8), and not iterates 1 (3 of 2), 3 (7 of 6), 5
+        # (11), 6 and 8 (9 of 8); every attempt is rejected, and the loop
+        # runs on to eps
+        norms = [1.0] + [0.5] * 8 + [1e-13]
+        undecided = [99, 3, 4, 7, 8, 11, 9, 8, 9, 0]
+        crossovers = {k: (False, False) for k in range(10)}
+        run = self.run(monkeypatch, norms, crossovers=crossovers, undecided=undecided)
+        assert run == (True, 1e-13, 9, 9)
+        assert self.attempts == [(2, 4), (4, 8), (7, 8)] and self.crossed is None
+
+    def test_settled_split_with_undecided_pairs_takes_their_budget(self, monkeypatch):
+        # the split holds from the start: at iterate 1 two pairs are
+        # undecided, within 2 of one step, so the step may make two
+        # changes; at iterate 2 none is, and it takes the full budget
+        norms = [1.0, 0.5, 0.2, 1e-13]
+        splits = [[True]] * 4
+        crossovers = {1: (False, False), 2: (True, False)}
+        undecided = [99, 2, 0, 99]
+        run = self.run(
+            monkeypatch, norms, splits=splits, crossovers=crossovers, undecided=undecided
+        )
+        assert run == (True, 0.2, 2, 2)
+        assert self.attempts == [(1, 2), (2, None)] and self.crossed[1].x == 2
 
     def test_below_settled_the_split_alone_hands_over(self, monkeypatch):
         # below SETTLED a settled split ends the loop whatever the pairs
@@ -1712,12 +1782,13 @@ class TestLoopExits:
         assert self.attempts == [] and self.crossed is None
 
     def test_rejected_crossover_leaves_the_loop_as_it_was(self, monkeypatch):
-        # found/stalled_barrier.json with ls-ipm: level 2's barrier stalls at
-        # KKT norms of 1.4 to 12, and the active-set steps tried from its
-        # iterates whose pairs are all decisive end sub-converged. They leave
-        # every iterate, the best point and its norm bit for bit as they are
-        # with that exit switched off, and only their work is counted
-        p, objectives = load("stalled_barrier")
+        # found/scaled.json with ls-ipm: every level ends sub-converged, and
+        # level 2 runs to the iteration cap. Each early active-set step,
+        # short or with the full budget, ends sub-converged or off a carried
+        # row and is rejected. They leave every iterate, each loop's end
+        # point and norm, and the returned x bit for bit as they are with
+        # the early steps switched off, and only their work is counted
+        p, objectives = load("scaled")
         real_step, real_loop = cascade.mehrotra_iteration, cascade.newton_loop
         real_crossover = cascade._crossover
 
@@ -1732,12 +1803,12 @@ class TestLoopExits:
 
             def loop(ctx, s, form):
                 out = real_loop(ctx, s, form)
-                ends.append((out[0].x.tobytes(), out[1], out[2]))
+                ends.append((out[0].x.tobytes(), out[1], out[2], out[3]))
                 return out
 
-            def crossover(ctx, s):
-                out = real_crossover(ctx, s)
-                attempts.append(out[2])
+            def crossover(ctx, s, budget=None):
+                out = real_crossover(ctx, s, budget)
+                attempts.append((budget, out[2]))
                 return out
 
             monkeypatch.setattr(cascade, "mehrotra_iteration", step)
@@ -1747,14 +1818,20 @@ class TestLoopExits:
             return rep, iterates, ends, attempts
 
         rep, iterates, ends, attempts = solve()
-        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        # no pair is ever decided: only the exits below SETTLED, at eps, at
+        # the cap or at a non-finite iterate are left
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
         off, off_iterates, off_ends, off_attempts = solve()
         assert iterates == off_iterates and ends == off_ends
-        assert rep.levels[1].iterations == off.levels[1].iterations == 50
-        # one crossover per level after the loop, and rejected ones before it
-        assert off_attempts == [True, True]
-        assert attempts.count(False) >= 1 and attempts[-1]
-        assert rep.levels[1].factorizations > off.levels[1].factorizations
+        assert [lv.iterations for lv in rep.levels] == [3, 50, 21]
+        assert [lv.iterations for lv in off.levels] == [3, 50, 21]
+        # one crossover per level after the loop, and rejected ones before
+        # it, short ones among them
+        assert off_attempts == [(None, False)] * 3
+        assert len(attempts) > 3 and attempts[-1] == (None, False)
+        assert any(budget is not None for budget, _ in attempts)
+        for lv, lv_off in zip(rep.levels, off.levels):
+            assert lv.factorizations > lv_off.factorizations
         assert np.array_equal(rep.x, off.x)
         assert np.allclose(rep.objectives, objectives, rtol=0.0, atol=1e-6)
 

@@ -242,14 +242,43 @@ class TestSolveCommand:
         assert set(report["levels"][0]) == expected_level_keys
 
     @pytest.mark.parametrize(
-        "n,levels",
+        "data,message",
         [
-            (2, [{"A_e": [["one", 0.0]], "b_e": [1.0], "A_i": [], "b_i": []}]),
-            (2, 5),
-            (True, [{"A_e": [[1.0]], "b_e": [1.0], "A_i": [], "b_i": []}]),
-            (2, [{"A_e": [1.0, 0.0], "b_e": [1.0], "A_i": [], "b_i": []}]),
-            (2, [{"A_e": [[1.0, 0.0]], "b_e": 1.0, "A_i": [], "b_i": []}]),
-            (None, None),
+            (
+                {"n": 2, "levels": [{"A_e": [["one", 0.0]], "b_e": [1.0], "A_i": [], "b_i": []}]},
+                "non-numeric entry",
+            ),
+            ({"n": 2, "levels": 5}, "levels must be a list"),
+            (
+                {"n": True, "levels": [{"A_e": [[1.0]], "b_e": [1.0], "A_i": [], "b_i": []}]},
+                "n must be a positive integer",
+            ),
+            (
+                {"n": 2, "levels": [{"A_e": [1.0, 0.0], "b_e": [1.0], "A_i": [], "b_i": []}]},
+                "row 0: expected a list",
+            ),
+            (
+                {"n": 2, "levels": [{"A_e": [[1.0, 0.0]], "b_e": 1.0, "A_i": [], "b_i": []}]},
+                "rhs: expected a list",
+            ),
+            (None, ""),
+            ({"n": 2}, "missing problem fields: ['levels']"),
+            ({"n": 2, "levels": [[]]}, "level 1 must be an object"),
+            ({"n": 2, "levels": [{"A_e": [], "b_e": []}]}, "missing fields ['A_i', 'b_i']"),
+            (
+                {"n": 2, "levels": [{"A_e": 5, "b_e": [], "A_i": [], "b_i": []}]},
+                "expected a list of rows",
+            ),
+            (
+                {"n": 2, "levels": [{"A_e": [[1.0, 0.0]], "b_e": [1.0, 2.0], "A_i": [], "b_i": []}]},
+                "1 matrix rows but 2 rhs entries",
+            ),
+            ({"n": 2, "levels": []}, "at least one level"),
+            (
+                # an integer beyond the largest float: OverflowError in float()
+                {"n": 2, "levels": [{"A_e": [[10**400, 0]], "b_e": [1], "A_i": [], "b_i": []}]},
+                "too large to convert to float",
+            ),
         ],
         ids=[
             "string-entry",
@@ -258,18 +287,26 @@ class TestSolveCommand:
             "row-not-list",
             "rhs-not-list",
             "directory",
+            "missing-problem-field",
+            "level-not-object",
+            "missing-level-field",
+            "rows-not-list",
+            "row-rhs-count-mismatch",
+            "no-levels",
+            "integer-beyond-float",
         ],
     )
-    def test_malformed_input_exit_codes(self, tmp_path, capsys, n, levels):
+    def test_malformed_input_exit_codes(self, tmp_path, capsys, data, message):
         path = tmp_path / "problem.json"
-        if levels is None:
+        if data is None:
             path.mkdir()
             expected = EXIT_IO
         else:
-            path.write_text(json.dumps({"n": n, "levels": levels}))
+            path.write_text(json.dumps(data))
             expected = EXIT_INVALID
         assert main(["solve", str(path)]) == expected
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "nf-ipm-asm", "classical"])
     def test_non_finite_problem_is_invalid(self, tmp_path, method):

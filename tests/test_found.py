@@ -28,7 +28,12 @@ CORPUS = Path(__file__).parent / "found"
 # methods solve that level again from its start; stalled_barrier:
 # small_oracle seed 101 problem 62, whose level 2 ls-ipm runs to the
 # iteration cap at KKT norms of 1.4 to 12, where an active-set step from an
-# iterate whose pairs all look decisive ends sub-converged off the oracle
+# iterate whose pairs all look decisive ends sub-converged off the oracle;
+# null_direction_drift: small_oracle seed 973 problem 197, whose level 1
+# ls-ipm drifted to x of 5e15 along a null direction of its rows and missed
+# the oracle by 1.64; huge_least_squares_step: small_oracle seed 0 problem
+# 12, whose level 2 ls-ipm took a step of norm 5e16 and ran to the
+# iteration cap. Both levels hold an inequality row and its negation
 INSTANCES = (
     "row_and_multiple",
     "conflicting_pair",
@@ -37,6 +42,8 @@ INSTANCES = (
     "degenerate_vertex",
     "three_carried_two_free",
     "stalled_barrier",
+    "null_direction_drift",
+    "huge_least_squares_step",
 )
 OBJECTIVE_TOL = 1e-6
 

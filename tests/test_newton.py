@@ -708,6 +708,8 @@ class TestStepLength:
             return alpha
 
         monkeypatch.setattr(newton, "step_length", checked)
+        # an early active-set step would end the level after its first steps
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
         cascade.newton_loop(ctx, s, "normal")
         assert len(calls) >= 5 and all(calls)
 
@@ -1200,11 +1202,11 @@ class TestIterateFrame:
             return state
 
         monkeypatch.setattr(cascade, "mehrotra_iteration", checked_iteration)
-        # the settled-split and identified-partition exits end some of these
-        # levels after one or two steps; without them the loop runs to eps
-        # and keeps more iterates
+        # the settled-split exit and the early active-set steps end some of
+        # these levels after one or two steps; without them the loop runs to
+        # eps and keeps more iterates
         monkeypatch.setattr(cascade, "SETTLED", 0.0)
-        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
         start = initial_state(ctx, s0.x)
         keep(start)
         try:
@@ -1254,8 +1256,8 @@ class TestIterateFrame:
         # scripted norms: the third step ends the loop, at the cap of three
         # iterations or on a non-finite norm, and the loop returns the second
         # iterate, its best; every norm is above newton.SETTLED, so a settled
-        # split ends nothing, and the early active-set step, whose test would
-        # read the scripted norms too, is switched off
+        # split ends nothing, and the early active-set steps, whose test would
+        # read the scripted norms too, are switched off: no pair is decided
         ctx, s0 = build_random_level(
             5500, n=5, m_eq=m_eq, m_ineq=m_ineq, m_inact=m_inact, m_prior=1
         )
@@ -1268,7 +1270,7 @@ class TestIterateFrame:
             return False, next(norms)
 
         monkeypatch.setattr(cascade, "converged", scripted)
-        monkeypatch.setattr(cascade, "DECISIVE", 0.0)
+        monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
         s, conv, norm, crossed = cascade.newton_loop(ctx, s, form)
         assert (conv, norm, crossed) == (False, 0.1, None)
         assert ctx.counters.newton_iterations == 3 and s.x is seen[2]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,29 @@ class TestValidate:
         p = HlspProblem(n=3, levels=(level,))
         msgs = validate_problem(p)
         assert any("column count mismatch at level 1" in m for m in msgs)
+
+    @pytest.mark.parametrize(
+        "problem,message",
+        [
+            (HlspProblem(n=2, levels=()), "problem has no levels (p >= 1 required)"),
+            (
+                HlspProblem(n=0, levels=(Level(ConstraintBlock.empty(0), ConstraintBlock.empty(0)),)),
+                "variable count 0 < 1",
+            ),
+            (
+                HlspProblem(
+                    n=2,
+                    levels=(Level(ConstraintBlock(np.eye(2), [1.0]), ConstraintBlock.empty(2)),),
+                ),
+                "rhs length mismatch at level 1: equality block has 2 rows but rhs length 1",
+            ),
+        ],
+        ids=["no-levels", "no-variables", "rhs-length-mismatch"],
+    )
+    def test_invariant_violation_reported(self, problem, message):
+        assert validate_problem(problem) == [message]
+        with pytest.raises(InvalidProblemError, match=re.escape(message)):
+            solve_hlsp(problem)
 
     @pytest.mark.parametrize(
         "block,ncols",

@@ -15,8 +15,9 @@ exception name of a solve that raises. Floats enter by their hex form, so
 equal digests mean equal bits. Next to each digest go the group's totals of
 the machine-independent counters, by their benchmark names: Newton
 iterations, factorizations, the ``fact_work`` flop proxy, dual evaluations
-and working-set changes (``asm_iterations``); a solve that raises adds
-none. The generators and the
+and working-set changes (``asm_iterations``), and the number of
+sub-converged levels (``sub_converged``); a solve that raises adds none.
+The generators and the
 counters are imported, read only, from ``perfbench/harness.py`` and
 ``tests/test_fuzz.py``.
 """
@@ -80,7 +81,10 @@ def _feed_solve(h, problem, method):
     for lv in levels:
         del lv["wall_time_s"]
     _feed(h, [report.x, report.converged, levels, report.last_duals])
-    return counters(report)
+    return {
+        **counters(report),
+        "sub_converged": sum(lv["sub_converged"] for lv in levels),
+    }
 
 
 def _corpus():
