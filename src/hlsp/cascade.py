@@ -756,7 +756,7 @@ def _undecided(before, s):
         b = np.concatenate([s.w_ineq / before.w_ineq, s.w_inact / before.w_inact])
     near_a, near_b = np.abs(a - 1.0) < DECISIVE, np.abs(b - 1.0) < DECISIVE
     decisive = (near_a & (b < DECISIVE)) | (near_b & (a < DECISIVE))
-    return a.size - int(np.count_nonzero(decisive))
+    return int(np.count_nonzero(~decisive))
 
 
 def _split_seed(s):
@@ -814,7 +814,7 @@ def asm_level_feasibility(ctx, x, work, budget=None):
     work = np.array(work, dtype=bool)
     if budget is None:
         budget = ASM_MAX_ITER * (100 + rhs.size) // 100
-    budget += counters.asm_iterations
+    end = counters.asm_iterations + budget
     seen, bland, spent = set(), False, False
     while True:
         key = work.tobytes()
@@ -839,7 +839,7 @@ def asm_level_feasibility(ctx, x, work, budget=None):
             if leave.size == 0:
                 break
             change = int(leave[0] if bland else leave[lam[leave].argmin()])
-        if counters.asm_iterations >= budget:
+        if counters.asm_iterations >= end:
             spent = True
             break
         work[change] = not work[change]
