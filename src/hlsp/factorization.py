@@ -5,10 +5,11 @@ LAPACK compact-reflector blocks, the ``(v, tau)`` output of xGEQRF or
 xGEQP3 that one xORMQR call applies. Plain RRQR is xGEQP3, the BLAS-3
 column-pivoted QR of Quintana-Orti, Sun & Bischof (1998). The staged
 factorization reuses a constant bottom block that was factorized once and
-only refactorizes the rows stacked on top of it, in two LAPACK calls: one
-xGEQRF of the columns the retained factor already pivoted, then one xGEQP3
-of the block that remains. Where the stack has full column rank beyond
-doubt, one xGEQRF of all its columns replaces both. The Cholesky kernels
+only refactorizes the rows stacked on top of it, in at most two LAPACK
+calls: one xGEQRF of the stack's leading columns, all of them where it has
+no more columns than rows and else those the retained factor already
+pivoted, then, unless that shows full column rank beyond doubt, one
+xGEQP3 of the trailing block it leaves. The Cholesky kernels
 factor symmetric matrices: xPOTRF a positive definite one, such as the
 reduced Hessian of a full-rank normal-form step or the range-space
 step's quadratic term, and xPSTRF, the pivoted Cholesky of Higham (2002,
@@ -154,6 +155,13 @@ class Rrqr:
     @property
     def ncols(self):
         return self.shape[1]
+
+    @functools.cached_property
+    def r_inv_t(self):
+        """``R^-1 T``, the pivot columns' weights on the free ones; solved once."""
+        if not self.t.size:
+            return np.zeros(self.t.shape)
+        return _trsolve(self.r, self.t)
 
     def reconstruct(self):
         m, k = self.shape
@@ -332,7 +340,7 @@ def nullspace_update(basis, f: Rrqr):
     r = f.rank
     out = basis[:, f.perm[r:]]
     if r > 0 and out.shape[1] > 0:
-        out = out - basis[:, f.perm[:r]] @ _trsolve(f.r, f.t)
+        out = out - basis[:, f.perm[:r]] @ f.r_inv_t
     return out
 
 
@@ -404,15 +412,10 @@ class ChainBasis:
         kept ones ``keep``: E' = [E[:, keep] - E[:, piv] R^-1 T; -R^-1 T],
         ``elim' = [elim, free[piv]]`` and ``free' = free[keep]``.
         """
-        r = f.rank
-        piv, keep = f.perm[:r], f.perm[r:]
-        if not r:
-            e = self.e[:, keep]
-        elif keep.size:
-            w = _trsolve(f.r, f.t)
-            e = np.concatenate((self.e[:, keep] - self.e[:, piv] @ w, -w))
-        else:
-            e = np.zeros((self.elim.size + r, 0))
+        e = nullspace_update(self.e, f)
+        # a rank-0 stage adds no row, and E keeps the layout its products round by
+        if f.rank:
+            e = np.concatenate((e, -f.r_inv_t))
         return ChainBasis(np.concatenate((self.elim, self.free[f.perm])), e)
 
 
@@ -435,31 +438,18 @@ class _TransposedBasis:
         return out
 
 
-def _full_rank_qr(a):
-    """Unpivoted QR (xGEQRF) of ``a`` as ``(qr, tau)`` if it shows full column rank.
-
-    The test is ``cholesky``'s on ``a^T a``: every R_jj^2 above
-    ``UNPIVOTED`` times the largest squared column norm. Returns None
-    otherwise.
-    """
-    qr, tau, _, _ = dgeqrf(a)
-    with np.errstate(over="ignore"):
-        top = float(np.max(np.add.reduce(a * a, axis=0)))
-    return (qr, tau) if _full_rank(qr.diagonal(), top, UNPIVOTED) else None
-
-
 @dataclass
 class StagedFactorization:
-    """Three-stage RRQR of a stack [B; A] over a prefactorized A.
+    """Staged RRQR of a stack [B; A] over a prefactorized A.
 
     Stage 1 is the retained factorization A P1 = Q1 [R1 T1; 0 0] of the
-    constant block. Stage 2 is one xGEQRF of the first r1 columns of
-    [R1 T1; B P1], over all r1 + m_b rows; stage 3 is one xGEQP3 of the
-    bottom-right block that stage 2 leaves. A stack of full column rank
-    may instead take both stages in one xGEQRF of all its columns.
-    ``stage23`` holds the reflectors of both, ``triangular`` the combined
-    (r1 + r3) square upper factor, and ``col_order`` the column order of
-    P1 with stage 3's pivots.
+    constant block. What follows it factorizes S = [R1 T1; B P1]: one
+    xGEQRF of S's leading columns, all of them where S is tall and the
+    first r1 where it is short, then, unless that shows full column rank,
+    one xGEQP3 of the block below and right of R1. ``stage23`` holds the
+    reflectors of both, ``triangular`` the square upper factor of order
+    ``rank``, and ``col_order`` the column order of P1 with the xGEQP3's
+    pivots.
     """
 
     stage1: Rrqr
@@ -488,16 +478,16 @@ class StagedFactorization:
 def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
     """Factorize the stack [B; A] reusing the retained RRQR of A.
 
-    ``b_block`` rows sit on top of the already factorized constant block.
-    Where the stack [R1 T1; B P1] has at least as many rows as columns,
-    one unpivoted xGEQRF of all of it is tried first, and kept where every
-    R_jj^2 is above ``UNPIVOTED`` times its largest squared column norm:
-    stages 2 and 3 without stage 3's pivots. Otherwise stage 2
-    triangularizes the first r1 columns with one xGEQRF and applies its
-    reflectors to the trailing columns with xORMQR, and stage 3 is one
-    column-pivoted xGEQP3 of the bottom-right block, with rank decided by
-    ``tol`` against its largest column norm. A rejected xGEQRF counts as
-    one factorization of the call's shape, next to the call's own.
+    ``b_block`` rows sit on top of the already factorized constant block,
+    so the stack S = [R1 T1; B P1] has m = r1 + m_b rows and k columns.
+    One unpivoted xGEQRF triangularizes S's first c columns: c = k where S
+    is tall (k <= m), else c = r1, and xORMQR applies its reflectors to the
+    trailing columns. Where c < k, or where some R_jj^2 is not above
+    ``UNPIVOTED`` times S's largest squared column norm, one column-pivoted
+    xGEQP3 of ``S[r1:, r1:]`` as the xGEQRF left it decides the rank, by
+    ``tol`` against its largest column norm: the trailing block of a short
+    stack, the trailing triangle of R on a tall one (Chan, *Linear Algebra
+    Appl.* 88/89, 1987). Each call counts one factorization.
     """
     b = np.asarray(b_block, dtype=float)
     if b.ndim != 2:
@@ -517,24 +507,20 @@ def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
     ops = OrthoTransform(r1 + m_b)
     pi, rank3 = np.arange(k - r1), 0
 
-    tried = m_b and 0 < k <= r1 + m_b
-    unpivoted = tried and _full_rank_qr(work)
-    if tried and not unpivoted and counter is not None:
-        # the rejected xGEQRF is counted, as a failed xPOTRF is
-        counter.count_factorization(m_b, k)
-    if unpivoted:
-        qr, tau = unpivoted
-        ops.add_reflectors(slice(0, None), qr, tau)
-        work = _zero_below_diagonal(qr[:k].copy())
-        rank3 = k - r1
-    else:
-        if m_b and r1:
-            qr, tau, _, _ = dgeqrf(work[:, :r1])
+    if m_b and k:
+        c = k if k <= r1 + m_b else r1
+        if c == k:
+            with np.errstate(over="ignore"):
+                top = float(np.max(np.add.reduce(work * work, axis=0)))
+        if c:
+            qr, tau, _, _ = dgeqrf(work[:, :c])
             ops.add_reflectors(slice(0, None), qr, tau)
-            work[:, r1:] = _ormqr("T", qr, tau, work[:, r1:])
-            work[:, :r1] = qr
-            _zero_below_diagonal(work[:, :r1])
-        if m_b and k > r1:
+            if c < k:
+                work[:, c:] = _ormqr("T", qr, tau, work[:, c:])
+            work[:, :c] = qr
+            _zero_below_diagonal(work[:, :c])
+        rank3 = k - r1
+        if rank3 and not (c == k and _full_rank(work.diagonal(), top, UNPIVOTED)):
             qr, pi, tau, rank3 = _geqp3(work[r1:, r1:], tol)
             ops.add_reflectors(slice(r1, None), qr[:, : tau.size], tau)
             work[:r1, r1:] = work[:r1, r1:][:, pi]
@@ -552,6 +538,6 @@ def staged_rrqr(b_block, stage1: Rrqr, tol=DEFAULT_RANK_TOL, counter=None):
         col_order=col_order,
         rank=rank,
         shape=(m_b + stage1.shape[0], k),
-        # stage 2 reflects r1 columns; a stage-3 pivot on the last row has none
+        # a reflector per pivot column, but none for a pivot on the last row
         householder_columns=r1 + min(rank3, m_b - 1) if m_b else 0,
     )

@@ -1782,18 +1782,20 @@ class TestLoopExits:
         assert self.attempts == [] and self.crossed is None
 
     def test_rejected_crossover_leaves_the_loop_as_it_was(self, monkeypatch):
-        # found/scaled.json with ls-ipm: every level ends sub-converged, and
-        # level 2 runs to the iteration cap. Each early active-set step,
-        # short or with the full budget, ends sub-converged or off a carried
-        # row and is rejected. They leave every iterate, each loop's end
-        # point and norm, and the returned x bit for bit as they are with
-        # the early steps switched off, and only their work is counted
+        # found/scaled.json with ls-ipm: levels 1 and 2 end sub-converged,
+        # level 2 at the iteration cap. Each of their early active-set
+        # steps, short or with the full budget, ends sub-converged or off a
+        # carried row and is rejected. They leave every iterate and each
+        # loop's end point and norm bit for bit as they are with the early
+        # steps switched off, and only their work is counted. Level 3 ends
+        # through an accepted early step at its third iterate; up to there
+        # its iterates are those of the loop without early steps
         p, objectives = load("scaled")
         real_step, real_loop = cascade.mehrotra_iteration, cascade.newton_loop
         real_crossover = cascade._crossover
 
         def solve():
-            iterates, ends, attempts = [], [], []
+            iterates, attempts, starts, ends = [], [], [], []
 
             def step(ctx, s, form):
                 s = real_step(ctx, s, form)
@@ -1802,8 +1804,9 @@ class TestLoopExits:
                 return s
 
             def loop(ctx, s, form):
+                starts.append((len(iterates), len(attempts)))
                 out = real_loop(ctx, s, form)
-                ends.append((out[0].x.tobytes(), out[1], out[2], out[3]))
+                ends.append((out[0].x.tobytes(), out[1], out[2], out[3] is None))
                 return out
 
             def crossover(ctx, s, budget=None):
@@ -1815,25 +1818,41 @@ class TestLoopExits:
             monkeypatch.setattr(cascade, "newton_loop", loop)
             monkeypatch.setattr(cascade, "_crossover", crossover)
             rep = solve_hlsp(p, SolverConfig(method="ls-ipm"))
-            return rep, iterates, ends, attempts
+            # per level: its iterates, and its attempts up to the next level's loop
+            bounds = starts + [(len(iterates), len(attempts))]
+            levels = [
+                (iterates[i:j], attempts[a:b], end)
+                for (i, a), (j, b), end in zip(bounds, bounds[1:], ends)
+            ]
+            return rep, levels
 
-        rep, iterates, ends, attempts = solve()
+        rep, levels = solve()
         # no pair is ever decided: only the exits below SETTLED, at eps, at
         # the cap or at a non-finite iterate are left
         monkeypatch.setattr(cascade, "_undecided", lambda before, s: math.inf)
-        off, off_iterates, off_ends, off_attempts = solve()
-        assert iterates == off_iterates and ends == off_ends
-        assert [lv.iterations for lv in rep.levels] == [3, 50, 21]
-        assert [lv.iterations for lv in off.levels] == [3, 50, 21]
-        # one crossover per level after the loop, and rejected ones before
-        # it, short ones among them
-        assert off_attempts == [(None, False)] * 3
-        assert len(attempts) > 3 and attempts[-1] == (None, False)
-        assert any(budget is not None for budget, _ in attempts)
-        for lv, lv_off in zip(rep.levels, off.levels):
+        off, off_levels = solve()
+        assert [lv.iterations for lv in rep.levels] == [3, 50, 3]
+        assert [lv.iterations for lv in off.levels] == [3, 50, 44]
+        assert [lv.sub_converged for lv in rep.levels] == [True, True, False]
+        # without early steps, one crossover per level after its loop
+        off_attempts = [tries for _, tries, _ in off_levels]
+        assert off_attempts == [[(None, False)], [(None, False)], [(None, True)]]
+        for (its, tries, end), (off_its, _, off_end), lv, lv_off in zip(
+            levels[:2], off_levels, rep.levels, off.levels
+        ):
+            # rejected ones before the loop's end, short ones among them,
+            # and the rejected one after it
+            assert len(tries) > 1 and not any(ok for _, ok in tries[:-1])
+            assert tries[-1] == (None, False)
+            assert any(budget is not None for budget, _ in tries)
+            assert its == off_its and end == off_end
             assert lv.factorizations > lv_off.factorizations
-        assert np.array_equal(rep.x, off.x)
+        its, tries, end = levels[2]
+        # the loop ends converged at the accepted attempt, with none after it
+        assert tries[-1] == (None, True) and end[1] and not end[3]
+        assert len(its) == 3 and its == off_levels[2][0][:3]
         assert np.allclose(rep.objectives, objectives, rtol=0.0, atol=1e-6)
+        assert np.allclose(off.objectives, objectives, rtol=0.0, atol=1e-6)
 
     def test_changing_split_below_settled_runs_on(self, monkeypatch):
         # below SETTLED the split changes at three iterates, then holds

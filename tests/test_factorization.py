@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from numpy.linalg import LinAlgError
 
-from hlsp import factorization
+from hlsp import factorization, newton
+from hlsp.cascade import solve_hlsp
+from hlsp.config import SolverConfig
 from hlsp.factorization import (
     DEFAULT_RANK_TOL,
     UNPIVOTED,
     NonFiniteError,
-    _full_rank_qr,
     _trsolve,
     cholesky,
     nullspace_update,
@@ -23,6 +25,7 @@ from hlsp.factorization import (
     staged_rrqr,
 )
 from hlsp.newton import Counters
+from test_found import INSTANCES, load
 
 
 def formed_nullspace(f):
@@ -368,6 +371,23 @@ seeds = st.integers(0, 2**32 - 1)
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The (name, shape) of each xGEQRF and xGEQP3 call in ``factorization``."""
+    calls = []
+
+    def spy(name, real):
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return real(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(factorization, "dgeqrf", spy("geqrf", factorization.dgeqrf))
+    monkeypatch.setattr(factorization, "_geqp3", spy("geqp3", factorization._geqp3))
+    return calls
+
+
 def staged_residuals(b, a, rng):
     """The residual norms of the staged and of rrqr's basic solution of [b; a]."""
     stack = np.vstack([b, a])
@@ -380,27 +400,16 @@ def staged_residuals(b, a, rng):
 class TestUnpivotedStack:
     """``staged_rrqr`` keeps one xGEQRF of the whole stack where it has full rank."""
 
-    @pytest.fixture
-    def geqp3_calls(self, monkeypatch):
-        calls = []
-
-        def spy(a, *args):
-            calls.append(a.shape)
-            return geqp3(a, *args)
-
-        geqp3 = factorization._geqp3
-        monkeypatch.setattr(factorization, "_geqp3", spy)
-        return calls
-
     @pytest.mark.parametrize("seed", range(5))
-    def test_full_rank_stack_takes_one_geqrf(self, seed, geqp3_calls):
+    def test_full_rank_stack_takes_one_geqrf(self, seed, lapack_calls):
         rng = np.random.default_rng(600 + seed)
         a, b = rng.uniform(-1, 1, (2, 6)), rng.uniform(-1, 1, (6, 6))
         s1 = rrqr(a)
-        geqp3_calls.clear()
+        lapack_calls.clear()
         counter = Counters()
         staged = staged_rrqr(b, s1, counter=counter)
-        assert geqp3_calls == [] and counter.fact_shapes == [(6, 6)]
+        assert lapack_calls == [("geqrf", (8, 6))]
+        assert counter.fact_shapes == [(6, 6)]
         assert staged.rank == 6
         assert np.array_equal(staged.col_order, s1.perm)
         # one block of reflectors, over every row and column of the stack
@@ -409,28 +418,48 @@ class TestUnpivotedStack:
         res, res_ref = staged_residuals(b, a, rng)
         assert abs(res - res_ref) <= 1e-12 * res_ref
 
-    @pytest.mark.parametrize("case", ["short", "repeated-column"])
-    def test_rank_deficient_stack_takes_the_pivoted_path(self, case, geqp3_calls):
+    @pytest.mark.parametrize(
+        "m_a, m_b, repeat, calls, rank",
+        [
+            # fewer stacked rows than columns: the xGEQRF takes R1's two
+            # columns, and the xGEQP3 the block right of them
+            pytest.param(2, 3, False, [("geqrf", (5, 2)), ("geqp3", (3, 4))], 5, id="short"),
+            # a column restated in every row: the xGEQRF of all columns is
+            # rejected, and the xGEQP3 pivots its trailing triangle
+            pytest.param(
+                2, 6, True, [("geqrf", (8, 6)), ("geqp3", (6, 4))], 5, id="repeated-column"
+            ),
+            # A has full column rank: no trailing column is left to pivot
+            pytest.param(6, 2, False, [("geqrf", (8, 6))], 6, id="k-equals-r1"),
+            # no constant row: the xGEQP3 takes the whole triangle, or a
+            # short stack itself
+            pytest.param(
+                0, 7, True, [("geqrf", (7, 6)), ("geqp3", (7, 6))], 5, id="r1-zero-tall"
+            ),
+            pytest.param(0, 4, False, [("geqp3", (4, 6))], 4, id="r1-zero-short"),
+            # no stacked row: stage 1 is the factorization
+            pytest.param(4, 0, False, [], 4, id="m_b-zero"),
+        ],
+    )
+    def test_rank_deficient_stack_takes_the_pivoted_path(
+        self, m_a, m_b, repeat, calls, rank, lapack_calls
+    ):
         rng = np.random.default_rng(7)
-        a = rng.uniform(-1, 1, (2, 6))
-        # fewer weighted rows than columns, or a column restated in every row
-        b = rng.uniform(-1, 1, (3 if case == "short" else 6, 6))
-        if case == "repeated-column":
+        a, b = rng.uniform(-1, 1, (m_a, 6)), rng.uniform(-1, 1, (m_b, 6))
+        if repeat:
             a[:, 5], b[:, 5] = a[:, 0], b[:, 0]
         s1 = rrqr(a)
-        geqp3_calls.clear()
+        lapack_calls.clear()
         counter = Counters()
         staged = staged_rrqr(b, s1, counter=counter)
-        assert geqp3_calls == [(len(b), 6 - s1.rank)]
-        assert staged.rank == 5
-        # a short stack tries no xGEQRF; a rejected one counts, as the
-        # staged factorization after it does
-        tries = [] if case == "short" else [(len(b), 6)]
-        assert counter.fact_shapes == tries + [(len(b), 6)]
+        assert lapack_calls == calls
+        assert staged.rank == rank
+        # one counted factorization; an empty B factorizes nothing
+        assert counter.fact_shapes == ([(m_b, 6)] if m_b else [])
         res, res_ref = staged_residuals(b, a, rng)
         assert abs(res - res_ref) <= 1e-10 * max(1.0, res_ref)
 
-    def test_normal_and_least_squares_tests_accept_together(self):
+    def test_normal_and_least_squares_tests_accept_together(self, lapack_calls):
         rng = np.random.default_rng(31)
         verdicts = []
         while len(verdicts) < 200:
@@ -449,10 +478,37 @@ class TestUnpivotedStack:
                 normal = True
             except LinAlgError:
                 normal = False
-            assert normal == (_full_rank_qr(s) is not None) == (ratio > UNPIVOTED)
+            # s as the whole stack, over no constant row: the xGEQRF of all
+            # its columns is kept where no xGEQP3 follows it
+            s1 = rrqr(np.zeros((0, k)))
+            lapack_calls.clear()
+            staged_rrqr(s, s1)
+            kept = lapack_calls == [("geqrf", (m, k))]
+            assert normal == kept == (ratio > UNPIVOTED)
             verdicts.append(normal)
         # the sample holds both verdicts
         assert 20 < sum(verdicts) < 180
+
+    def test_every_least_squares_step_counts_one_factorization(
+        self, monkeypatch, lapack_calls
+    ):
+        # ls-ipm's steps on the found instances: kept, pivoted and short
+        # stacks, each one counted factorization of at most one xGEQRF and
+        # one xGEQP3
+        real, paths = newton.staged_rrqr, Counter()
+
+        def staged(b, stage1, tol, counter):
+            lapack_calls.clear()
+            before = counter.factorizations
+            out = real(b, stage1, tol=tol, counter=counter)
+            assert counter.factorizations == before + 1
+            paths[tuple(name for name, _ in lapack_calls)] += 1
+            return out
+
+        monkeypatch.setattr(newton, "staged_rrqr", staged)
+        for name in INSTANCES:
+            solve_hlsp(load(name)[0], SolverConfig(method="ls-ipm"))
+        assert set(paths) == {("geqrf",), ("geqrf", "geqp3"), ("geqp3",)}
 
 
 def matrices(min_rows=0, min_cols=0):

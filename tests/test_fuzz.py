@@ -11,8 +11,7 @@ suite). Where the rows are not scaled, every method must agree with
 ``nf-ipm-asm``; where they are, which levels end sub-converged depends on
 rounding. On every seed, no lower level may undo a higher one: each
 level's objective at the final ``x`` must not exceed the one its report
-holds. The pairs that still fail carry a strict xfail naming their FOUND
-line, as in ``test_found.py``.
+holds.
 """
 
 import numpy as np
@@ -27,12 +26,6 @@ IPM_METHODS = ("nf-ipm", "ls-ipm", "classical")
 REFERENCE = "nf-ipm-asm"
 # relative to the larger objective, and absolute below 1
 OBJECTIVE_RTOL = 1e-6
-
-UNDONE = "FOUND: on scaled fuzz seeds 170, 188 and 227 a lower level undoes level 1"
-# (seed, method) pairs whose final x raises a level's objective
-PRIORITY_MISSES = {
-    (227, "ls-ipm"),
-}
 
 
 def fuzz_problem(seed):
@@ -86,16 +79,8 @@ def test_every_method_solves_the_problem(seed):
             assert abs(got - want) <= OBJECTIVE_RTOL * scale, (method, level, got, want)
 
 
-def priority_cases():
-    for seed in SEEDS:
-        for method in (REFERENCE, *IPM_METHODS):
-            marks = ()
-            if (seed, method) in PRIORITY_MISSES:
-                marks = pytest.mark.xfail(raises=AssertionError, strict=True, reason=UNDONE)
-            yield pytest.param(seed, method, marks=marks, id=f"{seed}-{method}")
-
-
-@pytest.mark.parametrize("seed,method", priority_cases())
+@pytest.mark.parametrize("method", (REFERENCE, *IPM_METHODS))
+@pytest.mark.parametrize("seed", SEEDS)
 def test_no_level_undoes_a_higher_one(seed, method):
     problem = fuzz_problem(seed)
     rep = solve_hlsp(problem, SolverConfig(method=method))
