@@ -7,21 +7,23 @@ optimal violations. Both activations extend the null-space chain, so every
 later level sees fewer free variables. A barrier-free primal active-set
 method, one equality-constrained least-squares step in the chain basis per
 working set with the carried constraints held as hard rows, solves every
-level of the ``-asm`` methods. It also finishes every level with barrier
-rows of the interior-point methods (crossover): their Newton loop runs such
-a level until the iterate's complementarity split has settled below a KKT
-norm of ``SETTLED``, and the active-set method takes over from that point,
-with the working set that the pairs split off, so the level ends on a
-checked active set. Earlier, where few of the pairs are still undecided,
-the active-set method is tried from the iterate with a budget of as many
-working-set changes, and the level ends there where it converges.
+level with barrier rows of the ``-asm`` methods; a level without them is
+``linear_level``'s in every method. The active-set method also finishes
+every level with barrier rows of the interior-point methods (crossover):
+their Newton loop runs such a level until the iterate's complementarity
+split has settled below a KKT norm of ``SETTLED``, and the active-set
+method takes over from that point, with the working set that the pairs
+split off, so the level ends on a checked active set. Earlier, where few
+of the pairs are still undecided, the active-set method is tried from the
+iterate with a budget of as many working-set changes, and the level ends
+there where it converges.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -337,7 +339,7 @@ def newton_loop(ctx, s, form):
         else:
             return False
         out = _crossover(ctx, s, budget)
-        if out[2] and not _off_carried(out[0], out[1].x):
+        if out[1] and not _off_carried(ctx, out[0].x):
             crossed = out
         return crossed is not None
 
@@ -519,34 +521,33 @@ def _level_objective(r_eq, r_ineq):
 def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
     """Resolve the hierarchy level by level with the configured method.
 
-    The single entry point for every method. Every level of the ``-asm``
-    methods, and every level with barrier rows (its own inequalities or
-    carried rows) of the others, ends with the result of one
-    ``asm_level_feasibility`` call with its full budget; only the start
-    and the first working set differ. The ``-asm`` methods, which both run
-    the same level solve and no Newton iteration, start from the inherited
-    ``x`` with the working set its residual signs give
-    (``_residual_seed``). The interior-point methods first run
-    ``newton_loop`` until the complementarity split has settled below
-    ``SETTLED``, to ``eps``, to the iteration cap or to a non-finite
-    iterate. The active-set step then starts from the loop's point walked
-    back onto the chain's pinned rows (``_onto_chain``), seeded by the
-    iterate's complementarity pairs (``_split_seed``): ``_crossover``. A
-    loop that handed over early, at an iterate with few undecided pairs,
-    has run it already, possibly on a budget of as many changes, and
-    returns its converged result, which the level keeps; the attempts it
-    rejected before count in the level's report. Its convergence test at
-    ``eps`` decides ``sub_converged``, and its working-set changes
-    count as ``asm_iterations``. Its step assumes a start on the carried
-    rows, and the correction onto a guessed tight row can leave one: where
-    an interior-point crossover ends violating a carried row by more than
-    ``XI`` that the level's start holds, the same call runs once more from
-    the start, seeded as the ``-asm`` methods seed it, and both solves
-    count. The level then ends in ``project_inactive`` and
-    ``project_current`` at its point. Every level without barrier rows
-    outside the ``-asm`` methods is ``linear_level``'s, in the level's step
-    form: basic steps on one RRQR, or classical's range-space steps, with
-    no context or iterate, and one ending that pins the level's rows at
+    The single entry point for every method. Every level with barrier
+    rows (its own inequalities or carried rows) ends with the result of
+    one ``asm_level_feasibility`` call with its full budget, on the
+    level's own context; only the start and the first working set differ.
+    The ``-asm`` methods, which both run the same level solve and no
+    Newton iteration on such a level, start from the inherited ``x`` with
+    the working set its residual signs give (``_residual_seed``). The
+    interior-point methods first run ``newton_loop`` until the
+    complementarity split has settled below ``SETTLED``, to ``eps``, to
+    the iteration cap or to a non-finite iterate. The active-set step then
+    starts from the loop's point walked back onto the chain's pinned rows
+    (``_onto_chain``), seeded by the iterate's complementarity pairs
+    (``_split_seed``): ``_crossover``. A loop that handed over early, at an
+    iterate with few undecided pairs, has run it already, possibly on a
+    budget of as many changes, and returns its converged result, which the
+    level keeps; the attempts it rejected before count in the level's
+    report. Its convergence test at ``eps`` decides ``sub_converged``, and
+    its working-set changes count as ``asm_iterations``. Its step assumes
+    a start on the carried rows, and the correction onto a guessed tight
+    row can leave one: where an interior-point crossover ends violating a
+    carried row by more than ``XI`` that the level's start holds, the same
+    call runs once more from the start, seeded as the ``-asm`` methods
+    seed it, and both solves count. The level then ends in ``project_inactive`` and
+    ``project_current`` at its point. Every level without barrier rows,
+    in every method, is ``linear_level``'s, in the level's step form:
+    basic steps on one RRQR, or classical's range-space steps, with no
+    context or iterate, and one ending that pins the level's rows at
     their residual. A ``classical`` level whose quadratic term has no
     Cholesky factor, at its first step or a later one, restarts from its
     start in the projected normal form (``_in_form``) and reports
@@ -593,7 +594,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
 
         m_barrier = level.inequalities.m + m_inact_seen
         form, fell_back = _level_form(config, level.equalities.m + m_barrier, n)
-        if m_barrier or config.uses_asm:
+        if m_barrier:
             level_ctx = build_level_context(state, level, config, counters)
             if config.uses_asm:
                 work = _residual_seed(level_ctx, x, warm_sets.get(idx, ()))
@@ -602,12 +603,12 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
                 run = partial(newton_loop, level_ctx, initial_state(level_ctx, x))
                 (s, _, _, crossed), fell_back = _in_form(run, form, fell_back)
                 out = crossed or _crossover(level_ctx, s)
-                if _off_carried(out[0], out[1].x) and not _off_carried(level_ctx, x):
+                if _off_carried(level_ctx, out[0].x) and not _off_carried(level_ctx, x):
                     # the guessed working set moved x off carried rows that
                     # the level's start holds, and no later step repairs
                     # that: solve the level from its start as -asm does
                     out = asm_level_feasibility(level_ctx, x, _residual_seed(level_ctx, x))
-            ctx, s, conv, norm, held = out
+            s, conv, norm, held = out
             x = s.x
             residuals = _residuals(level, x)
             tight, current = held
@@ -623,7 +624,7 @@ def solve_hlsp(problem: HlspProblem, config: SolverConfig = None):
             rank_current = 0
             if state.chain.n_r:
                 rank_current = project_current(state, level, residuals, counters, current)
-            walk = ctx.stages, partial(_dual_free_stationarity, ctx, s)
+            walk = level_ctx.stages, partial(_dual_free_stationarity, level_ctx, s)
         else:
             stages = tuple(state.chain.stages)
             run = partial(linear_level, state.chain, level, x, config, counters)
@@ -774,15 +775,15 @@ def _split_seed(s):
 def asm_level_feasibility(ctx, x, work, budget=None):
     """Barrier-free primal active-set solve of one level from ``x``.
 
-    ``ctx`` is the level's context, which the caller built: a solve by an
-    ``-asm`` method starts from the inherited ``x``, and the crossover of
-    the interior-point methods from the Newton loop's hand-over point,
-    reusing the factorizations the loop cached on ``ctx``. The working set
-    holds level inequality rows pinned at their violation, which join the
-    equalities as objective rows, and carried rows held tight. ``work``
-    is the first one, a boolean mask over the level's inequality rows and
-    then its carried rows: ``_residual_seed`` for an ``-asm`` method,
-    ``_split_seed`` for the crossover. Each
+    ``ctx`` is the context of a level with barrier rows, which the caller
+    built: a solve by an ``-asm`` method starts from the inherited ``x``,
+    and the crossover of the interior-point methods from the Newton loop's
+    hand-over point, reusing the factorizations the loop cached on
+    ``ctx``. The working set holds level inequality rows pinned at their
+    violation, which join the equalities as objective rows, and carried
+    rows held tight. ``work`` is the first one, a boolean mask over the
+    level's inequality rows and then its carried rows: ``_residual_seed``
+    for an ``-asm`` method, ``_split_seed`` for the crossover. Each
     working set takes one equality-constrained least-squares step in the
     chain basis (``_working_set_step``). The ratio test over the rows
     outside the set stops the step at the first row it would violate, and
@@ -797,14 +798,15 @@ def asm_level_feasibility(ctx, x, work, budget=None):
     carried rows; a call that needs one more ends at its last point, which
     is feasible, sub-converged.
 
-    Returns (ctx, s, conv, norm, held). ``ctx`` is the level's context with
-    the final pinned rows moved into its equality block, ``s`` the
-    ``boundary_state`` at the last point and ``conv`` and ``norm`` the
-    convergence test there. No Newton iteration runs. ``held`` is the last
-    step's pair of RRQRs for the projections to reuse: (tight, fact), the
-    final set's tight mask over the carried rows with their RRQR in the
-    chain basis (None without any), and (rows, fact), the objective rows
-    with their RRQR in the basis that the tight rows leave.
+    Returns (s, conv, norm, held). ``s`` is the ``boundary_state`` at the
+    last point and ``conv`` and ``norm`` the convergence test there, both
+    on ``ctx`` as it was given: the level's own objective, in which a
+    pinned row counts through ``v = min(r, 0)`` as every inequality row
+    does. No Newton iteration runs. ``held`` is the last step's pair of
+    RRQRs for the projections to reuse: (tight, fact), the final set's
+    tight mask over the carried rows with their RRQR in the chain basis
+    (None without any), and (rows, fact), the objective rows with their
+    RRQR in the basis that the tight rows leave.
     """
     config, counters = ctx.config, ctx.counters
     m = ctx.m_ineq
@@ -845,23 +847,9 @@ def asm_level_feasibility(ctx, x, work, budget=None):
         work[change] = not work[change]
         counters.asm_iterations += 1
 
-    pin = work[:m]
-    if pin.any():
-        keep = ~pin
-        ctx = replace(
-            ctx,
-            a_eq=a,
-            b_eq=b,
-            proj_eq=proj,
-            a_ineq=ctx.a_ineq[keep],
-            b_ineq=ctx.b_ineq[keep],
-            proj_ineq=ctx.proj_ineq[keep],
-            stage1=None,
-            eq_gram=None,
-        )
     s = boundary_state(ctx, x, np.maximum(lam[m:], 0.0))
     conv, norm = converged(ctx, s, config.eps)
-    return ctx, s, conv and not spent, norm, ((work[m:], fact), (a, a_fact))
+    return s, conv and not spent, norm, ((work[m:], fact), (a, a_fact))
 
 
 def _working_set_step(ctx, x, pin, tight):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -59,6 +59,19 @@ def asm_problem(seed):
 def level_work(report):
     """Per-level (iterations, factorizations, asm iterations) of a solve."""
     return [(v.iterations, v.factorizations, v.asm_iterations) for v in report.levels]
+
+
+def solve_bits(report):
+    """A solve's ``x``, ``LevelReport``s but ``wall_time_s`` and ``last_duals``.
+
+    Floats enter by their shortest repr and arrays by their bytes, so equal
+    results mean equal bits.
+    """
+    levels = [asdict(lv) for lv in report.levels]
+    for lv in levels:
+        del lv["wall_time_s"]
+    duals = {k: v.tobytes() for k, v in report.last_duals.items()}
+    return report.x.tobytes(), repr(levels), duals
 
 
 def two_sided_conflict():
@@ -762,12 +775,17 @@ class TestAsm:
         counters = Counters()
         ctx = build_level_context(state, p.levels[0], config, counters)
         x = np.zeros(1)
-        ctx, s, conv, norm, _ = asm_level_feasibility(ctx, x, cascade._residual_seed(ctx, x))
+        s, conv, norm, (_, (a, _)) = asm_level_feasibility(
+            ctx, x, cascade._residual_seed(ctx, x)
+        )
         assert conv
-        assert ctx.m_eq == 2  # the final working set pins both rows
+        # the final working set pins both rows: they are its objective rows,
+        # and the level's context is the one it was given
+        assert np.array_equal(a, ctx.a_ineq) and ctx.m_eq == 0 and ctx.m_ineq == 2
         assert abs(s.x[0] - 0.5) < 1e-8
         # both rows are pinned at their optimal violations
-        assert np.allclose(ctx.a_eq @ s.x - ctx.b_eq, [-0.5, -0.5], atol=1e-8)
+        assert np.allclose(ctx.a_ineq @ s.x - ctx.b_ineq, [-0.5, -0.5], atol=1e-8)
+        assert np.array_equal(s.v_ineq, ctx.a_ineq @ s.x - ctx.b_ineq)
 
     @pytest.mark.parametrize("budget", [None, 0, 1, 2, 3])
     def test_a_call_makes_at_most_its_budget_of_changes(self, budget):
@@ -779,7 +797,7 @@ class TestAsm:
         level = lvl(2, np.eye(2), [5.0, 5.0], np.eye(2), [0.0, 0.0])
         counters = Counters(asm_iterations=1000)
         ctx = build_level_context(CascadeState.fresh(2), level, SolverConfig(), counters)
-        _, s, conv, _, _ = asm_level_feasibility(ctx, np.zeros(2), [True, True], budget)
+        s, conv, _, _ = asm_level_feasibility(ctx, np.zeros(2), [True, True], budget)
         made = 2 if budget is None else min(budget, 2)
         assert counters.asm_iterations - 1000 == made
         assert conv == (made == 2)
@@ -949,7 +967,13 @@ class TestLinearLevelCost:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize(
         "method,identity",
-        [("nf-ipm", True), ("ls-ipm", True), ("classical", False)],
+        [
+            ("nf-ipm", True),
+            ("ls-ipm", True),
+            ("nf-ipm-asm", True),
+            ("ls-ipm-asm", True),
+            ("classical", False),
+        ],
     )
     def test_one_rrqr_one_basic_step_one_extension(
         self, monkeypatch, seed, method, identity
@@ -960,17 +984,27 @@ class TestLinearLevelCost:
         report = self.check(monkeypatch, problem, config, np.zeros(problem.n))
         assert report.converged
         assert all(lv.iterations in (0, 1) for lv in report.levels)
+        if method.endswith("-asm"):
+            # one linear path: the -asm methods return nf-ipm's solve
+            nf = solve_hlsp(problem, SolverConfig(method="nf-ipm"))
+            assert solve_bits(report) == solve_bits(nf)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
+    @pytest.mark.parametrize(
+        "method", ["nf-ipm", "ls-ipm", "nf-ipm-asm", "ls-ipm-asm", "classical"]
+    )
     def test_no_step_keeps_x(self, monkeypatch, seed, method):
         # max_iter = 0: every level is tested once, takes no step and makes
-        # its one RRQR for the chain extension
+        # its one RRQR for the chain extension; it caps an -asm method's
+        # linear levels as it caps nf-ipm's, and leaves them unsolved
         problem = linear_hierarchy(seed, method != "classical")
         config = SolverConfig(method=method, max_iter=0)
         report = self.check(monkeypatch, problem, config, np.zeros(problem.n))
         assert np.array_equal(report.x, np.zeros(problem.n))
         assert not report.converged
+        if method.endswith("-asm"):
+            nf = solve_hlsp(problem, SolverConfig(method="nf-ipm", max_iter=0))
+            assert solve_bits(report) == solve_bits(nf)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("method", ["nf-ipm", "ls-ipm", "classical"])
@@ -1268,7 +1302,7 @@ class TestLastDuals:
         start = initial_state(ctx, x)
         s = newton_loop(ctx, start, config.step_form)[0]
         x = cascade._onto_chain(ctx, s.x)
-        ctx, s = asm_level_feasibility(ctx, x, cascade._split_seed(s))[:2]
+        s = asm_level_feasibility(ctx, x, cascade._split_seed(s))[0]
         assert np.array_equal(s.x, rep.x)
         assert ctx.m_act == 2
         lam_act = recover_equality_dual(ctx.stages, _dual_free_stationarity(ctx, s))
@@ -1504,7 +1538,7 @@ class TestCrossover:
 
         def recording(ctx, x, work, budget=None):
             out = real(ctx, x, work, budget)
-            ends.append((ctx.m_inact, cascade._off_carried(out[0], out[1].x)))
+            ends.append((ctx.m_inact, cascade._off_carried(ctx, out[0].x)))
             return out
 
         monkeypatch.setattr(cascade, "asm_level_feasibility", recording)
@@ -1677,7 +1711,7 @@ class TestLoopExits:
 
         def scripted_crossover(ctx, s, budget=None):
             self.attempts.append((s.x, budget))
-            return ctx, SimpleNamespace(x=s.x), crossovers[s.x][0], 0.0, None
+            return SimpleNamespace(x=s.x), crossovers[s.x][0], 0.0, None
 
         monkeypatch.setattr(cascade, "_undecided", lambda before, s: undecided[s.x])
         monkeypatch.setattr(cascade, "_crossover", scripted_crossover)
@@ -1722,7 +1756,7 @@ class TestLoopExits:
         splits = [[True]] + [[False]] * 4
         run = self.run(monkeypatch, norms, splits=splits, crossovers={2: (True, False)})
         assert run == (True, 0.2, 2, 2)
-        assert self.attempts == [(2, None)] and self.crossed[1].x == 2
+        assert self.attempts == [(2, None)] and self.crossed[0].x == 2
 
     def test_rejected_crossover_runs_on(self, monkeypatch):
         # the step from iterate 2 ends sub-converged and the one from
@@ -1742,7 +1776,7 @@ class TestLoopExits:
         crossovers = {1: (False, False), 2: (True, False), 3: (True, False)}
         run = self.run(monkeypatch, norms, crossovers=crossovers)
         assert run == (True, 0.2, 2, 2)
-        assert self.attempts == [(1, 0), (2, 0)] and self.crossed[1].x == 2
+        assert self.attempts == [(1, 0), (2, 0)] and self.crossed[0].x == 2
 
     def test_few_undecided_pairs_try_a_short_active_set_step(self, monkeypatch):
         # after step k the step runs where at most min(2 k, 8) pairs are
@@ -1769,7 +1803,7 @@ class TestLoopExits:
             monkeypatch, norms, splits=splits, crossovers=crossovers, undecided=undecided
         )
         assert run == (True, 0.2, 2, 2)
-        assert self.attempts == [(1, 2), (2, None)] and self.crossed[1].x == 2
+        assert self.attempts == [(1, 2), (2, None)] and self.crossed[0].x == 2
 
     def test_below_settled_the_split_alone_hands_over(self, monkeypatch):
         # below SETTLED a settled split ends the loop whatever the pairs
@@ -1811,7 +1845,7 @@ class TestLoopExits:
 
             def crossover(ctx, s, budget=None):
                 out = real_crossover(ctx, s, budget)
-                attempts.append((budget, out[2]))
+                attempts.append((budget, out[1]))
                 return out
 
             monkeypatch.setattr(cascade, "mehrotra_iteration", step)

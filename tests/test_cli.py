@@ -202,8 +202,9 @@ class TestSolveCommand:
     @pytest.mark.parametrize("method", METHODS)
     def test_equality_only_overflow_keeps_its_report(self, tmp_path, capsys, method):
         # the 1e150 row overflows level 1's first KKT test, before any step;
-        # the step solves both linear levels exactly, with no warning.
-        # classical takes the normal form on each one-row level (exit 4)
+        # linear_level's one step solves both levels exactly, in every
+        # method, with no warning. classical takes the normal form on each
+        # one-row level (exit 4)
         path = tmp_path / "big_eq.json"
         path.write_text(json.dumps(BIG_EQUALITY_PROBLEM))
         with warnings.catch_warnings():
@@ -213,8 +214,7 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["x"] == [1.0, -1.0]
         assert [lv["kkt_norm"] for lv in report["levels"]] == [0.0, 0.0]
-        steps = 0 if method.endswith("-asm") else 1
-        assert [lv["iterations"] for lv in report["levels"]] == [steps, steps]
+        assert [lv["iterations"] for lv in report["levels"]] == [1, 1]
 
     def test_inconclusive_oracle_is_invalid(self, problem_file, monkeypatch, capsys):
         def inconclusive(problem):

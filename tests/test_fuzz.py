@@ -11,14 +11,22 @@ suite). Where the rows are not scaled, every method must agree with
 ``nf-ipm-asm``; where they are, which levels end sub-converged depends on
 rounding. On every seed, no lower level may undo a higher one: each
 level's objective at the final ``x`` must not exceed the one its report
-holds.
+holds. On scaled seed 101 the ``-asm`` verdict must be the convergence
+test on the level's own context.
 """
 
 import numpy as np
 import pytest
 
-from hlsp.cascade import _level_objective, _residuals, solve_hlsp
+from hlsp.cascade import (
+    CascadeState,
+    _level_objective,
+    _residuals,
+    build_level_context,
+    solve_hlsp,
+)
 from hlsp.config import SolverConfig
+from hlsp.newton import Counters, boundary_state, converged
 from hlsp.problem import ConstraintBlock, HlspProblem, Level, random_hlsp
 
 MODES = ("feasible", "mixed", "infeasible")
@@ -88,3 +96,23 @@ def test_no_level_undoes_a_higher_one(seed, method):
         at_x = _level_objective(*_residuals(level, rep.x))[0]
         scale = max(1.0, abs(lv.objective))
         assert at_x - lv.objective <= OBJECTIVE_RTOL * scale, (lv.level, lv.objective, at_x)
+
+
+@pytest.mark.parametrize("method", ("nf-ipm-asm", "ls-ipm-asm"))
+def test_active_set_verdict_reads_the_level_objective(method):
+    # scaled seed 101: one level of 2 equality and 15 inequality rows. The
+    # verdict is the convergence test on the level's own context, where a
+    # pinned row counts through v = min(r, 0). A context rebuilt with the
+    # pinned rows stacked under the equalities read row 10 (norm 1.2e4) at
+    # r = -2.3e-13 instead of 0.0, by summation order, and the level missed
+    # eps at 2.7e-9
+    problem = fuzz_problem(101)
+    config = SolverConfig(method=method)
+    rep = solve_hlsp(problem, config)
+    lv = rep.levels[0]
+    assert not lv.sub_converged and lv.kkt_norm < config.eps
+    ctx = build_level_context(
+        CascadeState.fresh(problem.n), problem.levels[0], config, Counters()
+    )
+    s = boundary_state(ctx, rep.x, np.zeros(0))
+    assert converged(ctx, s, config.eps) == (True, lv.kkt_norm)

@@ -17,9 +17,10 @@ the machine-independent counters, by their benchmark names: Newton
 iterations, factorizations, the ``fact_work`` flop proxy, dual evaluations
 and working-set changes (``asm_iterations``), and the number of
 sub-converged levels (``sub_converged``); a solve that raises adds none.
-The generators and the
-counters are imported, read only, from ``perfbench/harness.py`` and
-``tests/test_fuzz.py``.
+Under each digest, one line per method gives that method's Newton
+iterations and sub-converged levels, so a shift in either shows which
+method moved. The generators and the counters are imported, read only,
+from ``perfbench/harness.py`` and ``tests/test_fuzz.py``.
 """
 
 from __future__ import annotations
@@ -111,11 +112,19 @@ def main():
         t0 = time.perf_counter()
         h = hashlib.sha1()
         totals = Counter()
+        per_method = {method: Counter() for method in methods}
         for problem in problems:
             for method in methods:
-                totals.update(_feed_solve(h, problem, method))
+                solve = _feed_solve(h, problem, method)
+                totals.update(solve)
+                per_method[method].update(solve)
         counts = "  ".join(f"{key} {value}" for key, value in totals.items())
         print(f"{h.hexdigest()}  {name}  ({time.perf_counter() - t0:.1f} s)  {counts}")
+        for method, c in per_method.items():
+            print(
+                f"    {method:<11} newton.iterations {c['newton.iterations']}"
+                f"  sub_converged {c['sub_converged']}"
+            )
 
 
 if __name__ == "__main__":
